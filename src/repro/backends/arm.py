@@ -16,7 +16,6 @@ from typing import Sequence
 
 from ..errors import ReproError
 from ..types import ConvSpec
-from ..util import vector_enabled
 from .base import Backend, BaselineFn, ConvPrice, PrewarmItem
 
 
@@ -100,16 +99,13 @@ class ArmBackend(Backend):
         per (scheme, bits) group prices a whole network's reduction
         lengths through the vectorized cost model, so each distinct
         static schedule is computed exactly once before any worker (or
-        the serial pricing pass) asks for it.  ``REPRO_NO_VECTOR``
-        disables the batching; warming stays best-effort either way.
+        the serial pricing pass) asks for it.  Warming stays best-effort.
         """
         work = list(work)
-        if vector_enabled() and len(work) >= 2:
+        if len(work) >= 2:
             from ..arm.conv_runner import gemm_kernel_cycles_batch
             from ..arm.cost_model import scheme_for_bits
             from ..errors import UnsupportedBitsError
-            from ..obs import log as obs_log
-            from ..obs import metrics as obs_metrics
             from ..types import GemmShape
 
             groups: dict[tuple[str, int], list[GemmShape]] = {}
@@ -126,13 +122,7 @@ class ArmBackend(Backend):
                 try:
                     gemm_kernel_cycles_batch(gemms, scheme, bits)
                 except Exception as exc:  # noqa: BLE001 - warming only
-                    obs_metrics.counter(
-                        "prewarm_errors", backend=self.name).inc()
-                    obs_log.warning(
-                        "prewarm_failed", logger="repro.backends",
-                        backend=self.name, scheme=scheme, bits=bits,
-                        error=type(exc).__name__,
-                    )
+                    self._warm_failed(exc, scheme=scheme, bits=bits)
         super().prewarm(work, jobs)
 
     def price_elementwise(self, kind: str, elems: int) -> float:

@@ -111,40 +111,46 @@ class Backend(abc.ABC):
     def prewarm(
         self, work: Sequence[PrewarmItem], jobs: int | None = None
     ) -> None:
-        """Fan independent per-conv pricing over a worker pool purely to
-        warm the backend's memo caches; serial re-reads then assemble the
-        actual report, so results are identical for any worker count
-        (``REPRO_JOBS`` applies when ``jobs`` is unset).
+        """Warm the backend's memo caches for ``work``; the serial pricing
+        pass that follows re-reads them, so results never depend on it.
+        :meth:`_warm` fans per-conv pricing over a worker pool (``jobs``,
+        else ``REPRO_JOBS``) unless a backend overrides it with a batch.
 
-        Warming is best-effort by contract: a failing item is counted
+        Warming is best-effort by contract: a failure is counted
         (``prewarm_errors``) and swallowed here, because the serial
         pricing pass that follows re-raises — or gracefully degrades —
         through the real error path.  Crashing a *warm-up* would turn an
         optimization into a failure source."""
-        from ..obs import log as obs_log
-        from ..obs import metrics as obs_metrics
         from ..obs import trace as obs_trace
-        from ..perf.parallel import ParallelRunner
 
         work = list(work)
         if len(work) < 2:
             return
+        with obs_trace.span(
+            "backend.prewarm", backend=self.name, items=len(work)
+        ):
+            self._warm(work, jobs)
+
+    def _warm(self, work: list[PrewarmItem], jobs: int | None) -> None:
+        from ..perf.parallel import ParallelRunner
 
         def warm_one(w: PrewarmItem) -> None:
             try:
                 self.price_conv(w[0], w[1], epilogue=w[2])
             except Exception as exc:  # noqa: BLE001 - warming only
-                obs_metrics.counter("prewarm_errors", backend=self.name).inc()
-                obs_log.warning(
-                    "prewarm_failed", logger="repro.backends",
-                    backend=self.name, layer=w[0].name, bits=w[1],
-                    error=type(exc).__name__,
-                )
+                self._warm_failed(exc, layer=w[0].name, bits=w[1])
 
-        with obs_trace.span(
-            "backend.prewarm", backend=self.name, items=len(work)
-        ):
-            ParallelRunner(jobs).map(warm_one, work)
+        ParallelRunner(jobs).map(warm_one, work)
+
+    def _warm_failed(self, exc: Exception, **where) -> None:
+        from ..obs import log as obs_log
+        from ..obs import metrics as obs_metrics
+
+        obs_metrics.counter("prewarm_errors", backend=self.name).inc()
+        obs_log.warning(
+            "prewarm_failed", logger="repro.backends", backend=self.name,
+            error=type(exc).__name__, **where,
+        )
 
     def baselines(self) -> Dict[str, BaselineFn]:
         """Named library baselines this backend is evaluated against

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 from ..errors import ReproError
 from ..types import ConvSpec
-from .base import Backend, BaselineFn, ConvPrice
+from .base import Backend, BaselineFn, ConvPrice, PrewarmItem
+
+
+def _epilogue_kwargs(bits: int, epilogue: str | None, kernel_kwargs: dict) -> dict:
+    """``kernel_kwargs`` with the output element width ``epilogue`` writes."""
+    if epilogue is not None:
+        kernel_kwargs.setdefault(
+            "out_elem_bytes", 4.0 if epilogue == "dequant" else bits / 8)
+    return kernel_kwargs
 
 
 class GpuBackend(Backend):
@@ -60,10 +68,7 @@ class GpuBackend(Backend):
         tuned: bool = True,
         **kernel_kwargs,
     ) -> ConvPrice:
-        if epilogue is not None:
-            kernel_kwargs.setdefault(
-                "out_elem_bytes", 4.0 if epilogue == "dequant" else bits / 8
-            )
+        _epilogue_kwargs(bits, epilogue, kernel_kwargs)
         if tuned:
             from ..gpu.autotune import autotune_conv
 
@@ -88,6 +93,19 @@ class GpuBackend(Backend):
             **kernel_kwargs,
         )
         return self._price(spec, bits, perf, tuned=False)
+
+    def _warm(self, work: list[PrewarmItem], jobs: int | None) -> None:
+        """Autotune the distinct sweeps of ``work`` that miss the memo and
+        the disk store, in batched serial passes — no worker pool."""
+        from ..gpu.autotune import autotune_many
+        from ..gpu.pipelinemodel import conv_gemm_shape
+
+        del jobs
+        try:
+            autotune_many([(conv_gemm_shape(s), b, _epilogue_kwargs(b, e, {}))
+                           for s, b, e in work], device=self.machine)
+        except Exception as exc:  # noqa: BLE001 - warming only
+            self._warm_failed(exc, items=len(work))
 
     def price_elementwise(self, kind: str, elems: int) -> float:
         from ..gpu.fusion import elementwise_kernel_cycles

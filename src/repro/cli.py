@@ -14,9 +14,9 @@ Commands
 ``kernel <scheme> <bits> <k>``
     Generate a micro-kernel, print its opcode histogram, cycle estimate
     and (with ``--listing``) the full instruction listing.
-``bench [--smoke] [--model M] [--batch B] [--jobs N] ...``
+``bench [--smoke] [--model M] [--batch B] ...``
     Time the Fig. 10/11 autotune sweep (serial baseline vs the pruned/
-    parallel/cached engine, cold and warm), verify bit-identical results,
+    batched/cached engine, cold and warm), verify bit-identical results,
     and write ``BENCH_*.json`` (see :mod:`repro.perf.bench`).
 ``profile <target> [--trace out.json] [--metrics out.json]``
     Run one figure (or a whole model) under the :mod:`repro.obs` tracer
@@ -184,7 +184,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             model=args.model,
             batch=args.batch,
             smoke=args.smoke,
-            jobs=args.jobs,
             out_dir=args.out if args.out else DEFAULT_OUT_DIR,
             cache_dir=args.cache_dir,
             backends=backends,
@@ -572,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--batch", type=int, default=1)
     bp.add_argument("--smoke", action="store_true",
                     help="3-layer sweep for CI; skips figure regeneration")
-    bp.add_argument("--jobs", type=int, default=None,
-                    help="parallel workers (default: REPRO_JOBS or cpu count)")
     bp.add_argument("--out", default=None,
                     help="output directory (default: benchmarks/out)")
     bp.add_argument("--cache-dir", default=None,

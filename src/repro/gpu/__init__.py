@@ -36,11 +36,11 @@ from .vecmodel import (
 from .fusion import FusionMode, pipeline_time, fusion_speedups
 from .autotune import (
     autotune,
+    autotune_many,
     autotune_reference,
     AutotuneResult,
     autotune_options,
     clear_cache,
-    pricing_mode,
 )
 from .baselines import cudnn_dp4a_time, tensorrt_time
 from .kernelsim import (
@@ -83,11 +83,11 @@ __all__ = [
     "pipeline_time",
     "fusion_speedups",
     "autotune",
+    "autotune_many",
     "autotune_reference",
     "AutotuneResult",
     "autotune_options",
     "clear_cache",
-    "pricing_mode",
     "cudnn_dp4a_time",
     "tensorrt_time",
     "BlockInstr",

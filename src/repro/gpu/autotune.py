@@ -16,16 +16,15 @@ Three layers make the search fast without changing its answer:
   the sweep stops.  The bound never exceeds the achieved time, so the
   winner — including the tie-break on search-space order — is identical
   to the exhaustive sweep's;
-* **vectorized candidate pricing** — by default the whole population is
-  priced through :mod:`repro.gpu.vecmodel`'s structure-of-arrays twin of
-  the cost model (bit-identical per element): one batched call for every
-  lower bound, then numpy-sized pricing batches with the pruning cutoff
-  applied as an array mask.  ``REPRO_NO_VECTOR=1`` (or any fault plan
-  targeting ``autotune.profile``) falls back to the scalar engine below;
-* **parallel evaluation** — in the scalar engine, fixed-size candidate
-  chunks fan out through :class:`repro.perf.ParallelRunner` and merge by
-  input index, so any worker count produces bit-identical results
-  (``REPRO_JOBS`` overrides);
+* **vectorized, batched candidate pricing** — the population is priced
+  through :mod:`repro.gpu.vecmodel`'s structure-of-arrays twin of the
+  cost model (bit-identical per element): one batched call for every
+  lower bound, then numpy-sized pricing rounds with the pruning cutoff
+  applied as an array mask.  :func:`autotune_many` runs up to
+  ``_PASS_SWEEPS`` sweeps through each of those numpy passes (the GPU
+  backend's prewarm hands it a whole network at once); every sweep keeps
+  its own cutoff, tallies and cache entries, so a batched sweep returns
+  exactly what the one-shape :func:`autotune` does;
 * **a persistent content-addressed cache** — results are memoized on disk
   (:class:`repro.perf.PersistentCache`, ``REPRO_CACHE_DIR`` overrides the
   location) keyed by a :func:`repro.perf.stable_hash` of shape, bits,
@@ -36,8 +35,11 @@ A fourth layer keeps long sweeps alive when individual profile runs
 misbehave (TVM-style candidate isolation — Cowan et al. survive thousands
 of failing template instantiations by skipping them):
 
-* **hardened profile runs** — every candidate evaluation goes through
-  :func:`repro.resilience.policy.call_with_policy`: per-attempt timeout
+* **hardened profile runs** — quarantined candidates, lanes the legality
+  mask rejects and lanes the active fault plan selects at
+  ``autotune.profile`` (a per-lane mask: selection hashes seed, site and
+  key) go through :func:`repro.resilience.policy.call_with_policy`
+  instead of the numpy pass: per-attempt timeout
   (``REPRO_TIMEOUT_S``), bounded retry with exponential backoff
   (``REPRO_RETRY`` / ``REPRO_BACKOFF_S``), and the deterministic
   ``autotune.profile`` fault-injection site.  A candidate that fails
@@ -46,11 +48,11 @@ of failing template instantiations by skipping them):
   continues over the survivors, and the result carries a ``skipped``
   tally — the sweep is *never* silently empty: if every candidate dies
   the sweep raises :class:`~repro.errors.AutotuneError`.  When retries
-  absorb every (transient) fault, the winner and its cycle count are
-  bit-identical to the fault-free sweep — the chaos suite asserts it.
+  absorb every (transient) fault, the result — winner, cycle breakdown
+  and tallies — equals the fault-free sweep's; the chaos suite asserts it.
 
-``autotune_reference`` keeps the original single-threaded exhaustive loop
-as the equivalence baseline for tests and ``python -m repro bench``; its
+``autotune_reference`` keeps the original exhaustive loop as the
+equivalence baseline for tests and ``python -m repro bench``; its
 profile runs wear the same retry armor so a seeded chaos plan cannot
 kill the baseline either.
 """
@@ -58,8 +60,8 @@ kill the baseline either.
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +71,6 @@ from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..perf.cache import PersistentCache, code_fingerprint, stable_hash
-from ..perf.parallel import ParallelRunner
 from ..resilience import faults as res_faults
 from ..resilience.policy import (
     ExecPolicy,
@@ -78,24 +79,28 @@ from ..resilience.policy import (
     call_with_policy,
 )
 from ..types import ConvSpec, GemmShape
-from ..util import vector_enabled
 from .device import GpuDevice, TU102
-from .pipelinemodel import GpuKernelPerf, conv_gemm_shape, kernel_lower_bound, kernel_time
+from .pipelinemodel import GpuKernelPerf, conv_gemm_shape, kernel_time
 from .tiling import TilingParams, search_space, search_space_size
-from .vecmodel import TilingArrays, kernel_lower_bound_batch, kernel_time_batch
+from .vecmodel import (
+    GemmArrays,
+    TilingArrays,
+    kernel_lower_bound_batch,
+    kernel_time_batch,
+)
 
-#: candidates evaluated per parallel round of the *scalar* engine.  Fixed
-#: (never derived from the worker count) so candidate/pruned tallies are
-#: identical for any jobs setting; pruning is re-checked between rounds.
-_CHUNK = 16
-
-#: the vector engine's first round: small enough that the incumbent it
-#: establishes (from the best-bound candidates) prunes most of the space,
-#: large enough to amortize one numpy dispatch
+#: the first pricing round of every sweep: small enough that the incumbent
+#: it establishes (from the best-bound candidates) prunes most of the
+#: space, large enough to amortize one numpy dispatch
 _VEC_CHUNK_INIT = 64
 
-#: candidates priced per numpy batch after the incumbent exists
+#: candidates priced per sweep and round after the incumbent exists
 _VEC_CHUNK = 2048
+
+#: sweeps sharing one numpy pass: enough to amortize the per-call numpy
+#: overhead, few enough that a pass's (sweeps x candidates) arrays stay
+#: small
+_PASS_SWEEPS = 16
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,6 @@ _MEM_CACHE: dict[str, AutotuneResult] = {}
 _SPACE_CACHE: dict[tuple[int, GpuDevice], tuple[list[TilingParams], TilingArrays]] = {}
 _STORE = PersistentCache("gpu-autotune")
 _QUARANTINE = Quarantine("autotune.profile")
-_LOCK = threading.Lock()
 
 _FINGERPRINT: str | None = None
 
@@ -212,30 +216,11 @@ def _code_version() -> str:
     return _FINGERPRINT
 
 
-def pricing_mode() -> str:
-    """``"vector"`` when sweeps may batch-price through numpy, else
-    ``"scalar"``.
-
-    Scalar is forced by ``REPRO_NO_VECTOR`` (the fallback env switch) and
-    whenever the active fault plan targets the ``autotune.profile`` site:
-    injected faults are per-candidate-key decisions inside the retry
-    boundary, which only the scalar guarded path can honor, so a chaos
-    run degrades to per-candidate pricing instead of silently skipping
-    its own fault rules.
-    """
-    if not vector_enabled():
-        return "scalar"
-    if any(r.matches("autotune.profile") for r in res_faults.active_plan().rules):
-        return "scalar"
-    return "vector"
-
-
 def clear_cache(*, persistent: bool = False) -> None:
     """Drop memoized autotune results (the in-process cache always; the
     on-disk store too with ``persistent=True``) and release quarantined
     candidates.  Public for tests and the bench harness."""
-    with _LOCK:
-        _MEM_CACHE.clear()
+    _MEM_CACHE.clear()
     _QUARANTINE.clear()
     if persistent:
         _STORE.clear()
@@ -263,7 +248,6 @@ class AutotuneOptions:
 
     prune: bool = True
     persistent: bool = True
-    jobs: int | None = None
     engine: bool = True
 
 
@@ -275,17 +259,15 @@ def autotune_options(
     *,
     prune: bool | None = None,
     persistent: bool | None = None,
-    jobs: int | None = None,
     engine: bool | None = None,
 ):
-    """Temporarily override engine defaults (bench/tests); thread-hostile
-    by design — configure before fanning out, not inside workers."""
+    """Temporarily override engine defaults (bench/tests); process-wide,
+    so configure it around a run, not from inside concurrent callers."""
     global _OPTIONS
     prev = _OPTIONS
     _OPTIONS = AutotuneOptions(
         prune=prev.prune if prune is None else prune,
         persistent=prev.persistent if persistent is None else persistent,
-        jobs=prev.jobs if jobs is None else jobs,
         engine=prev.engine if engine is None else engine,
     )
     try:
@@ -301,14 +283,11 @@ def _legal_candidates(
     (bits, device) — legality does not depend on the GEMM shape, so
     validating (and columnizing) it once per process is free speedup for
     every per-layer sweep."""
-    key = (bits, device)
-    with _LOCK:
-        entry = _SPACE_CACHE.get(key)
+    entry = _SPACE_CACHE.get((bits, device))
     if entry is None:
         space = list(search_space(bits, device=device))
-        entry = (space, TilingArrays.from_params(space))
-        with _LOCK:
-            entry = _SPACE_CACHE.setdefault(key, entry)
+        entry = _SPACE_CACHE.setdefault(
+            (bits, device), (space, TilingArrays.from_params(space)))
     return entry
 
 
@@ -369,92 +348,28 @@ def _guarded_profile(
         return None
 
 
-def _search_scalar(
-    gemm: GemmShape,
-    bits: int,
-    space: list[TilingParams],
-    device: GpuDevice,
-    *,
-    prune: bool,
-    jobs: int | None,
-    kernel_kwargs: dict,
-) -> AutotuneResult:
-    """Best-bound-first sweep with exact pruning and deterministic merge.
+@dataclass
+class _Lane:
+    """One sweep's search state inside a batched pass: its row of lower
+    bounds, its candidates in ascending (bound, index) order, and its
+    incumbent ``(total_cycles, index)``."""
 
-    Candidates are profiled in ascending lower-bound order, ``_CHUNK`` at
-    a time (parallel inside a chunk, merged by index).  Between chunks the
-    incumbent is compared against the next-smallest remaining bound: once
-    ``bound > incumbent`` holds there, it holds for every remaining
-    candidate, each of which must then be *strictly* slower — so pruning
-    can change neither the winner nor the first-in-search-order tie-break
-    (ties are resolved by original candidate index, exactly like the
-    serial loop's strict-improvement scan).
-    """
-    with obs_trace.span(
-        "autotune.search",
-        gemm=f"{gemm.m}x{gemm.k}x{gemm.n}", bits=bits, candidates=len(space),
-    ):
-        bounds = [
-            kernel_lower_bound(gemm, bits, t, device=device, **kernel_kwargs)
-            for t in space
-        ]
-        order = sorted(range(len(space)), key=lambda i: (bounds[i], i))
-        runner = ParallelRunner(jobs)
-        policy = ExecPolicy.resolve()
+    gemm: GemmShape
+    bounds: np.ndarray
+    order: np.ndarray
+    pos: int = 0
+    best_key: tuple[float, int] | None = None
+    best_perf: GpuKernelPerf | None = None
+    evaluated: int = 0
+    skipped: int = 0
 
-        def profile(i: int) -> GpuKernelPerf | None:
-            return _guarded_profile(
-                gemm, bits, space[i], device, policy, kernel_kwargs)
-
-        # per-candidate bound-gap detail only while a tracer is installed:
-        # observing one histogram per profile run is wasted work otherwise
-        observe_gaps = obs_trace.active()
-        best_key: tuple[float, int] | None = None
-        best_perf: GpuKernelPerf | None = None
-        evaluated = 0
-        skipped = 0
-        pos = 0
-        while pos < len(order):
-            if prune and best_key is not None and bounds[order[pos]] > best_key[0]:
-                break  # sorted bounds: every remaining candidate is slower
-            chunk = order[pos:pos + _CHUNK]
-            pos += len(chunk)
-            for i, perf in zip(chunk, runner.map(profile, chunk, chunksize=4)):
-                if perf is None:  # quarantined: search the survivors
-                    skipped += 1
-                    continue
-                evaluated += 1
-                if observe_gaps:
-                    obs_metrics.histogram(
-                        "autotune_bound_gap_cycles", bits=bits
-                    ).observe(perf.total_cycles - bounds[i])
-                key = (perf.total_cycles, i)
-                if best_key is None or key < best_key:
-                    best_key, best_perf = key, perf
-        if best_perf is None:
-            # never silently empty: every candidate failed or was skipped
-            raise AutotuneError(
-                f"autotune sweep for {gemm} at {bits}-bit on {device.name} "
-                f"produced no survivor: {skipped} of {len(space)} candidates "
-                f"failed permanently (quarantined)"
-            )
-        result = AutotuneResult(
-            gemm=gemm,
-            bits=bits,
-            best=best_perf.tiling,
-            best_perf=best_perf,
-            candidates=len(space),
-            evaluated=evaluated,
-            pruned=len(space) - evaluated - skipped,
-            skipped=skipped,
-        )
-        # inside the span: the flight-ring marker attaches to the search
-        _count_sweep(result, engine="pruned")
-    return result
+    def offer(self, cycles: float, i: int, perf: GpuKernelPerf) -> None:
+        if self.best_key is None or (cycles, i) < self.best_key:
+            self.best_key, self.best_perf = (cycles, i), perf
 
 
-def _search_vector(
-    gemm: GemmShape,
+def _search(
+    gemms: Sequence[GemmShape],
     bits: int,
     space: list[TilingParams],
     arrays: TilingArrays,
@@ -462,117 +377,134 @@ def _search_vector(
     *,
     prune: bool,
     kernel_kwargs: dict,
-) -> AutotuneResult:
-    """The scalar engine's sweep, re-expressed over whole populations.
+) -> list[AutotuneResult | AutotuneError]:
+    """Best-bound-first sweeps of ``gemms`` (one bit width and kernel
+    kwargs) sharing every numpy pass.
 
-    One :func:`~repro.gpu.vecmodel.kernel_lower_bound_batch` call replaces
-    the per-candidate bound loop; a stable argsort reproduces the scalar
-    ``sorted(..., key=(bound, index))`` order exactly; candidates are then
-    priced in numpy batches with the branch-and-bound cutoff applied as an
-    array mask *inside* each batch.  Masking mid-batch is safe for the
-    same reason the between-chunk break is: a masked candidate's bound
-    exceeded some incumbent's *achieved* time, so its own time is strictly
-    greater and it can affect neither the winner nor the index tie-break
-    (every candidate achieving the minimum time is priced).  Because
-    :func:`~repro.gpu.vecmodel.kernel_time_batch` is bit-identical to the
-    scalar model, the winner and its full cycle breakdown equal the
-    scalar engine's — only the ``evaluated``/``pruned`` split may differ
-    (the mask prunes harder than the chunk-boundary check).
+    One :func:`~repro.gpu.vecmodel.kernel_lower_bound_batch` call bounds
+    every (shape, candidate) pair and a stable row-wise argsort orders
+    each shape's candidates by ``(bound, index)``.  Each round prices
+    every unfinished shape's next slice of that order in one
+    :func:`~repro.gpu.vecmodel.kernel_time_batch` call over per-lane GEMM
+    dimensions, after masking out lanes whose bound exceeds the shape's
+    own incumbent; a shape stops once its next-smallest bound does.  A
+    pruned candidate is then *strictly* slower than the incumbent, so
+    pruning changes neither the winner nor the first-in-search-order
+    tie-break, and with the batched model bit-identical to the scalar one
+    each shape's result, tallies included, equals a sweep of it alone.
 
-    Quarantined candidates and lanes the legality mask rejects (a legal
-    tiling can still fail occupancy on an exotic device) fall back to
-    :func:`_guarded_profile`, keeping skip accounting, quarantine entries
-    and failure diagnostics identical to the scalar engine's.
+    Quarantined candidates, lanes the legality mask rejects (a legal
+    tiling can still fail occupancy on an exotic device) and lanes the
+    active fault plan selects at ``autotune.profile`` go through
+    :func:`_guarded_profile`.  A shape with no survivor gets an
+    :class:`AutotuneError` in its slot of the returned list.
     """
     with obs_trace.span(
-        "autotune.search",
-        gemm=f"{gemm.m}x{gemm.k}x{gemm.n}", bits=bits, candidates=len(space),
+        "autotune.search", bits=bits, sweeps=len(gemms), candidates=len(space),
     ):
         bounds = kernel_lower_bound_batch(
-            gemm, bits, arrays, device=device, **kernel_kwargs)
-        order = np.argsort(bounds, kind="stable")
+            GemmArrays.from_shapes(gemms, np.s_[:, None]), bits, arrays,
+            device=device, **kernel_kwargs)
+        lanes = [_Lane(g, b, o) for g, b, o in
+                 zip(gemms, bounds, np.argsort(bounds, axis=1, kind="stable"))]
         policy = ExecPolicy.resolve()
+        plan = res_faults.active_plan()
+        chaos = any(r.matches("autotune.profile") for r in plan.rules)
+        # per-candidate bound-gap detail only while a tracer is installed:
+        # observing one histogram per profile run is wasted work otherwise
         observe_gaps = obs_trace.active()
-        best_key: tuple[float, int] | None = None
-        best_perf: GpuKernelPerf | None = None
-        evaluated = 0
-        skipped = 0
 
-        def scalar_fallback(i: int) -> None:
-            nonlocal best_key, best_perf, evaluated, skipped
+        def guarded(lane: _Lane, i: int) -> None:
             perf = _guarded_profile(
-                gemm, bits, space[i], device, policy, kernel_kwargs)
-            if perf is None:
-                skipped += 1
-                return
-            evaluated += 1
-            key = (perf.total_cycles, i)
-            if best_key is None or key < best_key:
-                best_key, best_perf = key, perf
+                lane.gemm, bits, space[i], device, policy, kernel_kwargs)
+            if perf is None:  # quarantined: search the survivors
+                lane.skipped += 1
+            else:
+                lane.evaluated += 1
+                lane.offer(perf.total_cycles, i, perf)
 
         if len(_QUARANTINE):
-            quarantined = np.fromiter(
-                (_QUARANTINE.contains(_candidate_key(gemm, bits, t))
-                 for t in space),
-                dtype=bool, count=len(space),
-            )
-            if quarantined.any():
+            for lane in lanes:
+                quarantined = np.fromiter(
+                    (_QUARANTINE.contains(_candidate_key(lane.gemm, bits, t))
+                     for t in space),
+                    dtype=bool, count=len(space),
+                )
                 for i in np.flatnonzero(quarantined):
-                    scalar_fallback(int(i))
-                order = order[~quarantined[order]]
+                    guarded(lane, int(i))
+                lane.order = lane.order[~quarantined[lane.order]]
 
-        pos = 0
-        batch_size = _VEC_CHUNK_INIT
-        while pos < len(order):
-            if prune and best_key is not None and bounds[order[pos]] > best_key[0]:
-                break  # sorted bounds: every remaining candidate is slower
-            live = order[pos:pos + batch_size]
-            pos += len(live)
-            batch_size = _VEC_CHUNK
-            if prune and best_key is not None:
-                live = live[bounds[live] <= best_key[0]]
-            if live.size == 0:
+        active, width = lanes, _VEC_CHUNK_INIT
+        while active:
+            rounds: list[tuple[_Lane, np.ndarray]] = []
+            for lane in active:
+                cut = lane.best_key[0] if prune and lane.best_key else None
+                if lane.pos >= lane.order.size or (
+                        cut is not None and lane.bounds[lane.order[lane.pos]] > cut):
+                    continue  # sorted bounds: every remaining candidate is slower
+                live = lane.order[lane.pos:lane.pos + width]
+                lane.pos += live.size
+                rounds.append((lane, live if cut is None
+                               else live[lane.bounds[live] <= cut]))
+            active, width = [lane for lane, _ in rounds], _VEC_CHUNK
+            rounds = [(lane, live) for lane, live in rounds if live.size]
+            if not rounds:
                 continue
+            idx = np.concatenate([live for _, live in rounds])
+            owner = np.repeat(np.arange(len(rounds)), [live.size for _, live in rounds])
             batch = kernel_time_batch(
-                gemm, bits, arrays.take(live), device=device, **kernel_kwargs)
-            lanes = np.flatnonzero(batch.legal)
-            if lanes.size < live.size:
-                for i in live[~batch.legal]:
-                    scalar_fallback(int(i))
-            if lanes.size == 0:
-                continue
-            keep = live[lanes]
-            totals = batch.total_cycles[lanes]
-            evaluated += int(lanes.size)
+                GemmArrays.from_shapes([lane.gemm for lane, _ in rounds], owner),
+                bits, arrays.take(idx), device=device, **kernel_kwargs)
+            priced = batch.legal
+            if chaos:
+                priced = priced & ~np.fromiter(
+                    (plan.selects("autotune.profile", _candidate_key(
+                        rounds[o][0].gemm, bits, space[i]))
+                     for o, i in zip(owner, idx)),
+                    dtype=bool, count=idx.size,
+                )
+            for j in np.flatnonzero(~priced):
+                guarded(rounds[owner[j]][0], int(idx[j]))
+            ok = np.flatnonzero(priced)
+            totals = batch.total_cycles
             if observe_gaps:
-                hist = obs_metrics.histogram(
-                    "autotune_bound_gap_cycles", bits=bits)
-                for gap in (totals - bounds[keep]):
+                lower = np.concatenate([lane.bounds[live] for lane, live in rounds])
+                hist = obs_metrics.histogram("autotune_bound_gap_cycles", bits=bits)
+                for gap in (totals - lower)[ok]:
                     hist.observe(float(gap))
-            p = int(np.lexsort((keep, totals))[0])
-            key = (float(totals[p]), int(keep[p]))
-            if best_key is None or key < best_key:
-                best_key, best_perf = key, batch.perf_at(int(lanes[p]))
-        if best_perf is None:
-            # never silently empty: every candidate failed or was skipped
-            raise AutotuneError(
-                f"autotune sweep for {gemm} at {bits}-bit on {device.name} "
-                f"produced no survivor: {skipped} of {len(space)} candidates "
-                f"failed permanently (quarantined)"
+            # each shape's priced lanes, fastest first (ties: lowest index)
+            ok = ok[np.lexsort((idx[ok], totals[ok], owner[ok]))]
+            heads = np.flatnonzero(np.diff(owner[ok], prepend=-1))
+            for head, n in zip(heads, np.diff(heads, append=ok.size)):
+                j = int(ok[head])
+                lane = rounds[owner[j]][0]
+                lane.evaluated += int(n)
+                lane.offer(float(totals[j]), int(idx[j]), batch.perf_at(j))
+
+        results: list[AutotuneResult | AutotuneError] = []
+        for lane in lanes:
+            if lane.best_perf is None:
+                # never silently empty: every candidate failed or was skipped
+                results.append(AutotuneError(
+                    f"autotune sweep for {lane.gemm} at {bits}-bit on "
+                    f"{device.name} produced no survivor: {lane.skipped} of "
+                    f"{len(space)} candidates failed permanently (quarantined)"
+                ))
+                continue
+            result = AutotuneResult(
+                gemm=lane.gemm,
+                bits=bits,
+                best=lane.best_perf.tiling,
+                best_perf=lane.best_perf,
+                candidates=len(space),
+                evaluated=lane.evaluated,
+                pruned=len(space) - lane.evaluated - lane.skipped,
+                skipped=lane.skipped,
             )
-        result = AutotuneResult(
-            gemm=gemm,
-            bits=bits,
-            best=best_perf.tiling,
-            best_perf=best_perf,
-            candidates=len(space),
-            evaluated=evaluated,
-            pruned=len(space) - evaluated - skipped,
-            skipped=skipped,
-        )
-        # inside the span: the flight-ring marker attaches to the search
-        _count_sweep(result, engine="pruned")
-    return result
+            # inside the span: the flight-ring marker attaches to the search
+            _count_sweep(result, engine="pruned")
+            results.append(result)
+    return results
 
 
 def _count_sweep(result: AutotuneResult, *, engine: str) -> None:
@@ -640,79 +572,118 @@ def autotune_reference(
     return result
 
 
-def autotune(
-    gemm: GemmShape,
-    bits: int,
-    *,
-    device: GpuDevice = TU102,
-    jobs: int | None = None,
-    prune: bool | None = None,
-    persistent: bool | None = None,
-    **kernel_kwargs,
-) -> AutotuneResult:
-    """Sweep every legal tiling, profile each, return the fastest.
-
-    ``jobs``/``prune``/``persistent`` override the engine defaults (see
-    :func:`autotune_options`); every other keyword is forwarded to
-    :func:`~repro.gpu.pipelinemodel.kernel_time` and participates in the
-    cache key.
-    """
-    opts = _OPTIONS
-    prune = opts.prune if prune is None else prune
-    persistent = opts.persistent if persistent is None else persistent
-    jobs = opts.jobs if jobs is None else jobs
-
-    digest = stable_hash({
+def _sweep_digest(
+    gemm: GemmShape, bits: int, device: GpuDevice, kernel_kwargs: dict
+) -> str:
+    return stable_hash({
         "gemm": [gemm.m, gemm.k, gemm.n],
         "bits": bits,
         "device": device,
         "kwargs": kernel_kwargs,
         "code": _code_version(),
     })
-    with _LOCK:
-        cached = _MEM_CACHE.get(digest)
-    if cached is not None:
-        return cached
-    if not opts.engine:
-        # Faithful pre-optimization path: serial exhaustive sweep, memoized
-        # in-process only (matching the original module-level dict cache).
-        result = autotune_reference(gemm, bits, device=device, **kernel_kwargs)
-        with _LOCK:
-            return _MEM_CACHE.setdefault(digest, result)
-    if persistent:
-        data = _STORE.get(digest)
-        if data is not None:
-            try:
-                result = AutotuneResult.from_json(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                result = None  # stale/foreign entry: recompute
-                obs_log.debug(
-                    "autotune_cache_stale",
-                    logger="repro.gpu.autotune",
-                    digest=digest[:16], error=type(exc).__name__,
-                )
-            if result is not None and result.gemm == gemm and result.bits == bits:
-                with _LOCK:
-                    _MEM_CACHE.setdefault(digest, result)
-                return _MEM_CACHE[digest]
 
-    space, arrays = _legal_candidates(bits, device)
-    if not space:
-        raise _no_legal_tiling_error(gemm, bits, device)
-    if pricing_mode() == "vector":
-        result = _search_vector(
-            gemm, bits, space, arrays, device,
-            prune=prune, kernel_kwargs=kernel_kwargs,
+
+def _cached(
+    digest: str, gemm: GemmShape, bits: int, persistent: bool
+) -> AutotuneResult | None:
+    """The memoized result, else (``persistent``) the disk store's."""
+    cached = _MEM_CACHE.get(digest)
+    data = _STORE.get(digest) if cached is None and persistent else None
+    if data is None:
+        return cached
+    try:
+        result = AutotuneResult.from_json(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        obs_log.debug(  # stale/foreign entry: recompute
+            "autotune_cache_stale",
+            logger="repro.gpu.autotune",
+            digest=digest[:16], error=type(exc).__name__,
         )
-    else:
-        result = _search_scalar(
-            gemm, bits, space, device,
-            prune=prune, jobs=jobs, kernel_kwargs=kernel_kwargs,
-        )
-    with _LOCK:
-        result = _MEM_CACHE.setdefault(digest, result)
-    if persistent:
-        _STORE.put(digest, result.to_json())
+        return None
+    if result.gemm != gemm or result.bits != bits:
+        return None
+    return _MEM_CACHE.setdefault(digest, result)
+
+
+def autotune_many(
+    sweeps: Sequence[tuple[GemmShape, int, dict]],
+    *,
+    device: GpuDevice = TU102,
+    prune: bool | None = None,
+    persistent: bool | None = None,
+) -> list[AutotuneResult]:
+    """The results of many ``(gemm, bits, kernel_kwargs)`` sweeps, in order.
+
+    Each distinct sweep (by cache key) is answered once: from the
+    in-process memo, from the disk store, or — for the misses — by
+    :func:`_search` passes of up to ``_PASS_SWEEPS`` sweeps that share bit
+    width and kernel kwargs.  Every result, tallies included, equals what
+    the one-shape :func:`autotune` returns.  A failing sweep does not stop
+    the others: they are all memoized and stored first, then the error of
+    the first failing sweep in ``sweeps`` is raised.
+    """
+    opts = _OPTIONS
+    prune = opts.prune if prune is None else prune
+    persistent = opts.persistent if persistent is None else persistent
+    digests = [_sweep_digest(g, b, device, kw) for g, b, kw in sweeps]
+    outcome: dict[str, AutotuneResult | AutotuneError] = {}
+    groups: dict[tuple[int, str], list[tuple[str, GemmShape, dict]]] = {}
+    for digest, (gemm, bits, kwargs) in zip(digests, sweeps):
+        if digest in outcome:
+            continue
+        cached = _cached(digest, gemm, bits, persistent and opts.engine)
+        if cached is not None:
+            outcome[digest] = cached
+        elif not opts.engine:
+            # faithful pre-optimization path: serial exhaustive sweep,
+            # memoized in-process only (the original module-level dict)
+            outcome[digest] = _MEM_CACHE.setdefault(digest, autotune_reference(
+                gemm, bits, device=device, **kwargs))
+        else:
+            outcome[digest] = None  # claimed: computed below
+            groups.setdefault((bits, repr(sorted(kwargs.items()))), []).append(
+                (digest, gemm, kwargs))
+    for (bits, _), members in groups.items():
+        space, arrays = _legal_candidates(bits, device)
+        kwargs = members[0][2]
+        for start in range(0, len(members), _PASS_SWEEPS):
+            part = members[start:start + _PASS_SWEEPS]
+            gemms = [gemm for _, gemm, _ in part]
+            found = (_search(gemms, bits, space, arrays, device,
+                             prune=prune, kernel_kwargs=kwargs)
+                     if space else
+                     [_no_legal_tiling_error(g, bits, device) for g in gemms])
+            for (digest, _, _), result in zip(part, found):
+                if isinstance(result, AutotuneResult):
+                    result = _MEM_CACHE.setdefault(digest, result)
+                    if persistent:
+                        _STORE.put(digest, result.to_json())
+                outcome[digest] = result
+    for digest in digests:
+        if isinstance(outcome[digest], AutotuneError):
+            raise outcome[digest]
+    return [outcome[d] for d in digests]
+
+
+def autotune(
+    gemm: GemmShape,
+    bits: int,
+    *,
+    device: GpuDevice = TU102,
+    prune: bool | None = None,
+    persistent: bool | None = None,
+    **kernel_kwargs,
+) -> AutotuneResult:
+    """Sweep every legal tiling, profile each, return the fastest: the
+    one-sweep call of :func:`autotune_many`.  ``prune``/``persistent``
+    override the engine defaults (see :func:`autotune_options`); other
+    keywords go to :func:`~repro.gpu.pipelinemodel.kernel_time` and into
+    the cache key.
+    """
+    [result] = autotune_many(
+        [(gemm, bits, kernel_kwargs)],
+        device=device, prune=prune, persistent=persistent)
     return result
 
 

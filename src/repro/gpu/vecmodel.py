@@ -19,6 +19,10 @@ asserts it for every bit width and kernel-kwarg combination, and
 identical to the serial baseline.  The scalar path stays as the oracle
 (and as the hardened fallback for fault-injected candidates).
 
+The GEMM may differ per lane: a :class:`GemmArrays` in place of the
+:class:`~repro.types.GemmShape` lets one call price many sweeps'
+candidates, or bound one population for S shapes as an ``(S, C)`` array.
+
 Illegal candidates never raise here: :func:`validate_mask` vectorizes
 :func:`repro.gpu.tiling.validate_tiling` into a boolean legality mask
 (including the "block does not fit on an SM" occupancy check the scalar
@@ -50,6 +54,28 @@ _FIELDS = ("m_tile", "n_tile", "k_tile", "k_step",
 def _ceil_div(a, b):
     """Vector ceiling division (non-negative ``a``, positive ``b``)."""
     return -((-a) // b)
+
+
+@dataclass(frozen=True)
+class GemmArrays:
+    """Per-lane GEMM dimensions: int64 ``m``/``k``/``n`` arrays that
+    broadcast against a :class:`TilingArrays` population."""
+
+    m: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
+
+    @classmethod
+    def from_shapes(
+        cls, shapes: Sequence[GemmShape], lanes=slice(None)
+    ) -> "GemmArrays":
+        """``shapes`` at numpy index ``lanes``: one row per lane given each
+        lane's shape index, or ``(S, 1)`` columns with ``np.s_[:, None]``."""
+        dims = np.array([(g.m, g.k, g.n) for g in shapes], dtype=np.int64)
+        return cls(*np.moveaxis(dims.reshape(-1, 3)[lanes], -1, 0))
+
+    def at(self, i: int) -> GemmShape:
+        return GemmShape(int(self.m[i]), int(self.k[i]), int(self.n[i]))
 
 
 @dataclass(frozen=True)
@@ -155,7 +181,7 @@ def validate_mask(
     )
 
 
-def _grid_blocks(gemm: GemmShape, t: TilingArrays) -> np.ndarray:
+def _grid_blocks(gemm: GemmShape | GemmArrays, t: TilingArrays) -> np.ndarray:
     return (_ceil_div(gemm.m, np.maximum(1, t.m_tile))
             * _ceil_div(gemm.n, np.maximum(1, t.n_tile)))
 
@@ -175,7 +201,7 @@ def _blocks_per_sm(
 
 
 def _compute_cycles(
-    gemm: GemmShape,
+    gemm: GemmShape | GemmArrays,
     bits: int,
     t: TilingArrays,
     device: GpuDevice,
@@ -198,7 +224,7 @@ def _compute_cycles(
 
 
 def _dram_cycles(
-    gemm: GemmShape,
+    gemm: GemmShape | GemmArrays,
     bits: int,
     t: TilingArrays,
     device: GpuDevice,
@@ -216,8 +242,10 @@ def _dram_cycles(
     a_rereads = np.maximum(0, n_blocks - 1) * a_bytes_once
     b_rereads = np.maximum(0, m_blocks - 1) * b_bytes_once
     l2_speedup = 3.0
-    a_reread_cost = a_rereads / (l2_speedup if a_bytes_once <= device.l2_bytes else 1.0)
-    b_reread_cost = b_rereads / (l2_speedup if b_bytes_once <= device.l2_bytes else 1.0)
+    a_reread_cost = a_rereads / np.where(
+        a_bytes_once <= device.l2_bytes, l2_speedup, 1.0)
+    b_reread_cost = b_rereads / np.where(
+        b_bytes_once <= device.l2_bytes, l2_speedup, 1.0)
     out_bytes = gemm.m * gemm.n * (out_elem_bytes if in_place_epilogue else 4.0)
     if split_k > 1:
         base_blocks = _grid_blocks(gemm, t)
@@ -230,7 +258,7 @@ def _dram_cycles(
 
 
 def kernel_lower_bound_batch(
-    gemm: GemmShape,
+    gemm: GemmShape | GemmArrays,
     bits: int,
     tilings: TilingArrays,
     *,
@@ -248,7 +276,7 @@ def kernel_lower_bound_batch(
 
     Element ``i`` is bit-identical to
     :func:`repro.gpu.pipelinemodel.kernel_lower_bound` on candidate ``i``;
-    the whole sweep's bound pass collapses to one call.
+    the bound pass of a whole sweep (or of S, as ``(S, C)``) is one call.
     """
     del reorder_smem  # smem term is lower-bounded by 0, as in the scalar
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -273,12 +301,13 @@ class BatchKernelPerf:
 
     ``legal`` marks the candidates the scalar path would price without
     raising; cycle lanes where it is ``False`` are undefined and must not
-    be read.  :meth:`perf_at` reconstitutes one lane as a scalar
+    be read (a :class:`GemmArrays` ``gemm`` is lane-aligned).
+    :meth:`perf_at` reconstitutes one lane as a scalar
     :class:`GpuKernelPerf` that compares equal (``==``, bit-for-bit) to
     the scalar model's result.
     """
 
-    gemm: GemmShape
+    gemm: GemmShape | GemmArrays
     bits: int
     tilings: TilingArrays
     compute_cycles: np.ndarray
@@ -311,8 +340,9 @@ class BatchKernelPerf:
                 f"{self.tilings.param_at(i).describe()}: illegal candidate "
                 f"lane has no defined cycle breakdown"
             )
+        gemm = self.gemm
         return GpuKernelPerf(
-            gemm=self.gemm,
+            gemm=gemm.at(i) if isinstance(gemm, GemmArrays) else gemm,
             tiling=self.tilings.param_at(i),
             bits=self.bits,
             compute_cycles=float(self.compute_cycles[i]),
@@ -327,7 +357,7 @@ class BatchKernelPerf:
 
 
 def kernel_time_batch(
-    gemm: GemmShape,
+    gemm: GemmShape | GemmArrays,
     bits: int,
     tilings: TilingArrays,
     *,

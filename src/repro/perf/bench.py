@@ -7,7 +7,7 @@ reproductions) in three phases over an isolated cache directory:
   single-threaded sweep (``autotune_reference`` semantics), in-process
   memo only;
 * ``cold``    — the search engine with an *empty* persistent cache:
-  branch-and-bound pruning + parallel candidate evaluation;
+  branch-and-bound pruning + batched vectorized candidate pricing;
 * ``warm``    — the engine again with the persistent cache the cold phase
   just wrote: every sweep is a content-addressed disk hit.
 
@@ -64,8 +64,8 @@ class PhaseReport:
     candidates: int = 0
     evaluated: int = 0
     pruned: int = 0
-    #: which candidate-pricing engine the phase ran: ``vector`` (batched
-    #: numpy pricing) or ``scalar`` (per-candidate calls)
+    #: which candidate-pricing engine the phase ran: ``vector`` (the
+    #: engine's batched numpy pricing) or ``scalar`` (the reference sweep)
     pricing_mode: str = "scalar"
     #: per "<layer>/<bits>b": [tiling description, best_cycles]
     best: dict[str, list] = field(default_factory=dict)
@@ -148,7 +148,6 @@ def _run_gpu_phase(
     model: str,
     batch: int,
     smoke: bool,
-    jobs: int | None,
     engine: bool,
     persistent: bool,
 ) -> PhaseReport:
@@ -158,7 +157,6 @@ def _run_gpu_phase(
         autotune_options,
         cache_store,
         clear_cache,
-        pricing_mode,
     )
 
     clear_cache()  # in-process memo only; the disk store is the subject
@@ -166,14 +164,10 @@ def _run_gpu_phase(
     store.reset_stats()
     items = _gpu_sweep_items(model, batch, smoke)
 
-    # the serial baseline always prices per candidate; the engine phases
-    # report whatever the env/fault-plan dispatch resolves to
     report = PhaseReport(
-        name=name, seconds=0.0,
-        pricing_mode=pricing_mode() if engine else "scalar",
-    )
+        name=name, seconds=0.0, pricing_mode="vector" if engine else "scalar")
     t0 = time.perf_counter()
-    with autotune_options(engine=engine, persistent=persistent, jobs=jobs):
+    with autotune_options(engine=engine, persistent=persistent):
         if smoke:
             for spec, bits in items:
                 autotune_conv(spec, bits)
@@ -197,14 +191,13 @@ def _run_gpu_phase(
     return report
 
 
-def _run_arm_phase(name: str, *, model: str, jobs: int | None) -> PhaseReport:
+def _run_arm_phase(name: str, *, model: str) -> PhaseReport:
     from ..arm.cost_model import clear_schedule_cache, schedule_store
     from ..figures import fig7_arm_speedups
 
     clear_schedule_cache()
     store = schedule_store()
     store.reset_stats()
-    del jobs  # the fig7 prewarm resolves REPRO_JOBS itself
     report = PhaseReport(name=name, seconds=0.0)
     t0 = time.perf_counter()
     data = fig7_arm_speedups(model)
@@ -228,7 +221,6 @@ def run_bench(
     model: str = "resnet50",
     batch: int = 1,
     smoke: bool = False,
-    jobs: int | None = None,
     out_dir: str | os.PathLike = DEFAULT_OUT_DIR,
     cache_dir: str | os.PathLike | None = None,
     backends: Sequence[str] = ("gpu", "arm"),
@@ -296,21 +288,21 @@ def run_bench(
         serial = cold = warm = None
         if "gpu" in backends:
             serial = _run_gpu_phase(
-                "serial", model=model, batch=batch, smoke=smoke, jobs=1,
+                "serial", model=model, batch=batch, smoke=smoke,
                 engine=False, persistent=False,
             )
             cold = _run_gpu_phase(
-                "cold", model=model, batch=batch, smoke=smoke, jobs=jobs,
+                "cold", model=model, batch=batch, smoke=smoke,
                 engine=True, persistent=True,
             )
             warm = _run_gpu_phase(
-                "warm", model=model, batch=batch, smoke=smoke, jobs=jobs,
+                "warm", model=model, batch=batch, smoke=smoke,
                 engine=True, persistent=True,
             )
         arm_section = None
         if "arm" in backends and not smoke:
-            arm_cold = _run_arm_phase("arm-cold", model=model, jobs=jobs)
-            arm_warm = _run_arm_phase("arm-warm", model=model, jobs=jobs)
+            arm_cold = _run_arm_phase("arm-cold", model=model)
+            arm_warm = _run_arm_phase("arm-warm", model=model)
             arm_section = {
                 "cold": arm_cold.as_dict(),
                 "warm": arm_warm.as_dict(),
@@ -350,7 +342,8 @@ def run_bench(
                  "cpus": os.cpu_count()},
         "model": model,
         "batch": batch,
-        "jobs": resolve_jobs(jobs),
+        # the worker count of the bench's one pool, the ARM prewarm's
+        "jobs": resolve_jobs(),
         "backends": list(backends),
         "gpu_autotune": gpu_section,
         "arm_schedule": arm_section,

@@ -83,7 +83,10 @@ def _canonical(obj: Any) -> Any:
         return ["dc", type(obj).__name__, fields]
     if isinstance(obj, dict):
         items = [(str(k), _canonical(v)) for k, v in obj.items()]
-        items.sort(key=lambda kv: (kv[0], json.dumps(kv[1], sort_keys=True)))
+        if len({k for k, _ in items}) == len(items):
+            items.sort(key=lambda kv: kv[0])
+        else:  # keys equal as text (1 and "1"): order the ties by value
+            items.sort(key=lambda kv: (kv[0], json.dumps(kv[1], sort_keys=True)))
         return ["dict", items]
     if isinstance(obj, (list, tuple)):
         return ["seq", [_canonical(v) for v in obj]]

@@ -105,10 +105,7 @@ def scenario_autotune_invariance() -> ScenarioResult:
     res = ScenarioResult("autotune-invariance", passed=True)
 
     clear_cache()
-    # a plan on the profile site degrades the chaotic sweep to the
-    # scalar pricing engine; baseline on the same engine so the
-    # evaluated-candidate tallies compare one-to-one
-    with _env(REPRO_NO_CACHE="1", REPRO_NO_VECTOR="1"), fault_plan(None):
+    with _env(REPRO_NO_CACHE="1"), fault_plan(None):
         base = autotune(_GEMM, _BITS, persistent=False)
 
     clear_cache()

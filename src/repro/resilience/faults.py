@@ -197,6 +197,15 @@ class FaultPlan:
         )
         return attempt
 
+    def selects(self, site: str, key: str) -> bool:
+        """Whether :meth:`inject` may fault ``key`` at ``site`` (a pure
+        function of seed, site and key, the firing ledger aside)."""
+        return any(
+            rule.kind in ("raise", "delay") and rule.matches(site)
+            and _selects(self.seed, site, key, rule.rate)
+            for rule in self.rules
+        )
+
     # -- the three hook flavors ---------------------------------------------
 
     def inject(self, site: str, key: str = "") -> None:

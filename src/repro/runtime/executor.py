@@ -150,11 +150,11 @@ class GraphCostReport:
 
 
 def _prewarm_conv_costs(graph: Graph, backend: Backend, jobs: int | None) -> None:
-    """Fan independent per-conv autotune/pricing work over the backend's
-    :meth:`~repro.backends.Backend.prewarm` pool so the serial pricing
-    loop below only reads memo caches.  Purely a warm-up: results are
-    re-read from the caches in graph order, so the report is identical for
-    any worker count (including zero prewarming)."""
+    """Hand the per-conv autotune/pricing work to the backend's
+    :meth:`~repro.backends.Backend.prewarm` so the serial pricing loop
+    below only reads memo caches.  Purely a warm-up: results are re-read
+    from the caches in graph order, so the report is identical for any
+    worker count (including zero prewarming)."""
     work = []
     for op in graph:
         if op.kind != "conv":
@@ -205,9 +205,9 @@ def estimate_graph_cycles(
     in — this graph carries those ops explicitly); element-wise ops go
     through :meth:`Backend.price_elementwise`.  ``backend`` is a
     registered name (``repro.backends.available_backends()``) or a
-    :class:`Backend` instance.  ``jobs`` bounds the parallel prewarm of
-    the per-conv costs (``REPRO_JOBS`` applies when unset); the report
-    itself is assembled serially and is identical for any worker count.
+    :class:`Backend` instance.  ``jobs`` bounds a pooled prewarm of the
+    per-conv costs (``REPRO_JOBS`` applies when unset; gpu batches its
+    prewarm instead); the report is assembled serially either way.
 
     Per-conv pricing degrades gracefully: a failing backend price falls
     back to the ``ref`` backend (see :func:`_price_conv_with_fallback`)

@@ -75,9 +75,9 @@ class CostTable:
         """Price the full model at every batch size ``1..max_batch``.
 
         Prewarms the backend's memo caches across all (spec, batch)
-        combinations first (parallel, best-effort), then sums the serial
-        re-read — the same warm-then-read pattern the bench harness uses,
-        so building a 16-entry gpu table costs well under a second.
+        combinations first (best-effort; batched autotune sweeps on gpu),
+        then sums the serial re-read — the same warm-then-read pattern the
+        bench harness uses, so a 16-entry gpu table costs well under 1 s.
         """
         if max_batch < 1:
             raise ReproError(f"max_batch must be >= 1, got {max_batch}")

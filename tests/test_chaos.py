@@ -44,12 +44,10 @@ def _clean(monkeypatch):
 
 
 def test_autotune_winner_invariant_under_transient_faults(monkeypatch):
-    # an active plan on the profile site degrades the sweep to the scalar
-    # engine, so take the fault-free baseline on the same engine — the
-    # evaluated/pruned split is engine-specific even though the winner
-    # is not
-    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    base = autotune(GEMM, BITS, persistent=False)
+    # fault-free baseline on the production engine: lanes the plan selects
+    # take the guarded path, but every other lane prices exactly as here
+    with fault_plan(None):
+        base = autotune(GEMM, BITS, persistent=False)
     clear_cache()
 
     monkeypatch.setenv("REPRO_RETRY", "3")
@@ -63,6 +61,33 @@ def test_autotune_winner_invariant_under_transient_faults(monkeypatch):
     assert chaotic.skipped == 0
     assert chaotic.evaluated == base.evaluated
     assert chaotic.pruned == base.pruned
+    assert len(profile_quarantine()) == 0
+
+
+def test_batched_gpu_prewarm_invariant_under_transient_faults(monkeypatch):
+    """The batched prewarm runs the same engine: under the canned
+    transient profile plan it injects faults, and every conv prices
+    exactly as after a fault-free prewarm (tiling and tallies included)."""
+    from repro.backends.gpu import GpuBackend
+    from repro.models import get_model_layers
+
+    gpu = GpuBackend()
+    work = [(spec, bits, None)
+            for spec in get_model_layers("resnet50")[:4] for bits in (4, 8)]
+    with fault_plan(None):
+        gpu.prewarm(work)
+        base = [gpu.price_conv(s, b, e) for s, b, e in work]
+    clear_cache()
+
+    monkeypatch.setenv("REPRO_RETRY", "3")
+    plan = FaultPlan.from_spec("autotune.profile:raise:0.3:2", seed=CANNED_SEED)
+    with fault_plan(plan):
+        gpu.prewarm(work)
+        injected = plan.total_injected()
+        chaotic = [gpu.price_conv(s, b, e) for s, b, e in work]
+    assert injected > 0
+    assert plan.total_injected() == injected  # pricing only read the memo
+    assert chaotic == base
     assert len(profile_quarantine()) == 0
 
 

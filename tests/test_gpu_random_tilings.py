@@ -14,6 +14,7 @@ from repro.gpu.mma import mma_shape
 from repro.gpu.pipelinemodel import kernel_lower_bound, kernel_time
 from repro.gpu.tiling import TilingParams, search_space, validate_tiling
 from repro.gpu.vecmodel import (
+    GemmArrays,
     TilingArrays,
     kernel_lower_bound_batch,
     kernel_time_batch,
@@ -104,6 +105,33 @@ def test_vector_pricing_is_bit_identical(bits, kwargs):
             assert batch.occupancy[i] == scalar.occupancy
             assert int(batch.blocks_per_sm[i]) == scalar.blocks_per_sm
             assert bounds[i] == kernel_lower_bound(gemm, bits, tiling, **kwargs)
+
+
+@pytest.mark.parametrize("bits", [8, 4])
+@pytest.mark.parametrize("kwargs", _EQ_KWARGS,
+                         ids=lambda kw: "-".join(kw) or "defaults")
+def test_vector_pricing_several_gemms_in_one_call(bits, kwargs):
+    """Per-lane GEMM dimensions: lanes of different shapes priced in one
+    call, and every shape's bounds in one column-layout call, equal the
+    scalar model bit for bit (the shapes straddle the L2-fit branch)."""
+    space = list(search_space(bits))
+    arrays = TilingArrays.from_params(space)
+    rng = np.random.default_rng(bits)
+    picks = rng.integers(0, len(space), 48)
+    shapes = [_EQ_GEMMS[j % len(_EQ_GEMMS)] for j in range(picks.size)]
+    batch = kernel_time_batch(GemmArrays.from_shapes(shapes), bits,
+                              arrays.take(picks), **kwargs)
+    totals = batch.total_cycles
+    for j, (gemm, i) in enumerate(zip(shapes, picks)):
+        scalar = kernel_time(gemm, bits, space[i], **kwargs)
+        assert batch.perf_at(j) == scalar
+        assert totals[j] == scalar.total_cycles
+    bounds = kernel_lower_bound_batch(
+        GemmArrays.from_shapes(_EQ_GEMMS, np.s_[:, None]), bits, arrays, **kwargs)
+    assert bounds.shape == (len(_EQ_GEMMS), len(space))
+    for row, gemm in zip(bounds, _EQ_GEMMS):
+        for i in picks:
+            assert row[i] == kernel_lower_bound(gemm, bits, space[i], **kwargs)
 
 
 @pytest.mark.parametrize("bits", [8, 4])

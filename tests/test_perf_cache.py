@@ -43,6 +43,13 @@ def test_dict_insertion_order_is_invisible():
     assert stable_hash(a) == stable_hash(b)
 
 
+def test_keys_tied_as_text_still_hash_order_free():
+    # 1 and "1" both canonicalize to the key "1": their values break the tie
+    a = {1: "int key", "1": ["str", "key"], "z": 0.5}
+    b = {"z": 0.5, "1": ["str", "key"], 1: "int key"}
+    assert stable_hash(a) == stable_hash(b)
+
+
 def test_unhashable_and_none_values_are_fine():
     # the exact kwargs shapes that broke tuple(sorted(kwargs.items()))
     a = {"round_steps": None, "shape": [8, 8, 16], "flags": {"x", "y"}}

@@ -1,10 +1,11 @@
-"""ParallelRunner determinism and the parallel == serial guarantee.
+"""ParallelRunner determinism and the batched == serial guarantee.
 
-The perf subsystem promises that worker count is *never* observable in
-results: any ``jobs`` setting must reproduce the serial loop bit for bit
-(ordering, tie-breaking, exception choice).  These tests pin that down
-both at the runner level and end-to-end through the autotuner and the
-Fig. 11 figure series.
+The perf subsystem promises that neither worker count nor batching is
+ever observable in results: any ``jobs`` setting must reproduce the
+serial loop bit for bit (ordering, tie-breaking, exception choice), and
+a batched GPU prewarm must return exactly what one-shape autotune calls
+and the reference sweep return.  These tests pin that down at the runner
+level and end-to-end through the autotuner and the Fig. 11 figure series.
 """
 
 import time
@@ -13,6 +14,7 @@ import pytest
 
 from repro.gpu.autotune import (
     autotune,
+    autotune_many,
     autotune_options,
     autotune_reference,
     clear_cache,
@@ -109,7 +111,7 @@ def test_starmap():
 
 
 # ---------------------------------------------------------------------------
-# parallel == serial, end to end
+# batched == one-shape == reference, end to end
 # ---------------------------------------------------------------------------
 
 _SHAPES = [
@@ -120,47 +122,56 @@ _SHAPES = [
 
 
 @pytest.mark.parametrize("bits", [8, 4])
-def test_autotune_identical_for_any_worker_count(bits):
-    """Property: jobs in {1, 2, N} return the *same* AutotuneResult as the
-    serial reference — best tiling, exact cycles, and the evaluated/pruned
-    tallies (chunking is fixed, so even the counters cannot drift)."""
-    for gemm in _SHAPES:
-        reference = autotune_reference(gemm, bits)
-        results = []
-        for jobs in (1, 2, 4):
+def test_autotune_identical_for_any_worker_count(bits, monkeypatch):
+    """Property: the batched search returns the *same* AutotuneResult as
+    one-shape calls — best tiling, exact cycles and the evaluated/pruned
+    tallies — whatever ``REPRO_JOBS`` says, and the winner of the serial
+    reference sweep."""
+    with autotune_options(persistent=False):
+        single = []
+        for gemm in _SHAPES:
             clear_cache()
-            with autotune_options(persistent=False):
-                results.append(autotune(gemm, bits, jobs=jobs))
-        first = results[0]
-        for res in results:
-            assert res.best == reference.best
-            assert res.best_perf == reference.best_perf
-            assert res.best_cycles == reference.best_cycles
-            assert res == first  # counters included
+            single.append(autotune(gemm, bits))
+        for jobs in ("1", "4"):
+            monkeypatch.setenv(JOBS_ENV, jobs)
+            clear_cache()
+            batched = autotune_many([(gemm, bits, {}) for gemm in _SHAPES])
+            assert batched == single
+    for gemm, res in zip(_SHAPES, single):
+        reference = autotune_reference(gemm, bits)
+        assert res.best == reference.best
+        assert res.best_perf == reference.best_perf
+        assert res.best_cycles == reference.best_cycles
 
 
-def test_figure_series_identical_for_any_worker_count():
-    """The Fig. 11 series regenerated through the engine (any jobs value)
+def test_figure_series_identical_for_any_worker_count(monkeypatch):
+    """The Fig. 11 series regenerated through the engine — warmed by the
+    batched prewarm, or priced one shape at a time with the prewarm off —
     must equal the pre-optimization serial sweep exactly, float for float."""
+    from repro.backends.gpu import GpuBackend
     from repro.figures import fig11_gpu_autotune
 
-    with autotune_options(engine=False):
-        base = fig11_gpu_autotune("resnet50")
+    def series(data):
+        return (data.labels, [(s.name, tuple(s.values)) for s in data.series],
+                tuple(data.baseline_times))
 
-    for jobs in (1, 2, 4):
+    with autotune_options(engine=False):
+        base = series(fig11_gpu_autotune("resnet50"))
+
+    for jobs in ("1", "4"):
+        monkeypatch.setenv(JOBS_ENV, jobs)
         clear_cache()
-        with autotune_options(jobs=jobs, persistent=False):
-            data = fig11_gpu_autotune("resnet50")
-        assert data.labels == base.labels
-        assert [(s.name, tuple(s.values)) for s in data.series] == [
-            (s.name, tuple(s.values)) for s in base.series
-        ]
-        assert tuple(data.baseline_times) == tuple(base.baseline_times)
+        with autotune_options(persistent=False):
+            assert series(fig11_gpu_autotune("resnet50")) == base
+    monkeypatch.setattr(GpuBackend, "_warm", lambda self, work, jobs: None)
+    clear_cache()
+    with autotune_options(persistent=False):
+        assert series(fig11_gpu_autotune("resnet50")) == base
 
 
 def test_executor_prewarm_does_not_change_graph_report(monkeypatch):
-    """estimate_graph_cycles fans out a prewarm; the report must not
-    depend on the worker count."""
+    """estimate_graph_cycles prewarms first; the report must not depend
+    on the worker count."""
     from repro.models import get_model_layers
     from repro.runtime.executor import estimate_graph_cycles
     from repro.runtime.graph import Graph, Op

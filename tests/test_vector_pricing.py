@@ -1,12 +1,16 @@
-"""The vectorized autotune engine: dispatch, equivalence, accounting.
+"""The vectorized autotune engine: pricing path, equivalence, accounting.
 
 The bit-level vector/scalar model equivalence lives in
 ``test_gpu_random_tilings.py``; this suite pins the *engine* behavior on
-top of it: mode dispatch (``REPRO_NO_VECTOR`` / fault plans), identical
-winners across engines, the ``evaluated + pruned + skipped == candidates``
-invariant, quarantine fallback, the batched profile-run counter, and the
-ARM batch pricers.
+top of it: fault-free sweeps price in numpy while fault-selected lanes
+take the guarded scalar path, identical results across the one-shape
+call, the batched prewarm and the reference sweep, the
+``evaluated + pruned + skipped == candidates`` invariant, quarantine
+fallback, the batched profile-run counter, each distinct sweep computed
+once, and the ARM batch pricers.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -16,21 +20,21 @@ from repro.gpu.autotune import (
     autotune_reference,
     clear_cache,
     autotune_options,
-    pricing_mode,
     profile_quarantine,
     _candidate_key,
 )
 from repro.obs import metrics as obs_metrics
 from repro.perf.cache import CACHE_DIR_ENV
-from repro.resilience.faults import fault_plan
+from repro.resilience.faults import FaultPlan, fault_plan
 from repro.types import GemmShape
-from repro.util import NO_VECTOR_ENV, vector_enabled
+
+# the module, not the package's ``autotune`` function of the same name
+autotune_mod = importlib.import_module("repro.gpu.autotune")
 
 
 @pytest.fixture(autouse=True)
 def _isolated_caches(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.delenv(NO_VECTOR_ENV, raising=False)
     clear_cache()
     with fault_plan(None):
         yield
@@ -45,55 +49,108 @@ _GEMMS = [
 
 
 # ---------------------------------------------------------------------------
-# Mode dispatch
+# Pricing path: numpy for every lane, the guarded scalar path on demand
 # ---------------------------------------------------------------------------
 
 
-def test_vector_mode_is_the_default():
-    assert vector_enabled()
-    assert pricing_mode() == "vector"
+def _forbid_scalar_pricing(monkeypatch):
+    def scalar(*args, **kwargs):
+        raise AssertionError("fault-free sweep priced a candidate scalar")
+
+    monkeypatch.setattr(autotune_mod, "kernel_time", scalar)
+
+
+def _vector_runs(bits):
+    return obs_metrics.counter(
+        "gpu_profile_runs", bits=bits, pricing_mode="vector").value
+
+
+def test_vector_mode_is_the_default(monkeypatch):
+    """A fault-free sweep prices every candidate through the batched
+    model; the scalar model (the guarded path's) is never called."""
+    _forbid_scalar_pricing(monkeypatch)
+    before = _vector_runs(8)
+    with autotune_options(persistent=False):
+        res = autotune(GemmShape(3136, 576, 64), 8)
+    assert _vector_runs(8) - before >= res.evaluated > 0
 
 
 def test_no_vector_env_forces_scalar(monkeypatch):
-    monkeypatch.setenv(NO_VECTOR_ENV, "1")
-    assert not vector_enabled()
-    assert pricing_mode() == "scalar"
+    """``REPRO_NO_VECTOR`` is gone: setting it changes neither the
+    engine nor the result."""
+    gemm = GemmShape(196, 2304, 256)
+    with autotune_options(persistent=False):
+        expected = autotune(gemm, 8)
+        clear_cache()
+        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
+        _forbid_scalar_pricing(monkeypatch)
+        res = autotune(gemm, 8)
+    assert res == expected
 
 
-def test_fault_plan_on_profile_site_forces_scalar():
-    with fault_plan("autotune.profile:raise:0.1:1"):
-        assert pricing_mode() == "scalar"
-    with fault_plan("autotune.*:delay:0.5:1"):
-        assert pricing_mode() == "scalar"  # glob match counts too
-    with fault_plan("cache.put:corrupt"):
-        assert pricing_mode() == "vector"  # unrelated site: stay vectorized
+def test_fault_plan_on_profile_site_forces_scalar(monkeypatch):
+    """Lanes a fault plan selects at ``autotune.profile`` (exact or glob
+    rule) reach ``_guarded_profile``; retries absorb the faults, so the
+    winner, cycles and tallies equal the fault-free run.  A rule on an
+    unrelated site routes nothing there."""
+    gemm = GemmShape(3136, 576, 64)
+    monkeypatch.setenv("REPRO_RETRY", "2")
+    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+    with autotune_options(persistent=False):
+        base = autotune(gemm, 4)
+    routed = []
+    guarded = autotune_mod._guarded_profile
+
+    def spy(gemm_, bits, tiling, *args):
+        routed.append(_candidate_key(gemm_, bits, tiling))
+        return guarded(gemm_, bits, tiling, *args)
+
+    monkeypatch.setattr(autotune_mod, "_guarded_profile", spy)
+    for spec in ("autotune.profile:raise:0.3:1", "autotune.*:raise:0.3:1"):
+        clear_cache()
+        routed.clear()
+        plan = FaultPlan.from_spec(spec, seed=3)
+        with fault_plan(plan), autotune_options(persistent=False):
+            res = autotune(gemm, 4)
+        assert routed, spec
+        assert all(plan.selects("autotune.profile", k) for k in routed)
+        assert plan.total_injected() == len(routed)
+        assert res == base
+    clear_cache()
+    routed.clear()
+    with fault_plan("cache.put:corrupt"), autotune_options(persistent=False):
+        assert autotune(gemm, 4) == base
+    assert not routed
 
 
 # ---------------------------------------------------------------------------
-# Engine equivalence: vector vs scalar vs serial reference
+# Engine equivalence: numpy pricing vs the guarded scalar path vs reference
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("bits", [8, 4])
 def test_vector_engine_matches_scalar_engine(bits, monkeypatch):
+    """A rate-1 transient plan routes every priced lane through the
+    guarded scalar model; the result, tallies included, must equal the
+    numpy-priced sweep, and the winner the reference sweep's."""
+    monkeypatch.setenv("REPRO_RETRY", "1")
+    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     for gemm in _GEMMS:
         reference = autotune_reference(gemm, bits)
         with autotune_options(persistent=False):
             vector = autotune(gemm, bits)
-            assert pricing_mode() == "vector"
             clear_cache()
-            monkeypatch.setenv(NO_VECTOR_ENV, "1")
-            scalar = autotune(gemm, bits)
-            monkeypatch.delenv(NO_VECTOR_ENV)
+            with fault_plan("autotune.profile:raise:1.0:1") as plan:
+                scalar = autotune(gemm, bits)
             clear_cache()
+        assert plan.total_injected() == scalar.evaluated
 
         # the winner and its full cycle breakdown are engine-independent
-        assert vector.best == scalar.best == reference.best
-        assert vector.best_perf == scalar.best_perf
+        assert scalar == vector
+        assert vector.best == reference.best
         assert vector.best_cycles == reference.best_cycles
-        assert vector.candidates == scalar.candidates == reference.candidates
-        for res in (vector, scalar):
-            assert res.evaluated + res.pruned + res.skipped == res.candidates
+        assert vector.candidates == reference.candidates
+        assert vector.evaluated + vector.pruned + vector.skipped == vector.candidates
 
 
 def test_vector_engine_prunes_and_accounts():
@@ -174,6 +231,54 @@ def test_vector_profile_runs_counted_in_batch():
 
 
 # ---------------------------------------------------------------------------
+# Batched GPU prewarm
+# ---------------------------------------------------------------------------
+
+
+def test_gpu_prewarm_computes_each_distinct_sweep_once(monkeypatch):
+    """Repeated items and epilogues that write the same output width
+    collapse to one sweep each: the sweep counter and the store's puts
+    rise by exactly the number of distinct cache digests, in one serial
+    batched call (no worker pool), and the pricing pass only reads."""
+    from repro.backends.gpu import GpuBackend, _epilogue_kwargs
+    from repro.gpu.autotune import _sweep_digest, cache_store
+    from repro.gpu.device import TU102
+    from repro.gpu.pipelinemodel import conv_gemm_shape
+    from repro.models import get_model_layers
+    from repro.perf.parallel import ParallelRunner
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the GPU prewarm started a worker pool")
+
+    monkeypatch.setattr(ParallelRunner, "map", no_pool)
+    work = [(spec, bits, epilogue)
+            for spec in get_model_layers("resnet50")[:3]
+            for bits in (4, 8)
+            for epilogue in (None, "requant", "requant_relu", "dequant")]
+    work += work[::3]
+    digests = {
+        _sweep_digest(conv_gemm_shape(spec), bits, TU102,
+                      _epilogue_kwargs(bits, epilogue, {}))
+        for spec, bits, epilogue in work
+    }
+    # per (layer, bits): the bare kernel, requant(_relu) and dequant widths
+    assert len(digests) == 3 * 2 * 3
+    sweeps = obs_metrics.counter("autotune_sweeps", engine="pruned")
+    before = sweeps.value
+    store = cache_store()
+    store.reset_stats()
+
+    gpu = GpuBackend()
+    gpu.prewarm(work)
+    assert sweeps.value - before == len(digests)
+    assert store.stats.puts == len(digests)
+    for spec, bits, epilogue in work:
+        gpu.price_conv(spec, bits, epilogue)
+    assert sweeps.value - before == len(digests)
+    assert store.stats.puts == len(digests)
+
+
+# ---------------------------------------------------------------------------
 # ARM batch pricers
 # ---------------------------------------------------------------------------
 
@@ -211,7 +316,8 @@ def test_arm_gemm_kernel_cycles_batch_matches_scalar():
         assert batch.tolist() == expected
 
 
-def test_arm_prewarm_batching_changes_no_prices(monkeypatch):
+def test_arm_prewarm_batching_changes_no_prices():
+    from repro.arm.cost_model import clear_schedule_cache
     from repro.backends.arm import ArmBackend
     from repro.models import get_model_layers
 
@@ -222,13 +328,9 @@ def test_arm_prewarm_batching_changes_no_prices(monkeypatch):
     backend.prewarm(work)
     warmed = [backend.price_conv(s, b, e).total_cycles for s, b, e in work]
 
-    monkeypatch.setenv(NO_VECTOR_ENV, "1")
-    from repro.arm.cost_model import clear_schedule_cache
-
     clear_schedule_cache()
-    backend.prewarm(work)
-    scalar = [backend.price_conv(s, b, e).total_cycles for s, b, e in work]
-    assert warmed == scalar
+    cold = [backend.price_conv(s, b, e).total_cycles for s, b, e in work]
+    assert warmed == cold
 
 
 # ---------------------------------------------------------------------------
