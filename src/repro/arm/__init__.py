@@ -2,9 +2,13 @@
 
 Two cooperating layers reproduce what the paper hand-writes in assembly:
 
-* :mod:`repro.arm.simulator` — a *functional* executor for the NEON subset
-  the kernels use, with exact wrap-around (non-saturating) semantics, so
-  the overflow analysis of Sec. 3.3 is checkable bit-for-bit.
+* :mod:`repro.arm.compiled` — the *functional* executor for the NEON
+  subset the kernels use, with exact wrap-around (non-saturating)
+  semantics, so the overflow analysis of Sec. 3.3 is checkable
+  bit-for-bit.  It compiles a stream once and runs all register tiles of
+  a layer together; :mod:`repro.arm.simulator` interprets one instruction
+  at a time and is kept as the oracle the compiled path is tested
+  against.
 * :mod:`repro.arm.pipeline` — an in-order dual-issue *cost* model with a
   Cortex-A53-flavored port/latency table; the same instruction streams the
   generators emit are statically scheduled to get cycle counts.

@@ -3,9 +3,11 @@
 Two entry points:
 
 * :func:`execute_arm_conv` — *functional*: run the actual generated
-  instruction streams tile by tile through the functional simulator and
-  fold the tiles into the output tensor.  Bit-exact against
-  :func:`repro.conv.ref.conv2d_ref`; used on small shapes by tests.
+  instruction stream over every register tile of the layer in one
+  compiled pass (:mod:`repro.arm.compiled`) and fold the tiles into the
+  output tensor.  Bit-exact against :func:`repro.conv.ref.conv2d_ref`,
+  with the Sec. 3.3 overflow check on, at the full size of the paper's
+  ResNet-50 layers (``benchmarks/test_sec33_real_layers.py``).
 * :func:`time_arm_conv` / :func:`ncnn_conv_cycles` /
   :func:`tvm_popcount_cycles` — *performance*: compose statically
   scheduled kernel cycles with the layer-level cost model into a
@@ -323,7 +325,7 @@ def tvm_popcount_cycles(
 
 
 # ---------------------------------------------------------------------------
-# Functional path (small shapes; tests bind it against conv2d_ref)
+# Functional path (bit-exact against conv2d_ref)
 # ---------------------------------------------------------------------------
 
 
@@ -339,8 +341,9 @@ def execute_arm_conv(
 ) -> np.ndarray:
     """Run the layer through real generated instruction streams.
 
-    im2col -> pad/pack (Fig. 2) -> per-tile micro-kernel execution on the
-    functional simulator -> tile assembly.  Returns int64 NCHW output.
+    im2col -> pad/pack (Fig. 2) -> one compiled micro-kernel run over
+    every register tile of every image -> tile assembly.  Returns int64
+    NCHW output.
     """
     from .kernels import generate_mla_kernel, generate_ncnn_kernel, generate_smlal_kernel
 
@@ -359,24 +362,15 @@ def execute_arm_conv(
 
     a = weight_matrix(spec, w)
     cols = im2col(spec, x)
-    outs = []
+    b_panels = []
     for img in range(spec.batch):
         packed = pack_gemm_operands(a, cols[img], m_r, n_r)
-        c = np.zeros((packed.m_padded, packed.n_padded), dtype=np.int64)
-        for pi in range(packed.m_panels):
-            a_panel = packed.a_panel(pi)
-            for pj in range(packed.n_panels):
-                b_panel = packed.b_panel(pj).reshape(-1)
-                if scheme == "ncnn":
-                    b_panel = np.concatenate(
-                        [b_panel, np.zeros(4, dtype=b_panel.dtype)]
-                    )
-                tile = kern.execute(
-                    a_panel.reshape(-1), b_panel, check_overflow=check_overflow
-                )
-                c[
-                    pi * m_r : (pi + 1) * m_r, pj * n_r : (pj + 1) * n_r
-                ] = tile
-        outs.append(c[: gemm.m, : gemm.n])
-    stacked = np.stack(outs, axis=0)
-    return output_from_gemm(spec, stacked, layout=Layout.NCHW)
+        b_panels.append(packed.b_packed.reshape(1, packed.n_panels, -1))
+    if scheme == "ncnn":  # slack for the 8-byte B load of the last step
+        b_panels = [np.pad(b, ((0, 0), (0, 0), (0, 4))) for b in b_panels]
+    # every tile of every image in one call: (batch, m_panels, n_panels)
+    tiles = kern.execute(packed.a_packed.reshape(packed.m_panels, 1, -1),
+                         np.stack(b_panels), check_overflow=check_overflow)
+    c = np.asarray(tiles, dtype=np.int64).transpose(0, 1, 3, 2, 4).reshape(
+        spec.batch, packed.m_padded, packed.n_padded)
+    return output_from_gemm(spec, c[:, : gemm.m, : gemm.n], layout=Layout.NCHW)

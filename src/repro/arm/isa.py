@@ -1,9 +1,11 @@
 """Instruction definitions for the simulated NEON subset.
 
 Only the instructions the paper's kernels actually use are modeled; each is
-implemented twice — functionally (:mod:`repro.arm.simulator`) and in the
-cost table (:mod:`repro.arm.pipeline`).  An :class:`Instr` is a plain
-record; kernel generators build lists of them ("streams").
+implemented functionally (compiled and tile-batched in
+:mod:`repro.arm.compiled`, one at a time in the :mod:`repro.arm.simulator`
+oracle) and in the cost table (:mod:`repro.arm.pipeline`).  An
+:class:`Instr` is a plain record; kernel generators build lists of them
+("streams"), sharing one object for an instruction they emit many times.
 
 Opcode summary (arrangement suffixes follow A64 assembly):
 
@@ -74,6 +76,7 @@ SCALAR_OPS = frozenset({"SUBS", "B_NE", "ADD_X", "MOV_X_IMM"})
 MOVE_OPS = frozenset({"MOV_V_TO_X", "MOV_X_TO_V"})
 
 ALL_OPS = LOAD_OPS | STORE_OPS | VECTOR_OPS | SCALAR_OPS | MOVE_OPS
+_MEM_OPS = LOAD_OPS | STORE_OPS
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ class Instr:
         for r in self.dst + self.src:
             if r not in _VALID_REGS:
                 raise SimulationError(f"unknown register {r!r} in {self.op}")
-        if self.op in (LOAD_OPS | STORE_OPS) and self.mem is None:
+        if self.op in _MEM_OPS and self.mem is None:
             raise SimulationError(f"{self.op} requires a memory operand")
 
     @property

@@ -12,8 +12,10 @@ computing one register tile of the GEMM:
 * :mod:`popcount_scheme` — the TVM-style 2-bit bit-serial baseline:
   ``AND`` + ``CNT`` + ``UADALP`` over bit-packed planes.
 
-All streams run on :class:`repro.arm.simulator.ArmSimulator` (bit-exact)
-and :class:`repro.arm.pipeline.PipelineModel` (cycles).
+All streams run functionally through :meth:`MicroKernel.execute`, which
+compiles them once (:mod:`repro.arm.compiled`) and matches the
+:class:`repro.arm.simulator.ArmSimulator` oracle bit for bit, and are
+scheduled for cycles by :class:`repro.arm.pipeline.PipelineModel`.
 """
 
 from .base import MicroKernel

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ...errors import ShapeError, SimulationError
+from ...errors import ShapeError
+from ..compiled import Program, compile_stream
 from ..isa import Instr, macs_in_stream, stream_summary
 from ..pipeline import A53_COST_TABLE, CostTable, PipelineModel, PipelineResult
-from ..simulator import ArmSimulator
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,11 @@ class MicroKernel:
         """Statically schedule the stream on the pipeline model."""
         return PipelineModel(table).schedule(self.stream)
 
+    @functools.cached_property
+    def program(self) -> Program:
+        """The stream compiled for tile-batched execution, built on first use."""
+        return compile_stream(self.stream)
+
     def execute(
         self,
         a_panel: np.ndarray,
@@ -64,29 +70,61 @@ class MicroKernel:
         *,
         check_overflow: bool = False,
         extra_buffers: Mapping[str, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Run the stream functionally; returns the ``(m_r, n_r)`` int32 tile.
+    ) -> KernelTiles:
+        """Run the stream functionally on one tile or on stacked tiles.
 
-        ``a_panel`` / ``b_panel`` are the packed byte panels (int8 viewed as
-        bytes); they must be at least ``a_bytes`` / ``b_bytes`` long.
+        ``a_panel`` / ``b_panel`` are packed byte panels (int8 or uint8):
+        1-D for one tile, or ``(..., bytes)`` stacks whose leading axes
+        broadcast to the tile shape, so ``(m_panels, 1, bytes)`` A panels
+        against ``(1, n_panels, bytes)`` B panels run a whole GEMM.  Their
+        last axis must hold at least ``a_bytes`` / ``b_bytes``.  Extra
+        buffers follow the same rule.
+
+        Returns the int32 ``(*tiles, m_r, n_r)`` tile(s), carrying the
+        final register file of each tile as ``.v`` and ``.x`` (see
+        :class:`KernelTiles`).  Every tile runs through the compiled
+        :attr:`program` in one pass; results and
+        :class:`~repro.errors.OverflowDetected` match the interpreter
+        (:class:`~repro.arm.simulator.ArmSimulator`) tile by tile.
         """
-        a_panel = np.ascontiguousarray(a_panel).view(np.uint8).ravel()
-        b_panel = np.ascontiguousarray(b_panel).view(np.uint8).ravel()
-        if a_panel.size < self.a_bytes:
-            raise ShapeError(
-                f"{self.name}: A panel {a_panel.size}B < required {self.a_bytes}B"
-            )
-        if b_panel.size < self.b_bytes:
-            raise ShapeError(
-                f"{self.name}: B panel {b_panel.size}B < required {self.b_bytes}B"
-            )
-        c = np.zeros(self.c_bytes, dtype=np.uint8)
-        buffers = {"A": a_panel, "B": b_panel, "C": c}
-        if extra_buffers:
-            buffers.update({k: np.asarray(v).view(np.uint8).ravel()
-                            for k, v in extra_buffers.items()})
-        sim = ArmSimulator(buffers, check_overflow=check_overflow)
-        sim.run(list(self.stream))
-        tile = c.view(np.int32)[: self.m_r * self.n_r]
+        buffers = {"A": _panel(self, "A", a_panel, self.a_bytes),
+                   "B": _panel(self, "B", b_panel, self.b_bytes),
+                   "C": np.zeros(self.c_bytes, np.uint8)}
+        for name, buf in (extra_buffers or {}).items():
+            buffers[name] = _panel(self, name, buf, 0)
+        written, v, x = self.program.run(buffers, check_overflow=check_overflow)
+        shape = v.shape[:-2]
+        c = written.get("C")
+        if c is None:
+            c = np.zeros(shape + (self.c_bytes,), np.uint8)
         # column-major C: slot = col * m_r + row
-        return tile.reshape(self.n_r, self.m_r).T.copy()
+        tiles = c.view(np.int32)[..., : self.m_r * self.n_r].reshape(
+            shape + (self.n_r, self.m_r))
+        out = np.ascontiguousarray(np.swapaxes(tiles, -1, -2)).view(KernelTiles)
+        out.v, out.x = v, x
+        return out
+
+
+class KernelTiles(np.ndarray):
+    """The int32 tile(s) a :meth:`MicroKernel.execute` call computed, with
+    the final register file of each tile attached: ``v``, the vector
+    registers as ``(*tiles, 32, 16)`` ``uint8``, and ``x``, the general
+    registers as ``(*tiles, 31)`` ``uint64``."""
+
+    v: np.ndarray | None
+    x: np.ndarray | None
+
+    def __array_finalize__(self, obj) -> None:
+        self.v = getattr(obj, "v", None)
+        self.x = getattr(obj, "x", None)
+
+
+def _panel(kern: MicroKernel, name: str, buf: np.ndarray, need: int) -> np.ndarray:
+    """``buf`` as a ``(..., bytes)`` uint8 stack, at least ``need`` bytes long."""
+    buf = np.ascontiguousarray(buf)
+    buf = buf.reshape(-1) if buf.ndim < 2 else buf
+    buf = buf.view(np.uint8)
+    if buf.shape[-1] < need:
+        raise ShapeError(
+            f"{kern.name}: {name} panel {buf.shape[-1]}B < required {need}B")
+    return buf

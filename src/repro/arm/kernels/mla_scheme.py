@@ -38,8 +38,9 @@ _ACC8 = ("v8", "v9", "v10", "v11")
 _ACC16 = tuple(f"v{12 + i}" for i in range(8))
 
 
-def _emit_first_level_drain(out: list[Instr]) -> None:
+def _first_level_drain() -> tuple[Instr, ...]:
     """int8 lanes -> int16 lanes, then clear the int8 accumulators."""
+    out: list[Instr] = []
     for i, a8 in enumerate(_ACC8):  # a8 holds rows 16i .. 16i+15
         out.append(Instr("SADDW_8H", dst=(_ACC16[2 * i],), src=(_ACC16[2 * i], a8)))
         out.append(
@@ -47,33 +48,55 @@ def _emit_first_level_drain(out: list[Instr]) -> None:
         )
     for a8 in _ACC8:
         out.append(Instr("MOVI_ZERO", dst=(a8,)))
+    return tuple(out)
 
 
-def _emit_second_level_drain(out: list[Instr]) -> None:
+#: x0~x7 (rows 48..63) into the scratch A registers v0~v3, and back
+_UNSPILL = tuple(
+    Instr("MOV_X_TO_V", dst=(_A_REGS[t],), src=(f"x{2 * t + h}",), lane=h)
+    for t in range(4) for h in range(2)
+)
+_SPILL = tuple(
+    Instr("MOV_V_TO_X", dst=(f"x{2 * t + h}",), src=(_A_REGS[t],), lane=h)
+    for t in range(4) for h in range(2)
+)
+
+
+def _second_level_drain() -> tuple[Instr, ...]:
     """int16 lanes -> int32 accumulators (v20~v31 + x0~x7 via v0~v3)."""
-    # restore the x-spilled rows 48..63 into the scratch A registers
-    for t in range(4):  # scratch v0..v3 each hold 4 int32 (one slot group)
-        out.append(
-            Instr("MOV_X_TO_V", dst=(_A_REGS[t],), src=(f"x{2 * t}",), lane=0)
-        )
-        out.append(
-            Instr("MOV_X_TO_V", dst=(_A_REGS[t],), src=(f"x{2 * t + 1}",), lane=1)
-        )
+    out: list[Instr] = list(_UNSPILL)
     for s, a16 in enumerate(_ACC16):  # a16 holds rows 8s .. 8s+7
         g0, g1 = 2 * s, 2 * s + 1  # int32 slot groups (4 rows each)
         d0 = f"v{20 + g0}" if g0 < 12 else _A_REGS[g0 - 12]
         d1 = f"v{20 + g1}" if g1 < 12 else _A_REGS[g1 - 12]
         out.append(Instr("SADDW_4S", dst=(d0,), src=(d0, a16)))
         out.append(Instr("SADDW2_4S", dst=(d1,), src=(d1, a16)))
-    for t in range(4):
-        out.append(
-            Instr("MOV_V_TO_X", dst=(f"x{2 * t}",), src=(_A_REGS[t],), lane=0)
-        )
-        out.append(
-            Instr("MOV_V_TO_X", dst=(f"x{2 * t + 1}",), src=(_A_REGS[t],), lane=1)
-        )
+    out.extend(_SPILL)
     for a16 in _ACC16:
         out.append(Instr("MOVI_ZERO", dst=(a16,)))
+    return tuple(out)
+
+
+_DRAIN1 = _first_level_drain()
+_DRAIN2 = _second_level_drain()
+#: MLA of A quarter q against B rotation slot r: _MLA[r][q]
+_MLA = tuple(
+    tuple(Instr("MLA_16B", dst=(_ACC8[q],), src=(_A_REGS[q], b)) for q in range(4))
+    for b in _B_REGS
+)
+#: clear every accumulator (the loop counter x9 is set per kernel)
+_PROLOGUE = (
+    *(Instr("MOVI_ZERO", dst=(r,)) for r in (*_ACC8, *_ACC16, *(f"v{20 + g}" for g in range(12)))),
+    *(Instr("MOV_X_IMM", dst=(f"x{i}",), imm=0) for i in range(8)),
+)
+#: store the 64 int32 results (column-major, single column)
+_EPILOGUE = (
+    *(Instr("ST1_16B", src=(f"v{20 + g}",), mem=MemRef("C", g * 16)) for g in range(12)),
+    *(ins for t in range(4) for ins in (
+        *_UNSPILL[2 * t:2 * t + 2],
+        Instr("ST1_16B", src=(_A_REGS[t],), mem=MemRef("C", (12 + t) * 16)))),
+)
+_B_NE = Instr("B_NE")
 
 
 def generate_mla_kernel(
@@ -104,12 +127,7 @@ def generate_mla_kernel(
         raise ChainOverflowError(bits, min(chain, k), safe, "MLA")
     l2_interval = saddw_second_level_interval(bits)
 
-    out: list[Instr] = []
-    for r in (*_ACC8, *_ACC16, *(f"v{20 + g}" for g in range(12))):
-        out.append(Instr("MOVI_ZERO", dst=(r,)))
-    for i in range(8):
-        out.append(Instr("MOV_X_IMM", dst=(f"x{i}",), imm=0))
-    out.append(Instr("MOV_X_IMM", dst=("x9",), imm=k))
+    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
 
     def emit_a_loads(step: int) -> None:
         for q in range(4):
@@ -123,11 +141,7 @@ def generate_mla_kernel(
             Instr("LD1R_B", dst=(_B_REGS[step % 4],), mem=MemRef("B", step * N_R))
         )
 
-    def emit_macs(step: int) -> None:
-        b = _B_REGS[step % 4]
-        for q in range(4):
-            out.append(Instr("MLA_16B", dst=(_ACC8[q],), src=(_A_REGS[q], b)))
-
+    tails: dict[int, tuple[Instr, ...]] = {}  # block length -> loop tail
     step = 0
     drains_since_l2 = 0
     while step < k:
@@ -142,9 +156,8 @@ def generate_mla_kernel(
             emit_a_loads(step)
             for s in range(block):
                 cur = step + s
-                b = _B_REGS[cur % 4]
                 for q in range(4):
-                    out.append(Instr("MLA_16B", dst=(_ACC8[q],), src=(_A_REGS[q], b)))
+                    out.append(_MLA[cur % 4][q])
                     if s + 1 < block:
                         out.append(
                             Instr("LD1_16B", dst=(_A_REGS[q],),
@@ -157,30 +170,20 @@ def generate_mla_kernel(
                 cur = step + s
                 emit_a_loads(cur)
                 emit_b_load(cur)
-                emit_macs(cur)
+                out.extend(_MLA[cur % 4])
         step += block
-        _emit_first_level_drain(out)
+        out.extend(_DRAIN1)
         drains_since_l2 += 1
         if drains_since_l2 >= l2_interval:
-            _emit_second_level_drain(out)
+            out.extend(_DRAIN2)
             drains_since_l2 = 0
-        out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=block))
-        out.append(Instr("B_NE"))
+        if block not in tails:
+            tails[block] = (Instr("SUBS", dst=("x9",), src=("x9",), imm=block), _B_NE)
+        out.extend(tails[block])
 
     if drains_since_l2:
-        _emit_second_level_drain(out)
-
-    # epilogue: store 64 int32 results (column-major, single column)
-    for g in range(12):
-        out.append(Instr("ST1_16B", src=(f"v{20 + g}",), mem=MemRef("C", g * 16)))
-    for t in range(4):
-        out.append(Instr("MOV_X_TO_V", dst=(_A_REGS[t],), src=(f"x{2 * t}",), lane=0))
-        out.append(
-            Instr("MOV_X_TO_V", dst=(_A_REGS[t],), src=(f"x{2 * t + 1}",), lane=1)
-        )
-        out.append(
-            Instr("ST1_16B", src=(_A_REGS[t],), mem=MemRef("C", (12 + t) * 16))
-        )
+        out.extend(_DRAIN2)
+    out.extend(_EPILOGUE)
 
     return MicroKernel(
         name=f"mla{bits}",

@@ -36,6 +36,28 @@ def _acc(j: int, half: int) -> str:
     return f"v{8 + 2 * j + half}"
 
 
+#: per pipeline group: the two SSHLL widenings, and the 8 by-element MACs
+#: of one K step; every step of a group shares these
+_WIDEN = tuple(
+    (Instr("SSHLL_8H", dst=(g["a_wide"],), src=(g["a_raw"],)),
+     Instr("SSHLL_8H", dst=(g["b_wide"],), src=(g["b_raw"],)))
+    for g in _GROUPS
+)
+_MACS = tuple(
+    tuple(
+        Instr(op, dst=(_acc(j, h),), src=(g["a_wide"], g["b_wide"]), lane=j)
+        for j in range(N_R)
+        for h, op in enumerate(("SMLAL_4S_LANE", "SMLAL2_4S_LANE"))
+    )
+    for g in _GROUPS
+)
+_PROLOGUE = tuple(Instr("MOVI_ZERO", dst=(_acc(j, h),)) for j in range(N_R) for h in range(2))
+_EPILOGUE = tuple(
+    Instr("ST1_16B", src=(_acc(j, h),), mem=MemRef("C", (j * M_R + 4 * h) * 4))
+    for j in range(N_R) for h in range(2)
+)
+
+
 def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
     """Generate the ncnn-like 8-bit stream for an 8x4 tile over ``k``.
 
@@ -45,30 +67,13 @@ def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
     if k <= 0:
         raise ShapeError(f"k must be positive, got {k}")
 
-    out: list[Instr] = []
-    for j in range(N_R):
-        for h in range(2):
-            out.append(Instr("MOVI_ZERO", dst=(_acc(j, h),)))
-    out.append(Instr("MOV_X_IMM", dst=("x9",), imm=k))
+    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
 
     def emit_loads_widen(step: int, g: int) -> None:
         grp = _GROUPS[g]
         out.append(Instr("LD1_8B", dst=(grp["a_raw"],), mem=MemRef("A", step * M_R)))
         out.append(Instr("LD1_8B", dst=(grp["b_raw"],), mem=MemRef("B", step * N_R)))
-        out.append(Instr("SSHLL_8H", dst=(grp["a_wide"],), src=(grp["a_raw"],)))
-        out.append(Instr("SSHLL_8H", dst=(grp["b_wide"],), src=(grp["b_raw"],)))
-
-    def emit_macs(g: int) -> None:
-        grp = _GROUPS[g]
-        for j in range(N_R):
-            out.append(
-                Instr("SMLAL_4S_LANE", dst=(_acc(j, 0),),
-                      src=(grp["a_wide"], grp["b_wide"]), lane=j)
-            )
-            out.append(
-                Instr("SMLAL2_4S_LANE", dst=(_acc(j, 1),),
-                      src=(grp["a_wide"], grp["b_wide"]), lane=j)
-            )
+        out.extend(_WIDEN[g])
 
     if interleave:
         emit_loads_widen(0, 0)
@@ -76,20 +81,14 @@ def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
             g = s % 2
             if s + 1 < k:
                 emit_loads_widen(s + 1, 1 - g)
-            emit_macs(g)
+            out.extend(_MACS[g])
     else:
         for s in range(k):
             emit_loads_widen(s, 0)
-            emit_macs(0)
+            out.extend(_MACS[0])
     out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=k))
     out.append(Instr("B_NE"))
-
-    for j in range(N_R):
-        for h in range(2):
-            out.append(
-                Instr("ST1_16B", src=(_acc(j, h),),
-                      mem=MemRef("C", (j * M_R + 4 * h) * 4))
-            )
+    out.extend(_EPILOGUE)
 
     return MicroKernel(
         name="ncnn8",

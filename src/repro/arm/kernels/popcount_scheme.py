@@ -26,7 +26,6 @@ import numpy as np
 from ...errors import ShapeError, UnsupportedBitsError
 from ...util import ceil_div
 from ..isa import Instr, MemRef
-from ..simulator import ArmSimulator
 from .base import MicroKernel
 
 M_R = 2
@@ -41,9 +40,34 @@ _TMP_AND = "v8"
 _TMP_CNT = "v9"
 
 
+def _acc_index(row: int, col: int, pa: int, pw: int) -> int:
+    """Accumulator register number for output (row, col), plane pair (pa, pw)."""
+    return 16 + ((row * N_R + col) * BITS + pa) * BITS + pw
+
+
 def _acc_reg(row: int, col: int, pa: int, pw: int) -> str:
-    """Accumulator register for output (row, col), plane pair (pa, pw)."""
-    return f"v{16 + ((row * N_R + col) * BITS + pa) * BITS + pw}"
+    return f"v{_acc_index(row, col, pa, pw)}"
+
+
+#: one chunk's AND + CNT + UADALP for every (output, plane pair)
+_REDUCE = tuple(
+    ins
+    for row in range(M_R)
+    for col in range(N_R)
+    for pa in range(BITS)
+    for pw in range(BITS)
+    for ins in (
+        Instr("AND_16B", dst=(_TMP_AND,),
+              src=(_A_REGS[row * BITS + pa], _B_REGS[col * BITS + pw])),
+        Instr("CNT_16B", dst=(_TMP_CNT,), src=(_TMP_AND,)),
+        Instr("UADALP_8H", dst=(_acc_reg(row, col, pa, pw),), src=(_TMP_CNT,)),
+    )
+)
+_PROLOGUE = tuple(
+    Instr("MOVI_ZERO", dst=(_acc_reg(row, col, pa, pw),))
+    for row in range(M_R) for col in range(N_R) for pa in range(BITS) for pw in range(BITS)
+)
+_TAIL = (Instr("SUBS", dst=("x9",), src=("x9",), imm=1), Instr("B_NE"))
 
 
 def popcount_pair_weights(bits_a: int = BITS, bits_w: int = BITS) -> dict[tuple[int, int], int]:
@@ -82,14 +106,7 @@ def generate_popcount_kernel(k: int, *, bits: int = BITS) -> MicroKernel:
     chunks = ceil_div(k, _CHUNK_BITS)
     kbytes = chunks * _CHUNK_BYTES
 
-    out: list[Instr] = []
-    for row in range(M_R):
-        for col in range(N_R):
-            for pa in range(BITS):
-                for pw in range(BITS):
-                    out.append(Instr("MOVI_ZERO", dst=(_acc_reg(row, col, pa, pw),)))
-    out.append(Instr("MOV_X_IMM", dst=("x9",), imm=chunks))
-
+    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=chunks)]
     for ch in range(chunks):
         base = ch * _CHUNK_BYTES
         for row in range(M_R):
@@ -104,22 +121,8 @@ def generate_popcount_kernel(k: int, *, bits: int = BITS) -> MicroKernel:
                     Instr("LD1_16B", dst=(_B_REGS[col * BITS + pw],),
                           mem=MemRef("B", (col * BITS + pw) * kbytes + base))
                 )
-        for row in range(M_R):
-            for col in range(N_R):
-                for pa in range(BITS):
-                    for pw in range(BITS):
-                        out.append(
-                            Instr("AND_16B", dst=(_TMP_AND,),
-                                  src=(_A_REGS[row * BITS + pa],
-                                       _B_REGS[col * BITS + pw]))
-                        )
-                        out.append(Instr("CNT_16B", dst=(_TMP_CNT,), src=(_TMP_AND,)))
-                        out.append(
-                            Instr("UADALP_8H", dst=(_acc_reg(row, col, pa, pw),),
-                                  src=(_TMP_CNT,))
-                        )
-        out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=1))
-        out.append(Instr("B_NE"))
+        out.extend(_REDUCE)
+        out.extend(_TAIL)
 
     return MicroKernel(
         name=f"popcount{bits}",
@@ -167,8 +170,7 @@ def execute_popcount(
 
     a_buf = pack_operand(a_rows, kernel.m_r)
     b_buf = pack_operand(b_cols, kernel.n_r)
-    sim = ArmSimulator({"A": a_buf, "B": b_buf, "C": np.zeros(kernel.c_bytes, np.uint8)})
-    sim.run(list(kernel.stream))
+    acc = kernel.execute(a_buf, b_buf).v.view(np.uint16).astype(np.int64)
 
     weights = popcount_pair_weights()
     tile = np.zeros((kernel.m_r, kernel.n_r), dtype=np.int64)
@@ -176,7 +178,6 @@ def execute_popcount(
         for col in range(kernel.n_r):
             total = 0
             for (pa, pw), wgt in weights.items():
-                lanes = sim.regs.v_u16(_acc_reg(row, col, pa, pw))
-                total += wgt * int(lanes.astype(np.int64).sum())
+                total += wgt * int(acc[_acc_index(row, col, pa, pw)].sum())
             tile[row, col] = total
     return tile

@@ -46,6 +46,25 @@ def _acc(q: int, j: int) -> str:
     return f"v{8 + 4 * j + q}"
 
 
+#: SDOT of row quad q, column j with operand set s: _SDOT[s][j][q]
+_SDOT = tuple(
+    tuple(
+        tuple(Instr("SDOT_4S_LANE", dst=(_acc(q, j),), src=(_A_SETS[s][q], _B_SET[s]), lane=j)
+              for q in range(4))
+        for j in range(N_R)
+    )
+    for s in range(2)
+)
+_PROLOGUE = tuple(Instr("MOVI_ZERO", dst=(_acc(q, j),)) for q in range(4) for j in range(N_R))
+#: one k-group's loop tail
+_TAIL = (Instr("SUBS", dst=("x9",), src=("x9",), imm=1), Instr("B_NE"))
+#: store column-major: slot = j * 16 + 4q + lane
+_EPILOGUE = tuple(
+    Instr("ST1_16B", src=(_acc(q, j),), mem=MemRef("C", (j * M_R + 4 * q) * 4))
+    for j in range(N_R) for q in range(4)
+)
+
+
 def pack_a_sdot(a: np.ndarray) -> np.ndarray:
     """Pack A (m x k) into the SDOT k-grouped layout (zero-padded)."""
     if a.ndim != 2:
@@ -91,11 +110,7 @@ def generate_sdot_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
         raise ShapeError(f"k must be positive, got {k}")
     kg = ceil_div(k, K_GROUP)
 
-    out: list[Instr] = []
-    for q in range(4):
-        for j in range(N_R):
-            out.append(Instr("MOVI_ZERO", dst=(_acc(q, j),)))
-    out.append(Instr("MOV_X_IMM", dst=("x9",), imm=kg))
+    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=kg)]
 
     def load_instrs(g: int, s: int) -> list[Instr]:
         loads = [
@@ -117,29 +132,20 @@ def generate_sdot_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
             n_emitted = 0
             for j in range(N_R):
                 for q in range(4):
-                    out.append(Instr("SDOT_4S_LANE", dst=(_acc(q, j),),
-                                     src=(_A_SETS[s][q], _B_SET[s]), lane=j))
+                    out.append(_SDOT[s][j][q])
                     if pending and n_emitted < len(pending):
                         out.append(pending[n_emitted])
                         n_emitted += 1
             out.extend(pending[n_emitted:])
-            out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=1))
-            out.append(Instr("B_NE"))
+            out.extend(_TAIL)
     else:
         for g in range(kg):
             out.extend(load_instrs(g, 0))
             for q in range(4):
                 for j in range(N_R):
-                    out.append(Instr("SDOT_4S_LANE", dst=(_acc(q, j),),
-                                     src=(_A_SETS[0][q], _B_SET[0]), lane=j))
-            out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=1))
-            out.append(Instr("B_NE"))
-
-    # store column-major: slot = j * 16 + 4q + lane
-    for j in range(N_R):
-        for q in range(4):
-            out.append(Instr("ST1_16B", src=(_acc(q, j),),
-                             mem=MemRef("C", (j * M_R + 4 * q) * 4)))
+                    out.append(_SDOT[0][j][q])
+            out.extend(_TAIL)
+    out.extend(_EPILOGUE)
 
     return MicroKernel(
         name="sdot8",

@@ -45,21 +45,37 @@ def _acc32_reg(slot_group: int) -> str | None:
     return None
 
 
-def _emit_macs(out: list[Instr], a_reg: str, b_regs: list[str]) -> None:
-    """8 MACs instructions: SMLAL/SMLAL2 of one A column against 4 B values."""
-    for j in range(N_R):
-        out.append(Instr("SMLAL_8H", dst=(_ACC16[(j, 0)],), src=(a_reg, b_regs[j])))
-        out.append(Instr("SMLAL2_8H", dst=(_ACC16[(j, 1)],), src=(a_reg, b_regs[j])))
+_A_REGS = ("v0", "v1")
+_B_GROUPS = (("v2", "v3", "v4", "v5"), ("v6", "v7", "v8", "v9"))
+
+#: the 8 SMLAL/SMLAL2 of one K step (one A column against 4 B values),
+#: per software-pipeline group; every step of a group shares these
+_MACS = tuple(
+    tuple(
+        Instr(op, dst=(_ACC16[(j, h)],), src=(a_reg, b_regs[j]))
+        for j in range(N_R)
+        for h, op in enumerate(("SMLAL_8H", "SMLAL2_8H"))
+    )
+    for a_reg, b_regs in zip(_A_REGS, _B_GROUPS)
+)
 
 
-def _emit_drain(out: list[Instr]) -> None:
+#: x0~x3 (col 3, rows 8..15) back into v0, v1
+_UNSPILL = (
+    Instr("MOV_X_TO_V", dst=("v0",), src=("x0",), lane=0),
+    Instr("MOV_X_TO_V", dst=("v0",), src=("x1",), lane=1),
+    Instr("MOV_X_TO_V", dst=("v1",), src=("x2",), lane=0),
+    Instr("MOV_X_TO_V", dst=("v1",), src=("x3",), lane=1),
+)
+_CLEAR16 = tuple(Instr("MOVI_ZERO", dst=(_ACC16[(j, h)],)) for j in range(N_R) for h in range(2))
+
+
+def _drain() -> tuple[Instr, ...]:
     """Drain all int16 accumulators into the int32 accumulators (Alg. 1
     lines 9-13), then clear the int16 lanes."""
+    out: list[Instr] = []
     # restore the spilled col-3/rows-8..15 accumulators into v0, v1
-    out.append(Instr("MOV_X_TO_V", dst=("v0",), src=("x0",), lane=0))
-    out.append(Instr("MOV_X_TO_V", dst=("v0",), src=("x1",), lane=1))
-    out.append(Instr("MOV_X_TO_V", dst=("v1",), src=("x2",), lane=0))
-    out.append(Instr("MOV_X_TO_V", dst=("v1",), src=("x3",), lane=1))
+    out.extend(_UNSPILL)
     for j in range(N_R):
         for h in range(2):  # h=0: rows 0-7, h=1: rows 8-15
             src16 = _ACC16[(j, h)]
@@ -73,9 +89,25 @@ def _emit_drain(out: list[Instr]) -> None:
     out.append(Instr("MOV_V_TO_X", dst=("x1",), src=("v0",), lane=1))
     out.append(Instr("MOV_V_TO_X", dst=("x2",), src=("v1",), lane=0))
     out.append(Instr("MOV_V_TO_X", dst=("x3",), src=("v1",), lane=1))
-    for j in range(N_R):
-        for h in range(2):
-            out.append(Instr("MOVI_ZERO", dst=(_ACC16[(j, h)],)))
+    out.extend(_CLEAR16)
+    return tuple(out)
+
+
+_DRAIN = _drain()
+#: clear every accumulator (the loop counter x9 is set per kernel)
+_PROLOGUE = (
+    *_CLEAR16,
+    *(Instr("MOVI_ZERO", dst=(f"v{18 + g}",)) for g in range(14)),
+    *(Instr("MOV_X_IMM", dst=(f"x{i}",), imm=0) for i in range(4)),
+)
+#: merge the x-spilled accumulators and store C column-major
+_EPILOGUE = (
+    *(Instr("ST1_16B", src=(f"v{18 + g}",), mem=MemRef("C", g * 16)) for g in range(14)),
+    *_UNSPILL,
+    Instr("ST1_16B", src=("v0",), mem=MemRef("C", 14 * 16)),
+    Instr("ST1_16B", src=("v1",), mem=MemRef("C", 15 * 16)),
+)
+_B_NE = Instr("B_NE")
 
 
 def generate_smlal_kernel(
@@ -118,26 +150,15 @@ def generate_smlal_kernel(
     if not allow_unsafe and min(interval, k) > safe:
         raise ChainOverflowError(bits, min(interval, k), safe, "SMLAL")
 
-    out: list[Instr] = []
-    # prologue: clear every accumulator
-    for j in range(N_R):
-        for h in range(2):
-            out.append(Instr("MOVI_ZERO", dst=(_ACC16[(j, h)],)))
-    for g in range(14):
-        out.append(Instr("MOVI_ZERO", dst=(f"v{18 + g}",)))
-    for i in range(4):
-        out.append(Instr("MOV_X_IMM", dst=(f"x{i}",), imm=0))
-    out.append(Instr("MOV_X_IMM", dst=("x9",), imm=k))  # loop counter
-
-    a_regs = ("v0", "v1")
-    b_groups = (["v2", "v3", "v4", "v5"], ["v6", "v7", "v8", "v9"])
+    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]  # loop counter
 
     def emit_loads(step: int, group: int) -> None:
-        out.append(Instr("LD1_16B", dst=(a_regs[group],),
+        out.append(Instr("LD1_16B", dst=(_A_REGS[group],),
                          mem=MemRef("A", step * M_R)))
-        out.append(Instr("LD4R_B", dst=tuple(b_groups[group]),
+        out.append(Instr("LD4R_B", dst=_B_GROUPS[group],
                          mem=MemRef("B", step * N_R)))
 
+    drains: dict[int, tuple[Instr, ...]] = {}  # block length -> drain + loop tail
     step = 0
     while step < k:
         block = min(interval, k - step)
@@ -147,27 +168,17 @@ def generate_smlal_kernel(
                 group = s % 2
                 if s + 1 < block:
                     emit_loads(step + s + 1, 1 - group)  # prefetch next step
-                _emit_macs(out, a_regs[group], b_groups[group])
+                out.extend(_MACS[group])
         else:
             for s in range(block):
                 emit_loads(step + s, 0)
-                _emit_macs(out, a_regs[0], b_groups[0])
+                out.extend(_MACS[0])
         step += block
-        _emit_drain(out)
-        out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=block))
-        out.append(Instr("B_NE"))
-
-    # epilogue: merge the x-spilled accumulators and store C column-major
-    for g in range(14):
-        out.append(
-            Instr("ST1_16B", src=(f"v{18 + g}",), mem=MemRef("C", g * 16))
-        )
-    out.append(Instr("MOV_X_TO_V", dst=("v0",), src=("x0",), lane=0))
-    out.append(Instr("MOV_X_TO_V", dst=("v0",), src=("x1",), lane=1))
-    out.append(Instr("MOV_X_TO_V", dst=("v1",), src=("x2",), lane=0))
-    out.append(Instr("MOV_X_TO_V", dst=("v1",), src=("x3",), lane=1))
-    out.append(Instr("ST1_16B", src=("v0",), mem=MemRef("C", 14 * 16)))
-    out.append(Instr("ST1_16B", src=("v1",), mem=MemRef("C", 15 * 16)))
+        if block not in drains:
+            drains[block] = (*_DRAIN, Instr("SUBS", dst=("x9",), src=("x9",), imm=block),
+                             _B_NE)
+        out.extend(drains[block])
+    out.extend(_EPILOGUE)
 
     return MicroKernel(
         name=f"smlal{bits}",

@@ -163,8 +163,8 @@ def execute_winograd_arm(
 
     Host code performs the linear transforms (they are the "transform
     engine"; the paper's contribution is the GEMM kernel); the 16
-    transform-domain GEMMs execute instruction-by-instruction on the
-    functional simulator.  Exact only while the scaled transformed weight
+    transform-domain GEMMs run through the real stream in one compiled
+    pass over all their register tiles.  Exact only while the scaled transformed weight
     fits int8, i.e. 4-bit operands (see DESIGN.md).
     """
     from ..conv.padding import pack_gemm_operands
@@ -191,29 +191,28 @@ def execute_winograd_arm(
         bits, spec.in_channels, round_steps=min(chain, 32)
     )
     n_tiles = th * tw
-    m_out = np.zeros(
-        (spec.batch, spec.out_channels, n_tiles, 4, 4), dtype=np.int64
-    )
-    for img in range(spec.batch):
-        for uu in range(4):
-            for vv in range(4):
-                a = u4[:, :, uu, vv].astype(np.int8)  # (O, I)
+    a_panels, b_panels = [], []
+    for uu in range(4):
+        for vv in range(4):
+            a = u4[:, :, uu, vv].astype(np.int8)  # (O, I)
+            for img in range(spec.batch):
                 b = (
                     v[img, :, :, :, uu, vv]
                     .reshape(spec.in_channels, n_tiles)
                     .astype(np.int8)
                 )
                 packed = pack_gemm_operands(a, b, kern.m_r, kern.n_r)
-                c = np.zeros((packed.m_padded, packed.n_padded), dtype=np.int64)
-                for pi in range(packed.m_panels):
-                    ap = packed.a_panel(pi).reshape(-1)
-                    for pj in range(packed.n_panels):
-                        bp = packed.b_panel(pj).reshape(-1)
-                        c[
-                            pi * kern.m_r : (pi + 1) * kern.m_r,
-                            pj * kern.n_r : (pj + 1) * kern.n_r,
-                        ] = kern.execute(ap, bp, check_overflow=check_overflow)
-                m_out[img, :, :, uu, vv] = c[: spec.out_channels, :n_tiles]
+                b_panels.append(packed.b_packed.reshape(1, packed.n_panels, -1))
+            a_panels.append(packed.a_packed.reshape(packed.m_panels, 1, -1))
+    # the 16 transform-domain GEMMs of every image in one call:
+    # tiles (16, batch, m_panels, n_panels)
+    a_stack = np.stack(a_panels)[:, None]
+    b_stack = np.stack(b_panels).reshape((16, spec.batch) + b_panels[0].shape)
+    out = kern.execute(a_stack, b_stack, check_overflow=check_overflow)
+    c = np.asarray(out, dtype=np.int64).transpose(0, 1, 2, 4, 3, 5).reshape(
+        16, spec.batch, packed.m_padded, packed.n_padded)
+    m_out = c[:, :, : spec.out_channels, :n_tiles].reshape(
+        4, 4, spec.batch, spec.out_channels, n_tiles).transpose(2, 3, 4, 0, 1)
 
     y4 = np.einsum("pu,notuv,qv->notpq", AT, m_out, AT, optimize=True)
     if np.any(y4 % 4):

@@ -11,7 +11,9 @@ preferring the same machine fingerprint) on two signals:
   against a noise-aware threshold: the median of up to N prior runs
   (same fingerprint), widened by the larger of a flat tolerance and the
   observed inter-quartile spread of those runs
-  (:meth:`repro.obs.metrics.Histogram.percentile` does the medians).
+  (:meth:`repro.obs.metrics.Histogram.percentile` does the medians);
+  a phase less than :data:`repro.obs.diff.PHASE_FLOOR_S` (5 ms) over its
+  median passes whatever the ratio, as ``repro diff`` floors it.
 
 Exit codes (the single source of truth, also surfaced in ``--json``
 output and README): **0** clean, **1** regression (any cycle mismatch;
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import metrics as obs_metrics
+from .diff import PHASE_FLOOR_S
 from .history import BenchLedger
 
 #: prior runs folded into the wall-clock median window
@@ -133,7 +136,8 @@ def _wall_verdicts(
         threshold = median * (1.0 + max(tolerance, spread))
         value = float(cand_wall[key])
         delta = (value - median) / median if median else 0.0
-        ok = value <= threshold
+        # a few ms over a ms-scale phase is timer noise, not a regression
+        ok = value <= threshold or value - median < PHASE_FLOOR_S
         obs_metrics.gauge("regress_wall_delta", phase=key).set(delta)
         out.append(Verdict(
             key=f"wall {key}",
@@ -142,7 +146,8 @@ def _wall_verdicts(
             regression=(not ok) and check_wall,
             detail=(f"{value:.3f}s vs median {median:.3f}s "
                     f"of {hist.count} run(s) ({delta:+.1%}, "
-                    f"threshold +{max(tolerance, spread):.0%})"),
+                    f"threshold +{max(tolerance, spread):.0%} "
+                    f"and +{PHASE_FLOOR_S * 1e3:g} ms)"),
         ))
     return out
 

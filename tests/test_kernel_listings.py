@@ -1,11 +1,17 @@
 """Paper-fidelity of the generated streams: Alg. 1's structure is visible
 in the rendered listings, register allocations match Sec. 3.3's text."""
 
+import hashlib
 import re
 
+import pytest
+
+from repro.arm.assembler import disassemble
 from repro.arm.kernels import (
     generate_mla_kernel,
     generate_ncnn_kernel,
+    generate_popcount_kernel,
+    generate_sdot_kernel,
     generate_smlal_kernel,
 )
 
@@ -79,3 +85,37 @@ def test_render_is_parseable_text():
         assert re.match(r"^[A-Z0-9_]+( .*)?$", line)
     text = "\n".join(listing(kern))
     assert "SSHLL_8H" in text  # the widening ncnn relies on
+
+
+#: sha256 of the rendered listings for K in (1, 7, 64, 333, 1152), each
+#: with interleave on then off.  The generators share one object per
+#: repeated instruction; the listings must not change by a single line.
+_LISTING_DIGESTS = {
+    "smlal4": "41d055910e17e86888c64074b057ea2f205956a9208b1afff7cf4e76233a3f09",
+    "smlal5": "9cbc5878416a068717601c55e7b1c58a46b7b439721d6d3beeb5b01863fa3fe6",
+    "smlal6": "97e77d882b6b9832d37e5950a85012b014eedb0e0ffc85f98a29ed64bdbf7e5d",
+    "smlal7": "a5fc97bb2b2df12b28ecd39bc4904fbe7aacd9a889f9589d13b8426a2dc4f619",
+    "smlal8": "f40ee15e066c301ed0f19802921d1ecf4d928b427063a9d0904d5c6f9ef37377",
+    "mla2": "2ffce053bb6862c9b7ea609679748e714467601242ddfc20ce1032a1e6a3a64c",
+    "mla3": "2b16221127b5a6dfc48f3010c9f15f5dc1bad24e629ff81a218805c7c93373ba",
+    "ncnn8": "1072fae5ab45782a06d8f6c4cbcd5928b015c827ba48682f30633e70f0334921",
+    "sdot8": "2a62de9e688764e84c8d53d4e838c134fbcb56b839887c4c7aa54591aba6352e",
+    "popcount2": "c71de396fb1acf48c8d6b62488ce4623c2ac8f3d0e82f46aa0fc49e12889b2f5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LISTING_DIGESTS))
+def test_streams_render_as_before(name):
+    bits = int(name[-1])
+    gen = {
+        "smlal": lambda k, il: generate_smlal_kernel(bits, k, interleave=il),
+        "mla": lambda k, il: generate_mla_kernel(bits, k, interleave=il),
+        "ncnn": lambda k, il: generate_ncnn_kernel(k, interleave=il),
+        "sdot": lambda k, il: generate_sdot_kernel(k, interleave=il),
+        "popcount": lambda k, il: generate_popcount_kernel(k),
+    }[name[:-1]]
+    digest = hashlib.sha256()
+    for k in (1, 7, 64, 333, 1152):
+        for interleave in (True, False):
+            digest.update(disassemble(gen(k, interleave).stream).encode() + b"\n")
+    assert digest.hexdigest() == _LISTING_DIGESTS[name]

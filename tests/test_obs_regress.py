@@ -82,6 +82,19 @@ def test_wall_threshold_widens_with_observed_spread(tmp_path):
     assert run_regress(history_dir=tmp_path, echo=lambda s: None) == 0
 
 
+def test_wall_floor_ignores_millisecond_jitter(tmp_path):
+    """A 1 ms phase that doubles is inside the 5 ms floor; a 100 ms phase
+    that doubles is still a regression."""
+    fast = tmp_path / "fast"
+    _write(fast, [_entry(f"r{i}", wall=0.001) for i in range(4)]
+           + [_entry("cand", wall=0.002)])
+    assert run_regress(history_dir=fast, echo=lambda s: None) == 0
+    slow = tmp_path / "slow"
+    _write(slow, [_entry(f"r{i}", wall=0.1) for i in range(4)]
+           + [_entry("cand", wall=0.2)])
+    assert run_regress(history_dir=slow, echo=lambda s: None) == 1
+
+
 def test_short_ledger_is_unusable(tmp_path):
     _write(tmp_path, [_entry("only")])
     assert run_regress(history_dir=tmp_path, echo=lambda s: None) == 2
