@@ -13,6 +13,12 @@ from ..compiled import Program, compile_stream
 from ..isa import Instr, macs_in_stream, stream_summary
 from ..pipeline import A53_COST_TABLE, CostTable, PipelineModel, PipelineResult
 
+#: entries in each generator's table of shared load instructions (one K
+#: step's loads per entry, two entries per step where two register groups
+#: alternate): streams up to K = 2048 share all their loads, and a longer
+#: stream rebuilds the ones that fell out
+LOAD_TABLE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class MicroKernel:

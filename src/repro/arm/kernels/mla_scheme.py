@@ -20,6 +20,8 @@ drains the int16 lanes drain into int32.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ...errors import ChainOverflowError, ShapeError, UnsupportedBitsError
 from ..isa import Instr, MemRef
 from ..ratios import (
@@ -27,7 +29,7 @@ from ..ratios import (
     mla_chain_length,
     saddw_second_level_interval,
 )
-from .base import MicroKernel
+from .base import LOAD_TABLE_SIZE, MicroKernel
 
 M_R = 64
 N_R = 1
@@ -99,6 +101,20 @@ _EPILOGUE = (
 _B_NE = Instr("B_NE")
 
 
+@lru_cache(maxsize=LOAD_TABLE_SIZE)
+def _a_loads(step: int) -> tuple[Instr, ...]:
+    """The four ``LD1`` of K step ``step``'s A column, quarter q into
+    ``v<q>``, shared by every stream through a bounded table."""
+    return tuple(Instr("LD1_16B", dst=(_A_REGS[q],), mem=MemRef("A", step * M_R + q * 16))
+                 for q in range(4))
+
+
+@lru_cache(maxsize=LOAD_TABLE_SIZE)
+def _b_load(step: int) -> Instr:
+    """The replicated B byte of K step ``step`` into its rotation slot."""
+    return Instr("LD1R_B", dst=(_B_REGS[step % 4],), mem=MemRef("B", step * N_R))
+
+
 def generate_mla_kernel(
     bits: int,
     k: int,
@@ -128,19 +144,6 @@ def generate_mla_kernel(
     l2_interval = saddw_second_level_interval(bits)
 
     out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
-
-    def emit_a_loads(step: int) -> None:
-        for q in range(4):
-            out.append(
-                Instr("LD1_16B", dst=(_A_REGS[q],),
-                      mem=MemRef("A", step * M_R + q * 16))
-            )
-
-    def emit_b_load(step: int) -> None:
-        out.append(
-            Instr("LD1R_B", dst=(_B_REGS[step % 4],), mem=MemRef("B", step * N_R))
-        )
-
     tails: dict[int, tuple[Instr, ...]] = {}  # block length -> loop tail
     step = 0
     drains_since_l2 = 0
@@ -152,24 +155,23 @@ def generate_mla_kernel(
             # each A quarter for step s+1 loads right after the MLA that
             # frees its register (software pipelining without extra regs)
             for t in range(min(4, block)):
-                emit_b_load(step + t)
-            emit_a_loads(step)
+                out.append(_b_load(step + t))
+            out.extend(_a_loads(step))
             for s in range(block):
                 cur = step + s
-                for q in range(4):
-                    out.append(_MLA[cur % 4][q])
-                    if s + 1 < block:
-                        out.append(
-                            Instr("LD1_16B", dst=(_A_REGS[q],),
-                                  mem=MemRef("A", (cur + 1) * M_R + q * 16))
-                        )
+                if s + 1 < block:
+                    for mla, load in zip(_MLA[cur % 4], _a_loads(cur + 1)):
+                        out.append(mla)
+                        out.append(load)
+                else:
+                    out.extend(_MLA[cur % 4])
                 if s + 4 < block:
-                    emit_b_load(cur + 4)
+                    out.append(_b_load(cur + 4))
         else:
             for s in range(block):
                 cur = step + s
-                emit_a_loads(cur)
-                emit_b_load(cur)
+                out.extend(_a_loads(cur))
+                out.append(_b_load(cur))
                 out.extend(_MLA[cur % 4])
         step += block
         out.extend(_DRAIN1)

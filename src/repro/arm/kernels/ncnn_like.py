@@ -17,9 +17,11 @@ widened B, ``v8~v15`` int32 accumulators (col j in v8+2j / v9+2j).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ...errors import ShapeError
 from ..isa import Instr, MemRef
-from .base import MicroKernel
+from .base import LOAD_TABLE_SIZE, MicroKernel
 
 M_R = 8
 N_R = 4
@@ -58,6 +60,16 @@ _EPILOGUE = tuple(
 )
 
 
+@lru_cache(maxsize=LOAD_TABLE_SIZE)
+def _loads_widen(step: int, g: int) -> tuple[Instr, ...]:
+    """K step ``step``'s two raw loads into pipeline group ``g``, then the
+    group's widenings, shared by every stream through a bounded table."""
+    grp = _GROUPS[g]
+    return (Instr("LD1_8B", dst=(grp["a_raw"],), mem=MemRef("A", step * M_R)),
+            Instr("LD1_8B", dst=(grp["b_raw"],), mem=MemRef("B", step * N_R)),
+            *_WIDEN[g])
+
+
 def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
     """Generate the ncnn-like 8-bit stream for an 8x4 tile over ``k``.
 
@@ -68,23 +80,16 @@ def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
         raise ShapeError(f"k must be positive, got {k}")
 
     out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
-
-    def emit_loads_widen(step: int, g: int) -> None:
-        grp = _GROUPS[g]
-        out.append(Instr("LD1_8B", dst=(grp["a_raw"],), mem=MemRef("A", step * M_R)))
-        out.append(Instr("LD1_8B", dst=(grp["b_raw"],), mem=MemRef("B", step * N_R)))
-        out.extend(_WIDEN[g])
-
     if interleave:
-        emit_loads_widen(0, 0)
+        out.extend(_loads_widen(0, 0))
         for s in range(k):
             g = s % 2
             if s + 1 < k:
-                emit_loads_widen(s + 1, 1 - g)
+                out.extend(_loads_widen(s + 1, 1 - g))
             out.extend(_MACS[g])
     else:
         for s in range(k):
-            emit_loads_widen(s, 0)
+            out.extend(_loads_widen(s, 0))
             out.extend(_MACS[0])
     out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=k))
     out.append(Instr("B_NE"))

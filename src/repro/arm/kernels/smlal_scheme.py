@@ -25,10 +25,12 @@ the load pipeline at each drained block boundary instead.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ...errors import ChainOverflowError, ShapeError, UnsupportedBitsError
 from ..isa import Instr, MemRef
 from ..ratios import SMLAL_SCHEME_BITS, round_interval, smlal_chain_length
-from .base import MicroKernel
+from .base import LOAD_TABLE_SIZE, MicroKernel
 
 M_R = 16
 N_R = 4
@@ -110,6 +112,14 @@ _EPILOGUE = (
 _B_NE = Instr("B_NE")
 
 
+@lru_cache(maxsize=LOAD_TABLE_SIZE)
+def _loads(step: int, group: int) -> tuple[Instr, Instr]:
+    """The ``{LD1, LD4R}`` pair of K step ``step`` into register group
+    ``group``, shared by every stream through a bounded table."""
+    return (Instr("LD1_16B", dst=(_A_REGS[group],), mem=MemRef("A", step * M_R)),
+            Instr("LD4R_B", dst=_B_GROUPS[group], mem=MemRef("B", step * N_R)))
+
+
 def generate_smlal_kernel(
     bits: int,
     k: int,
@@ -151,27 +161,20 @@ def generate_smlal_kernel(
         raise ChainOverflowError(bits, min(interval, k), safe, "SMLAL")
 
     out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]  # loop counter
-
-    def emit_loads(step: int, group: int) -> None:
-        out.append(Instr("LD1_16B", dst=(_A_REGS[group],),
-                         mem=MemRef("A", step * M_R)))
-        out.append(Instr("LD4R_B", dst=_B_GROUPS[group],
-                         mem=MemRef("B", step * N_R)))
-
     drains: dict[int, tuple[Instr, ...]] = {}  # block length -> drain + loop tail
     step = 0
     while step < k:
         block = min(interval, k - step)
         if interleave:
-            emit_loads(step, 0)  # block prologue: fill group 0
+            out.extend(_loads(step, 0))  # block prologue: fill group 0
             for s in range(block):
                 group = s % 2
                 if s + 1 < block:
-                    emit_loads(step + s + 1, 1 - group)  # prefetch next step
+                    out.extend(_loads(step + s + 1, 1 - group))  # prefetch next step
                 out.extend(_MACS[group])
         else:
             for s in range(block):
-                emit_loads(step + s, 0)
+                out.extend(_loads(step + s, 0))
                 out.extend(_MACS[0])
         step += block
         if block not in drains:

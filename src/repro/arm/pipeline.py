@@ -16,6 +16,12 @@ kernel generators are *statically scheduled* under those constraints:
   effective 1-cycle latency.  Without that forwarding, long MAC chains
   would be latency-bound and the paper's schemes could not work at all.
 
+Scheduling is greedy and exact, and it fast-forwards: once the state at
+some instruction recurs, relative to the issue cycle, ahead of a verbatim
+repeat of the instructions in between, the schedule of every such repeat
+is the last one shifted in time, so a K loop costs its distinct periods,
+not its length (:func:`_issue`).
+
 The table values are documented estimates in the spirit of the A53
 software-optimization data; what the experiments rely on is the *relative*
 structure (lanes per instruction, load vs arithmetic cost, the price of
@@ -24,13 +30,15 @@ drain rounds and of v<->x moves), not any single absolute number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections import Counter
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from ..errors import SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .isa import ACCUM_OPS, Instr, LOAD_OPS, STORE_OPS
+from .isa import ACCUM_OPS, Instr
 
 
 @dataclass(frozen=True)
@@ -156,69 +164,186 @@ class PipelineResult:
         )
 
 
+#: most distinct anchor snapshots one schedule keeps, and the most recent
+#: visits kept per snapshot (a state can recur every K step while the
+#: signatures only repeat every few steps, e.g. a 4-deep register
+#: rotation); past either bound older entries go, which can only cost a
+#: missed jump, never a wrong cycle
+_MAX_SNAPSHOTS = 1024
+_VISITS_KEPT = 8
+#: the fields of an instruction that steer its schedule
+_SIGNATURE = attrgetter("op", "dst", "src")
+
+
+def _decode(
+    stream: Sequence[Instr], table: CostTable
+) -> tuple[list[tuple], list[int], int]:
+    """Integer form of ``stream`` for :meth:`PipelineModel.schedule`.
+
+    Returns one row per distinct ``(op, dst, src)`` signature (NEON and
+    memory pipe cycles, latency, accumulate-chain latency, whether the op
+    accumulates, source and destination register indices), the signature
+    index of every instruction, and the number of registers.  Only those
+    fields steer the schedule: loads of different addresses into the same
+    registers share a row.  Each distinct ``Instr`` object is looked at
+    once; the per-instruction passes run inside ``dict``/``map``.
+    """
+    ids = list(map(id, stream))
+    objects = dict(zip(ids, stream))
+    signatures = list(map(_SIGNATURE, objects.values()))
+    row_of = dict.fromkeys(signatures)
+    rows: list[tuple] = []
+    regs: dict[str, int] = {}
+    for sig in row_of:
+        op, dst, src = sig
+        c = table.cost(op)
+        row_of[sig] = len(rows)
+        rows.append((
+            c.mem_cycles, c.neon_cycles, c.latency,
+            c.acc_latency or c.latency, op in ACCUM_OPS,
+            tuple(regs.setdefault(r, len(regs)) for r in src),
+            tuple(regs.setdefault(r, len(regs)) for r in dst),
+        ))
+    sig_of = dict(zip(objects, map(row_of.__getitem__, signatures)))
+    return rows, list(map(sig_of.__getitem__, ids)), len(regs)
+
+
+def _repeats(sigs: list[int], start: int, stop: int) -> int:
+    """How many more times ``sigs[start:stop]`` follows itself verbatim."""
+    period = stop - start
+    m, end = 0, stop + period
+    body = None
+    # the last signatures must agree before a whole period is compared
+    while end <= len(sigs) and sigs[end - 1] == sigs[stop - 1]:
+        if body is None:
+            body = sigs[start:stop]
+        if sigs[end - period:end] != body:
+            break
+        m += 1
+        end += period
+    return m
+
+
+def _issue(rows: list[tuple], sigs: list[int], n_regs: int, anchor: int,
+           width: int) -> tuple[int, int, int]:
+    """Greedy in-order issue of ``sigs``; returns the final issue cycle and
+    the cycles the LS and NEON pipes free up.
+
+    At every occurrence of the ``anchor`` signature the scheduler state is
+    snapshotted relative to the issue cycle (slots used this cycle; pipe
+    free times and register ready times clipped at the cycle, since a time
+    already past acts exactly like the cycle itself).  When a snapshot
+    repeats, the run of signatures between the two occurrences maps that
+    state onto itself shifted by their cycle difference; for every verbatim
+    repeat of the run that follows, the schedule repeats shifted again, so
+    those periods are applied at once by moving every time forward.
+    """
+    n = len(sigs)
+    ready = [0] * n_regs  # cycle each register's value is ready
+    acc_ready = [0] * n_regs  # the same for an accumulate chain
+    cur = slots = mem_free = neon_free = 0
+    seen: dict[tuple, list[tuple[int, int]]] = {}
+    pos = 0
+    while pos < n:
+        start, pos = pos, n
+        for i in range(start, n):
+            s = sigs[i]
+            if s == anchor:
+                key = (slots,
+                       mem_free - cur if mem_free > cur else 0,
+                       neon_free - cur if neon_free > cur else 0,
+                       *[r - cur if r > cur else 0 for r in ready],
+                       *[r - cur if r > cur else 0 for r in acc_ready])
+                hits = seen.get(key)
+                if hits is None:
+                    if len(seen) >= _MAX_SNAPSHOTS:
+                        seen.clear()
+                    seen[key] = [(i, cur)]
+                else:
+                    # the newest earlier visit whose run repeats from here
+                    for p, c0 in reversed(hits):
+                        m = _repeats(sigs, p, i)
+                        if m:
+                            break
+                    if m:
+                        shift = m * (cur - c0)
+                        cur += shift
+                        mem_free += shift
+                        neon_free += shift
+                        ready = [r + shift for r in ready]
+                        acc_ready = [r + shift for r in acc_ready]
+                        pos = i + m * (i - p)  # resume the scan there
+                        break
+                    hits.append((i, cur))
+                    if len(hits) > _VISITS_KEPT:
+                        del hits[0]
+
+            mem_c, neon_c, lat, acc_lat, is_acc, srcs, dsts = rows[s]
+            # operand readiness (an accumulator operand uses forwarding)
+            t = cur
+            for r in srcs:
+                if ready[r] > t:
+                    t = ready[r]
+            if is_acc:
+                for r in dsts:
+                    if acc_ready[r] > t:
+                        t = acc_ready[r]
+            if mem_c and mem_free > t:
+                t = mem_free
+            if neon_c and neon_free > t:
+                t = neon_free
+            if t > cur:
+                cur = t
+                slots = 1
+            elif slots < width:
+                slots += 1
+            else:  # issue slots of this cycle used up
+                t = cur + 1
+                if mem_c and mem_free > t:
+                    t = mem_free
+                if neon_c and neon_free > t:
+                    t = neon_free
+                cur = t
+                slots = 1
+            if mem_c:
+                mem_free = t + mem_c
+            if neon_c:
+                neon_free = t + neon_c
+            for r in dsts:
+                ready[r] = t + lat
+                acc_ready[r] = t + acc_lat
+    return cur, mem_free, neon_free
+
+
 class PipelineModel:
-    """Greedy in-order scheduler over a cost table."""
+    """Greedy in-order scheduler over a cost table.
+
+    :meth:`schedule` is exact and costs time in proportion to a stream's
+    distinct work rather than its length: the unrolled K loop of a
+    micro-kernel is fast-forwarded period by period (see :func:`_issue`).
+    The per-instruction loop it must equal is kept as the test oracle.
+    """
 
     def __init__(self, table: CostTable = A53_COST_TABLE) -> None:
         self.table = table
 
     def schedule(self, stream: Iterable[Instr]) -> PipelineResult:
         table = self.table
-        reg_ready: dict[str, int] = {}
-        reg_ready_acc: dict[str, int] = {}
-        mem_free = 0  # first cycle the LS pipe is free
-        neon_free = 0
-        cur_cycle = 0
-        slots_used = 0
-        instructions = 0
-        mem_busy = 0
-        neon_busy = 0
-        ideal = 0
+        # a sequence keeps every object alive while decoding keys on id()
+        if not isinstance(stream, (tuple, list)):
+            stream = tuple(stream)
+        rows, sigs, n_regs = _decode(stream, table)
+        counts = Counter(sigs)
+        # the most frequent signature (the first seen, on a tie)
+        anchor = max(counts, key=counts.__getitem__) if counts else -1
+        cur, mem_free, neon_free = _issue(
+            rows, sigs, n_regs, anchor, table.issue_width)
 
-        for ins in stream:
-            instructions += 1
-            c = table.cost(ins.op)
-            is_acc = ins.op in ACCUM_OPS
-
-            # operand readiness (accumulator operand uses forwarded time)
-            ready = 0
-            for reg in ins.src:
-                ready = max(ready, reg_ready.get(reg, 0))
-            for reg in ins.dst:
-                if is_acc:
-                    ready = max(ready, reg_ready_acc.get(reg, 0))
-                # non-accumulating writes don't read dst
-
-            t = max(cur_cycle, ready)
-            if c.mem_cycles:
-                t = max(t, mem_free)
-            if c.neon_cycles:
-                t = max(t, neon_free)
-            if t == cur_cycle and slots_used >= table.issue_width:
-                t = cur_cycle + 1
-                if c.mem_cycles:
-                    t = max(t, mem_free)
-                if c.neon_cycles:
-                    t = max(t, neon_free)
-
-            # issue at cycle t
-            if t > cur_cycle:
-                cur_cycle = t
-                slots_used = 1
-            else:
-                slots_used += 1
-            if c.mem_cycles:
-                mem_free = t + c.mem_cycles
-                mem_busy += c.mem_cycles
-            if c.neon_cycles:
-                neon_free = t + c.neon_cycles
-                neon_busy += c.neon_cycles
-            for reg in ins.dst:
-                reg_ready[reg] = t + c.latency
-                reg_ready_acc[reg] = t + (c.acc_latency if c.acc_latency else c.latency)
-            ideal += 1
-
-        total = max(cur_cycle + 1, mem_free, neon_free)
+        instructions = len(sigs)
+        # pipe occupancy does not depend on when an op issues
+        mem_busy = sum(rows[s][0] * c for s, c in counts.items())
+        neon_busy = sum(rows[s][1] * c for s, c in counts.items())
+        total = max(cur + 1, mem_free, neon_free)
         min_possible = max(
             (instructions + table.issue_width - 1) // table.issue_width,
             mem_busy,

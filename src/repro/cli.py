@@ -13,7 +13,9 @@ Commands
     Print the Sec. 3.3 accumulation-chain table.
 ``kernel <scheme> <bits> <k>``
     Generate a micro-kernel, print its opcode histogram, cycle estimate
-    and (with ``--listing``) the full instruction listing.
+    and (with ``--listing``) the full instruction listing.  A width the
+    scheme does not model (``ncnn``/``sdot`` are 8-bit, ``popcount``
+    2-bit) or a non-positive ``k`` exits 2 with a one-line message.
 ``bench [--smoke] [--model M] [--batch B] ...``
     Time the Fig. 10/11 autotune sweep (serial baseline vs the pruned/
     batched/cached engine, cold and warm), verify bit-identical results,
@@ -155,10 +157,24 @@ def cmd_chains(args: argparse.Namespace) -> int:
     return 0
 
 
+#: operand width of each scheme that models exactly one
+_FIXED_KERNEL_BITS = {"ncnn": 8, "sdot": 8, "popcount": 2}
+
+
 def cmd_kernel(args: argparse.Namespace) -> int:
     from .arm.cost_model import _generate
+    from .errors import ReproError
 
-    kern = _generate(args.scheme, args.bits, args.k, True, None)
+    fixed = _FIXED_KERNEL_BITS.get(args.scheme)
+    if fixed is not None and args.bits != fixed:
+        print(f"the {args.scheme} kernel models {fixed}-bit operands only, "
+              f"got {args.bits}", file=sys.stderr)
+        return 2
+    try:
+        kern = _generate(args.scheme, args.bits, args.k, True, None)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     print(f"{kern.name}: {kern.m_r}x{kern.n_r} tile over K={kern.k}")
     print("opcode histogram:")
     for op, count in sorted(kern.summary().items()):

@@ -58,6 +58,35 @@ def test_kernel_sdot(capsys):
     assert "SDOT_4S_LANE" in out
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["smlal", "2", "64"], "unsupported bit width: 2"),
+    (["mla", "8", "64"], "unsupported bit width: 8"),
+    (["smlal", "9", "64"], "unsupported bit width: 9"),
+    (["smlal", "4", "0"], "k must be positive"),
+    (["ncnn", "4", "64"], "8-bit operands only, got 4"),
+    (["sdot", "2", "64"], "8-bit operands only, got 2"),
+    (["popcount", "8", "64"], "2-bit operands only, got 8"),
+])
+def test_kernel_rejects_bad_arguments(capsys, argv, needle):
+    """A width the scheme does not model, or a non-positive K, is a
+    one-line usage error (exit 2), never a traceback or a kernel of
+    another width."""
+    assert main(["kernel", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert needle in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("scheme, bits, name", [
+    ("ncnn", "8", "ncnn8"), ("sdot", "8", "sdot8"), ("popcount", "2", "popcount2"),
+])
+def test_kernel_fixed_width_schemes_accept_their_width(capsys, scheme, bits, name):
+    assert main(["kernel", scheme, bits, "64"]) == 0
+    assert capsys.readouterr().out.startswith(f"{name}: ")
+
+
 def test_bench_smoke(tmp_path, capsys):
     assert main(["bench", "--smoke", "--no-arm",
                  "--out", str(tmp_path),
