@@ -61,7 +61,6 @@ def assert_same_schedule(stream, what):
 
 def test_figure_streams_schedule_as_the_oracle(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_JOBS", "1")
     streams = []
 
     class Recording(PipelineModel):

@@ -12,8 +12,6 @@ this package existed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..errors import ReproError
 from ..types import ConvSpec
 from .base import Backend, BaselineFn, ConvPrice, PrewarmItem
@@ -89,41 +87,36 @@ class ArmBackend(Backend):
             )
         return self._price(perf)
 
-    def prewarm(
-        self, work: Sequence[PrewarmItem], jobs: int | None = None
-    ) -> None:
-        """Batch-schedule the distinct micro-kernel streams first, then
-        fall through to the generic per-item warm-up.
+    def _warm(self, work: list[PrewarmItem]) -> None:
+        """Batch-schedule the distinct micro-kernel streams of ``work``.
 
         One :func:`~repro.arm.conv_runner.gemm_kernel_cycles_batch` call
         per (scheme, bits) group prices a whole network's reduction
         lengths through the vectorized cost model, so each distinct
-        static schedule is computed exactly once before any worker (or
-        the serial pricing pass) asks for it.  Warming stays best-effort.
+        static schedule is computed exactly once before the serial
+        pricing pass asks for it.  A width no scheme models is skipped:
+        pricing it raises the real error.
         """
-        work = list(work)
-        if len(work) >= 2:
-            from ..arm.conv_runner import gemm_kernel_cycles_batch
-            from ..arm.cost_model import scheme_for_bits
-            from ..errors import UnsupportedBitsError
-            from ..types import GemmShape
+        from ..arm.conv_runner import gemm_kernel_cycles_batch
+        from ..arm.cost_model import scheme_for_bits
+        from ..errors import UnsupportedBitsError
+        from ..types import GemmShape
 
-            groups: dict[tuple[str, int], list[GemmShape]] = {}
-            for spec, bits, _epilogue in work:
-                try:
-                    scheme = scheme_for_bits(bits)
-                except UnsupportedBitsError:
-                    continue  # the per-item pass surfaces this properly
-                groups.setdefault((scheme, bits), []).append(GemmShape(
-                    m=spec.out_channels // spec.groups,
-                    k=spec.gemm_k, n=spec.gemm_n,
-                ))
-            for (scheme, bits), gemms in groups.items():
-                try:
-                    gemm_kernel_cycles_batch(gemms, scheme, bits)
-                except Exception as exc:  # noqa: BLE001 - warming only
-                    self._warm_failed(exc, scheme=scheme, bits=bits)
-        super().prewarm(work, jobs)
+        groups: dict[tuple[str, int], list[GemmShape]] = {}
+        for spec, bits, _epilogue in work:
+            try:
+                scheme = scheme_for_bits(bits)
+            except UnsupportedBitsError:
+                continue
+            groups.setdefault((scheme, bits), []).append(GemmShape(
+                m=spec.out_channels // spec.groups,
+                k=spec.gemm_k, n=spec.gemm_n,
+            ))
+        for (scheme, bits), gemms in groups.items():
+            try:
+                gemm_kernel_cycles_batch(gemms, scheme, bits)
+            except Exception as exc:  # noqa: BLE001 - warming only
+                self._warm_failed(exc, scheme=scheme, bits=bits)
 
     def price_elementwise(self, kind: str, elems: int) -> float:
         per_elem = {

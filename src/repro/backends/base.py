@@ -108,19 +108,16 @@ class Backend(abc.ABC):
         """Cycles for one element-wise graph op (``quantize`` /
         ``dequantize`` / ``relu``) over ``elems`` elements."""
 
-    def prewarm(
-        self, work: Sequence[PrewarmItem], jobs: int | None = None
-    ) -> None:
+    def prewarm(self, work: Sequence[PrewarmItem]) -> None:
         """Warm the backend's memo caches for ``work``; the serial pricing
         pass that follows re-reads them, so results never depend on it.
-        :meth:`_warm` fans per-conv pricing over a worker pool (``jobs``,
-        else ``REPRO_JOBS``) unless a backend overrides it with a batch.
+        A backend warms by overriding :meth:`_warm` with one batched pass.
 
-        Warming is best-effort by contract: a failure is counted
-        (``prewarm_errors``) and swallowed here, because the serial
-        pricing pass that follows re-raises — or gracefully degrades —
-        through the real error path.  Crashing a *warm-up* would turn an
-        optimization into a failure source."""
+        Warming is best-effort by contract: :meth:`_warm` counts a failure
+        (:meth:`_warm_failed`, ``prewarm_errors``) and swallows it,
+        because the serial pricing pass that follows re-raises — or
+        gracefully degrades — through the real error path.  Crashing a
+        *warm-up* would turn an optimization into a failure source."""
         from ..obs import trace as obs_trace
 
         work = list(work)
@@ -129,18 +126,11 @@ class Backend(abc.ABC):
         with obs_trace.span(
             "backend.prewarm", backend=self.name, items=len(work)
         ):
-            self._warm(work, jobs)
+            self._warm(work)
 
-    def _warm(self, work: list[PrewarmItem], jobs: int | None) -> None:
-        from ..perf.parallel import ParallelRunner
-
-        def warm_one(w: PrewarmItem) -> None:
-            try:
-                self.price_conv(w[0], w[1], epilogue=w[2])
-            except Exception as exc:  # noqa: BLE001 - warming only
-                self._warm_failed(exc, layer=w[0].name, bits=w[1])
-
-        ParallelRunner(jobs).map(warm_one, work)
+    def _warm(self, work: list[PrewarmItem]) -> None:
+        """Batch-price ``work`` into the memo caches; warms nothing by
+        default (closed-form pricers have nothing to warm)."""
 
     def _warm_failed(self, exc: Exception, **where) -> None:
         from ..obs import log as obs_log

@@ -94,13 +94,12 @@ class GpuBackend(Backend):
         )
         return self._price(spec, bits, perf, tuned=False)
 
-    def _warm(self, work: list[PrewarmItem], jobs: int | None) -> None:
+    def _warm(self, work: list[PrewarmItem]) -> None:
         """Autotune the distinct sweeps of ``work`` that miss the memo and
-        the disk store, in batched serial passes — no worker pool."""
+        the disk store, in batched serial passes."""
         from ..gpu.autotune import autotune_many
         from ..gpu.pipelinemodel import conv_gemm_shape
 
-        del jobs
         try:
             autotune_many([(conv_gemm_shape(s), b, _epilogue_kwargs(b, e, {}))
                            for s, b, e in work], device=self.machine)

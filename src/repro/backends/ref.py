@@ -69,10 +69,6 @@ class RefBackend(Backend):
             raise ReproError(f"unknown element-wise op {kind!r} on {self.name}")
         return elems / self.machine.elementwise_per_cycle
 
-    def prewarm(self, work, jobs=None) -> None:
-        # nothing to warm: pricing is closed-form arithmetic
-        return
-
     def peak_ops_per_sec(self, bits: int) -> float:
         del bits  # flat-rate machine: width-independent by construction
         return self.machine.macs_per_cycle * self.machine.clock_hz

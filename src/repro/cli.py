@@ -17,9 +17,10 @@ Commands
     scheme does not model (``ncnn``/``sdot`` are 8-bit, ``popcount``
     2-bit) or a non-positive ``k`` exits 2 with a one-line message.
 ``bench [--smoke] [--model M] [--batch B] ...``
-    Time the Fig. 10/11 autotune sweep (serial baseline vs the pruned/
-    batched/cached engine, cold and warm), verify bit-identical results,
-    and write ``BENCH_*.json`` (see :mod:`repro.perf.bench`).
+    Time the Fig. 10/11 autotune sweep on an empty and then a warm
+    persistent cache, verify bit-identical results, and write
+    ``BENCH_*.json`` (see :mod:`repro.perf.bench`).  ``--smoke`` times
+    only the GPU section, so ``--smoke --backend arm`` exits 2.
 ``profile <target> [--trace out.json] [--metrics out.json]``
     Run one figure (or a whole model) under the :mod:`repro.obs` tracer
     and metrics registry; print a text summary and optionally write a
@@ -190,11 +191,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .errors import ReproError
     from .perf.bench import DEFAULT_OUT_DIR, run_bench
 
     backends = (args.backend,) if args.backend in ("gpu", "arm") else ("gpu", "arm")
-    if args.no_arm:
-        backends = tuple(b for b in backends if b != "arm")
     try:
         run_bench(
             model=args.model,
@@ -211,6 +211,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             flamegraph_path=args.flamegraph,
             stacks_path=args.stacks,
         )
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"bench FAILED: {exc}", file=sys.stderr)
         return 1
@@ -594,9 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--backend", default="all",
                     choices=["all", "gpu", "arm"],
                     help="which backend sections to run (default: all)")
-    bp.add_argument("--no-arm", action="store_true",
-                    help="skip the ARM schedule-cache section "
-                         "(same as --backend gpu)")
     bp.add_argument("--trace", default=None, metavar="OUT.json",
                     help="also record a Chrome/Perfetto trace of the run")
     bp.add_argument("--metrics", default=None, metavar="OUT.json",

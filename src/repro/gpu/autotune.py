@@ -52,9 +52,9 @@ of failing template instantiations by skipping them):
   and tallies — equals the fault-free sweep's; the chaos suite asserts it.
 
 ``autotune_reference`` keeps the original exhaustive loop as the
-equivalence baseline for tests and ``python -m repro bench``; its
+equivalence oracle for tests; nothing in production calls it.  Its
 profile runs wear the same retry armor so a seeded chaos plan cannot
-kill the baseline either.
+kill the oracle either.
 """
 
 from __future__ import annotations
@@ -239,16 +239,10 @@ def profile_quarantine() -> Quarantine:
 
 @dataclass(frozen=True)
 class AutotuneOptions:
-    """Session-wide search-engine switches (see :func:`autotune_options`).
-
-    ``engine=False`` routes every :func:`autotune` call through
-    :func:`autotune_reference` (memoized in-process only) — the bench
-    harness uses it to time the pre-optimization serial path faithfully.
-    """
+    """Session-wide search-engine switches (see :func:`autotune_options`)."""
 
     prune: bool = True
     persistent: bool = True
-    engine: bool = True
 
 
 _OPTIONS = AutotuneOptions()
@@ -259,16 +253,14 @@ def autotune_options(
     *,
     prune: bool | None = None,
     persistent: bool | None = None,
-    engine: bool | None = None,
 ):
-    """Temporarily override engine defaults (bench/tests); process-wide,
+    """Temporarily override engine defaults (tests); process-wide,
     so configure it around a run, not from inside concurrent callers."""
     global _OPTIONS
     prev = _OPTIONS
     _OPTIONS = AutotuneOptions(
         prune=prev.prune if prune is None else prune,
         persistent=prev.persistent if persistent is None else persistent,
-        engine=prev.engine if engine is None else engine,
     )
     try:
         yield _OPTIONS
@@ -532,11 +524,12 @@ def autotune_reference(
     device: GpuDevice = TU102,
     **kernel_kwargs,
 ) -> AutotuneResult:
-    """The original serial exhaustive sweep, kept as the equivalence
-    baseline: no pruning, no parallelism, no caching of any kind.
-    ``python -m repro bench`` times the engine against this.  Profile
-    runs wear the same retry/quarantine armor as the engine so a chaos
-    plan degrades the baseline identically instead of killing it."""
+    """The original serial exhaustive sweep, kept as the tests' oracle:
+    no pruning, no batching, no caching of any kind, and no production
+    caller.  ``benchmarks/test_autotune_engine_speedup.py`` times the
+    engine against it.  Profile runs wear the same retry/quarantine armor
+    as the engine so a chaos plan degrades the oracle identically instead
+    of killing it."""
     best: TilingParams | None = None
     best_perf: GpuKernelPerf | None = None
     policy = ExecPolicy.resolve()
@@ -632,14 +625,9 @@ def autotune_many(
     for digest, (gemm, bits, kwargs) in zip(digests, sweeps):
         if digest in outcome:
             continue
-        cached = _cached(digest, gemm, bits, persistent and opts.engine)
+        cached = _cached(digest, gemm, bits, persistent)
         if cached is not None:
             outcome[digest] = cached
-        elif not opts.engine:
-            # faithful pre-optimization path: serial exhaustive sweep,
-            # memoized in-process only (the original module-level dict)
-            outcome[digest] = _MEM_CACHE.setdefault(digest, autotune_reference(
-                gemm, bits, device=device, **kwargs))
         else:
             outcome[digest] = None  # claimed: computed below
             groups.setdefault((bits, repr(sorted(kwargs.items()))), []).append(

@@ -27,7 +27,7 @@ the reproduction carries its own instrumentation:
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled counters,
   gauges and histograms.  Coarse, always-on events (cache hits/misses,
   autotune candidates evaluated/pruned, per-layer cycle gauges) cost one
-  dict update each; per-candidate detail (bound gaps, worker timings) is
+  dict update each; per-candidate detail (bound gaps, schedule stalls) is
   gated on :func:`trace.active` so the disabled path stays free;
 * :mod:`repro.obs.log` — an env-gated structured logger
   (``REPRO_LOG=debug|info|warning``) that turns the library's silent

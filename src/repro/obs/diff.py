@@ -680,7 +680,7 @@ def _bench_phases(doc: dict) -> dict[str, float]:
     ledger's ``wall_seconds`` keys so the two sources align."""
     out: dict[str, float] = {}
     gpu = doc.get("gpu_autotune") or {}
-    for phase in ("serial", "cold", "warm"):
+    for phase in ("cold", "warm"):
         sec = (gpu.get(phase) or {}).get("seconds")
         if isinstance(sec, (int, float)):
             out[f"gpu_{phase}"] = float(sec)

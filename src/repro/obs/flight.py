@@ -10,9 +10,6 @@ side of the story:
   span (see :func:`repro.obs.trace.span`) derives a child context on
   entry and restores its parent on exit, so span records — whichever
   sink they land in — know their position in the request tree.
-  :class:`repro.perf.parallel.ParallelRunner` re-activates the caller's
-  context inside worker threads/processes, so a parallel autotune sweep
-  produces one coherent parent-child tree instead of per-thread islands.
 
 * **The flight recorder.**  A process-wide, bounded ring buffer
   (:class:`FlightRecorder`, default :data:`DEFAULT_CAPACITY` events,
@@ -91,8 +88,8 @@ def wall_epoch_us() -> float:
 # ---------------------------------------------------------------------------
 
 _ID_COUNTER = itertools.count(1)
-#: per-process id prefix: pid + startup wall clock, so ids from workers
-#: of a process pool never collide with the parent's
+#: per-process id prefix: pid + startup wall clock, so ids in dumps from
+#: different processes never collide when merged offline
 _ID_PREFIX = f"{os.getpid() & 0xFFFF:04x}{int(_EPOCH_WALL_US) & 0xFFFFFF:06x}"
 
 
@@ -102,11 +99,7 @@ def _next_id() -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Position of the current operation in a trace tree.
-
-    Immutable and picklable: :class:`~repro.perf.parallel.ParallelRunner`
-    ships it into process-pool workers verbatim.
-    """
+    """Position of the current operation in a trace tree (immutable)."""
 
     trace_id: str
     span_id: str
@@ -139,24 +132,6 @@ def _set_context(ctx: "TraceContext | None") -> None:
     """Install ``ctx`` on this thread (the span fast path; no nesting
     bookkeeping — callers restore the previous value themselves)."""
     _TLS.ctx = ctx
-
-
-@contextlib.contextmanager
-def context(ctx: "TraceContext | None") -> Iterator["TraceContext | None"]:
-    """Activate ``ctx`` for the block (the worker-side propagation hook).
-
-    ``context(None)`` is a no-op: propagating "no context" costs nothing
-    and changes nothing, so callers never need to branch.
-    """
-    if ctx is None:
-        yield None
-        return
-    prev = current_context()
-    _set_context(ctx)
-    try:
-        yield ctx
-    finally:
-        _set_context(prev)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,6 @@ def build_entry(
     kind: str,
     model: str,
     batch: int,
-    jobs: int,
     backends: list[str],
     timestamp: str,
     model_cycles: dict[str, Any],
@@ -225,7 +224,6 @@ def build_entry(
         "kind": kind,
         "model": model,
         "batch": batch,
-        "jobs": jobs,
         "backends": list(backends),
         "model_cycles": model_cycles,
         "figures": figures,

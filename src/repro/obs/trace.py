@@ -18,15 +18,16 @@ Design rules:
   derivation, two clock reads and a ring append — both regimes are
   bounded by tests (``tests/test_obs_trace.py``,
   ``tests/test_obs_flight.py``).
-* **Thread-safe and nestable.**  Spans record their OS thread id, so the
-  :class:`~repro.perf.parallel.ParallelRunner` workers appear as separate
-  tracks in Perfetto; recording appends under a lock.  Every real span
-  also derives a :class:`~repro.obs.flight.TraceContext` on entry, so
-  records carry explicit ``trace_id``/``span_id``/``parent_id`` linkage
-  on top of the visual time-containment nesting.
+* **Thread-safe and nestable.**  Spans record their OS thread id, so
+  work on other threads (``repro top``'s workload, policy timeouts)
+  appears as separate tracks in Perfetto; recording appends under a
+  lock.  Every real span also derives a
+  :class:`~repro.obs.flight.TraceContext` on entry, so records carry
+  explicit ``trace_id``/``span_id``/``parent_id`` linkage on top of the
+  visual time-containment nesting.
 * **Timestamps share one monotonic base.**  All spans are stamped from
   :func:`repro.obs.flight.monotonic_us` — a single per-process
-  ``perf_counter`` epoch — so spans recorded by different workers (or
+  ``perf_counter`` epoch — so spans recorded by different threads (or
   different tracers) merge in a consistent order.  Wall-clock enters
   only as the trace epoch, exported as ``otherData`` metadata.
 """

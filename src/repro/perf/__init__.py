@@ -3,10 +3,6 @@
 Everything under :mod:`repro.perf` makes the reproduction *faster without
 changing any result*:
 
-* :class:`~repro.perf.parallel.ParallelRunner` — ``concurrent.futures``
-  fan-out with a deterministic, input-order merge, so parallel runs are
-  bit-for-bit identical to serial ones (``REPRO_JOBS`` overrides the
-  worker count);
 * :class:`~repro.perf.cache.PersistentCache` — content-addressed
   JSON-on-disk memoization under ``~/.cache/repro`` (``REPRO_CACHE_DIR``
   overrides), tolerant of corruption and unwritable filesystems;
@@ -26,11 +22,8 @@ branch-and-bound pruned sweep), the ARM static scheduler memo
 from __future__ import annotations
 
 from .cache import PersistentCache, code_fingerprint, stable_hash
-from .parallel import ParallelRunner, resolve_jobs
 
 __all__ = [
-    "ParallelRunner",
-    "resolve_jobs",
     "PersistentCache",
     "stable_hash",
     "code_fingerprint",

@@ -1,24 +1,23 @@
 """Wall-clock benchmark harness: ``python -m repro bench``.
 
 Times the Fig. 10/11 autotune sweep (the dominant cost of the GPU figure
-reproductions) in three phases over an isolated cache directory:
+reproductions) in two phases over an isolated cache directory:
 
-* ``serial``  — the pre-optimization baseline: the original exhaustive
-  single-threaded sweep (``autotune_reference`` semantics), in-process
-  memo only;
-* ``cold``    — the search engine with an *empty* persistent cache:
+* ``cold`` — the search engine with an *empty* persistent cache:
   branch-and-bound pruning + batched vectorized candidate pricing;
-* ``warm``    — the engine again with the persistent cache the cold phase
+* ``warm`` — the engine again with the persistent cache the cold phase
   just wrote: every sweep is a content-addressed disk hit.
 
 Each phase regenerates the actual figure data, so besides wall-clock the
-harness asserts the engine changes **nothing**: identical best tilings,
-identical ``best_cycles`` and identical figure series versus the serial
-baseline.  Results (wall-clock, speedups, cache hit rates, candidates
-pruned, equivalence verdicts) are written to ``BENCH_*.json`` so the perf
-trajectory is tracked from PR to PR; ``--smoke`` runs a three-layer sweep
-for CI.  An ``arm`` section times the Fig. 7 reproduction cold vs warm
-through the persistent static-schedule cache.
+harness asserts the cache changes **nothing**: identical best tilings,
+identical ``best_cycles`` and identical figure series in both phases.
+Results (wall-clock, the warm speedup, cache hit rates, candidates
+pruned, equivalence verdicts) are written to ``BENCH_*.json``;
+``--smoke`` runs a three-layer sweep for CI.  An ``arm`` section times
+the Fig. 7 reproduction cold vs warm through the persistent
+static-schedule cache; it needs the full run.  The engine's speedup over
+the exhaustive reference sweep is checked by
+``benchmarks/test_autotune_engine_speedup.py``, where that oracle lives.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ..errors import ReproError
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..perf.cache import CACHE_DIR_ENV
-from ..perf.parallel import resolve_jobs
 from ..resilience import atomic as res_atomic
 
 #: bump when the BENCH_*.json layout changes
@@ -64,9 +63,6 @@ class PhaseReport:
     candidates: int = 0
     evaluated: int = 0
     pruned: int = 0
-    #: which candidate-pricing engine the phase ran: ``vector`` (the
-    #: engine's batched numpy pricing) or ``scalar`` (the reference sweep)
-    pricing_mode: str = "scalar"
     #: per "<layer>/<bits>b": [tiling description, best_cycles]
     best: dict[str, list] = field(default_factory=dict)
     #: per figure name: {series name: [values...]}
@@ -91,7 +87,6 @@ class PhaseReport:
             "pruned_fraction": (
                 round(self.pruned / self.candidates, 4) if self.candidates else 0.0
             ),
-            "pricing_mode": self.pricing_mode,
             "candidates_per_sec": round(cps, 1) if cps is not None else None,
         }
 
@@ -143,50 +138,37 @@ def _gpu_sweep_items(model: str, batch: int, smoke: bool):
 
 
 def _run_gpu_phase(
-    name: str,
-    *,
-    model: str,
-    batch: int,
-    smoke: bool,
-    engine: bool,
-    persistent: bool,
+    name: str, *, model: str, batch: int, smoke: bool
 ) -> PhaseReport:
     from ..figures import fig10_gpu_speedups, fig11_gpu_autotune
-    from ..gpu.autotune import (
-        autotune_conv,
-        autotune_options,
-        cache_store,
-        clear_cache,
-    )
+    from ..gpu.autotune import autotune_conv, cache_store, clear_cache
 
     clear_cache()  # in-process memo only; the disk store is the subject
     store = cache_store()
     store.reset_stats()
     items = _gpu_sweep_items(model, batch, smoke)
 
-    report = PhaseReport(
-        name=name, seconds=0.0, pricing_mode="vector" if engine else "scalar")
+    report = PhaseReport(name=name, seconds=0.0)
     t0 = time.perf_counter()
-    with autotune_options(engine=engine, persistent=persistent):
-        if smoke:
-            for spec, bits in items:
-                autotune_conv(spec, bits)
-        else:
-            report.series[f"fig10[{model},b{batch}]"] = _figure_series(
-                fig10_gpu_speedups(model, batch=batch))
-            report.series[f"fig11[{model},b{batch}]"] = _figure_series(
-                fig11_gpu_autotune(model, batch=batch))
-        report.seconds = time.perf_counter() - t0
-
-        # collected after the clock stops: every call below is a memo hit
+    if smoke:
         for spec, bits in items:
-            res = autotune_conv(spec, bits)
-            report.best[f"{spec.name}/{bits}b"] = [
-                res.best.describe(), res.best_cycles
-            ]
-            report.candidates += res.candidates
-            report.evaluated += res.evaluated
-            report.pruned += res.pruned
+            autotune_conv(spec, bits)
+    else:
+        report.series[f"fig10[{model},b{batch}]"] = _figure_series(
+            fig10_gpu_speedups(model, batch=batch))
+        report.series[f"fig11[{model},b{batch}]"] = _figure_series(
+            fig11_gpu_autotune(model, batch=batch))
+    report.seconds = time.perf_counter() - t0
+
+    # collected after the clock stops: every call below is a memo hit
+    for spec, bits in items:
+        res = autotune_conv(spec, bits)
+        report.best[f"{spec.name}/{bits}b"] = [
+            res.best.describe(), res.best_cycles
+        ]
+        report.candidates += res.candidates
+        report.evaluated += res.evaluated
+        report.pruned += res.pruned
     report.cache = store.stats.as_dict()
     return report
 
@@ -233,14 +215,17 @@ def run_bench(
     history_dir: str | os.PathLike | None = None,
     echo: Callable[[str], None] = print,
 ) -> pathlib.Path:
-    """Run the three-phase bench and write ``BENCH_*.json``; returns the
+    """Run the cold/warm bench and write ``BENCH_*.json``; returns the
     report path.  ``cache_dir=None`` uses a throwaway temp dir so the run
     is hermetic; pass a directory to keep the warm cache around.
 
     ``backends`` selects the sections to run; names are validated against
-    the :mod:`repro.backends` registry (``gpu`` times the autotune engine
-    against the serial baseline, ``arm`` times the static-schedule cache;
-    other registered backends have no sweep to bench and are rejected).
+    the :mod:`repro.backends` registry (``gpu`` times the autotune cache,
+    ``arm`` the static-schedule cache; other registered backends have no
+    sweep to bench and are rejected).  A selection that would measure
+    nothing — ``smoke`` without ``gpu``, since the smoke run skips the
+    ARM section — raises :class:`~repro.errors.ReproError` before any
+    work or output.
 
     The report always carries a ``metrics`` block (the
     :mod:`repro.obs.metrics` snapshot covering the whole run).
@@ -273,6 +258,11 @@ def run_bench(
             f"no bench section for backend(s) {', '.join(unbenchable)}; "
             f"benchable: gpu, arm"
         )
+    if smoke and "gpu" not in backends:
+        raise ReproError(
+            "bench --smoke measures only the gpu section; "
+            "drop --smoke to time the arm section"
+        )
     t_start = time.time()
     obs_metrics.reset()  # the metrics block describes this run only
     with ExitStack() as stack:
@@ -285,20 +275,12 @@ def run_bench(
             sampler = stack.enter_context(
                 obs_sampler.sampling(interval_s=sample_interval_ms / 1e3))
         stack.enter_context(_isolated_cache_dir(cache_dir))
-        serial = cold = warm = None
+        cold = warm = None
         if "gpu" in backends:
-            serial = _run_gpu_phase(
-                "serial", model=model, batch=batch, smoke=smoke,
-                engine=False, persistent=False,
-            )
             cold = _run_gpu_phase(
-                "cold", model=model, batch=batch, smoke=smoke,
-                engine=True, persistent=True,
-            )
+                "cold", model=model, batch=batch, smoke=smoke)
             warm = _run_gpu_phase(
-                "warm", model=model, batch=batch, smoke=smoke,
-                engine=True, persistent=True,
-            )
+                "warm", model=model, batch=batch, smoke=smoke)
         arm_section = None
         if "arm" in backends and not smoke:
             arm_cold = _run_arm_phase("arm-cold", model=model)
@@ -313,17 +295,13 @@ def run_bench(
 
     gpu_section = None
     identical_best = identical_series = True
-    if serial is not None:
-        identical_best = serial.best == cold.best == warm.best
-        identical_series = (_equal_series(serial.series, cold.series)
-                            and _equal_series(serial.series, warm.series))
-        speedup_cold = serial.seconds / cold.seconds if cold.seconds else None
-        speedup_warm = serial.seconds / warm.seconds if warm.seconds else None
+    if cold is not None:
+        identical_best = cold.best == warm.best
+        identical_series = _equal_series(cold.series, warm.series)
+        speedup_warm = cold.seconds / warm.seconds if warm.seconds else None
         gpu_section = {
-            "serial": serial.as_dict(),
             "cold": cold.as_dict(),
             "warm": warm.as_dict(),
-            "speedup_cold": round(speedup_cold, 3) if speedup_cold else None,
             "speedup_warm": round(speedup_warm, 3) if speedup_warm else None,
             "identical_best": identical_best,
             "identical_series": identical_series,
@@ -342,8 +320,6 @@ def run_bench(
                  "cpus": os.cpu_count()},
         "model": model,
         "batch": batch,
-        # the worker count of the bench's one pool, the ARM prewarm's
-        "jobs": resolve_jobs(),
         "backends": list(backends),
         "gpu_autotune": gpu_section,
         "arm_schedule": arm_section,
@@ -366,17 +342,13 @@ def run_bench(
     echo(f"== bench: {model} batch {batch}"
          f"{' (smoke)' if smoke else ''} ==")
     if gpu_section is not None:
-        echo(f"serial baseline : {serial.seconds:8.3f} s "
-             f"({serial.evaluated} profile runs)")
+        cold_cps = gpu_section["cold"]["candidates_per_sec"]
         echo(f"engine cold     : {cold.seconds:8.3f} s  "
-             f"speedup {gpu_section['speedup_cold']}x  "
-             f"(pruned {cold.pruned}/{cold.candidates} candidates)")
+             f"(pruned {cold.pruned}/{cold.candidates} candidates, "
+             f"{cold_cps if cold_cps is not None else '—'} candidates/s)")
         echo(f"engine warm     : {warm.seconds:8.3f} s  "
              f"speedup {gpu_section['speedup_warm']}x  "
              f"(cache hit rate {warm.cache.get('hit_rate', 0.0):.0%})")
-        cold_cps = gpu_section["cold"]["candidates_per_sec"]
-        echo(f"pricing mode    : {cold.pricing_mode}  "
-             f"(cold {cold_cps if cold_cps is not None else '—'} candidates/s)")
         echo(f"identical best tilings: {identical_best}   "
              f"identical figure series: {identical_series}")
     if arm_section:
@@ -417,24 +389,23 @@ def run_bench(
             echo(f"wrote collapsed stacks {spath}")
     if not (identical_best and identical_series):
         raise AssertionError(
-            "bench equivalence check failed: engine results differ from the "
-            f"serial baseline (see {path})"
+            "bench equivalence check failed: the warm (cached) results "
+            f"differ from the cold search (see {path})"
         )
     if save:
         # only verified runs enter the ledger: the equivalence gate above
-        # has already vouched that the engine changed nothing
+        # has already vouched that the cache changed nothing
         from ..obs.history import BenchLedger, build_entry
 
         figures: dict[str, dict[str, list[float]]] = {}
         model_cycles: dict[str, list] = {}
         wall: dict[str, float] = {}
         throughput: dict[str, float] = {}
-        if serial is not None:
+        if cold is not None:
             model_cycles = dict(warm.best)
-            wall.update({"gpu_serial": serial.seconds,
-                         "gpu_cold": cold.seconds,
+            wall.update({"gpu_cold": cold.seconds,
                          "gpu_warm": warm.seconds})
-            for phase in (serial, cold, warm):
+            for phase in (cold, warm):
                 figures.update(phase.series)
                 cps = phase.candidates_per_sec
                 if cps is not None:
@@ -447,7 +418,6 @@ def run_bench(
             kind=payload["kind"],
             model=model,
             batch=batch,
-            jobs=payload["jobs"],
             backends=list(backends),
             timestamp=payload["timestamp"],
             model_cycles=model_cycles,
@@ -456,8 +426,6 @@ def run_bench(
             metrics_snapshot=payload["metrics"],
             throughput=throughput or None,
         )
-        from ..errors import ReproError
-
         try:
             ledger_path = BenchLedger(history_dir).append(entry)
         except (OSError, ReproError) as exc:

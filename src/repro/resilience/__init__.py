@@ -11,8 +11,8 @@ the failures themselves *reproducible*:
 :mod:`repro.resilience.faults`
     A deterministic, env/config-driven fault-injection framework.
     ``inject("autotune.profile", key=digest)`` hooks are wired into named
-    sites across the cache, the parallel runner, the bench harness, the
-    GPU autotuner, the bench-history ledger and the runtime executor;
+    sites across the cache, the bench harness, the GPU autotuner, the
+    bench-history ledger and the runtime executor;
     a seeded :class:`FaultPlan` (``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED``)
     decides — purely from ``(seed, site, key)`` — whether a call raises,
     delays, corrupts bytes or returns garbage, so chaos runs replay

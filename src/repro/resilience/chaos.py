@@ -156,7 +156,7 @@ def scenario_executor_degradation() -> ScenarioResult:
     before = fallbacks.value
 
     with fault_plan("executor.price_conv:raise:1.0:1", seed=CANNED_SEED):
-        report = estimate_graph_cycles(graph, "gpu", jobs=1)
+        report = estimate_graph_cycles(graph, "gpu")
 
     res.check(report.total_cycles > 0,
               f"graph report completed ({report.total_cycles:,.0f} cycles)")

@@ -4,7 +4,7 @@ Chaos engineering only pays off when a failing run can be replayed, so
 every decision here is a pure function of ``(plan seed, site, key,
 attempt)`` — never of wall-clock time, thread scheduling or a shared RNG
 stream.  Two runs with the same plan inject the same faults at the same
-operations even if the parallel runner interleaves them differently.
+operations even if threads interleave them differently.
 
 Usage::
 

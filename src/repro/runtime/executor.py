@@ -149,19 +149,19 @@ class GraphCostReport:
         return len(self.op_cycles)
 
 
-def _prewarm_conv_costs(graph: Graph, backend: Backend, jobs: int | None) -> None:
+def _prewarm_conv_costs(graph: Graph, backend: Backend) -> None:
     """Hand the per-conv autotune/pricing work to the backend's
     :meth:`~repro.backends.Backend.prewarm` so the serial pricing loop
     below only reads memo caches.  Purely a warm-up: results are re-read
-    from the caches in graph order, so the report is identical for any
-    worker count (including zero prewarming)."""
+    from the caches in graph order, so the report is identical with or
+    without it."""
     work = []
     for op in graph:
         if op.kind != "conv":
             continue
         spec: ConvSpec = op.attrs["spec"]
         work.append((spec, op.attrs["bits"], op.attrs.get("epilogue", "requant")))
-    backend.prewarm(work, jobs=jobs)
+    backend.prewarm(work)
 
 
 def _price_conv_with_fallback(
@@ -195,7 +195,7 @@ def _price_conv_with_fallback(
 
 
 def estimate_graph_cycles(
-    graph: Graph, backend: "str | Backend" = "gpu", *, jobs: int | None = None
+    graph: Graph, backend: "str | Backend" = "gpu"
 ) -> GraphCostReport:
     """Price every op of the pipeline on a registered backend.
 
@@ -205,9 +205,8 @@ def estimate_graph_cycles(
     in — this graph carries those ops explicitly); element-wise ops go
     through :meth:`Backend.price_elementwise`.  ``backend`` is a
     registered name (``repro.backends.available_backends()``) or a
-    :class:`Backend` instance.  ``jobs`` bounds a pooled prewarm of the
-    per-conv costs (``REPRO_JOBS`` applies when unset; gpu batches its
-    prewarm instead); the report is assembled serially either way.
+    :class:`Backend` instance.  The backend's batched prewarm fills its
+    memo caches first; the report is then assembled serially.
 
     Per-conv pricing degrades gracefully: a failing backend price falls
     back to the ``ref`` backend (see :func:`_price_conv_with_fallback`)
@@ -215,7 +214,7 @@ def estimate_graph_cycles(
     """
     be = get_backend(backend)
     with obs_trace.span("executor.prewarm", cat="executor", backend=be.name):
-        _prewarm_conv_costs(graph, be, jobs)
+        _prewarm_conv_costs(graph, be)
     report = GraphCostReport(backend=be.name)
     # the element-wise ops act on the most recent conv's output tensor
     last_elems = 0

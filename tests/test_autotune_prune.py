@@ -190,9 +190,8 @@ def test_corrupt_persistent_entry_recomputes():
     assert store.stats.puts == 1
 
 
-def test_autotune_conv_uses_the_cache(monkeypatch):
+def test_autotune_conv_uses_the_cache():
     spec = get_model_layers("resnet50")[2]
-    monkeypatch.setenv("REPRO_JOBS", "2")
     r1 = autotune_conv(spec, 4)
     assert autotune_conv(spec, 4) is r1
     assert r1.best_cycles > 0

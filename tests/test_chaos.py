@@ -159,8 +159,8 @@ def test_all_candidates_dead_raises_not_empty(monkeypatch):
 def test_bench_smoke_completes_under_transient_faults(
         tmp_path, monkeypatch, capsys):
     """The acceptance criterion end to end: a seeded transient plan over
-    the smoke bench changes nothing — the engine-vs-reference equality
-    asserted inside the bench still holds, and the report is intact."""
+    the smoke bench changes nothing — the cold-vs-warm equality asserted
+    inside the bench still holds, and the report is intact."""
     from repro.cli import main
 
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
@@ -169,7 +169,7 @@ def test_bench_smoke_completes_under_transient_faults(
         "autotune.profile:raise:0.3:2;cache.get:garbage:0.15:1;"
         "cache.put:raise:0.1:1", seed=CANNED_SEED)
     with fault_plan(plan):
-        rc = main(["bench", "--smoke", "--no-arm",
+        rc = main(["bench", "--smoke", "--backend", "gpu",
                    "--out", str(tmp_path),
                    "--cache-dir", str(tmp_path / "cache")])
     assert rc == 0

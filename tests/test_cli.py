@@ -88,7 +88,7 @@ def test_kernel_fixed_width_schemes_accept_their_width(capsys, scheme, bits, nam
 
 
 def test_bench_smoke(tmp_path, capsys):
-    assert main(["bench", "--smoke", "--no-arm",
+    assert main(["bench", "--smoke", "--backend", "gpu",
                  "--out", str(tmp_path),
                  "--cache-dir", str(tmp_path / "cache")]) == 0
     out = capsys.readouterr().out
@@ -98,11 +98,18 @@ def test_bench_smoke(tmp_path, capsys):
     import json
 
     data = json.loads(report.read_text())
-    assert data["gpu_autotune"]["identical_series"] is True
+    assert data["kind"] == "smoke"
+    gpu = data["gpu_autotune"]
+    assert gpu["identical_best"] is True
+    assert gpu["identical_series"] is True
+    # the cold phase searched (and pruned), the warm one read the cache
+    assert gpu["cold"]["pruned"] > 0
+    assert gpu["cold"]["candidates_per_sec"] > 0
+    assert gpu["warm"]["cache"]["hit_rate"] > 0.9
     # the report always carries an obs metrics block and, since v3, the
     # git/fingerprint provenance used by the bench-history ledger
     assert data["schema"] == 3
-    assert "fingerprint" in data
+    assert data["fingerprint"]
     metrics = data["metrics"]
     assert set(metrics) >= {"schema", "counters", "gauges", "histograms"}
     assert any(k.startswith("cache_lookups{") for k in metrics["counters"])
@@ -113,7 +120,7 @@ def test_bench_smoke(tmp_path, capsys):
 def test_bench_smoke_trace_and_metrics_outputs(tmp_path, capsys):
     tpath = tmp_path / "trace.json"
     mpath = tmp_path / "metrics.json"
-    assert main(["bench", "--smoke", "--no-arm",
+    assert main(["bench", "--smoke", "--backend", "gpu",
                  "--out", str(tmp_path),
                  "--cache-dir", str(tmp_path / "cache"),
                  "--trace", str(tpath), "--metrics", str(mpath)]) == 0
@@ -131,7 +138,7 @@ def test_bench_save_then_regress_clean(tmp_path, capsys):
     """The acceptance loop: two identical --save runs, then a clean regress."""
     hist = tmp_path / "history"
     for _ in range(2):
-        assert main(["bench", "--smoke", "--no-arm",
+        assert main(["bench", "--smoke", "--backend", "gpu",
                      "--out", str(tmp_path),
                      "--cache-dir", str(tmp_path / "cache"),
                      "--save", "--history-dir", str(hist)]) == 0
@@ -139,6 +146,19 @@ def test_bench_save_then_regress_clean(tmp_path, capsys):
     assert main(["regress", "--history-dir", str(hist)]) == 0
     out = capsys.readouterr().out
     assert "bit-identical" in out and "regress: clean" in out
+
+
+def test_bench_smoke_arm_measures_nothing_and_exits_2(tmp_path, capsys):
+    """The smoke bench has no ARM section, so an ARM-only smoke run is a
+    usage error: one stderr line, exit 2, no report and no ledger entry."""
+    assert main(["bench", "--smoke", "--backend", "arm",
+                 "--out", str(tmp_path / "out"), "--save",
+                 "--history-dir", str(tmp_path / "history")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--smoke" in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_regress_needs_two_entries(tmp_path, capsys):

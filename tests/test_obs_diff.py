@@ -237,8 +237,7 @@ def test_load_side_detects_each_file_kind(tmp_path):
         {"name": "s", "ph": "X", "dur": 5.0, "args": {}}]}))
     bench = tmp_path / "BENCH_x.json"
     bench.write_text(json.dumps({
-        "gpu_autotune": {"serial": {"seconds": 0.2},
-                         "cold": {"seconds": 0.03},
+        "gpu_autotune": {"cold": {"seconds": 0.03},
                          "warm": {"seconds": 0.001}},
         "arm_schedule": None,
         "metrics": {"counters": {"c": 1}},
@@ -252,8 +251,7 @@ def test_load_side_detects_each_file_kind(tmp_path):
     assert diff.load_side(str(trace)).kind == "trace"
     bench_side = diff.load_side(str(bench))
     assert bench_side.kind == "bench"
-    assert bench_side.phases == {"gpu_serial": 0.2, "gpu_cold": 0.03,
-                                 "gpu_warm": 0.001}
+    assert bench_side.phases == {"gpu_cold": 0.03, "gpu_warm": 0.001}
     assert diff.load_side(str(metrics)).kind == "metrics"
     assert diff.load_side(str(stacks)).stacks == {"main;hot": 10,
                                                   "main;idle": 3}

@@ -1,9 +1,10 @@
-"""The flight recorder: trace contexts, the bounded ring, propagation.
+"""The flight recorder: trace contexts, the bounded ring, telemetry.
 
-The contract under test: contexts derive parent-linked children and
-propagate across ``ParallelRunner`` workers (threads *and* processes);
-the ring is bounded, thread-safe and exports a Perfetto-loadable Chrome
-trace; every recorded span tree resolves — no orphan parents.
+The contract under test: contexts derive parent-linked children; the
+ring is bounded, thread-safe and exports a Perfetto-loadable Chrome
+trace; every recorded span tree resolves — no orphan parents — and a
+real instrumented run (the ARM prewarm) exports OpenMetrics histograms
+with span-id exemplars.
 """
 
 import json
@@ -33,23 +34,6 @@ def test_derive_without_parent_starts_fresh_trace():
     b = flight.derive(None)
     assert a.parent_id is None and b.parent_id is None
     assert a.trace_id != b.trace_id
-
-
-def test_context_manager_activates_and_restores():
-    assert flight.current_context() is None
-    ctx = flight.new_trace()
-    with flight.context(ctx):
-        assert flight.current_context() is ctx
-        inner = flight.derive(flight.current_context())
-        assert inner.trace_id == ctx.trace_id
-    assert flight.current_context() is None
-
-
-def test_context_none_is_a_no_op():
-    outer = flight.new_trace()
-    with flight.context(outer):
-        with flight.context(None):
-            assert flight.current_context() is outer
 
 
 def test_context_is_picklable():
@@ -218,33 +202,50 @@ def test_unresolved_parents_flags_evicted_parent():
 
 
 # ---------------------------------------------------------------------------
-# Worker propagation (the tentpole claim)
+# A real instrumented run: the ARM prewarm under every telemetry sink
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_parallel_map_propagates_context(mode, monkeypatch):
-    from repro.perf.parallel import ParallelRunner
+def test_arm_prewarm_telemetry(tmp_path, monkeypatch):
+    """A serial ARM prewarm on an empty schedule cache, under the flight
+    recorder, the tracer and the stack sampler: one parent-linked trace,
+    a loadable dump, stack samples, and histograms with exemplars.  The
+    tracer is needed: the scheduler records its histograms only while
+    one is active."""
+    from repro.arm.cost_model import clear_schedule_cache
+    from repro.backends import get_backend
+    from repro.models import get_model_layers
+    from repro.obs import export, metrics, sampler
 
-    monkeypatch.setenv("REPRO_EXECUTOR", mode)
-    with flight.capture() as rec:
-        with trace.span("sweep", cat="test"):
-            out = ParallelRunner(2).map(_square, list(range(8)))
-    assert out == [i * i for i in range(8)]
-    events = rec.events()
-    spans = flight.span_events(events)
-    sweep = next(s for s in spans if s.name == "sweep")
-    # one coherent trace: every span shares the sweep's trace id and
-    # resolves to a recorded parent
-    assert flight.trace_ids(events) == {sweep.trace_id}
-    assert flight.unresolved_parents(events) == []
-    if mode == "thread":
-        chunks = [s for s in spans if s.name == "parallel.chunk"]
-        assert chunks and all(s.parent_id for s in chunks)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    clear_schedule_cache()
+    metrics.reset()
+    work = [(spec, bits, None)
+            for spec in get_model_layers("resnet50")[:6]
+            for bits in (2, 4, 8)]
+    try:
+        with flight.capture() as rec, trace.capture(), \
+                sampler.sampling(interval_s=0.002) as s:
+            get_backend("arm").prewarm(work)
+        events = rec.events()
+        spans = flight.span_events(events)
+        prewarms = [e for e in spans if e.name == "backend.prewarm"]
+        schedules = [e for e in spans if e.name == "arm.schedule"]
+        assert prewarms and schedules
+        assert flight.trace_ids(prewarms + schedules) == {prewarms[0].trace_id}
+        assert flight.unresolved_parents(events) == []
 
+        doc = json.loads(rec.write(tmp_path / "flight.json").read_text())
+        assert doc["otherData"]["trace_epoch_wall_us"] > 0
+        assert any(e["ph"] == "X" for e in doc["traceEvents"])
+        assert s.sample_count > 0
 
-def _square(x):
-    return x * x
+        families = export.validate(export.render())
+        assert any(f.type == "histogram" for f in families.values())
+        assert export.exemplar_count(families) >= 1
+    finally:
+        clear_schedule_cache()
+        metrics.reset()
 
 
 # ---------------------------------------------------------------------------

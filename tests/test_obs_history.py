@@ -47,7 +47,7 @@ def test_corrupt_and_blank_lines_skipped(tmp_path):
 def test_build_entry_schema_v3(monkeypatch):
     monkeypatch.setattr(history, "git_sha", lambda: "abcdef0123456789")
     entry = build_entry(
-        kind="smoke", model="resnet50", batch=1, jobs=4,
+        kind="smoke", model="resnet50", batch=1,
         backends=["gpu", "arm"], timestamp="2026-08-06T00:00:00",
         model_cycles={"gpu_8bit": 42}, figures={"fig10": {"s": [1.0]}},
         wall_seconds={"gpu_cold": 1.23456789},
@@ -64,7 +64,7 @@ def test_build_entry_schema_v3(monkeypatch):
 def test_build_entry_without_git(monkeypatch):
     monkeypatch.setattr(history, "git_sha", lambda: None)
     entry = build_entry(
-        kind="smoke", model="resnet50", batch=1, jobs=1, backends=[],
+        kind="smoke", model="resnet50", batch=1, backends=[],
         timestamp="t0", model_cycles={}, figures={}, wall_seconds={},
         metrics_snapshot={},
     )

@@ -95,6 +95,21 @@ def test_wall_floor_ignores_millisecond_jitter(tmp_path):
     assert run_regress(history_dir=slow, echo=lambda s: None) == 1
 
 
+def test_older_entries_with_jobs_and_a_serial_phase_still_compare(tmp_path):
+    """Entries written while the bench had a serial phase carry ``jobs``
+    and a ``gpu_serial`` wall key; a newer entry without them compares
+    clean on the wall keys both sides have."""
+    old = _entry("old")
+    old["wall_seconds"]["gpu_serial"] = 0.5
+    new = _entry("new")
+    del new["jobs"]
+    _write(tmp_path, [old, new])
+    lines = []
+    assert run_regress(history_dir=tmp_path, echo=lines.append) == 0
+    assert any("wall gpu_cold" in ln for ln in lines)
+    assert not any("gpu_serial" in ln for ln in lines)
+
+
 def test_short_ledger_is_unusable(tmp_path):
     _write(tmp_path, [_entry("only")])
     assert run_regress(history_dir=tmp_path, echo=lambda s: None) == 2

@@ -4,10 +4,11 @@ The bit-level vector/scalar model equivalence lives in
 ``test_gpu_random_tilings.py``; this suite pins the *engine* behavior on
 top of it: fault-free sweeps price in numpy while fault-selected lanes
 take the guarded scalar path, identical results across the one-shape
-call, the batched prewarm and the reference sweep, the
+call, the batched prewarm and the reference sweep (fault-free and under
+the canned chaos plan), the Fig. 11 series against the reference, the
 ``evaluated + pruned + skipped == candidates`` invariant, quarantine
 fallback, the batched profile-run counter, each distinct sweep computed
-once, and the ARM batch pricers.
+once, and the ARM batch pricers and prewarm.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import pytest
 
 from repro.gpu.autotune import (
     autotune,
+    autotune_many,
     autotune_reference,
     clear_cache,
     autotune_options,
@@ -25,8 +27,11 @@ from repro.gpu.autotune import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.perf.cache import CACHE_DIR_ENV
+from repro.resilience.chaos import CANNED_SEED, CANNED_SPEC
 from repro.resilience.faults import FaultPlan, fault_plan
 from repro.types import GemmShape
+
+from .autotune_oracle import route_to_reference
 
 # the module, not the package's ``autotune`` function of the same name
 autotune_mod = importlib.import_module("repro.gpu.autotune")
@@ -231,26 +236,80 @@ def test_vector_profile_runs_counted_in_batch():
 
 
 # ---------------------------------------------------------------------------
+# Batched == one-shape == reference, end to end
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [8, 4])
+@pytest.mark.parametrize("plan", [None, CANNED_SPEC], ids=["fault-free", "canned"])
+def test_batched_equals_one_shape_equals_reference(plan, bits, monkeypatch):
+    """The batched search returns the *same* AutotuneResult as one-shape
+    calls (best tiling, exact cycles and the evaluated/pruned tallies),
+    and the winner of the reference sweep, also under the canned chaos
+    plan, whose transient profile faults the retries absorb."""
+    monkeypatch.setenv("REPRO_RETRY", "3")
+    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+    with fault_plan(plan, seed=CANNED_SEED) as active, \
+            autotune_options(persistent=False):
+        single = []
+        for gemm in _GEMMS:
+            clear_cache()
+            single.append(autotune(gemm, bits))
+        clear_cache()
+        batched = autotune_many([(gemm, bits, {}) for gemm in _GEMMS])
+        reference = [autotune_reference(gemm, bits) for gemm in _GEMMS]
+    assert (active.total_injected() > 0) == (plan is not None)
+    assert batched == single
+    for res, ref in zip(single, reference):
+        assert res.skipped == ref.skipped == 0
+        assert res.best == ref.best
+        assert res.best_perf == ref.best_perf
+        assert res.best_cycles == ref.best_cycles
+
+
+def test_fig11_series_identical_to_the_reference(monkeypatch):
+    """The Fig. 11 series regenerated through the engine, warmed by the
+    batched prewarm or priced one shape at a time with the prewarm off,
+    equal the reference sweep's float for float."""
+    from repro.backends.gpu import GpuBackend
+    from repro.figures import fig11_gpu_autotune
+
+    def series(data):
+        return (data.labels, [(s.name, tuple(s.values)) for s in data.series],
+                tuple(data.baseline_times))
+
+    reference_sweeps = obs_metrics.counter("autotune_sweeps", engine="reference")
+    before = reference_sweeps.value
+    with monkeypatch.context() as m:
+        route_to_reference(m)
+        base = series(fig11_gpu_autotune("resnet50"))
+    assert reference_sweeps.value > before
+
+    clear_cache()
+    with autotune_options(persistent=False):
+        assert series(fig11_gpu_autotune("resnet50")) == base
+    monkeypatch.setattr(GpuBackend, "_warm", lambda self, work: None)
+    clear_cache()
+    with autotune_options(persistent=False):
+        assert series(fig11_gpu_autotune("resnet50")) == base
+
+
+# ---------------------------------------------------------------------------
 # Batched GPU prewarm
 # ---------------------------------------------------------------------------
 
 
-def test_gpu_prewarm_computes_each_distinct_sweep_once(monkeypatch):
+def test_gpu_prewarm_computes_each_distinct_sweep_once():
     """Repeated items and epilogues that write the same output width
     collapse to one sweep each: the sweep counter and the store's puts
     rise by exactly the number of distinct cache digests, in one serial
-    batched call (no worker pool), and the pricing pass only reads."""
+    batched call, and the pricing pass only reads."""
     from repro.backends.gpu import GpuBackend, _epilogue_kwargs
     from repro.gpu.autotune import _sweep_digest, cache_store
     from repro.gpu.device import TU102
     from repro.gpu.pipelinemodel import conv_gemm_shape
     from repro.models import get_model_layers
-    from repro.perf.parallel import ParallelRunner
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the GPU prewarm started a worker pool")
-
-    monkeypatch.setattr(ParallelRunner, "map", no_pool)
     work = [(spec, bits, epilogue)
             for spec in get_model_layers("resnet50")[:3]
             for bits in (4, 8)
@@ -276,6 +335,31 @@ def test_gpu_prewarm_computes_each_distinct_sweep_once(monkeypatch):
         gpu.price_conv(spec, bits, epilogue)
     assert sweeps.value - before == len(digests)
     assert store.stats.puts == len(digests)
+
+
+def test_executor_prewarm_does_not_change_graph_report(monkeypatch):
+    """estimate_graph_cycles prewarms first; the report must equal the
+    one priced with the prewarm switched off."""
+    from repro.backends.base import Backend
+    from repro.models import get_model_layers
+    from repro.runtime.executor import estimate_graph_cycles
+    from repro.runtime.graph import Graph, Op
+
+    ops = []
+    for spec in get_model_layers("resnet50")[:4]:
+        ops += [
+            Op("quantize", {"bits": 4, "scale": 0.05}),
+            Op("conv", {"spec": spec, "bits": 4, "epilogue": "requant",
+                        "out_scale": 0.1}),
+            Op("dequantize", {"scale": 0.1}),
+        ]
+    graph = Graph(tuple(ops))
+    warmed = estimate_graph_cycles(graph, "gpu")
+    clear_cache(persistent=True)
+    monkeypatch.setattr(Backend, "prewarm", lambda self, work: None)
+    cold = estimate_graph_cycles(graph, "gpu")
+    assert warmed.op_cycles == cold.op_cycles
+    assert warmed.total_cycles == cold.total_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +417,33 @@ def test_arm_prewarm_batching_changes_no_prices():
     assert warmed == cold
 
 
+def test_arm_prewarm_schedules_streams_and_prices_nothing(monkeypatch):
+    """The ARM prewarm only batch-schedules streams: it makes no
+    ``price_conv`` call, and a width no scheme models neither raises nor
+    counts a ``prewarm_errors``; pricing that width still raises."""
+    from repro.arm.cost_model import clear_schedule_cache
+    from repro.backends.arm import ArmBackend
+    from repro.errors import UnsupportedBitsError
+    from repro.models import get_model_layers
+
+    calls = []
+    price_conv = ArmBackend.price_conv
+    monkeypatch.setattr(ArmBackend, "price_conv",
+                        lambda self, *a, **kw: calls.append(a))
+    computed = obs_metrics.counter("arm_schedules", outcome="computed")
+    errors = obs_metrics.counter("prewarm_errors", backend="arm")
+    before = computed.value, errors.value
+    layers = get_model_layers("resnet50")[:3]
+    backend = ArmBackend()
+    clear_schedule_cache()
+    backend.prewarm([(spec, bits, None) for spec in layers for bits in (4, 9)])
+    assert calls == []
+    assert computed.value > before[0]
+    assert errors.value == before[1]
+    with pytest.raises(UnsupportedBitsError):
+        price_conv(backend, layers[0], 9)
+
+
 # ---------------------------------------------------------------------------
 # Bench report surface
 # ---------------------------------------------------------------------------
@@ -343,10 +454,10 @@ def test_phase_report_carries_pricing_and_throughput():
 
     report = PhaseReport(
         name="cold", seconds=2.0, candidates=24016, evaluated=2400,
-        pruned=21616, pricing_mode="vector",
+        pruned=21616,
     )
     d = report.as_dict()
-    assert d["pricing_mode"] == "vector"
+    assert d["pruned_fraction"] == pytest.approx(21616 / 24016, abs=1e-4)
     assert d["candidates_per_sec"] == pytest.approx(24016 / 2.0)
     empty = PhaseReport(name="warm", seconds=0.0).as_dict()
     assert empty["candidates_per_sec"] is None
@@ -356,7 +467,7 @@ def test_ledger_entry_carries_throughput():
     from repro.obs.history import build_entry
 
     base = dict(
-        kind="full", model="resnet50", batch=1, jobs=4, backends=["gpu"],
+        kind="full", model="resnet50", batch=1, backends=["gpu"],
         timestamp="2026-08-09T00:00:00", model_cycles={}, figures={},
         wall_seconds={"gpu_cold": 0.05}, metrics_snapshot={},
     )
