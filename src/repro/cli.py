@@ -22,9 +22,9 @@ Commands
     ``BENCH_*.json`` (see :mod:`repro.perf.bench`).  ``--smoke`` times
     only the GPU section, so ``--smoke --backend arm`` exits 2.
 ``profile <target> [--trace out.json] [--metrics out.json]``
-    Run one figure (or a whole model) under the :mod:`repro.obs` tracer
-    and metrics registry; print a text summary and optionally write a
-    Chrome/Perfetto trace and a metrics snapshot.
+    Run one figure (or a whole model) under a :mod:`repro.obs.trace`
+    capture and the metrics registry; print a text summary and
+    optionally write a Chrome/Perfetto trace and a metrics snapshot.
 ``report [--html out.html] [--backend arm,gpu]``
     Roofline analytics over a model: per-layer arithmetic intensity and
     %-of-roof per backend, the Fig. 1 CAL/LD ratio, the Sec. 3.3 chain
@@ -60,9 +60,9 @@ Commands
     ``--chaos`` adds the canned transient-fault plan and a scripted
     primary-kill window (the CI gate scenario).
 ``flight [--run TARGET] [--dump OUT.json] [--last SECONDS]``
-    Inspect the always-on flight recorder (:mod:`repro.obs.flight`) and
-    export the last N seconds as a Chrome trace — after the fact, no
-    tracer required up front.
+    Inspect the always-on ring of :mod:`repro.obs.trace` and export the
+    last N seconds as a Chrome trace — after the fact, no capture
+    required up front.
 ``metrics-export [--run TARGET] [--out FILE] [--serve PORT]``
     Render the metrics registry in OpenMetrics text exposition (with
     span-id exemplars on histograms), self-validated by the strict
@@ -251,26 +251,28 @@ def _run_workload(target: str, model: str, batch: int) -> int:
 
 
 def cmd_flight(args: argparse.Namespace) -> int:
-    from .obs import flight as obs_flight
+    from .obs import trace as obs_trace
 
     if args.run:
         rc = _run_workload(args.run, args.model, args.batch)
         if rc:
             return rc
-    rec = obs_flight.recorder()
+    rec = obs_trace.ring()
     events = rec.events(last_s=args.last)
-    spans = obs_flight.span_events(events)
-    orphans = obs_flight.unresolved_parents(events)
+    spans = obs_trace.span_events(events)
+    orphans = obs_trace.unresolved_parents(events)
     window = f" in the last {args.last:g} s" if args.last is not None else ""
-    print(f"flight recorder: {'enabled' if obs_flight.enabled() else 'DISABLED'}"
+    print(f"flight recorder: "
+          f"{'enabled' if obs_trace.ring_enabled() else 'DISABLED'}"
           f", capacity {rec.capacity} events"
           f" ({rec.total_recorded} recorded, {rec.dropped} dropped)")
     print(f"{len(events)} events{window}: {len(spans)} spans, "
           f"{len(events) - len(spans)} instants, "
-          f"{len(obs_flight.trace_ids(events))} traces, "
+          f"{len(obs_trace.trace_ids(events))} traces, "
           f"{len(orphans)} unresolved parents")
     if args.dump:
-        path = rec.write(args.dump, last_s=args.last)
+        path = rec.write(args.dump, last_s=args.last,
+                         process_name="repro flight")
         print(f"wrote flight trace {path}  "
               f"(open in chrome://tracing or Perfetto)")
     elif not args.run:
@@ -621,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser(
         "profile",
-        help="run one artifact under the tracer/metrics and summarize")
+        help="run one artifact under a trace capture and summarize")
     pp.add_argument("target",
                     help="fig7..fig17, tab1, or a model name "
                          "(resnet50, scr-resnet50, densenet121)")

@@ -26,7 +26,7 @@ GPU_BITS = (8, 4)
 
 
 def _traced(fn):
-    """Wrap a figure generator in a tracer span (no-op while disabled)."""
+    """Wrap a figure generator in a trace span (no-op while disabled)."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

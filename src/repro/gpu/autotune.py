@@ -66,7 +66,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import AutotuneError
-from ..obs import flight as obs_flight
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -402,7 +401,7 @@ def _search(
         policy = ExecPolicy.resolve()
         plan = res_faults.active_plan()
         chaos = any(r.matches("autotune.profile") for r in plan.rules)
-        # per-candidate bound-gap detail only while a tracer is installed:
+        # per-candidate bound-gap detail only under a trace capture:
         # observing one histogram per profile run is wasted work otherwise
         observe_gaps = obs_trace.active()
 
@@ -493,7 +492,7 @@ def _search(
                 pruned=len(space) - lane.evaluated - lane.skipped,
                 skipped=lane.skipped,
             )
-            # inside the span: the flight-ring marker attaches to the search
+            # inside the span: the sweep marker attaches to the search
             _count_sweep(result, engine="pruned")
             results.append(result)
     return results
@@ -507,8 +506,8 @@ def _count_sweep(result: AutotuneResult, *, engine: str) -> None:
     obs_metrics.counter("autotune_evaluated", engine=engine).inc(
         result.evaluated)
     obs_metrics.counter("autotune_pruned", engine=engine).inc(result.pruned)
-    # flight-ring marker: one per sweep, addressable next to its spans
-    obs_flight.instant(
+    # marker: one per sweep, addressable next to its spans
+    obs_trace.instant(
         "autotune.sweep", cat="autotune", engine=engine,
         gemm=f"{result.gemm.m}x{result.gemm.k}x{result.gemm.n}",
         bits=result.bits, candidates=result.candidates,

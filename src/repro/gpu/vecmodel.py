@@ -376,7 +376,7 @@ def kernel_time_batch(
     Same keyword surface as :func:`repro.gpu.pipelinemodel.kernel_time`;
     every legal lane's breakdown is bit-identical to the scalar call.
     One batched profile-run counter tick replaces the scalar path's
-    per-call (tracer-gated) tick — cheap enough to record unconditionally,
+    per-call (capture-gated) tick — cheap enough to record unconditionally,
     which is what makes ``gpu_profile_runs{pricing_mode=vector}`` reliable
     in BENCH reports.
     """

@@ -4,19 +4,17 @@ Everything the paper claims rests on measurement — instruction mixes
 (Fig. 1/3), profile runs (Sec. 4.5), per-layer speedups (Fig. 7-9) — so
 the reproduction carries its own instrumentation:
 
-* :mod:`repro.obs.trace` — a span-based tracer (``trace.span("autotune",
-  bits=4)`` context managers, nestable, thread-safe) exporting Chrome
-  ``trace_event`` JSON viewable in ``chrome://tracing`` / Perfetto.
-  Without a tracer installed (``trace.capture()``, ``python -m repro
-  profile``) spans are not collected per-run, but they still land in the
-  flight recorder below; with *both* off, ``span()`` returns a shared
-  null context manager and hot paths pay two global reads;
-* :mod:`repro.obs.flight` — the always-on bounded ring-buffer **flight
-  recorder** (``REPRO_FLIGHT=0`` to disable): every span and structured
-  instant event from any thread or worker lands in one process-wide ring
-  carrying ``TraceContext`` ids, so ``python -m repro flight --dump``
-  can export the last N seconds as a parent-linked Chrome trace *after*
-  something interesting happened;
+* :mod:`repro.obs.trace` — spans (``trace.span("autotune", bits=4)``
+  context managers, nestable, thread-safe) and structured markers
+  (``trace.instant``), each carrying ``TraceContext`` ids and recorded
+  into :class:`~repro.obs.trace.Recorder` buffers that export Chrome
+  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto.  The
+  always-on bounded **ring** (``REPRO_FLIGHT=0`` to disable) lets
+  ``python -m repro flight --dump`` export the last N seconds *after*
+  something interesting happened; ``trace.capture()`` (``python -m repro
+  profile``) adds an unbounded recorder for one block.  With no recorder
+  on, ``span()`` returns a shared null context manager and hot paths pay
+  one global read;
 * :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
   sampler (``bench/profile --profile-sample``) producing collapsed
   stacks and flamegraph SVGs for the time spans don't cover;
@@ -57,24 +55,23 @@ Derived analytics build on those primitives:
   ledger trends, attribution card; no external assets).
 
 The text reporting surface is ``python -m repro profile <figure|model>``
-(:mod:`repro.obs.report`), which runs one artifact under a fresh tracer +
+(:mod:`repro.obs.report`), which runs one artifact under a fresh capture +
 metrics window and emits a text summary plus ``--trace``/``--metrics``
 JSON files.
 """
 
 from __future__ import annotations
 
-from . import export, flight, log, metrics, sampler, trace
-from .trace import Tracer, active, capture, span
+from . import export, log, metrics, sampler, trace
+from .trace import Recorder, active, capture, span
 
 __all__ = [
     "trace",
     "metrics",
     "log",
-    "flight",
     "sampler",
     "export",
-    "Tracer",
+    "Recorder",
     "active",
     "capture",
     "span",

@@ -1,8 +1,8 @@
 """Differential profiling: attribute *where* two runs diverge.
 
 ``python -m repro regress`` can say *that* wall clock drifted; this
-module answers *where*.  It takes two runs — Chrome trace JSONs from the
-:class:`~repro.obs.trace.Tracer` or flight recorder, collapsed-stack
+module answers *where*.  It takes two runs — Chrome trace JSONs from a
+:class:`~repro.obs.trace.Recorder` (a capture or the ring), collapsed-stack
 samples from :mod:`repro.obs.sampler`, metrics snapshots, ``BENCH_*.json``
 reports, or two ledger entries selected by run id / git sha /
 fingerprint — and produces a ranked attribution report:
@@ -42,7 +42,7 @@ import math
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from . import metrics as obs_metrics
 from . import sampler as obs_sampler
@@ -75,8 +75,7 @@ def _round6(v: float) -> float:
 def spans_from_chrome(doc: dict) -> list[dict]:
     """Extract span dicts from a Chrome ``trace_event`` document.
 
-    Accepts both :meth:`repro.obs.trace.Tracer.chrome_trace` and
-    :meth:`repro.obs.flight.FlightRecorder.chrome_trace` output: ``"X"``
+    Reads :meth:`repro.obs.trace.Recorder.chrome_trace` output: ``"X"``
     events become ``{name, dur_us, span_id, parent_id}``; metadata and
     instant events are skipped.  Trace ids ride in each event's ``args``.
     """
@@ -94,23 +93,12 @@ def spans_from_chrome(doc: dict) -> list[dict]:
     return out
 
 
-def spans_from_records(records: Iterable[Any]) -> list[dict]:
-    """Adapt :meth:`repro.obs.trace.Tracer.spans` output (SpanRecord
-    objects) to the span-dict shape :func:`aggregate_spans` consumes."""
-    return [{
-        "name": r.name,
-        "dur_us": r.dur_us,
-        "span_id": r.span_id or None,
-        "parent_id": r.parent_id,
-    } for r in records]
-
-
 def aggregate_spans(spans: Sequence[dict]) -> dict[str, dict]:
     """Fold spans into ``{name_path: {count, total_us, self_us}}``.
 
     The *name path* is the ``;``-joined chain of span names from the
     trace root (resolved through ``parent_id``; an unresolvable parent —
-    evicted from the flight ring, or a trace without ids — starts a
+    evicted from the ring, or a trace without ids — starts a
     fresh root).  Self time is the span's duration minus its children's,
     clamped at zero: clock jitter can make a child nominally outlast its
     parent, and a negative self time would poison every ranking above it.
@@ -936,7 +924,7 @@ def collect_fresh_profile(
     evidence for *where the candidate's time goes now*.
 
     Runs the first ``layers_cap`` layers through the autotuner under a
-    private tracer + sampler; the in-process memo is cleared first so
+    private capture + sampler; the in-process memo is cleared first so
     the sweep does real work.  Wall-clock content is inherently
     nondeterministic — callers must keep it out of byte-stable sections.
     """
@@ -946,9 +934,9 @@ def collect_fresh_profile(
 
     clear_cache()
     specs = get_model_layers(model, batch=batch)[:layers_cap]
-    with obs_trace.capture() as tracer, \
+    with obs_trace.capture() as rec, \
             obs_sampler.sampling(interval_s=sample_interval_s) as sampler:
         with obs_trace.span("attribute.collect", model=model, batch=batch):
             for spec in specs:
                 autotune_conv(spec, bits=4)
-    return spans_from_records(tracer.spans()), sampler.collapsed()
+    return spans_from_chrome(rec.chrome_trace()), sampler.collapsed()

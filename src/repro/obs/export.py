@@ -5,9 +5,9 @@ Three consumers share this module:
 * ``python -m repro metrics-export`` renders the process registry in the
   OpenMetrics text format (the Prometheus exposition superset): counters
   as ``name_total``, gauges verbatim, histograms as cumulative
-  ``_bucket{le=...}`` series with ``_sum``/``_count`` — and, where the
-  flight recorder supplied one, an *exemplar* per bucket linking the
-  latest observation to its ``trace_id``/``span_id`` span.
+  ``_bucket{le=...}`` series with ``_sum``/``_count`` — and, where a
+  span context was active, an *exemplar* per bucket linking the latest
+  observation to its ``trace_id``/``span_id`` span.
 * ``--serve PORT`` wraps the same renderer in a tiny threading HTTP
   server exposing ``/metrics`` for an actual Prometheus scrape.
 * ``python -m repro top`` refreshes a terminal dashboard of key gauges

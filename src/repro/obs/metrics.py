@@ -26,7 +26,7 @@ import re
 import threading
 from typing import Any
 
-from . import flight as _flight
+from .trace import current_context
 
 #: bump when the snapshot layout changes
 SCHEMA_VERSION = 1
@@ -187,10 +187,10 @@ class Histogram:
 
     For the OpenMetrics exposition (:mod:`repro.obs.export`) every
     observation is also counted into fixed log-decade buckets
-    (:data:`BUCKET_BOUNDS` plus +Inf), and — while the flight recorder is
-    enabled and a trace context is active — the latest observation per
-    bucket is kept as an *exemplar* ``(value, trace_id, span_id)``, so a
-    slow bucket links straight to the span that produced it.
+    (:data:`BUCKET_BOUNDS` plus +Inf), and — while a span context is
+    active — the latest observation per bucket is kept as an *exemplar*
+    ``(value, trace_id, span_id)``, so a slow bucket links straight to
+    the span that produced it.
     """
 
     __slots__ = ("_lock", "count", "sum", "min", "max", "_samples", "_stride",
@@ -210,11 +210,8 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         bucket = bisect.bisect_left(BUCKET_BOUNDS, value)
-        exemplar: tuple[float, str, str] | None = None
-        if _flight.enabled():
-            ctx = _flight.current_context()
-            if ctx is not None:
-                exemplar = (value, ctx.trace_id, ctx.span_id)
+        ctx = current_context()
+        exemplar = None if ctx is None else (value, ctx.trace_id, ctx.span_id)
         with self._lock:
             self.count += 1
             self.sum += value

@@ -3,7 +3,7 @@
 Runs a figure (``fig7``..``fig17``, ``tab1``) or a whole model
 (``resnet50`` | ``scr-resnet50`` | ``densenet121``, priced end-to-end on
 every registered backend — or one, with ``--backend``) inside a fresh
-tracer + metrics window, then reports:
+capture + metrics window, then reports:
 
 * a text summary — wall time, span totals by name, cache hit/miss rates,
   autotune evaluated/pruned tallies, the hottest per-layer cycle entries;
@@ -74,10 +74,10 @@ _resolve_target = resolve_target
 # ---------------------------------------------------------------------------
 
 
-def _span_summary(tracer: obs_trace.Tracer, limit: int = 12) -> list[str]:
+def _span_summary(spans: list[obs_trace.Event], limit: int = 12) -> list[str]:
     groups: dict[str, list[float]] = defaultdict(list)
-    for rec in tracer.spans():
-        groups[rec.name].append(rec.dur_us)
+    for s in spans:
+        groups[s.name].append(s.dur_us)
     if not groups:
         return ["  (no spans recorded)"]
     rows = sorted(
@@ -185,14 +185,14 @@ def run_profile(
     try:
         if sampler is not None:
             sampler.start()
-        with obs_trace.capture() as tracer:
+        with obs_trace.capture() as rec:
             with obs_trace.span("profile", target=target, model=model,
                                 batch=batch):
                 result = runner()
     except BaseException:
         # a failing figure must not leak this run's half-filled metrics
         # window into later callers/tests (capture() already restores the
-        # tracer on its own finally path)
+        # previous capture on its own finally path)
         obs_metrics.reset()
         raise
     finally:
@@ -219,9 +219,10 @@ def run_profile(
     snap = obs_metrics.snapshot()
 
     echo(f"== profile {target} (model {model}, batch {batch}) ==")
-    echo(f"wall time: {seconds:.3f} s   spans: {len(tracer)}")
+    spans = rec.spans()
+    echo(f"wall time: {seconds:.3f} s   spans: {len(spans)}")
     echo("spans by total time:")
-    for line in _span_summary(tracer):
+    for line in _span_summary(spans):
         echo(line)
     echo("counters:")
     for line in _counter_summary(snap["counters"]):
@@ -246,7 +247,7 @@ def run_profile(
             echo(f"  {n:>5}  {';'.join(leaf)}")
 
     if trace_path is not None:
-        path = tracer.write(trace_path, process_name=f"repro profile {target}")
+        path = rec.write(trace_path, process_name=f"repro profile {target}")
         echo(f"wrote trace    {path}  (open in chrome://tracing or Perfetto)")
     if metrics_path is not None:
         payload = {

@@ -5,7 +5,7 @@ folds what it sees into *collapsed stacks* — the ``root;child;leaf N``
 text format flamegraph tooling consumes, rendered natively as an SVG
 panel by :func:`repro.obs.htmlreport.flamegraph_svg`.
 
-Why wall-clock sampling, next to the span tracer the repo already has?
+Why wall-clock sampling, next to the span recorder the repo already has?
 Spans only cover instrumented call sites; the sampler attributes *all*
 time — the numpy inner loops, the pickle stalls in process pools, the
 lock convoy nobody thought to wrap in a span — with zero code changes

@@ -1,241 +1,264 @@
-"""Span-based tracer with a Chrome ``trace_event`` JSON exporter.
+"""Spans, markers and trace contexts, recorded into bounded or unbounded
+:class:`Recorder` buffers and exported as Chrome ``trace_event`` JSON.
 
 Usage::
 
     from repro.obs import trace
 
-    with trace.capture() as tracer:          # install a tracer
-        with trace.span("autotune", bits=4): # record spans anywhere below
+    with trace.capture() as rec:              # record everything below
+        with trace.span("autotune", bits=4):  # from any thread
             ...
-    tracer.write("out.json")                 # load in Perfetto
+    rec.write("out.json")                     # load in Perfetto
 
-Design rules:
+One event type, one record path, one exporter:
 
-* **Cheap by default.**  ``span()`` reads two module globals; with no
-  tracer installed and the :mod:`repro.obs.flight` recorder disabled it
-  returns a shared stateless null context manager.  With only the
-  (default-on) flight recorder active, a span costs one context
-  derivation, two clock reads and a ring append — both regimes are
-  bounded by tests (``tests/test_obs_trace.py``,
-  ``tests/test_obs_flight.py``).
-* **Thread-safe and nestable.**  Spans record their OS thread id, so
-  work on other threads (``repro top``'s workload, policy timeouts)
-  appears as separate tracks in Perfetto; recording appends under a
-  lock.  Every real span also derives a
-  :class:`~repro.obs.flight.TraceContext` on entry, so records carry
-  explicit ``trace_id``/``span_id``/``parent_id`` linkage on top of the
-  visual time-containment nesting.
-* **Timestamps share one monotonic base.**  All spans are stamped from
-  :func:`repro.obs.flight.monotonic_us` — a single per-process
-  ``perf_counter`` epoch — so spans recorded by different threads (or
-  different tracers) merge in a consistent order.  Wall-clock enters
-  only as the trace epoch, exported as ``otherData`` metadata.
+* **Two kinds of recorder, one class.**  The process *ring* is a
+  :class:`Recorder` bounded at :data:`RING_CAPACITY` events.  It is on by
+  default (``REPRO_FLIGHT=0`` turns it off) and answers "what just
+  happened?" after the fact (``python -m repro flight --dump``).
+  :func:`capture` installs an unbounded recorder for a block (``repro
+  profile``, ``--trace``); a nested capture restores the outer one on
+  exit.  Each span or marker is built once and appended to every
+  recorder that is on.
+* **Cheap by default.**  :func:`span` reads one module-level tuple of
+  the recorders that are on; when it is empty it returns a shared null
+  span.  With only the ring on, a span costs one context derivation, two
+  clock reads and one locked append — both regimes are bounded by tests
+  (``tests/test_obs_trace.py``).
+* **Per-item detail is opt-in.**  :func:`active` is true only under
+  :func:`capture`; call sites gate their per-candidate histograms on it,
+  so the always-on ring keeps a coarse, bounded event rate.
+* **Trace contexts.**  :class:`TraceContext` is the ``(trace_id,
+  span_id, parent_id)`` triple carried in a thread-local.  Every span
+  derives a child context on entry and restores its parent on exit; a
+  marker (:func:`instant`) gets its own span id under the active span, so
+  a histogram exemplar can point at one fault injection.
+* **One clock.**  Timestamps come from :func:`monotonic_us`, a single
+  per-process ``perf_counter`` base, so events from different threads
+  merge in order.  Wall clock enters only as the exported epoch
+  (``otherData.trace_epoch_wall_us``), the anchor for aligning dumps
+  from different processes offline.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import pathlib
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from collections import deque
+from typing import Any, Iterable, Iterator, NamedTuple
 
-from . import flight as _flight
+#: environment variable turning the ring off ("0" | "off" | "false" | "no")
+FLIGHT_ENV = "REPRO_FLIGHT"
+#: ring capacity; at the library's coarse span rate this holds minutes
+#: of history in a few MB
+RING_CAPACITY = 65536
 
-monotonic_us = _flight.monotonic_us
+# ---------------------------------------------------------------------------
+# Clocks: one monotonic base per process, wall clock only as the epoch
+# ---------------------------------------------------------------------------
+
+_EPOCH_PERF = time.perf_counter()
+_EPOCH_WALL_US = time.time() * 1e6
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One completed span (times in microseconds since tracer start)."""
+def monotonic_us() -> float:
+    """Microseconds since the module epoch — monotonic and shared by
+    every thread of the process."""
+    return (time.perf_counter() - _EPOCH_PERF) * 1e6
 
-    name: str
-    cat: str
-    start_us: float
-    dur_us: float
-    tid: int
-    args: dict[str, Any] = field(default_factory=dict)
-    trace_id: str = ""
-    span_id: str = ""
+
+# ---------------------------------------------------------------------------
+# Trace contexts
+# ---------------------------------------------------------------------------
+
+_ID_COUNTER = itertools.count(1)
+#: per-process id prefix: pid + startup wall clock, so ids in dumps from
+#: different processes never collide when merged offline
+_ID_PREFIX = f"{os.getpid() & 0xFFFF:04x}{int(_EPOCH_WALL_US) & 0xFFFFFF:06x}"
+
+
+def _next_id() -> str:
+    return f"{_ID_PREFIX}{next(_ID_COUNTER):08x}"
+
+
+class TraceContext(NamedTuple):
+    """Position of the current operation in a trace tree (immutable)."""
+
+    trace_id: str
+    span_id: str
     parent_id: str | None = None
 
-
-class _Span:
-    """Live span context manager: derives a trace context on entry and
-    records to the bound tracer (if any) and the flight recorder."""
-
-    __slots__ = ("_tracer", "_name", "_cat", "_args", "_start", "_ctx", "_prev")
-
-    def __init__(self, tracer: "Tracer | None", name: str, cat: str,
-                 args: dict) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._args = args
-        self._start = 0.0
-        self._ctx: _flight.TraceContext | None = None
-        self._prev: _flight.TraceContext | None = None
-
-    def __enter__(self) -> "_Span":
-        self._prev = _flight.current_context()
-        self._ctx = _flight.derive(self._prev)
-        _flight._set_context(self._ctx)
-        self._start = monotonic_us()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        end = monotonic_us()
-        _flight._set_context(self._prev)
-        ctx = self._ctx
-        assert ctx is not None  # __enter__ ran
-        if self._tracer is not None:
-            self._tracer._record(
-                self._name, self._cat, self._args, self._start, end, ctx)
-        _flight.record_span(
-            self._name, self._cat, self._args, self._start, end, ctx)
+    def child(self) -> "TraceContext":
+        """A fresh child context: same trace, new span, parent = self."""
+        return TraceContext(self.trace_id, _next_id(), self.span_id)
 
 
-class _NullSpan:
-    """Shared no-op stand-in returned while all recording is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
+def new_trace() -> TraceContext:
+    """A root context starting a brand-new trace."""
+    return TraceContext(_next_id(), _next_id(), None)
 
 
-_NULL_SPAN = _NullSpan()
+def derive(parent: TraceContext | None) -> TraceContext:
+    """A child of ``parent``, or a fresh root when there is no parent."""
+    return parent.child() if parent is not None else new_trace()
 
 
-class Tracer:
-    """Collects spans; thread-safe; exports Chrome ``trace_event`` JSON.
+_TLS = threading.local()
 
-    Timestamps are stored relative to tracer creation but derive from the
-    module-wide monotonic base, so two tracers (or a tracer and the
-    flight recorder) order events identically.  ``epoch_wall_us`` pins
-    the tracer start to the wall clock for offline cross-process merges.
+
+def current_context() -> TraceContext | None:
+    """The context active on this thread (None outside any span)."""
+    return getattr(_TLS, "ctx", None)
+
+
+# ---------------------------------------------------------------------------
+# Events and the recorder
+# ---------------------------------------------------------------------------
+
+
+class Event(NamedTuple):
+    """One recorded span (``kind == "span"``) or marker (``"instant"``).
+
+    ``ts_us`` is on the :func:`monotonic_us` base (serve's spans use its
+    virtual clock instead); exports re-anchor on the oldest event.
     """
 
-    def __init__(self) -> None:
+    kind: str
+    name: str
+    cat: str
+    ts_us: float
+    dur_us: float
+    tid: int
+    trace_id: str
+    span_id: str
+    parent_id: str | None
+    args: dict[str, Any]
+
+
+class Recorder:
+    """A thread-safe event buffer: bounded (oldest events evicted first,
+    and counted) when ``capacity`` is given, unbounded otherwise."""
+
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"recorder capacity must be >= 1, got {capacity}")
         self._lock = threading.Lock()
-        self._events: list[SpanRecord] = []
+        self._events: deque[Event] = deque(maxlen=capacity)
         self._thread_names: dict[int, str] = {}
-        self._t0_us = monotonic_us()
-        #: wall-clock (Unix epoch) microseconds at tracer creation
-        self.epoch_wall_us = _flight.wall_epoch_us() + self._t0_us
+        self._total = 0
 
-    # -- recording ----------------------------------------------------------
-
-    def _now_us(self) -> float:
-        return monotonic_us() - self._t0_us
-
-    def span(self, name: str, *, cat: str = "repro", **args: Any) -> _Span:
-        return _Span(self, name, cat, args)
-
-    def _record(
-        self, name: str, cat: str, args: dict,
-        start_us: float, end_us: float,
-        ctx: "_flight.TraceContext | None" = None,
-    ) -> None:
-        """Append one span; absolute (module-monotonic) microsecond times
-        are re-based onto the tracer's start."""
-        rec = SpanRecord(
-            name=name,
-            cat=cat,
-            start_us=start_us - self._t0_us,
-            dur_us=max(0.0, end_us - start_us),
-            tid=threading.get_ident(),
-            args=args,
-            trace_id=ctx.trace_id if ctx else "",
-            span_id=ctx.span_id if ctx else "",
-            parent_id=ctx.parent_id if ctx else None,
-        )
-        tname = threading.current_thread().name
+    def record(self, event: Event) -> None:
         with self._lock:
-            self._events.append(rec)
-            self._thread_names.setdefault(rec.tid, tname)
+            self._events.append(event)
+            self._total += 1
+            if event.tid not in self._thread_names:
+                self._thread_names[event.tid] = threading.current_thread().name
 
-    def instant(self, name: str, *, cat: str = "repro", **args: Any) -> None:
-        """Record a zero-duration marker event."""
-        now = monotonic_us()
-        self._record(name, cat, args, now, now,
-                     _flight.derive(_flight.current_context()))
+    @property
+    def capacity(self) -> int | None:
+        return self._events.maxlen
 
-    # -- introspection ------------------------------------------------------
-
-    def spans(self) -> list[SpanRecord]:
+    @property
+    def total_recorded(self) -> int:
+        """Events ever recorded (>= ``len`` once a ring has wrapped)."""
         with self._lock:
-            return list(self._events)
+            return self._total
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted off the back of the ring so far."""
+        with self._lock:
+            return self._total - len(self._events)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
 
-    # -- export -------------------------------------------------------------
+    def events(self, *, last_s: float | None = None) -> list[Event]:
+        """A snapshot, oldest first; ``last_s`` keeps only events that
+        *ended* within the trailing window (``repro flight --last``)."""
+        with self._lock:
+            out = list(self._events)
+        if last_s is not None:
+            cutoff = monotonic_us() - last_s * 1e6
+            out = [e for e in out if e.ts_us + e.dur_us >= cutoff]
+        return out
 
-    def chrome_trace(self, *, process_name: str = "repro") -> dict:
+    def spans(self) -> list[Event]:
+        """The recorded spans, markers excluded."""
+        return span_events(self.events())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._events.clear()
+            self._thread_names.clear()
+            self._total = 0
+
+    def chrome_trace(
+        self, *, last_s: float | None = None, process_name: str = "repro",
+    ) -> dict:
         """The Chrome ``trace_event`` object format (Perfetto-loadable).
 
-        Spans become ``"X"`` (complete) events with microsecond ``ts`` /
-        ``dur``; process and thread names ride along as ``"M"`` metadata
-        events so worker tracks are labeled.  Trace-context ids travel in
-        each event's ``args`` — :func:`repro.obs.diff.spans_from_chrome`
-        reads exactly these keys to rebuild the span tree for
-        differential profiling — and the wall-clock anchor of ``ts == 0``
-        is ``otherData.trace_epoch_wall_us``.
+        Spans become ``"X"`` events and markers thread-scoped ``"i"``
+        events; process and thread names ride along as ``"M"`` metadata.
+        ``ts`` is relative to the oldest exported event, whose wall-clock
+        time is ``otherData.trace_epoch_wall_us``.  Trace ids travel in
+        each event's ``args`` — the keys
+        :func:`repro.obs.diff.spans_from_chrome` aligns span trees by.
         """
+        events = self.events(last_s=last_s)
+        with self._lock:
+            thread_names = sorted(self._thread_names.items())
+            recorded, kept = self._total, len(self._events)
         pid = os.getpid()
-        events: list[dict] = [{
+        t0 = min((e.ts_us for e in events), default=0.0)
+        out: list[dict] = [{
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
             "args": {"name": process_name},
         }]
-        spans = self.spans()
-        with self._lock:
-            thread_names = dict(self._thread_names)
-        for tid, tname in sorted(thread_names.items()):
-            events.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": tname},
-            })
-        for rec in spans:
-            args = {k: _jsonable(v) for k, v in rec.args.items()}
-            if rec.trace_id:
-                args["trace_id"] = rec.trace_id
-                args["span_id"] = rec.span_id
-                if rec.parent_id is not None:
-                    args["parent_id"] = rec.parent_id
-            events.append({
-                "name": rec.name,
-                "cat": rec.cat,
-                "ph": "X",
-                "ts": round(rec.start_us, 3),
-                "dur": round(rec.dur_us, 3),
-                "pid": pid,
-                "tid": rec.tid,
-                "args": args,
-            })
+        out += [{
+            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+            "args": {"name": tname},
+        } for tid, tname in thread_names]
+        for e in events:
+            args = {k: _jsonable(v) for k, v in e.args.items()}
+            args["trace_id"] = e.trace_id
+            args["span_id"] = e.span_id
+            if e.parent_id is not None:
+                args["parent_id"] = e.parent_id
+            ev: dict[str, Any] = {
+                "name": e.name, "cat": e.cat, "ph": "X",
+                "ts": round(e.ts_us - t0, 3),
+                "pid": pid, "tid": e.tid, "args": args,
+            }
+            if e.kind == "span":
+                ev["dur"] = round(e.dur_us, 3)
+            else:
+                ev["ph"] = "i"
+                ev["s"] = "t"
+            out.append(ev)
         return {
-            "traceEvents": events,
+            "traceEvents": out,
             "displayTimeUnit": "ms",
             "otherData": {
-                "trace_epoch_wall_us": round(self.epoch_wall_us, 3),
+                "trace_epoch_wall_us": round(_EPOCH_WALL_US + t0, 3),
+                "events_recorded": recorded,
+                "events_dropped": recorded - kept,
             },
         }
 
     def write(self, path: str | os.PathLike, **kwargs: Any) -> pathlib.Path:
-        """Serialize :meth:`chrome_trace` to ``path``; returns the path."""
+        """Serialize :meth:`chrome_trace` (same keywords) to ``path``."""
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(
-            json.dumps(self.chrome_trace(**kwargs), separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+            json.dumps(self.chrome_trace(**kwargs), separators=(",", ":"))
+            + "\n", encoding="utf-8")
         return path
 
 
@@ -246,96 +269,197 @@ def _jsonable(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Module-level switchboard (the hot-path API)
+# Trace-tree validation (tests, ``repro flight``)
 # ---------------------------------------------------------------------------
 
-_TRACER: Tracer | None = None
-_INSTALL_LOCK = threading.Lock()
+
+def span_events(events: Iterable[Event]) -> list[Event]:
+    return [e for e in events if e.kind == "span"]
+
+
+def unresolved_parents(events: Iterable[Event]) -> list[Event]:
+    """Events whose ``parent_id`` does not resolve to a recorded span.
+
+    Spans are recorded at *exit*, so children precede their parents in
+    buffer order — resolution is order-insensitive.  On an un-wrapped
+    buffer covering a whole operation this returns ``[]``; eviction of
+    old parents from the ring is the one legitimate source of orphans.
+    """
+    events = list(events)
+    known = {(e.trace_id, e.span_id) for e in span_events(events)}
+    return [
+        e for e in events
+        if e.parent_id is not None and (e.trace_id, e.parent_id) not in known
+    ]
+
+
+def trace_ids(events: Iterable[Event]) -> set[str]:
+    return {e.trace_id for e in events}
+
+
+# ---------------------------------------------------------------------------
+# The switchboard: which recorders are on
+# ---------------------------------------------------------------------------
+
+_RING = Recorder(RING_CAPACITY)
+_RING_ON = os.environ.get(FLIGHT_ENV, "").strip().lower() not in (
+    "0", "off", "false", "no")
+_CAPTURE: Recorder | None = None
+#: the recorders that are on — the one global the hot path reads
+_SINKS: tuple[Recorder, ...] = ()
+_LOCK = threading.Lock()
+
+
+def _refresh() -> None:
+    """Rebuild :data:`_SINKS` from the switches (caller holds _LOCK)."""
+    global _SINKS
+    _SINKS = ((_RING,) if _RING_ON else ()) + (
+        (_CAPTURE,) if _CAPTURE is not None else ())
+
+
+_refresh()
+
+
+def ring() -> Recorder:
+    """The process ring (bounded; on unless ``REPRO_FLIGHT=0``)."""
+    return _RING
+
+
+def ring_enabled() -> bool:
+    return _RING_ON
+
+
+def recording() -> bool:
+    """True while any recorder is on — the gate for call sites that build
+    their events by hand (the serving simulator's virtual-time spans)."""
+    return bool(_SINKS)
 
 
 def active() -> bool:
-    """True while a tracer is installed (detailed instrumentation gate).
-
-    Deliberately *not* influenced by the flight recorder: per-item
-    detail (bound-gap histograms, per-candidate timings) stays gated on
-    an explicit tracer so the always-on recorder keeps its coarse,
-    bounded event rate.
-    """
-    return _TRACER is not None
-
-
-def current() -> Tracer | None:
-    return _TRACER
-
-
-def install(tracer: Tracer | None = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) as the process tracer."""
-    global _TRACER
-    with _INSTALL_LOCK:
-        _TRACER = tracer if tracer is not None else Tracer()
-        return _TRACER
-
-
-def uninstall() -> Tracer | None:
-    """Remove and return the installed tracer (None if none was)."""
-    global _TRACER
-    with _INSTALL_LOCK:
-        tracer, _TRACER = _TRACER, None
-        return tracer
+    """True only under :func:`capture`: the gate for per-item detail
+    (bound-gap histograms, per-stream stalls) that must never flood the
+    always-on ring."""
+    return _CAPTURE is not None
 
 
 @contextlib.contextmanager
-def capture(tracer: Tracer | None = None) -> Iterator[Tracer]:
-    """Install a tracer for the ``with`` body, restoring the previous one.
-
-    The yielded tracer keeps its spans after exit, ready for
-    :meth:`Tracer.write`.
-    """
-    global _TRACER
-    with _INSTALL_LOCK:
-        prev = _TRACER
-        _TRACER = tracer if tracer is not None else Tracer()
-        installed = _TRACER
+def capture() -> Iterator[Recorder]:
+    """Record into a fresh unbounded recorder for the block, restoring
+    the previous capture (if any) on exit.  The recorder keeps its
+    events afterwards, ready for :meth:`Recorder.write`."""
+    global _CAPTURE
+    rec = Recorder()
+    with _LOCK:
+        prev, _CAPTURE = _CAPTURE, rec
+        _refresh()
     try:
-        yield installed
+        yield rec
     finally:
-        with _INSTALL_LOCK:
-            _TRACER = prev
+        with _LOCK:
+            _CAPTURE = prev
+            _refresh()
+
+
+@contextlib.contextmanager
+def _ring_switched(on: bool) -> Iterator[Recorder]:
+    global _RING_ON
+    with _LOCK:
+        prev, _RING_ON = _RING_ON, on
+        _refresh()
+    try:
+        yield _RING
+    finally:
+        with _LOCK:
+            _RING_ON = prev
+            _refresh()
+
+
+def suspended() -> contextlib.AbstractContextManager[Recorder]:
+    """Turn the ring off for the block (tests, overhead baselines)."""
+    return _ring_switched(False)
+
+
+def fresh_ring() -> contextlib.AbstractContextManager[Recorder]:
+    """Clear the ring and turn it on for the block; yields the ring
+    (test helper)."""
+    _RING.clear()
+    return _ring_switched(True)
+
+
+# ---------------------------------------------------------------------------
+# Recording (the hot-path API)
+# ---------------------------------------------------------------------------
+
+
+class _Span:
+    """Live span: derives a trace context on entry, records one event to
+    the recorders that were on when it was opened."""
+
+    __slots__ = ("_sinks", "_name", "_cat", "_args", "_start", "_ctx", "_prev")
+
+    def __init__(self, sinks: tuple[Recorder, ...], name: str, cat: str,
+                 args: dict) -> None:
+        self._sinks = sinks
+        self._name = name
+        self._cat = cat
+        self._args = args
+
+    def __enter__(self) -> "_Span":
+        self._prev = prev = getattr(_TLS, "ctx", None)
+        self._ctx = _TLS.ctx = derive(prev)
+        self._start = monotonic_us()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        end = monotonic_us()
+        _TLS.ctx = self._prev
+        ctx = self._ctx
+        event = Event("span", self._name, self._cat, self._start,
+                      max(0.0, end - self._start), threading.get_ident(),
+                      ctx.trace_id, ctx.span_id, ctx.parent_id, self._args)
+        for rec in self._sinks:
+            rec.record(event)
+
+
+#: the shared no-op span returned while no recorder is on
+_NULL_SPAN = contextlib.nullcontext()
 
 
 def span(name: str, *, cat: str = "repro", **args: Any):
-    """A span recorded by the installed tracer and/or the flight
-    recorder, or a shared no-op when both are off."""
-    tracer = _TRACER
-    if tracer is None and not _flight.enabled():
+    """A span recorded by every recorder that is on, or a shared no-op
+    when none is."""
+    sinks = _SINKS
+    if not sinks:
         return _NULL_SPAN
-    return _Span(tracer, name, cat, args)
+    return _Span(sinks, name, cat, args)
 
 
 def instant(name: str, *, cat: str = "repro", **args: Any) -> None:
-    """A zero-duration marker (no-op while all recording is disabled)."""
-    tracer = _TRACER
-    flight_on = _flight.enabled()
-    if tracer is None and not flight_on:
+    """A zero-duration marker under the current context (fault
+    injections, breaker transitions, autotune sweeps); no-op while no
+    recorder is on."""
+    sinks = _SINKS
+    if not sinks:
         return
-    ctx = _flight.derive(_flight.current_context())
-    now = monotonic_us()
-    if tracer is not None:
-        tracer._record(name, cat, args, now, now, ctx)
-    if flight_on:
-        _flight.recorder().record(_flight.FlightEvent(
-            kind="instant", name=name, cat=cat, ts_us=now, dur_us=0.0,
-            tid=threading.get_ident(),
-            trace_id=ctx.trace_id, span_id=ctx.span_id,
-            parent_id=ctx.parent_id, args=args,
-        ))
+    ctx = derive(current_context())
+    event = Event("instant", name, cat, monotonic_us(), 0.0,
+                  threading.get_ident(), ctx.trace_id, ctx.span_id,
+                  ctx.parent_id, args)
+    for rec in sinks:
+        rec.record(event)
 
 
-# re-exported for instrumented sites that only import trace
-__all__ = [
-    "SpanRecord", "Tracer", "active", "capture", "current", "install",
-    "instant", "monotonic_us", "span", "uninstall",
-]
-
-# keep `time` imported for backwards compatibility of monkeypatching tests
-_ = time
+def record_span(
+    name: str, cat: str, args: dict, start_us: float, end_us: float,
+    ctx: TraceContext, *, tid: int | None = None,
+) -> None:
+    """Record one span built by hand (explicit times, context and track);
+    no-op while no recorder is on."""
+    sinks = _SINKS
+    if not sinks:
+        return
+    event = Event("span", name, cat, start_us, max(0.0, end_us - start_us),
+                  tid if tid is not None else threading.get_ident(),
+                  ctx.trace_id, ctx.span_id, ctx.parent_id, args)
+    for rec in sinks:
+        rec.record(event)

@@ -229,7 +229,7 @@ def run_bench(
 
     The report always carries a ``metrics`` block (the
     :mod:`repro.obs.metrics` snapshot covering the whole run).
-    ``trace_path`` additionally installs a tracer for the run and writes
+    ``trace_path`` additionally captures the run's spans and writes
     the Chrome trace there — timings then include tracing overhead, so
     leave it off for regression comparisons.  ``metrics_path`` writes the
     same metrics snapshot standalone.
@@ -266,8 +266,8 @@ def run_bench(
     t_start = time.time()
     obs_metrics.reset()  # the metrics block describes this run only
     with ExitStack() as stack:
-        tracer = (stack.enter_context(obs_trace.capture())
-                  if trace_path is not None else None)
+        rec = (stack.enter_context(obs_trace.capture())
+               if trace_path is not None else None)
         sampler = None
         if sample_interval_ms is not None:
             from ..obs import sampler as obs_sampler
@@ -356,8 +356,8 @@ def run_bench(
              f"{arm_section['warm']['seconds']:.3f} s "
              f"(speedup {arm_section['speedup_warm']}x)")
     echo(f"wrote {path}")
-    if tracer is not None:
-        tpath = tracer.write(trace_path, process_name=f"repro bench {suffix}")
+    if rec is not None:
+        tpath = rec.write(trace_path, process_name=f"repro bench {suffix}")
         echo(f"wrote trace {tpath}")
     if metrics_path is not None:
         mpath = pathlib.Path(metrics_path)

@@ -22,7 +22,7 @@ circuit breaker:
 All timing runs on the injected ``now`` callable, so the serving
 simulator drives breakers on its virtual clock and chaos replays are
 deterministic.  Transitions are counted in metrics
-(``breaker_transitions{breaker=,to=}``), dropped into the flight ring, and
+(``breaker_transitions{breaker=,to=}``), recorded as trace markers, and
 kept on :attr:`transitions` for the serve summary.
 """
 
@@ -31,8 +31,8 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Tuple
 
-from ..obs import flight as obs_flight
 from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
 from .policy import Quarantine
 
 CLOSED = "closed"
@@ -92,7 +92,7 @@ class CircuitBreaker:
         self.transitions.append((at, to))
         obs_metrics.counter(
             "breaker_transitions", breaker=self.name, to=to).inc()
-        obs_flight.instant(
+        obs_trace.instant(
             "breaker_transition", cat="serve", breaker=self.name, to=to)
 
     # -- the dispatch-side protocol ------------------------------------------

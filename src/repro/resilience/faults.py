@@ -37,7 +37,7 @@ Spec grammar (rules separated by ``;``)::
 
 Every firing increments ``faults_injected{site=,kind=}`` in
 :mod:`repro.obs.metrics`, logs a ``fault_injected`` event, and drops a
-structured instant marker into the :mod:`repro.obs.flight` ring so chaos
+structured instant marker (:func:`repro.obs.trace.instant`) so chaos
 runs are replayable span-by-span.
 """
 
@@ -53,9 +53,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..errors import ReproError
-from ..obs import flight as obs_flight
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
 
 #: environment variable carrying the fault-plan spec
 FAULTS_ENV = "REPRO_FAULTS"
@@ -189,9 +189,9 @@ class FaultPlan:
             "fault_injected", logger="repro.resilience.faults",
             site=site, key=key, kind=rule.kind, attempt=attempt,
         )
-        # structured marker in the flight ring: a chaos run's injections
-        # replay right next to the spans they perturbed
-        obs_flight.instant(
+        # structured marker: a chaos run's injections replay right next
+        # to the spans they perturbed
+        obs_trace.instant(
             "fault_injected", cat="fault",
             site=site, key=key, kind=rule.kind, attempt=attempt,
         )

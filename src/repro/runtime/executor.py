@@ -48,8 +48,8 @@ def execute_graph(
     cur_bits: int = 8
 
     # root span for the whole run: per-op spans below become its
-    # children, so one executor invocation is one subtree in the flight
-    # recorder (the serving layer's future per-request unit)
+    # children, so one executor invocation is one subtree in the trace
+    # ring (the serving layer's future per-request unit)
     with obs_trace.span("executor.graph", cat="executor", ops=len(graph)):
         cur, cur_q, cur_scale, cur_bits = _run_ops(
             graph, cur, cur_q, cur_scale, cur_bits,

@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..obs import flight as obs_flight
 from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
 from ..resilience import faults
 from ..resilience.breaker import CLOSED, CircuitBreaker
 from ..resilience.policy import ExecPolicy, PermanentFailure, call_with_policy
@@ -187,7 +187,7 @@ class ServeSim:
             retries=max(0, config.retries),
             timeout_s=None,
             backoff_s=max(0.0, config.backoff_ms) / 1e3)
-        self._root_ctx = obs_flight.new_trace()
+        self._root_ctx = obs_trace.new_trace()
 
     # -- event plumbing ------------------------------------------------------
 
@@ -389,9 +389,10 @@ class ServeSim:
         lane_id, batch, start_us, served_on, kind = payload  # type: ignore
         lane = self.lanes[lane_id]
         lane.busy = False
-        if obs_flight.enabled():
+        recording = obs_trace.recording()
+        if recording:
             ctx = self._root_ctx.child()
-            obs_flight.record_span(
+            obs_trace.record_span(
                 f"serve.batch.{kind}", "serve",
                 {"batch": len(batch), "backend": served_on},
                 start_us, now, ctx, tid=lane_id)
@@ -408,8 +409,8 @@ class ServeSim:
                 "serve_latency_us", backend=served_on).observe(latency)
             obs_metrics.counter(
                 "serve_completed", slo="met" if met else "missed").inc()
-            if obs_flight.enabled():
-                obs_flight.record_span(
+            if recording:
+                obs_trace.record_span(
                     "serve.request", "serve",
                     {"rid": req.rid, "slo_met": met,
                      "latency_us": round(latency, 3)},
@@ -437,10 +438,10 @@ class ServeSim:
         while self.queue:
             req = self.queue.popleft()
             self.stats.expired += 1
-        if obs_flight.enabled():
+        if obs_trace.recording():
             # the root span every batch span parents to — recorded last
-            # (its end is the run's end) so the ring holds no orphans
-            obs_flight.record_span(
+            # (its end is the run's end) so a recorder holds no orphans
+            obs_trace.record_span(
                 "serve.run", "serve",
                 {"offered": self.stats.offered,
                  "admitted": self.stats.admitted},

@@ -295,18 +295,33 @@ def test_bad_command():
         main(["not-a-command"])
 
 
-def test_flight_dump(tmp_path, capsys):
+@pytest.mark.parametrize("target", ["fig7", "fig10"])
+def test_flight_dump(target, tmp_path, capsys, monkeypatch):
     import json
 
+    from repro.gpu.autotune import clear_cache
+    from repro.obs import trace
+    from repro.perf.cache import CACHE_DIR_ENV
+
+    # an empty cache and ring: fig10's sweeps run and leave their markers
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    clear_cache()
     out = tmp_path / "flight.json"
-    assert main(["flight", "--run", "fig7", "--dump", str(out)]) == 0
+    with trace.fresh_ring():
+        assert main(["flight", "--run", target, "--dump", str(out)]) == 0
     text = capsys.readouterr().out
     assert "flight recorder: enabled" in text
     assert "0 unresolved parents" in text
     doc = json.loads(out.read_text())
     assert doc["displayTimeUnit"] == "ms"
-    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    events = doc["traceEvents"]
+    spans = [e for e in events if e["ph"] == "X"]
     assert spans and all(e["args"]["trace_id"] for e in spans)
+    if target == "fig10":
+        sweeps = [e for e in events if e["name"] == "autotune.sweep"]
+        assert sweeps and all(e["ph"] == "i" for e in sweeps)
+        span_ids = {e["args"]["span_id"] for e in spans}
+        assert all(e["args"]["parent_id"] in span_ids for e in sweeps)
 
 
 def test_flight_unknown_target(capsys):
@@ -314,16 +329,17 @@ def test_flight_unknown_target(capsys):
     assert "fig99" in capsys.readouterr().err
 
 
-def test_metrics_export_stdout_and_file(tmp_path, capsys):
+@pytest.mark.parametrize("target", ["fig7", "fig10"])
+def test_metrics_export_stdout_and_file(target, tmp_path, capsys):
     from repro.obs import export
 
-    assert main(["metrics-export", "--run", "fig7"]) == 0
+    assert main(["metrics-export", "--run", target]) == 0
     text = capsys.readouterr().out
     assert text.endswith("# EOF\n")
     export.validate(text)  # printed exposition is parseable as-is
 
     out = tmp_path / "metrics.txt"
-    assert main(["metrics-export", "--run", "fig7", "--out", str(out)]) == 0
+    assert main(["metrics-export", "--run", target, "--out", str(out)]) == 0
     export.validate(out.read_text())
     assert "metric families" in capsys.readouterr().out
 

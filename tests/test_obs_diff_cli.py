@@ -97,6 +97,32 @@ def test_diff_collapsed_pair_with_flamegraph(tmp_path, capsys):
     assert "differential flamegraph" in captured.err
 
 
+def test_profile_pair_differential_flamegraph(tmp_path, monkeypatch, capsys):
+    """Fig. 10 profiled twice over one fresh cache dir: the first run
+    searches and writes every sweep, the second reads them back, so the
+    collapsed-stack pair is known to differ."""
+    from repro.gpu.autotune import clear_cache
+    from repro.perf.cache import CACHE_DIR_ENV
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    cold, warm = tmp_path / "stacks_cold.txt", tmp_path / "stacks_warm.txt"
+    flame, diff_flame = tmp_path / "flame.svg", tmp_path / "diff_flame.svg"
+    clear_cache()
+    assert main(["profile", "fig10", "--profile-sample", "2",
+                 "--stacks", str(cold), "--flamegraph", str(flame)]) == 0
+    clear_cache()  # the in-process memo only: the second run reads the disk
+    assert main(["profile", "fig10", "--profile-sample", "2",
+                 "--stacks", str(warm)]) == 0
+    capsys.readouterr()
+    assert main(["diff", str(cold), str(warm), "--flamegraph",
+                 str(diff_flame), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == 1
+    assert doc["frames"], "frame deltas empty: both samples identical?"
+    ET.parse(flame)
+    ET.parse(diff_flame)
+
+
 def test_diff_flamegraph_requires_stacks_on_both_sides(tmp_path, capsys):
     hist = _ledger(tmp_path, [_entry("r0"), _entry("r1")])
     assert main(["diff", "-2", "-1", "--history-dir", str(hist),

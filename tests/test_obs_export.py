@@ -4,10 +4,11 @@ The contract under test: :func:`repro.obs.export.render` emits a
 document the deliberately strict in-repo parser accepts (the CI gate is
 this round-trip), histogram buckets are cumulative with a ``+Inf``
 terminator equal to ``_count``, exemplars ride on bucket samples and
-resolve to flight-recorder spans, and the ``/metrics`` endpoint serves
+resolve to recorded spans, and the ``/metrics`` endpoint serves
 the identical payload.
 """
 
+import contextlib
 import io
 import math
 import threading
@@ -15,7 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import export, flight, metrics, trace
+from repro.obs import export, metrics, trace
 
 
 @pytest.fixture(autouse=True)
@@ -82,8 +83,18 @@ def test_label_values_with_specials_survive_the_round_trip():
     assert sample.labels == {"path": 'a"b\\c', "note": "x,y{z}=w"}
 
 
-def test_exemplars_attach_to_buckets_and_resolve():
-    with flight.capture() as rec:
+@contextlib.contextmanager
+def _capture_with_ring_off():
+    with trace.suspended(), trace.capture() as rec:
+        yield rec
+
+
+@pytest.mark.parametrize(
+    "recording", [trace.fresh_ring, _capture_with_ring_off],
+    ids=["ring-on", "ring-off-capture-on"])
+def test_exemplars_attach_to_buckets_and_resolve(recording):
+    """Exemplars follow the span context, whichever recorder is on."""
+    with recording() as rec:
         with trace.span("probe", cat="test"):
             metrics.histogram("probe_seconds").observe(0.003)
     text = export.render()
@@ -93,15 +104,14 @@ def test_exemplars_attach_to_buckets_and_resolve():
                   if s.exemplar is not None)
     ex = bucket.exemplar
     assert ex["value"] == pytest.approx(0.003)
-    # the exemplar's span ids resolve against what the flight ring holds
-    spans = {(e.trace_id, e.span_id) for e in flight.span_events(rec.events())}
-    parents = {(e.trace_id, e.parent_id) for e in rec.events()}
-    ref = (ex["labels"]["trace_id"], ex["labels"]["span_id"])
-    assert ref in spans | parents
+    # the exemplar names the probe span the recorder holds
+    probe = next(e for e in rec.spans() if e.name == "probe")
+    assert (ex["labels"]["trace_id"], ex["labels"]["span_id"]) == (
+        probe.trace_id, probe.span_id)
 
 
 def test_no_exemplars_without_flight_or_context():
-    with flight.suspended():
+    with trace.suspended():
         metrics.histogram("quiet_seconds").observe(0.5)
     fams = export.validate(export.render())
     assert export.exemplar_count(fams) == 0

@@ -37,9 +37,11 @@ def test_profile_fig13_happy_path(tmp_path, capsys):
     assert set(snap) >= {"counters", "gauges", "histograms", "wall_seconds"}
 
 
-def test_profile_fig10_records_acceptance_series(tmp_path, monkeypatch):
-    """The ISSUE acceptance command: fig10's metrics must show cache
-    traffic, autotune evaluated/pruned tallies and per-layer cycles."""
+def test_profile_fig10_records_acceptance_series(tmp_path, monkeypatch,
+                                                  capsys):
+    """fig10's metrics must show cache traffic, autotune evaluated/pruned
+    tallies and per-layer cycles; its trace holds the spans the summary
+    counts plus one marker per sweep."""
     from repro.gpu.autotune import clear_cache
     from repro.perf.cache import CACHE_DIR_ENV
 
@@ -57,9 +59,15 @@ def test_profile_fig10_records_acceptance_series(tmp_path, monkeypatch):
     assert any(k.startswith("autotune_evaluated{") for k in counters)
     assert any(k.startswith("autotune_pruned{") for k in counters)
     assert any(k.startswith("gpu_layer_cycles{") for k in gauges)
-    names = {e["name"] for e in _load(tpath)["traceEvents"]
-             if e["ph"] == "X"}
+    events = _load(tpath)["traceEvents"]
+    names = {e["name"] for e in events if e["ph"] == "X"}
     assert "autotune.search" in names
+    # the summary's span count leaves the sweep markers out
+    n_spans = sum(e["ph"] == "X" for e in events)
+    assert f"spans: {n_spans}\n" in capsys.readouterr().out
+    markers = [e for e in events if e["ph"] == "i"]
+    assert len(markers) == counters["autotune_sweeps{engine=pruned}"] > 0
+    assert {e["name"] for e in markers} == {"autotune.sweep"}
 
 
 def test_profile_tab1_without_outputs(capsys):
