@@ -137,48 +137,60 @@ def schedule_store() -> PersistentCache:
     return _SCHEDULE_STORE
 
 
-@lru_cache(maxsize=None)
-def _schedule_result(
-    scheme: str, bits: int, k: int, interleave: bool, round_steps: int | None
-) -> PipelineResult:
-    digest = stable_hash({
+#: in-process memo: (scheme, bits, k, interleave, round_steps) -> schedule
+_SCHEDULES: dict[tuple, PipelineResult] = {}
+
+
+def _schedule_many(
+    scheme: str, bits: int, ks: Sequence[int], interleave: bool,
+    round_steps: int | None,
+) -> list[PipelineResult]:
+    """The static schedules at the reduction lengths ``ks``: memo, else
+    store, else scheduled now.  The streams one call schedules are stored
+    as one batch, even when a later one fails to generate."""
+    todo = {k: stable_hash({
         "scheme": scheme, "bits": bits, "k": k, "interleave": interleave,
         "round_steps": round_steps, "code": _code_version(),
-    })
-    data = _SCHEDULE_STORE.get(digest)
-    if data is not None:
-        try:
-            result = PipelineResult.from_json(data)
-            obs_metrics.counter("arm_schedules", outcome="store_hit").inc()
-            return result
-        except (KeyError, TypeError, ValueError) as exc:
-            # stale/corrupt entry: reschedule below
-            obs_log.debug(
-                "arm_schedule_cache_stale",
-                logger="repro.arm.cost_model",
-                digest=digest[:16], error=type(exc).__name__,
-            )
-    with obs_trace.span(
-        "arm.schedule", scheme=scheme, bits=bits, k=k, interleave=interleave
-    ):
-        kern = _generate(scheme, bits, k, interleave, round_steps)
-        result = PipelineModel(A53_COST_TABLE).schedule(kern.stream)
-    obs_metrics.counter("arm_schedules", outcome="computed").inc()
-    _SCHEDULE_STORE.put(digest, result.to_json())
-    return result
+    }) for k in dict.fromkeys(ks)
+        if (scheme, bits, k, interleave, round_steps) not in _SCHEDULES}
+    new: list[tuple[str, dict]] = []
+    try:
+        for (k, digest), data in zip(
+                todo.items(), _SCHEDULE_STORE.get_many(todo.values())):
+            result = None
+            if data is not None:
+                try:
+                    result = PipelineResult.from_json(data)
+                    obs_metrics.counter("arm_schedules", outcome="store_hit").inc()
+                except (KeyError, TypeError, ValueError) as exc:  # stale
+                    obs_log.debug("arm_schedule_cache_stale",
+                                  logger="repro.arm.cost_model",
+                                  digest=digest[:16], error=type(exc).__name__)
+            if result is None:
+                with obs_trace.span("arm.schedule", scheme=scheme, bits=bits,
+                                    k=k, interleave=interleave):
+                    kern = _generate(scheme, bits, k, interleave, round_steps)
+                    result = PipelineModel(A53_COST_TABLE).schedule(kern.stream)
+                obs_metrics.counter("arm_schedules", outcome="computed").inc()
+                new.append((digest, result.to_json()))
+            _SCHEDULES[(scheme, bits, k, interleave, round_steps)] = result
+    finally:
+        _SCHEDULE_STORE.put_many(new)
+    return [_SCHEDULES[(scheme, bits, k, interleave, round_steps)] for k in ks]
 
 
 def _schedule_cycles(
     scheme: str, bits: int, k: int, interleave: bool, round_steps: int | None
 ) -> int:
-    return _schedule_result(scheme, bits, k, interleave, round_steps).cycles
+    return _schedule_many(scheme, bits, (k,), interleave, round_steps)[0].cycles
 
 
 def clear_schedule_cache(*, persistent: bool = False) -> None:
     """Drop memoized schedules (tests/bench; mirrors
     :func:`repro.gpu.autotune.clear_cache`)."""
-    _schedule_result.cache_clear()
+    _SCHEDULES.clear()
     _linear_fit.cache_clear()
+    _SCHEDULE_STORE.drop_index()
     if persistent:
         _SCHEDULE_STORE.clear()
 
@@ -189,8 +201,8 @@ def _linear_fit(
 ) -> tuple[float, float]:
     """Fit cycles ~= a + b*k from two scheduled reference streams."""
     k1, k2 = _EXACT_K_LIMIT // 2, _EXACT_K_LIMIT
-    c1 = _schedule_cycles(scheme, bits, k1, interleave, round_steps)
-    c2 = _schedule_cycles(scheme, bits, k2, interleave, round_steps)
+    r1, r2 = _schedule_many(scheme, bits, (k1, k2), interleave, round_steps)
+    c1, c2 = r1.cycles, r2.cycles
     b = (c2 - c1) / (k2 - k1)
     a = c1 - b * k1
     return a, b
@@ -245,11 +257,9 @@ def tile_cycles_batch(
     out = np.empty(ks.shape, dtype=np.float64)
     exact = ks <= _EXACT_K_LIMIT
     if exact.any():
-        cycles = {
-            int(k): float(_schedule_cycles(
-                scheme, bits, int(k), interleave, round_steps))
-            for k in np.unique(ks[exact])
-        }
+        distinct = [int(k) for k in np.unique(ks[exact])]
+        results = _schedule_many(scheme, bits, distinct, interleave, round_steps)
+        cycles = {k: float(r.cycles) for k, r in zip(distinct, results)}
         out[exact] = [cycles[int(k)] for k in ks[exact]]
     fit = ~exact
     if fit.any():

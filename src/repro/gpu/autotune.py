@@ -195,6 +195,8 @@ def _tiling_from_json(v: list) -> TilingParams:
 # ---------------------------------------------------------------------------
 
 _MEM_CACHE: dict[str, AutotuneResult] = {}
+#: sweep key -> :func:`_sweep_digest`, so each distinct sweep is hashed once
+_DIGESTS: dict[tuple, str] = {}
 _SPACE_CACHE: dict[tuple[int, GpuDevice], tuple[list[TilingParams], TilingArrays]] = {}
 _STORE = PersistentCache("gpu-autotune")
 _QUARANTINE = Quarantine("autotune.profile")
@@ -216,11 +218,13 @@ def _code_version() -> str:
 
 
 def clear_cache(*, persistent: bool = False) -> None:
-    """Drop memoized autotune results (the in-process cache always; the
-    on-disk store too with ``persistent=True``) and release quarantined
-    candidates.  Public for tests and the bench harness."""
+    """Drop memoized autotune results (the memo and the store's index
+    always; the on-disk store too with ``persistent=True``) and release
+    quarantined candidates.  Public for tests and the bench harness."""
     _MEM_CACHE.clear()
+    _DIGESTS.clear()
     _QUARANTINE.clear()
+    _STORE.drop_index()
     if persistent:
         _STORE.clear()
 
@@ -576,14 +580,28 @@ def _sweep_digest(
     })
 
 
-def _cached(
-    digest: str, gemm: GemmShape, bits: int, persistent: bool
+def _digest_of(
+    gemm: GemmShape, bits: int, device: GpuDevice, kernel_kwargs: dict
+) -> str:
+    """:func:`_sweep_digest` memoized on the sweep key, value types included
+    (the digest tells 1, 1.0 and True apart); unhashable kwargs hash anew."""
+    key = (gemm, bits, device, tuple(sorted(
+        (name, type(value), value) for name, value in kernel_kwargs.items())))
+    try:
+        digest = _DIGESTS.get(key)
+    except TypeError:  # an unhashable kwarg value
+        return _sweep_digest(gemm, bits, device, kernel_kwargs)
+    if digest is None:
+        digest = _DIGESTS[key] = _sweep_digest(gemm, bits, device, kernel_kwargs)
+    return digest
+
+
+def _from_store(
+    digest: str, data: dict | None, gemm: GemmShape, bits: int
 ) -> AutotuneResult | None:
-    """The memoized result, else (``persistent``) the disk store's."""
-    cached = _MEM_CACHE.get(digest)
-    data = _STORE.get(digest) if cached is None and persistent else None
+    """The store's entry ``data`` for the sweep, memoized; None if stale."""
     if data is None:
-        return cached
+        return None
     try:
         result = AutotuneResult.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -612,41 +630,43 @@ def autotune_many(
     :func:`_search` passes of up to ``_PASS_SWEEPS`` sweeps that share bit
     width and kernel kwargs.  Every result, tallies included, equals what
     the one-shape :func:`autotune` returns.  A failing sweep does not stop
-    the others: they are all memoized and stored first, then the error of
-    the first failing sweep in ``sweeps`` is raised.
+    the others: they are all memoized and stored, as one batch, first,
+    then the error of the first failing sweep in ``sweeps`` is raised.
     """
     opts = _OPTIONS
     prune = opts.prune if prune is None else prune
     persistent = opts.persistent if persistent is None else persistent
-    digests = [_sweep_digest(g, b, device, kw) for g, b, kw in sweeps]
-    outcome: dict[str, AutotuneResult | AutotuneError] = {}
+    digests = [_digest_of(g, b, device, kw) for g, b, kw in sweeps]
+    outcome: dict[str, AutotuneResult | AutotuneError | None] = {
+        digest: _MEM_CACHE.get(digest) for digest in digests}
+    todo = {d: sweep for d, sweep in zip(digests, sweeps) if outcome[d] is None}
+    stored = _STORE.get_many(todo) if persistent else [None] * len(todo)
     groups: dict[tuple[int, str], list[tuple[str, GemmShape, dict]]] = {}
-    for digest, (gemm, bits, kwargs) in zip(digests, sweeps):
-        if digest in outcome:
-            continue
-        cached = _cached(digest, gemm, bits, persistent)
-        if cached is not None:
-            outcome[digest] = cached
-        else:
-            outcome[digest] = None  # claimed: computed below
+    for (digest, (gemm, bits, kwargs)), data in zip(todo.items(), stored):
+        outcome[digest] = _from_store(digest, data, gemm, bits)
+        if outcome[digest] is None:  # computed below
             groups.setdefault((bits, repr(sorted(kwargs.items()))), []).append(
                 (digest, gemm, kwargs))
-    for (bits, _), members in groups.items():
-        space, arrays = _legal_candidates(bits, device)
-        kwargs = members[0][2]
-        for start in range(0, len(members), _PASS_SWEEPS):
-            part = members[start:start + _PASS_SWEEPS]
-            gemms = [gemm for _, gemm, _ in part]
-            found = (_search(gemms, bits, space, arrays, device,
-                             prune=prune, kernel_kwargs=kwargs)
-                     if space else
-                     [_no_legal_tiling_error(g, bits, device) for g in gemms])
-            for (digest, _, _), result in zip(part, found):
-                if isinstance(result, AutotuneResult):
-                    result = _MEM_CACHE.setdefault(digest, result)
-                    if persistent:
-                        _STORE.put(digest, result.to_json())
-                outcome[digest] = result
+    new: list[tuple[str, AutotuneResult]] = []
+    try:
+        for (bits, _), members in groups.items():
+            space, arrays = _legal_candidates(bits, device)
+            kwargs = members[0][2]
+            for start in range(0, len(members), _PASS_SWEEPS):
+                part = members[start:start + _PASS_SWEEPS]
+                gemms = [gemm for _, gemm, _ in part]
+                found = (_search(gemms, bits, space, arrays, device,
+                                 prune=prune, kernel_kwargs=kwargs)
+                         if space else
+                         [_no_legal_tiling_error(g, bits, device) for g in gemms])
+                for (digest, _, _), result in zip(part, found):
+                    if isinstance(result, AutotuneResult):
+                        result = _MEM_CACHE.setdefault(digest, result)
+                        new.append((digest, result))
+                    outcome[digest] = result
+    finally:
+        if persistent:
+            _STORE.put_many((d, result.to_json()) for d, result in new)
     for digest in digests:
         if isinstance(outcome[digest], AutotuneError):
             raise outcome[digest]

@@ -137,25 +137,14 @@ class BenchLedger:
         if not self.path.is_file():
             return []
         self.recover()
-        out: list[dict] = []
-        for i, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines()
-        ):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                if not isinstance(entry, dict):
-                    raise ValueError("entry is not an object")
-            except ValueError as exc:
-                obs_metrics.counter("ledger_entries", outcome="corrupt").inc()
-                obs_log.warning(
-                    "ledger_corrupt_line", logger="repro.obs.history",
-                    path=str(self.path), line=i + 1,
-                    error=type(exc).__name__,
-                )
-                continue
-            out.append(entry)
+        out, bad = res_atomic.read_jsonl(
+            self.path, accept=lambda entry: isinstance(entry, dict))
+        for number in bad:
+            obs_metrics.counter("ledger_entries", outcome="corrupt").inc()
+            obs_log.warning(
+                "ledger_corrupt_line", logger="repro.obs.history",
+                path=str(self.path), line=number,
+            )
         return out
 
     def latest(self, n: int = 1) -> list[dict]:

@@ -4,8 +4,9 @@ Everything under :mod:`repro.perf` makes the reproduction *faster without
 changing any result*:
 
 * :class:`~repro.perf.cache.PersistentCache` — content-addressed
-  JSON-on-disk memoization under ``~/.cache/repro`` (``REPRO_CACHE_DIR``
-  overrides), tolerant of corruption and unwritable filesystems;
+  memoization under ``~/.cache/repro`` (``REPRO_CACHE_DIR`` overrides),
+  one JSONL segment file per batch read through an in-process index,
+  tolerant of corruption and unwritable filesystems;
 * :func:`~repro.perf.cache.stable_hash` — a canonical hash for cache keys
   built from dataclasses / dicts / kwargs, independent of insertion order
   and safe for unhashable values;

@@ -1,9 +1,10 @@
-"""Content-addressed persistent result cache (JSON on disk).
+"""Content-addressed persistent result cache (JSONL segments on disk).
 
 Autotune results and ARM static schedules are pure functions of (shape,
 bits, device, kernel kwargs, code).  This module memoizes them across
-*processes*: a cache entry is one JSON file named by the
-:func:`stable_hash` of its key, stored under
+*processes*.  An entry is a JSON dict under the :func:`stable_hash` of
+its key; a batch of entries is one segment file, ``seg-<sha256 of its
+content>.jsonl`` with one ``[digest, value]`` array per line, under
 
 * ``$REPRO_CACHE_DIR`` if set (re-read on every access, so tests can
   isolate with ``tmp_path``), else
@@ -19,25 +20,31 @@ Design rules:
 * **Code versions the key.**  Callers mix a :func:`code_fingerprint` of
   the modules that produce the value into the key, so editing a cost
   model invalidates stale entries instead of replaying them.
+* **One file per batch, one index per process.**  ``put_many`` publishes
+  a batch through :func:`repro.resilience.atomic.atomic_write_text`
+  (all or none, even across ``kill -9``).  ``get_many`` answers from an
+  in-process digest index; a call that misses lists the directory once
+  and reads only the segments the index has not seen.
 * **The cache is an optimization, never a failure source.**  Unreadable
-  directories, truncated/corrupt JSON, injected faults, or racing
-  writers degrade to a cache miss; writes go through
-  :func:`repro.resilience.atomic.atomic_write_text`
-  (temp file + fsync + ``os.replace``) so readers never observe a
-  partial entry even across ``kill -9``.  Setting ``REPRO_NO_CACHE=1``
+  directories or segments, corrupt segments, injected faults, or racing
+  writers degrade to a cache miss.  Setting ``REPRO_NO_CACHE=1``
   disables all disk traffic.
-* **Corruption is quarantined, not just tolerated.**  A corrupt entry is
-  moved into the ``.quarantine/`` sibling directory (keeping the
-  specimen for debugging) so the next lookup is a clean
-  ``FileNotFoundError`` miss instead of re-parsing garbage forever.
-* **Degradation is never silent.**  Every tolerated corruption or failed
-  write increments a :mod:`repro.obs.metrics` counter (``cache_corrupt``,
-  ``cache_put_errors``) and emits a structured ``repro.obs.log`` warning,
-  and every lookup lands in ``cache_lookups{namespace=...,outcome=...}``.
-* **Chaos-testable.**  ``get``/``put`` run under the
+* **Corruption is quarantined, not just tolerated.**  A segment with a
+  line that is not ``[digest, dict]`` is moved whole into the
+  ``.quarantine/`` sibling directory (keeping the specimen), so the next
+  lookup is a clean miss.  An unreadable segment stays put, an injected
+  ``cache.get`` fault only counts a miss, and an index counts each
+  unusable segment once.
+* **Degradation is never silent.**  Every tolerated corruption, failed
+  read or failed write increments a :mod:`repro.obs.metrics` counter
+  (``cache_corrupt``, ``cache_read_errors``, ``cache_put_errors``) and
+  emits a structured ``repro.obs.log`` warning, and every lookup lands
+  in ``cache_lookups{namespace=...,outcome=...}``.
+* **Chaos-testable.**  ``get_many``/``put_many`` run under the
   :mod:`repro.resilience.faults` sites ``cache.get`` / ``cache.put``
   (plus the ``cache.put.tmp`` crash window inside the atomic writer), so
-  a seeded fault plan can prove every degradation path above.
+  a seeded fault plan can prove every degradation path above (a batch's
+  fault key is its segment name, a one-entry batch's its digest).
 """
 
 from __future__ import annotations
@@ -152,7 +159,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    errors: int = 0  #: corrupt entries tolerated + failed writes
+    errors: int = 0  #: unusable segments + failed reads and writes
 
     @property
     def lookups(self) -> int:
@@ -173,10 +180,11 @@ class CacheStats:
 
 
 class PersistentCache:
-    """One namespace of the JSON-on-disk store.
+    """One namespace of the segment store.
 
-    ``get``/``put`` speak plain JSON-serializable dicts; callers own the
-    (de)serialization of their domain objects so this class stays generic.
+    ``get_many``/``put_many`` speak plain JSON-serializable dicts (a
+    returned dict is the index's own: do not mutate it); callers own the
+    (de)serialization of their domain objects.
     """
 
     def __init__(self, namespace: str, root: str | os.PathLike | None = None) -> None:
@@ -184,6 +192,10 @@ class PersistentCache:
             raise ValueError(f"invalid cache namespace {namespace!r}")
         self.namespace = namespace
         self._root = pathlib.Path(root) if root is not None else None
+        # the index: entries and segment names read of one directory
+        self._indexed: pathlib.Path | None = None
+        self._entries: dict[str, dict] = {}
+        self._segments: set[str] = set()
         self.stats = CacheStats()
 
     # -- location -----------------------------------------------------------
@@ -196,8 +208,48 @@ class PersistentCache:
         root = self._root if self._root is not None else default_cache_root()
         return root / self.namespace
 
-    def path_for(self, digest: str) -> pathlib.Path:
-        return self.directory() / f"{digest}.json"
+    # -- the index ----------------------------------------------------------
+
+    def _index(self, directory: pathlib.Path) -> dict[str, dict]:
+        """The digest index of ``directory``; a new one when it moved."""
+        if directory != self._indexed:
+            self._indexed, self._entries, self._segments = directory, {}, set()
+        return self._entries
+
+    def _refresh(self) -> None:
+        """Index the segments not seen yet: one listing (not a ``stat``: a
+        coarse mtime hides a publish in the same tick), one read each."""
+        try:
+            names = os.listdir(self._indexed)
+        except OSError:  # no directory yet, or an unusable root
+            return
+        for name in names:
+            if (not name.startswith("seg-") or not name.endswith(".jsonl")
+                    or name in self._segments):
+                continue
+            path = self._indexed / name
+            try:
+                entries, bad = res_atomic.read_jsonl(path, accept=lambda e: (
+                    type(e) is list and len(e) == 2
+                    and type(e[0]) is str and type(e[1]) is dict))
+            except FileNotFoundError:  # cleared by another process
+                continue
+            except OSError as exc:  # no proof of bad bytes: skip, keep it
+                entries, bad = [], None
+                self._degrade("cache_read_errors", "cache_read_failed",
+                              path=str(path), error=type(exc).__name__)
+            if bad:  # trust none of the segment, and move it away
+                self._degrade("cache_corrupt", "cache_corrupt",
+                              path=str(path), bad=bad)
+                if res_atomic.quarantine_file(path, reason="cache-corrupt"):
+                    continue  # a new file of this name is read anew
+            else:
+                self._entries.update(entries)
+            self._segments.add(name)  # not read or counted again
+
+    def drop_index(self) -> None:
+        """Forget what was read: the next lookup reads the directory anew."""
+        self._indexed, self._entries, self._segments = None, {}, set()
 
     # -- operations ---------------------------------------------------------
 
@@ -206,91 +258,93 @@ class PersistentCache:
             "cache_lookups", namespace=self.namespace, outcome=outcome
         ).inc()
 
-    def _degrade(self, path: pathlib.Path, exc: BaseException | None,
-                 reason: str) -> None:
-        """A corrupt/unreadable entry tolerated as a miss — but signaled,
-        and the offending file is quarantined so the next lookup misses
-        cleanly instead of re-parsing the same garbage."""
+    def _miss(self, *, error: bool = False) -> None:
         self.stats.misses += 1
-        self.stats.errors += 1
+        self.stats.errors += int(error)
         self._count_lookup("miss")
-        obs_metrics.counter("cache_corrupt", namespace=self.namespace).inc()
-        obs_log.warning(
-            "cache_corrupt",
-            logger="repro.perf.cache",
-            namespace=self.namespace,
-            path=str(path),
-            reason=reason,
-            error=type(exc).__name__ if exc is not None else "none",
-        )
-        if path.exists():
-            res_atomic.quarantine_file(path, reason=f"cache-{reason}")
+
+    def _degrade(self, counter: str, event: str, **fields: Any) -> None:
+        """Count and log a tolerated failure: degradation is never silent."""
+        self.stats.errors += 1
+        obs_metrics.counter(counter, namespace=self.namespace).inc()
+        obs_log.warning(event, logger="repro.perf.cache",
+                        namespace=self.namespace, **fields)
+
+    def get_many(self, digests: Iterable[str]) -> list[dict | None]:
+        """The stored entry of each digest, ``None`` on miss/corruption/
+        disablement.  The call's first miss lists the directory, once."""
+        if not self.enabled:
+            return [None for _ in digests]
+        entries, listed, values = self._index(self.directory()), False, []
+        for digest in digests:
+            try:
+                res_faults.inject("cache.get", key=digest)
+            except InjectedFault:
+                values.append(self._miss(error=True))
+                continue
+            value = entries.get(digest)
+            if value is None and not listed:
+                self._refresh()
+                listed, value = True, entries.get(digest)
+            if value is None:
+                values.append(self._miss())
+            # injected garbage is a failed read of a good entry: it stays put
+            elif not isinstance(res_faults.maybe_garbage(
+                    "cache.get", value, key=digest), dict):
+                values.append(self._miss(error=True))
+            else:
+                self.stats.hits += 1
+                self._count_lookup("hit")
+                values.append(value)
+        return values
 
     def get(self, digest: str) -> dict | None:
-        """The stored entry, or ``None`` on miss/corruption/disablement."""
-        if not self.enabled:
-            return None
-        path = self.path_for(digest)
-        try:
-            res_faults.inject("cache.get", key=digest)
-            with open(path, "r", encoding="utf-8") as fh:
-                value = json.load(fh)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            self._count_lookup("miss")
-            return None
-        except (OSError, ValueError, UnicodeDecodeError, InjectedFault) as exc:
-            # truncated/corrupt/unreadable entry: a miss, never a crash
-            self._degrade(path, exc, "unreadable-or-invalid-json")
-            return None
-        value = res_faults.maybe_garbage("cache.get", value, key=digest)
-        if not isinstance(value, dict):
-            self._degrade(path, None, "entry-not-a-dict")
-            return None
-        self.stats.hits += 1
-        self._count_lookup("hit")
-        return value
+        """:meth:`get_many` of one digest."""
+        return self.get_many([digest])[0]
 
-    def put(self, digest: str, value: dict) -> bool:
-        """Atomically persist ``value``; failures are swallowed (False)."""
+    def put_many(self, items: Iterable[tuple[str, dict]]) -> bool:
+        """Atomically persist ``(digest, value)`` entries as one segment
+        and index them as given; failures are swallowed (False)."""
         if not self.enabled:
             return False
-        path = self.path_for(digest)
+        items = list(items)
+        if not items:
+            return True
+        directory = self.directory()
         try:
-            # fsync=False: rename atomicity alone makes entries kill-safe
-            # (readers see old-or-new, never torn); skipping the fsync
-            # keeps hot-sweep puts off the disk-flush path.  Power-loss
-            # durability is not a cache's contract — a lost entry is a
-            # recomputable miss.
+            text = "".join(json.dumps([digest, value], separators=(",", ":"))
+                           + "\n" for digest, value in items)
+            name = f"seg-{hashlib.sha256(text.encode()).hexdigest()}.jsonl"
+            # fsync=False: the rename alone makes segments kill-safe, and
+            # one lost to power loss is a recomputable miss
             res_atomic.atomic_write_text(
-                path, json.dumps(value, separators=(",", ":")),
-                site="cache.put", key=digest, fsync=False,
-            )
+                directory / name, text, site="cache.put",
+                key=items[0][0] if len(items) == 1 else name, fsync=False)
         except (OSError, TypeError, ValueError, InjectedFault) as exc:
-            self.stats.errors += 1
-            obs_metrics.counter(
-                "cache_put_errors", namespace=self.namespace
-            ).inc()
-            obs_log.warning(
-                "cache_put_failed",
-                logger="repro.perf.cache",
-                namespace=self.namespace,
-                path=str(path),
-                error=type(exc).__name__,
-            )
+            self._degrade("cache_put_errors", "cache_put_failed",
+                          path=str(directory), entries=len(items),
+                          error=type(exc).__name__)
             return False
-        self.stats.puts += 1
-        obs_metrics.counter("cache_puts", namespace=self.namespace).inc()
+        self.stats.puts += len(items)
+        obs_metrics.counter("cache_puts", namespace=self.namespace).inc(len(items))
+        self._index(directory).update(items)
+        self._segments.add(name)
         return True
 
+    def put(self, digest: str, value: dict) -> bool:
+        """:meth:`put_many` of one entry."""
+        return self.put_many([(digest, value)])
+
     def clear(self) -> int:
-        """Delete every entry in this namespace; returns files removed."""
+        """Delete every file of the namespace, old-layout entries too (not
+        ``.quarantine/``), and forget the index; returns the files removed."""
+        self.drop_index()
         removed = 0
         try:
-            entries = list(self.directory().glob("*.json"))
+            paths = [p for p in self.directory().iterdir() if p.is_file()]
         except OSError:
             return 0
-        for path in entries:
+        for path in paths:
             try:
                 path.unlink()
                 removed += 1
@@ -299,10 +353,10 @@ class PersistentCache:
         return removed
 
     def __len__(self) -> int:
-        try:
-            return sum(1 for _ in self.directory().glob("*.json"))
-        except OSError:
-            return 0
+        """Indexed entries, after indexing any new segments."""
+        entries = self._index(self.directory())
+        self._refresh()
+        return len(entries)
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()

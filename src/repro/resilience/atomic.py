@@ -1,6 +1,6 @@
 """Crash-safe persistence primitives with startup recovery.
 
-Every durable artifact the library writes — cache entries, ``BENCH_*.json``
+Every durable artifact the library writes — cache segments, ``BENCH_*.json``
 reports, the JSONL bench ledger — goes through one of three helpers so a
 ``kill -9`` at *any* instant leaves either the old file or the new file,
 never a torn hybrid:
@@ -17,6 +17,8 @@ never a torn hybrid:
   torn trailing line (no newline, or unparseable JSON) is moved into the
   ``.quarantine/`` sibling directory and truncated away, so readers see
   only complete records and the evidence survives for debugging;
+* :func:`read_jsonl` — the JSONL reader of the ledger and the cache:
+  parsed lines plus the numbers of the bad ones, for the caller to act on;
 * :func:`quarantine_file` — move any corrupt file into ``.quarantine/``
   next to it instead of deleting or raising.
 
@@ -35,7 +37,7 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Any
+from typing import Any, Callable
 
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
@@ -136,6 +138,29 @@ def atomic_append_line(
     finally:
         os.close(fd)
     return path
+
+
+def read_jsonl(
+    path: "str | os.PathLike", accept: Callable[[Any], bool] | None = None
+) -> tuple[list[Any], list[int]]:
+    """The values of a JSONL file's good lines, in order, and the 1-based
+    numbers of its bad ones: not UTF-8 JSON, or refused by ``accept``.
+    Blank lines are neither; an unreadable file raises ``OSError``."""
+    values, bad = [], []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line.decode("utf-8"))
+                good = accept is None or accept(value)
+            except ValueError:  # UnicodeDecodeError is one
+                good = False
+            if good:
+                values.append(value)
+            else:
+                bad.append(number)
+    return values, bad
 
 
 def quarantine_dir_for(path: "str | os.PathLike") -> pathlib.Path:

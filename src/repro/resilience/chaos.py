@@ -17,9 +17,10 @@ own pass/fail verdict (the CLI exits non-zero when any check fails);
 * **persistence-crash-safety** — injected crashes at the persistence
   sites (``cache.put`` before any bytes move, ``cache.put.tmp`` inside
   the write/rename window, ``history.append``) plus hand-torn artifacts
-  must leave *zero* torn files: every surviving cache entry parses, no
-  stranded temp files, corrupt entries land in ``.quarantine/`` and
-  re-miss cleanly, and a torn ledger tail is recovered on startup.
+  must leave *zero* torn files: every successful cache put reads back in
+  a fresh instance, no stranded temp files, a segment with a corrupt
+  line lands in ``.quarantine/`` and re-misses cleanly, and a torn
+  ledger tail is recovered on startup.
 * **serve-slo** — a short :mod:`repro.serve` replay under the serving
   chaos plan (transient dispatch faults + a scripted primary kill): the
   breaker must open and re-close through a half-open probe, admitted
@@ -189,15 +190,8 @@ def _torn_artifacts(root: pathlib.Path) -> list[pathlib.Path]:
                 json.loads(path.read_text(encoding="utf-8"))
             except (ValueError, UnicodeDecodeError, OSError):
                 torn.append(path)
-        elif path.suffix == ".jsonl":
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    json.loads(line)
-                except ValueError:
-                    torn.append(path)
-                    break
+        elif path.suffix == ".jsonl" and res_atomic.read_jsonl(path)[1]:
+            torn.append(path)
     return torn
 
 
@@ -218,27 +212,34 @@ def scenario_persistence_crash_safety() -> ScenarioResult:
         spec = ("cache.put:raise:0.2:0;"        # crash before bytes move
                 "cache.put.tmp:raise:0.3:0")    # crash inside the window
         with fault_plan(spec, seed=CANNED_SEED):
-            stored = sum(
-                cache.put(f"{i:064x}", {"i": i}) for i in range(32))
+            put_ok = [cache.put(f"{i:064x}", {"i": i}) for i in range(32)]
+        stored = sum(put_ok)
         res.check(0 < stored < 32,
                   f"put mix of successes and injected crashes "
                   f"({stored}/32 stored)")
-        survivors = list(cache.directory().glob("*.json"))
-        res.check(len(survivors) == stored,
-                  f"every successful put is on disk ({len(survivors)})")
+        fresh = PersistentCache("chaos", root=root)
+        with fault_plan(None):  # read back without the env plan's faults
+            readable = [fresh.get(f"{i:064x}") == {"i": i} for i in range(32)]
+        res.check(readable == put_ok,
+                  f"every successful put is readable by a fresh instance "
+                  f"({sum(readable)})")
 
-        # -- corrupt entry: quarantined on read, then a clean miss ----------
+        # -- corrupt segment line: quarantined on read, then a clean miss ---
         digest = "f" * 64
-        cache.put(digest, {"ok": True})
-        cache.path_for(digest).write_text("{torn", encoding="utf-8")
-        first = cache.get(digest)
-        qdir = res_atomic.quarantine_dir_for(cache.path_for(digest))
-        res.check(first is None, "corrupt entry read degrades to a miss")
-        res.check(qdir.is_dir() and any(qdir.iterdir()),
-                  "corrupt entry moved into .quarantine/")
-        res.check(not cache.path_for(digest).exists() and
-                  cache.get(digest) is None,
-                  "second lookup is a clean FileNotFoundError miss")
+        torn = cache.directory() / "seg-torn.jsonl"
+        torn.write_text(json.dumps([digest, {"ok": True}])[:-4],
+                        encoding="utf-8")
+        qdir = res_atomic.quarantine_dir_for(torn)
+        with fault_plan(None):
+            first = fresh.get(digest)
+            errors = fresh.stats.errors
+            second = fresh.get(digest)
+        res.check(first is None and errors == 1,
+                  "corrupt segment line degrades to a counted miss")
+        res.check(not torn.exists() and qdir.is_dir() and any(qdir.iterdir()),
+                  "corrupt segment moved into .quarantine/")
+        res.check(second is None and fresh.stats.errors == errors,
+                  "second lookup is a clean miss")
 
         # -- ledger: torn tail recovered, failed append leaves no bytes ----
         ledger = BenchLedger(root / "history")

@@ -178,11 +178,11 @@ def test_corrupt_persistent_entry_recomputes():
     g = GemmShape(196, 2304, 256)
     store = cache_store()
     r1 = autotune(g, 4)
-    entries = list(store.directory().glob("*.json"))
-    assert len(entries) == 1
-    entries[0].write_text("{\"gemm\": [1,", encoding="utf-8")  # truncated
+    segments = list(store.directory().glob("seg-*.jsonl"))
+    assert len(segments) == 1
+    segments[0].write_text('["', encoding="utf-8")  # truncated
 
-    clear_cache()
+    clear_cache()  # the memo and the store's index: read the disk again
     store.reset_stats()
     r2 = autotune(g, 4)
     assert r2 == r1

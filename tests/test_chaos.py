@@ -15,6 +15,7 @@ from repro.errors import AutotuneError
 from repro.gpu.autotune import autotune, clear_cache, profile_quarantine
 from repro.resilience.chaos import (
     CANNED_SEED,
+    _torn_artifacts,
     run_chaos,
     scenario_autotune_invariance,
     scenario_executor_degradation,
@@ -179,11 +180,10 @@ def test_bench_smoke_completes_under_transient_faults(
     report = json.loads(
         (tmp_path / "BENCH_autotune_smoke.json").read_text())
     assert report["gpu_autotune"]["identical_series"] is True
-    # no torn/partial artifacts anywhere in the output tree
-    for path in tmp_path.rglob("*"):
-        if path.is_file() and path.suffix == ".json":
-            json.loads(path.read_text(encoding="utf-8"))
-        assert path.suffix != ".tmp"
+    # no torn/partial artifacts anywhere in the output tree, cache
+    # segments included
+    assert list((tmp_path / "cache").rglob("seg-*.jsonl"))
+    assert _torn_artifacts(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

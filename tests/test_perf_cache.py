@@ -1,9 +1,10 @@
-"""stable_hash and the persistent JSON-on-disk result cache.
+"""stable_hash and the persistent segment store.
 
 The contract under test: keys are canonical (insertion order, hashability
 and object identity never matter), the store is content-addressed under
-``REPRO_CACHE_DIR``, and *nothing* that goes wrong on disk is allowed to
-surface as anything worse than a cache miss.
+``REPRO_CACHE_DIR`` with one JSONL segment file per batch, and *nothing*
+that goes wrong on disk is allowed to surface as anything worse than a
+cache miss.
 """
 
 import dataclasses
@@ -101,6 +102,18 @@ def store(tmp_path, monkeypatch):
     return PersistentCache("test-ns")
 
 
+def _segments(store):
+    return sorted(store.directory().glob("seg-*.jsonl"))
+
+
+def _write_segment(store, data: bytes):
+    """A hand-made segment, as a crashed or buggy writer might leave it."""
+    store.directory().mkdir(parents=True, exist_ok=True)
+    path = store.directory() / "seg-handmade.jsonl"
+    path.write_bytes(data)
+    return path
+
+
 def test_cache_root_follows_env(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     assert default_cache_root() == tmp_path
@@ -119,7 +132,8 @@ def test_put_get_roundtrip_and_stats(store):
     assert store.get(digest) == {"value": [1.5, None, "x"]}
     assert store.stats.hits == 1 and store.stats.puts == 1
     assert len(store) == 1
-    assert store.path_for(digest).is_file()
+    assert len(_segments(store)) == 1
+    assert PersistentCache("test-ns").get(digest) == {"value": [1.5, None, "x"]}
 
 
 def test_cache_dir_isolation(tmp_path, monkeypatch):
@@ -133,10 +147,12 @@ def test_cache_dir_isolation(tmp_path, monkeypatch):
 def test_truncated_json_is_a_miss_not_a_crash(store):
     digest = stable_hash("x")
     store.put(digest, {"v": 1})
-    full = store.path_for(digest).read_text(encoding="utf-8")
-    store.path_for(digest).write_text(full[: len(full) // 2], encoding="utf-8")
-    assert store.get(digest) is None
-    assert store.stats.errors == 1
+    [path] = _segments(store)
+    full = path.read_text(encoding="utf-8")
+    path.write_text(full[: len(full) // 2], encoding="utf-8")
+    reader = PersistentCache("test-ns")  # a new process: reads the disk
+    assert reader.get(digest) is None
+    assert reader.stats.errors == 1
 
 
 def test_corruption_is_counted_and_warned_not_silent(store, caplog):
@@ -148,9 +164,10 @@ def test_corruption_is_counted_and_warned_not_silent(store, caplog):
     obs_metrics.reset()
     digest = stable_hash("rotten")
     store.put(digest, {"v": 1})
-    store.path_for(digest).write_text("{not json", encoding="utf-8")
+    [path] = _segments(store)
+    path.write_text("{not json", encoding="utf-8")
     with caplog.at_level("WARNING", logger="repro.perf.cache"):
-        assert store.get(digest) is None
+        assert PersistentCache("test-ns").get(digest) is None
     events = [r.getMessage() for r in caplog.records
               if r.name == "repro.perf.cache"]
     assert any(m.startswith("cache_corrupt")
@@ -163,50 +180,52 @@ def test_corruption_is_counted_and_warned_not_silent(store, caplog):
 
 
 def test_corrupt_entry_quarantined_then_clean_miss(store):
-    """Regression: a corrupt entry must be *moved* to ``.quarantine/``,
-    not left in place — the second lookup is a plain FileNotFoundError
-    miss (no re-parse, no second corruption warning) and the specimen
-    survives for debugging."""
+    """Regression: a corrupt segment must be *moved* to ``.quarantine/``,
+    not left in place — the second lookup is a plain miss (no re-parse,
+    no second corruption warning) and the specimen survives for
+    debugging."""
     from repro.resilience.atomic import quarantine_dir_for
 
     digest = stable_hash("quarantine-me")
     store.put(digest, {"v": 1})
-    path = store.path_for(digest)
+    [path] = _segments(store)
     path.write_text("{torn mid-write", encoding="utf-8")
 
-    assert store.get(digest) is None
-    assert not path.exists(), "corrupt entry must leave the namespace"
+    reader = PersistentCache("test-ns")
+    assert reader.get(digest) is None
+    assert not path.exists(), "corrupt segment must leave the namespace"
     qdir = quarantine_dir_for(path)
     specimens = list(qdir.iterdir())
     assert len(specimens) == 1
     assert specimens[0].read_text(encoding="utf-8") == "{torn mid-write"
 
-    errors_after_first = store.stats.errors
-    assert store.get(digest) is None  # clean miss now
-    assert store.stats.errors == errors_after_first
+    errors_after_first = reader.stats.errors
+    assert reader.get(digest) is None  # clean miss now
+    assert reader.stats.errors == errors_after_first
 
-    # repeated corruption of the same entry keeps every specimen
+    # repeated corruption of the same segment keeps every specimen
     path.write_text("{torn again", encoding="utf-8")
-    assert store.get(digest) is None
+    assert reader.get(digest) is None
     assert len(list(qdir.iterdir())) == 2
 
-    # quarantined files are invisible to len()/clear() (namespace *.json)
+    # quarantined files are invisible to len()/clear() (namespace seg-*)
     store.put(digest, {"v": 2})
     assert store.get(digest) == {"v": 2}
+    fresh = PersistentCache("test-ns")
+    assert fresh.get(digest) == {"v": 2} and len(fresh) == 1
+    assert fresh.clear() == 1 and len(list(qdir.iterdir())) == 2
 
 
 def test_non_dict_entry_is_a_miss(store):
     digest = stable_hash("y")
-    store.path_for(digest).parent.mkdir(parents=True, exist_ok=True)
-    store.path_for(digest).write_text("[1, 2, 3]", encoding="utf-8")
+    _write_segment(store, f'["{digest}", [1, 2, 3]]\n'.encode())
     assert store.get(digest) is None
     assert store.stats.errors == 1
 
 
 def test_binary_garbage_entry_is_a_miss(store):
     digest = stable_hash("z")
-    store.path_for(digest).parent.mkdir(parents=True, exist_ok=True)
-    store.path_for(digest).write_bytes(b"\xff\xfe\x00garbage")
+    _write_segment(store, b"\xff\xfe\x00garbage")
     assert store.get(digest) is None
 
 
@@ -245,6 +264,117 @@ def test_clear_removes_entries(store):
     assert len(store) == 0
 
 
+def test_clear_also_removes_old_layout_entries(store):
+    from repro.resilience.atomic import quarantine_dir_for
+
+    store.put(stable_hash("new"), {"v": 1})
+    # an entry file of the one-file-per-entry layout, and a specimen
+    (store.directory() / f"{stable_hash('old')}.json").write_text("{}")
+    qdir = quarantine_dir_for(_segments(store)[0])
+    qdir.mkdir()
+    (qdir / "seg-specimen.jsonl").write_text("{torn")
+    assert store.clear() == 2
+    assert list(store.directory().iterdir()) == [qdir]
+    assert len(list(qdir.iterdir())) == 1
+
+
+def test_put_many_writes_one_segment_a_fresh_instance_reads(store):
+    items = [(stable_hash(i), {"v": i, "sq": [i * i]}) for i in range(5)]
+    assert store.put_many(items)
+    assert store.stats.puts == 5
+    [path] = list(store.directory().iterdir())
+    assert path.name.startswith("seg-") and path.suffix == ".jsonl"
+    reader = PersistentCache("test-ns")
+    assert [reader.get(digest) for digest, _ in items] == [v for _, v in items]
+    assert reader.stats.hits == 5 and len(reader) == 5
+    # the same batch from another writer publishes the same file
+    assert PersistentCache("test-ns").put_many(items)
+    assert list(store.directory().iterdir()) == [path]
+
+
+def test_segment_written_after_first_lookup_is_found_on_next_miss(store):
+    first, later = stable_hash("first"), stable_hash("later")
+    store.put(first, {"v": 1})
+    reader = PersistentCache("test-ns")
+    assert reader.get(first) == {"v": 1}  # the index is loaded here
+    assert reader.get(later) is None
+    # another process publishes a batch
+    store.put_many([(later, {"v": 2}), (stable_hash("also"), {"v": 3})])
+    assert reader.get(later) == {"v": 2}
+
+
+@pytest.mark.parametrize("kind", ["raise", "garbage"])
+def test_injected_read_fault_is_a_miss_that_moves_nothing(store, kind):
+    from repro.obs import metrics as obs_metrics
+    from repro.resilience.atomic import quarantine_dir_for
+
+    digest = stable_hash("healthy")
+    store.put(digest, {"v": 1})
+    [path] = _segments(store)
+    misses = obs_metrics.counter(
+        "cache_lookups", namespace="test-ns", outcome="miss")
+    before = misses.value
+    with fault_plan(f"cache.get:{kind}:1:1"):
+        assert store.get(digest) is None
+        assert store.stats.errors == 1 and store.stats.misses == 1
+        assert misses.value == before + 1
+        assert path.exists() and not quarantine_dir_for(path).exists()
+        assert store.get(digest) == {"v": 1}  # still indexed
+    assert PersistentCache("test-ns").get(digest) == {"v": 1}
+
+
+def test_get_many_lists_the_directory_once(store, monkeypatch):
+    items = [(stable_hash(i), {"v": i}) for i in range(3)]
+    store.put_many(items)
+    reader = PersistentCache("test-ns")
+    listings = []
+    refresh = PersistentCache._refresh
+    monkeypatch.setattr(PersistentCache, "_refresh",
+                        lambda self: listings.append(1) or refresh(self))
+    absent = [stable_hash(f"absent{i}") for i in range(4)]
+    digests = [absent[0], items[0][0], absent[1], items[2][0], *absent[2:]]
+    assert reader.get_many(digests) == [None, {"v": 0}, None, {"v": 2},
+                                        None, None]
+    assert len(listings) == 1  # at the first miss, not at each of four
+    assert reader.stats.hits == 2 and reader.stats.misses == 4
+    assert reader.get(absent[0]) is None and len(listings) == 2
+
+
+def test_unreadable_segment_is_counted_once_and_kept(store, monkeypatch):
+    import errno
+
+    from repro.resilience import atomic
+    from repro.resilience.atomic import quarantine_dir_for
+
+    digest = stable_hash("healthy")
+    store.put(digest, {"v": 1})
+    [path] = _segments(store)
+    read_jsonl = atomic.read_jsonl
+
+    def failing(path, accept=None):
+        raise OSError(errno.EIO, "injected read error")
+
+    monkeypatch.setattr(atomic, "read_jsonl", failing)
+    reader = PersistentCache("test-ns")
+    assert reader.get(digest) is None
+    assert reader.get(stable_hash("other")) is None
+    assert reader.stats.errors == 1 and reader.stats.misses == 2
+    assert path.exists() and not quarantine_dir_for(path).exists()
+    monkeypatch.setattr(atomic, "read_jsonl", read_jsonl)
+    assert PersistentCache("test-ns").get(digest) == {"v": 1}
+
+
+def test_corrupt_segment_that_cannot_move_is_counted_once(store, monkeypatch):
+    from repro.resilience import atomic
+
+    monkeypatch.setattr(atomic, "quarantine_file", lambda path, reason: None)
+    path = _write_segment(store, b"{torn")
+    assert store.get(stable_hash("a")) is None
+    assert store.get(stable_hash("b")) is None
+    assert store.stats.errors == 1 and store.stats.misses == 2
+    assert path.exists()
+
+
 def test_namespace_validation():
     with pytest.raises(ValueError):
         PersistentCache("")
@@ -281,7 +411,7 @@ def test_arm_schedule_persistent_roundtrip(tmp_path, monkeypatch):
         cold = _schedule_cycles("smlal", 4, 64, True, None)
         assert sched.stats.puts >= 1
 
-        clear_schedule_cache()  # drops the lru memo, keeps the disk store
+        clear_schedule_cache()  # drops the memo and index, keeps the disk
         sched.reset_stats()
         warm = _schedule_cycles("smlal", 4, 64, True, None)
         assert warm == cold

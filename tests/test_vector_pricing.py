@@ -337,6 +337,69 @@ def test_gpu_prewarm_computes_each_distinct_sweep_once():
     assert store.stats.puts == len(digests)
 
 
+def test_each_distinct_sweep_is_hashed_once(monkeypatch):
+    """The prewarm hashes each distinct sweep key once, and pricing the
+    prewarmed items, repeats included, hashes none."""
+    from repro.backends.gpu import GpuBackend
+    from repro.gpu.pipelinemodel import conv_gemm_shape
+    from repro.models import get_model_layers
+
+    calls = []
+    sweep_digest = autotune_mod._sweep_digest
+    monkeypatch.setattr(autotune_mod, "_sweep_digest",
+                        lambda *args: calls.append(args) or sweep_digest(*args))
+    work = [(spec, bits, None)
+            for spec in get_model_layers("resnet50")[:3] for bits in (4, 8)]
+    work += work[::2]
+    gpu = GpuBackend()
+    gpu.prewarm(work)
+    for spec, bits, epilogue in work:
+        gpu.price_conv(spec, bits, epilogue)
+    assert len(calls) == len({(conv_gemm_shape(s), b) for s, b, _ in work})
+
+
+def test_results_found_before_an_escaping_error_are_stored(monkeypatch):
+    """An exception that escapes a later pass (not a sweep's own
+    AutotuneError) still leaves the earlier passes' results on disk."""
+    from repro.perf.cache import PersistentCache
+
+    search = autotune_mod._search
+    passes = []
+
+    def interrupted(gemms, *args, **kwargs):
+        passes.append(gemms)
+        if len(passes) == 2:
+            raise KeyboardInterrupt
+        return search(gemms, *args, **kwargs)
+
+    monkeypatch.setattr(autotune_mod, "_search", interrupted)
+    sweeps = [(_GEMMS[0], 4, {}), (_GEMMS[1], 8, {})]  # one pass per width
+    with pytest.raises(KeyboardInterrupt):
+        autotune_many(sweeps, persistent=True)
+    assert len(passes) == 2
+    digest = autotune_mod._digest_of(_GEMMS[0], 4, autotune_mod.TU102, {})
+    assert PersistentCache("gpu-autotune").get(digest) is not None
+
+
+def test_cold_resnet50_prewarm_writes_one_segment_per_batch(tmp_path):
+    """A cold ResNet-50 prewarm publishes one cache file per batch: one
+    for the GPU at 4 and 8 bits, and one per width for the ARM at 2-8
+    bits (the fit's reference lengths are among the exact ones)."""
+    from repro.arm.cost_model import clear_schedule_cache
+    from repro.backends.arm import ArmBackend
+    from repro.backends.gpu import GpuBackend
+    from repro.models import get_model_layers
+
+    layers = get_model_layers("resnet50")
+    clear_schedule_cache()
+    GpuBackend().prewarm([(spec, bits, None) for bits in (4, 8) for spec in layers])
+    ArmBackend().prewarm([(spec, bits, None) for bits in range(2, 9) for spec in layers])
+    clear_schedule_cache()
+    cache = tmp_path / "cache"
+    assert len(list((cache / "gpu-autotune").iterdir())) == 1
+    assert len(list((cache / "arm-schedule").iterdir())) == 7
+
+
 def test_executor_prewarm_does_not_change_graph_report(monkeypatch):
     """estimate_graph_cycles prewarms first; the report must equal the
     one priced with the prewarm switched off."""
