@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..conv.ref import conv2d_float
 from ..errors import ReproError
 from ..runtime.network import Network, execute_network
-from ..types import ConvSpec, Layout
 
 
 def float_reference_network(
@@ -33,8 +33,7 @@ def float_reference_network(
     cur = np.asarray(x, dtype=np.float64)
     for stage in net.stages:
         spec = stage.spec
-        w = np.asarray(weights[spec.name], dtype=np.float64)
-        cur = _float_conv(spec, cur, w)
+        cur = conv2d_float(spec, cur, weights[spec.name])
         has_relu = any(op.kind == "relu" for op in stage.graph) or any(
             op.attrs.get("epilogue") == "requant_relu"
             for op in stage.graph.convs()
@@ -42,23 +41,6 @@ def float_reference_network(
         if has_relu:
             cur = np.maximum(cur, 0.0)
     return cur
-
-
-def _float_conv(spec: ConvSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Plain float NCHW convolution (same loop structure as conv2d_ref)."""
-    n, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    sh, sw = spec.stride
-    ph, pw = spec.padding
-    oh, ow = spec.out_height, spec.out_width
-    xp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw))
-    xp[:, :, ph : ph + h, pw : pw + wd] = x
-    out = np.zeros((n, cout, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            win = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-            out += np.einsum("nchw,oc->nohw", win, w[:, :, i, j], optimize=True)
-    return out
 
 
 @dataclass(frozen=True)

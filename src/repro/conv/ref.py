@@ -1,8 +1,16 @@
 """Golden reference: direct convolution by definition (Sec. 2.2).
 
 Deliberately simple and trusted; every other algorithm is validated against
-it.  Vectorized over channels so tests on realistic shapes stay fast, but
-the spatial loops follow the textbook definition verbatim.
+it.  Both convs here share one per-tap GEMM core: for each tap (i, j), the
+strided window of the padded input, as ``(n, groups, cin_g, oh*ow)``, is
+multiplied by that tap's weights with ``np.matmul`` and accumulated.
+
+:func:`conv2d_ref` runs the core in float64, on BLAS, when
+``K * max|x| * max|w| < 2**53``: every partial sum is then an integer of
+magnitude below 2^53, which float64 holds exactly in whatever order BLAS
+adds.  Otherwise it runs the core in int64, which wraps modulo 2^64 as
+numpy integers do.  The int64 per-tap ``einsum`` this replaced is the
+oracle, in ``tests/conv_oracle.py``.
 """
 
 from __future__ import annotations
@@ -12,6 +20,38 @@ import numpy as np
 from ..errors import ShapeError
 from ..types import ConvSpec, Layout
 
+#: weights are cast to the accumulation dtype one block of about this many
+#: elements at a time, so a float64 copy of a layer's weights never exists
+_WEIGHT_BLOCK = 1 << 18
+
+
+def _conv_taps(spec: ConvSpec, x: np.ndarray, w: np.ndarray, dtype: type) -> np.ndarray:
+    """NCHW ``x`` convolved with OIHW ``w``, summed in ``dtype``; returns
+    ``(n, cout, oh, ow)``."""
+    n, cin, h, wd = x.shape
+    cout, cin_g, kh, kw = w.shape
+    sh, sw = spec.stride
+    ph, pw = spec.padding
+    oh, ow = spec.out_height, spec.out_width
+    groups = spec.groups
+    cout_g = cout // groups
+    xp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw), dtype=dtype)
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    out = np.zeros((n, groups, cout_g, oh * ow), dtype=dtype)
+    rows = max(1, _WEIGHT_BLOCK // cin)  # rows of every group per block
+    for i in range(kh):
+        for j in range(kw):
+            win = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+            win = win.reshape(n, groups, cin_g, oh * ow)
+            tap = w[:, :, i, j].reshape(groups, cout_g, cin_g)
+            for r in range(0, cout_g, rows):
+                out[:, :, r : r + rows] += tap[:, r : r + rows].astype(dtype) @ win
+    return out.reshape(n, cout, oh, ow)
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(-int(a.min()), int(a.max()))
+
 
 def conv2d_float(
     spec: ConvSpec,
@@ -20,25 +60,13 @@ def conv2d_float(
 ) -> np.ndarray:
     """Float NCHW convolution — the full-precision reference the accuracy
     analysis and calibration compare the quantized pipeline against."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    x = np.asarray(x)
+    w = np.asarray(w)
     if x.shape != spec.input_shape(Layout.NCHW):
         raise ShapeError(f"{spec.name}: input {x.shape}")
     if w.shape != spec.weight_shape(Layout.NCHW):
         raise ShapeError(f"{spec.name}: weight {w.shape}")
-    n, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    sh, sw = spec.stride
-    ph, pw = spec.padding
-    oh, ow = spec.out_height, spec.out_width
-    xp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw))
-    xp[:, :, ph : ph + h, pw : pw + wd] = x
-    out = np.zeros((n, cout, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            win = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-            out += np.einsum("nchw,oc->nohw", win, w[:, :, i, j], optimize=True)
-    return out
+    return _conv_taps(spec, x, w, np.float64)
 
 
 def conv2d_ref(
@@ -86,34 +114,14 @@ def conv2d_ref(
     if layout is Layout.NHWC:
         x = np.transpose(x, (0, 3, 1, 2))  # to NCHW internally
 
-    n, cin, h, wd = x.shape
-    cout, cin_g, kh, kw = w.shape
-    sh, sw = spec.stride
-    ph, pw = spec.padding
-    oh, ow = spec.out_height, spec.out_width
-    groups = spec.groups
-
-    xp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw), dtype=np.int64)
-    xp[:, :, ph : ph + h, pw : pw + wd] = x
-
-    out = np.zeros((n, cout, oh, ow), dtype=np.int64)
-    w64 = w.astype(np.int64)
-    cout_g = cout // groups
-    for g in range(groups):
-        xg = xp[:, g * cin_g : (g + 1) * cin_g]
-        wg = w64[g * cout_g : (g + 1) * cout_g]
-        for i in range(kh):
-            for j in range(kw):
-                # window of shape (n, cin_g, oh, ow) for tap (i, j)
-                win = xg[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-                # (n, oh, ow, cin_g) . (cout_g, cin_g) accumulation
-                out[:, g * cout_g : (g + 1) * cout_g] += np.einsum(
-                    "nchw,oc->nohw", win, wg[:, :, i, j], optimize=True
-                )
+    # below 2^53 every partial sum is an exact float64 integer (module doc)
+    exact = spec.gemm_k * _max_abs(x) * _max_abs(w) < 2**53
+    out = _conv_taps(spec, x, w, np.float64 if exact else np.int64)
+    out = out.astype(np.int64, copy=False)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.int64)
-        if bias.shape != (cout,):
-            raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
+        if bias.shape != (spec.out_channels,):
+            raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
         out += bias[None, :, None, None]
 
     if layout is Layout.NHWC:

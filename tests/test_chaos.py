@@ -8,6 +8,8 @@ crashes at the persistence sites leave zero torn artifacts.
 """
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.errors import AutotuneError
 from repro.gpu.autotune import autotune, clear_cache, profile_quarantine
 from repro.resilience.chaos import (
     CANNED_SEED,
+    CANNED_SPEC,
     _torn_artifacts,
     run_chaos,
     scenario_autotune_invariance,
@@ -184,6 +187,18 @@ def test_bench_smoke_completes_under_transient_faults(
     # segments included
     assert list((tmp_path / "cache").rglob("seg-*.jsonl"))
     assert _torn_artifacts(tmp_path) == []
+
+
+def test_ci_chaos_job_exports_the_canned_plan():
+    """The CI chaos job re-runs this suite under ``REPRO_FAULTS`` and
+    ``REPRO_FAULTS_SEED``; they must stay the canned plan.  A regex reads
+    the workflow, since the tier-1 job installs no YAML parser."""
+    ci = pathlib.Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
+    job = re.search(r"^  chaos:\n(.*?)(?=^  \S)", ci.read_text(), re.M | re.S)
+    assert job, "ci.yml has no chaos job"
+    env = dict(re.findall(r'^ +(REPRO_FAULTS\w*): "(.*)"$', job.group(1), re.M))
+    assert env == {"REPRO_FAULTS": CANNED_SPEC,
+                   "REPRO_FAULTS_SEED": str(CANNED_SEED)}
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,13 @@ def test_capture_restores_previous_tracer():
 
 
 def test_spans_record_thread_ids():
+    # CPython reuses the ident of a thread that has exited: the barrier
+    # keeps all three alive at once, so each has its own tid
+    alive = threading.Barrier(3, timeout=10)
     with trace.capture() as rec:
         def work(i):
             with trace.span("worker", idx=i):
+                alive.wait()
                 time.sleep(0.001)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
@@ -149,9 +153,13 @@ def test_chrome_trace_round_trip_reconstructs_span_tree(tmp_path):
             with trace.span("child_b", cat="test"):
                 time.sleep(0.001)
 
+        # distinct idents: the barrier keeps both workers alive at once
+        alive = threading.Barrier(2, timeout=10)
+
         def work(i):
             with trace.span("thread_root", idx=i):
                 with trace.span("thread_child", idx=i):
+                    alive.wait()
                     time.sleep(0.001)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
