@@ -1,11 +1,12 @@
 """The ARM pipeline scheduler against its per-instruction oracle, at scale.
 
 :meth:`repro.arm.pipeline.PipelineModel.schedule` fast-forwards the
-periodic part of a stream; the cycle counts behind Figs. 7, 8, 9, 14 and
-15 are only as good as that shortcut.  Two sets of streams must give the
-oracle's :class:`~repro.arm.pipeline.PipelineResult` field for field:
+repeated bodies of a loop program; the cycle counts behind Figs. 7, 8, 9,
+14 and 15 are only as good as that shortcut.  Two sets of programs must
+give the oracle's :class:`~repro.arm.pipeline.PipelineResult` on their
+flattened streams, field for field:
 
-* every stream the figures schedule on an empty cache (112 streams);
+* every program the figures schedule on an empty cache (112 programs);
 * every unique GEMM reduction length K of ResNet-50, SCR-ResNet-50 and
   DenseNet-121 up to 4,608, for each scheme and width, with and without
   the load interleaving.
@@ -31,6 +32,7 @@ from repro.arm.kernels import (  # noqa: E402
     generate_sdot_kernel,
     generate_smlal_kernel,
 )
+from repro.arm.loops import flatten  # noqa: E402
 from repro.arm.pipeline import PipelineModel  # noqa: E402
 from repro.figures import figure_registry  # noqa: E402
 from repro.models import get_model_layers  # noqa: E402
@@ -54,9 +56,9 @@ SCHEMES = {
 }
 
 
-def assert_same_schedule(stream, what):
-    got = PipelineModel().schedule(stream).to_json()
-    assert got == schedule_reference(stream).to_json(), what
+def assert_same_schedule(program, what):
+    got = PipelineModel().schedule(program).to_json()
+    assert got == schedule_reference(flatten(program)).to_json(), what
 
 
 def test_figure_streams_schedule_as_the_oracle(tmp_path, monkeypatch):
@@ -64,9 +66,9 @@ def test_figure_streams_schedule_as_the_oracle(tmp_path, monkeypatch):
     streams = []
 
     class Recording(PipelineModel):
-        def schedule(self, stream):
-            streams.append(stream)
-            return super().schedule(stream)
+        def schedule(self, program):
+            streams.append(program)
+            return super().schedule(program)
 
     monkeypatch.setattr(cost_model, "PipelineModel", Recording)
     cost_model.clear_schedule_cache()
@@ -77,11 +79,11 @@ def test_figure_streams_schedule_as_the_oracle(tmp_path, monkeypatch):
         cost_model.clear_schedule_cache()
     assert len(streams) == 112
     for i, stream in enumerate(streams):
-        assert_same_schedule(stream, f"figure stream {i} ({len(stream)} instructions)")
+        assert_same_schedule(stream, f"figure program {i} ({len(stream)} nodes)")
 
 
 @pytest.mark.parametrize("interleave", [True, False], ids=["interleaved", "plain"])
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_network_reductions_schedule_as_the_oracle(scheme, interleave):
     for k in NETWORK_KS:
-        assert_same_schedule(SCHEMES[scheme](k, interleave).stream, f"{scheme} K={k}")
+        assert_same_schedule(SCHEMES[scheme](k, interleave).code, f"{scheme} K={k}")

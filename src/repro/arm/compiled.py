@@ -1,43 +1,51 @@
-"""Compiled, tile-batched execution of instruction streams.
+"""Compiled, tile-batched execution of loop programs.
 
-A generated stream is fully unrolled and does not branch on data, and every
-register tile of a layer runs the same stream on different panels.
-:func:`compile_stream` therefore turns a stream into a :class:`Program`
-once:
+Every register tile of a layer runs the same branch-free loop program
+(:mod:`repro.arm.loops`) on different panels, so :func:`compile_stream`
+turns a program into a :class:`Program` once:
 
-* every register write becomes a new SSA *value*, a 16-byte row of a value
-  table; a vector register is a pair of references to 64-bit *halves* of
-  values, an x register one such reference;
-* each instruction gets the level 1 + the highest level of its inputs;
-  loads and stores are also ordered per buffer (a load after the last
-  store to its buffer, a store after every earlier access to it);
-* instructions that compute nothing fold away: ``MOVI_ZERO`` and
-  ``MOV_X_IMM`` bind constants, ``SUBS``/``ADD_X`` on known values bind
-  their results, the ``MOV_V_TO_X``/``MOV_X_TO_V`` spill copies re-point
-  half references, and ``B_NE`` is cost-only;
-* the instructions of one opcode at one level form a *group*, held as
-  index arrays into the value table.
+* each instruction becomes a *batch* of SSA values, one per step of the
+  loops around it, so a body compiles once however often it repeats.  A
+  value is a 16-byte row of a value table; a vector register is a pair of
+  references to 64-bit *halves* of values, an x register one reference;
+* loads gather their affine addresses along the step axis, and a register
+  a body reads before writing it is the previous step's value (the value
+  before the loop at step 0): a shift along the axis;
+* a register accumulated across iterations (``SMLAL``, ``MLA``,
+  ``SADDW``, ``UADALP``, ``SDOT``, ``SUBS``/``ADD_X``) is a *chain*: one
+  addend array and an exact cumulative sum.  Partial sums are exact, so a
+  lane leaves its range exactly where the interpreter raises, and a
+  wrapped result is the wrapped sum;
+* ``MOVI_ZERO``/``MOV_X_IMM`` bind constants, the ``MOV_V_TO_X``/
+  ``MOV_X_TO_V`` spill copies re-point half references (so Alg. 1's
+  accumulators spilled to x registers chain too), and ``B_NE`` is
+  cost-only;
+* each batch gets level 1 + the highest level of its inputs (a chain is
+  one node), loads and stores ordered per buffer, and the batches of one
+  opcode and level form a *group* of index arrays.
 
-:meth:`Program.run` issues one numpy operation per group over a value
-table with a leading tile axis.  Every lane is computed exactly, then
-wrapped to its lane width and checked as
-:meth:`repro.arm.simulator.ArmSimulator.step` checks it, so final
-registers, memory and :class:`~repro.errors.OverflowDetected` match the
-interpreter, which stays as the oracle.  Overflow is decided by the
-values alone: a run raises exactly when some instruction wraps a lane
-that the interpreter checks, and the interpreter stops at the first one.
+A body that stores, or whose iterations depend on each other other than by
+chains, compiles unrolled; no generated kernel has one.  :meth:`Program.run`
+issues one numpy operation per group over a value table with a leading
+tile axis, computing every lane exactly and wrapping it as
+:meth:`repro.arm.simulator.ArmSimulator.step` does, so registers, memory
+and :class:`~repro.errors.OverflowDetected` match the interpreter on the
+flattened stream: a run raises exactly when some instruction wraps a lane
+the interpreter checks, and the interpreter stops at the first one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from ..errors import OverflowDetected, SimulationError
-from .isa import Instr
+from .isa import STORE_OPS, Instr
+from .loops import Node, Repeat
 
 #: tiles run in chunks whose value table and buffer copies stay under this
 TABLE_BUDGET_BYTES = 32 << 20
@@ -60,15 +68,19 @@ _COMPUTE = {**dict.fromkeys(_ACC2, 3), **dict.fromkeys(_ACC1, 2),
 #: lane bound of the by-element forms
 _LANES = {"SMLAL_4S_LANE": 8, "SMLAL2_4S_LANE": 8, "SDOT_4S_LANE": 4}
 
+#: register indices: v0..v31 as 0..31, x0..x30 as 32..62
 _VIDX = {f"v{i}": i for i in range(32)}
-_XIDX = {f"x{i}": i for i in range(31)}
+_XIDX = {f"x{i}": 32 + i for i in range(31)}
+_REG = {**_VIDX, **_XIDX}
 #: decoded kinds past the compute ones (1, 2, 3: registers read)
-_LOAD_V, _LOAD_X, _STORE_V, _STORE_X, _ZERO, _V_TO_X, _X_TO_V, _IMM, _XADD, _NOP = range(4, 14)
-#: compile-time value references: group << _REF_SHIFT | index << 1 | half
+_LOAD, _STORE, _ZERO, _V_TO_X, _X_TO_V, _IMM, _XADD, _NOP = range(4, 12)
+#: compile-time value references: batch << _REF_SHIFT | index << 1 | half;
+#: batch 0 holds the constants, and a negative batch is a placeholder for
+#: a register a loop body reads before it writes it (index = step)
 _REF_SHIFT = 32
 _REF_MASK = (1 << _REF_SHIFT) - 1
-#: group keys: level << _CODE_BITS | code of (opcode, buffer)
-_CODE_BITS = 12
+#: placeholders per loop: one per register
+_SLOTS = len(_REG)
 
 
 def _signed64(value: int) -> int:
@@ -77,12 +89,14 @@ def _signed64(value: int) -> int:
 
 
 class Group(NamedTuple):
-    """Same-opcode instructions of one level, as index arrays.
+    """Same-opcode batches of one level, as index arrays.
 
     ``lo:hi`` are the value-table halves the group writes (its outputs are
     numbered consecutively); ``ins`` holds one half-reference array per
     operand, ``(n, 2)`` for a vector register and ``(n,)`` for an x
-    register; ``at`` holds each instruction's stream position.
+    register.  A chain group holds whole chains: runs of ``run`` partial
+    sums, each starting from its value in ``ins[0]``, laid out step-major
+    (every run's first partial sum, then every run's second, ...).
     """
 
     op: str
@@ -90,16 +104,16 @@ class Group(NamedTuple):
     lo: int
     hi: int
     ins: tuple[np.ndarray, ...]
-    at: np.ndarray
     lane: np.ndarray | None = None
     buffer: str | None = None
     addr: np.ndarray | None = None  #: (n, width) byte addresses
     imm: np.ndarray | None = None
+    run: int = 0
 
 
 @dataclass(frozen=True)
 class Program:
-    """A compiled stream; see the module docstring."""
+    """A compiled program; see the module docstring."""
 
     n_values: int
     groups: tuple[Group, ...]
@@ -215,237 +229,446 @@ def _memory_template(ins: Instr, codes: dict, buffers: dict) -> tuple:
     op, name = ins.op, ins.mem.buffer
     bid = buffers.setdefault(name, len(buffers))
     code = _code(codes, op, name)
+    regs = _XIDX if op in ("LDR_X", "STR_X") else _VIDX
     if op in ("ST1_16B", "STR_X"):
         if ins.dst or not ins.src:
             raise IndexError
-        if op == "ST1_16B":
-            return (_STORE_V, code, bid, _VIDX[ins.src[0]])
-        return (_STORE_X, code, bid, _XIDX[ins.src[0]])
+        return (_STORE, code, bid, regs[ins.src[0]])
     n_dst = 4 if op == "LD4R_B" else 1
     if len(ins.dst) != n_dst:
         raise SimulationError(f"{op} needs exactly {n_dst} destination register(s)")
-    if op == "LDR_X":
-        return (_LOAD_X, code, bid, _XIDX[ins.dst[0]])
-    return (_LOAD_V, code, bid, tuple(_VIDX[r] for r in ins.dst))
+    return (_LOAD, code, bid, tuple(regs[r] for r in ins.dst))
 
 
 def _code(codes: dict, op: str, buffer: str | None) -> int:
-    code = codes.setdefault((op, buffer), len(codes))
-    if code >= 1 << _CODE_BITS:
-        raise SimulationError("stream addresses too many distinct buffers")
-    return code
+    return codes.setdefault((op, buffer), len(codes))
 
 
-class _Groups(dict):
-    """Group key -> ``[id, positions, input refs, extras]``, opening a new
-    group the first time a key is used."""
+def _registers(rep: Repeat, scans: dict) -> tuple[list[int], set[int], bool]:
+    """The registers ``rep``'s body uses and those it writes (v0..v31 as
+    0..31, x0..x30 as 32..62), and whether it stores; kept in ``scans``."""
+    if id(rep) not in scans:
+        used, written, stores = set(), set(), False
+        for n in rep.body:
+            u, w, st = (_registers(n, scans) if isinstance(n, Repeat) else (
+                [_REG[r] for r in n.src + n.dst], {_REG[r] for r in n.dst}, n.op in STORE_OPS))
+            used.update(u)
+            written |= w
+            stores |= st
+        scans[id(rep)] = (sorted(used), written, stores)
+    return scans[id(rep)]
 
-    def __init__(self, glevel: list, gcode: list, gdata: list) -> None:
-        super().__init__()
-        self.glevel, self.gcode, self.gdata = glevel, gcode, gdata
 
-    def __missing__(self, key: int) -> list:
-        g = self[key] = [len(self.gdata), [], [], []]
-        self.glevel.append(key >> _CODE_BITS)
-        self.gcode.append(key & ((1 << _CODE_BITS) - 1))
-        self.gdata.append(g)
-        return g
+def _freeze(bt: SimpleNamespace) -> None:
+    """Join a batch's per-instruction operand and extra arrays."""
+    if isinstance(bt.ins, list):
+        bt.ins = tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in bt.ins)
+    if isinstance(bt.extra, list):
+        bt.extra = np.concatenate(bt.extra)
 
 
-def compile_stream(stream: Sequence[Instr]) -> Program:  # noqa: C901 - one pass, one dispatch
-    """Compile ``stream`` into a :class:`Program` (see the module docstring).
+class _Unroll(Exception):
+    """A loop body whose iterations depend on each other other than by
+    chains: compile again with the loop unrolled."""
+
+
+class _Compiler:
+    """Compile state: the batches so far and, per register (v0..v31, then
+    x0..x30), the references of its value at each of the ``n`` steps of
+    the current loop nest, ``(n, 2)`` halves for a v register and ``(n,)``
+    for an x register."""
+
+    def __init__(self, unroll: set[int]) -> None:
+        self.unroll = unroll  # ids of the repeats to compile unrolled
+        self.codes: dict[tuple[str, str | None], int] = {}
+        self.buffers: dict[str, int] = {}
+        self.decoded: dict[int, tuple] = {}
+        self.templates: dict[tuple, tuple] = {}
+        self.consts, self.const_ref = [0], {0: 0}  # batch 0, as signed 64-bit low halves
+        self.batches: list[SimpleNamespace | None] = [None]
+        self.chains: list[tuple[list[int], int, int]] = []  # (members, outer, inner)
+        self.last_store: dict[int, int] = {}
+        self.loads: dict[int, list[int]] = {}  # loads since the last store
+        # per load opcode and buffer: its batch in this nest; per compute
+        # opcode: the batch taking independent instructions, and what they write
+        self.open: dict[int, int] = {}
+        self.merging: dict[int, int] = {}
+        self.dirty: set[int] = set()
+        self.tables: list[np.ndarray | None] = []  # per loop: what its placeholders stand for
+        self.scans: dict[int, tuple] = {}  # per repeat: the registers it uses and writes
+        self.loop: Repeat | None = None
+        self.off: dict[str, np.ndarray | int] = {}  # per buffer: address offset per step
+        self.nest(1)
+        self.regs = [self.zero] * 32 + [self.zero[:, 0]] * 31
+
+    def nest(self, n: int) -> None:
+        """Enter a loop nest of ``n`` steps."""
+        self.n = n
+        self.steps = np.arange(n, dtype=np.int64) << 1  # index << 1 of each step
+        self.pairs = self.steps[:, None] | np.array([0, 1])
+        self.zero = np.zeros_like(self.pairs) | np.array([0, 1])
+
+    def const(self, bits: int) -> int:
+        bits = _signed64(bits)
+        ref = self.const_ref.get(bits)
+        if ref is None:
+            ref = self.const_ref[bits] = len(self.consts) << 1
+            self.consts.append(bits)
+        return ref
+
+    def batch(self, code: int, ins: tuple, extra=None, outs: int = 1, after=()) -> int:
+        """A new batch: one instruction at every step of this nest.  Its
+        operands and extras are lists of arrays, one per instruction,
+        until :func:`_freeze` joins them."""
+        self.batches.append(SimpleNamespace(
+            code=code, n=self.n, ins=[[a] for a in ins], extra=None if extra is None else [extra],
+            outs=outs, loop=self.loop, after=after))
+        return len(self.batches) - 1
+
+    def out(self, b: int, k: int = 0, outs: int = 1, at: int = 0) -> np.ndarray:
+        """The ``(n, 2)`` half references of output ``k`` of batch ``b``,
+        whose values for this nest start at entry ``at``."""
+        if outs == 1:
+            return (b << _REF_SHIFT) | (self.pairs + 2 * at if at else self.pairs)
+        return (b << _REF_SHIFT) | (self.pairs + self.steps[:, None] * (outs - 1)
+                                    + 2 * (at * outs + k))
+
+    def block(self, nodes: Iterable[Node]) -> None:  # noqa: C901 - one dispatch
+        regs = self.regs
+        for node in nodes:
+            if isinstance(node, Repeat):
+                self.repeat(node)
+                regs = self.regs
+                continue
+            d = self.decoded.get(id(node))
+            if d is None:
+                d = self.decoded[id(node)] = _decode(
+                    node, self.codes, self.buffers, self.templates)
+            kind = d[0]
+            if kind <= 3:  # compute: kind = registers read
+                _, code, dr, *srcs, lane = d
+                if self.dirty.intersection(srcs):  # it reads what an open batch computes
+                    self.merging, self.dirty = {}, set()
+                ins = tuple(regs[r] for r in srcs)
+                extra = None if lane is None else np.full(self.n, lane)
+                b = self.merging.get(code)
+                if b is None:
+                    b = self.merging[code] = self.batch(code, ins, extra)
+                    at = 0
+                else:  # independent of the batch's instructions: one more of them
+                    bt = self.batches[b]
+                    at, bt.n = bt.n, bt.n + self.n
+                    for chunks, a in zip(bt.ins, ins):
+                        chunks.append(a)
+                    if extra is not None:
+                        bt.extra.append(extra)
+                self.dirty.add(dr)
+                regs[dr] = self.out(b, 0, 1, at)
+            elif kind == _ZERO:
+                regs[d[1]] = self.zero
+            elif kind == _V_TO_X:  # a copy: batches stop taking instructions
+                regs[d[1]] = regs[d[2]][:, d[3]]
+                self.merging, self.dirty = {}, set()
+            elif kind == _X_TO_V:
+                _, dr, src, lane = d
+                regs[dr] = regs[dr].copy()
+                regs[dr][:, lane] = regs[src]
+                self.merging, self.dirty = {}, set()
+            elif kind == _LOAD:  # one batch per opcode and buffer until a store
+                _, code, bid, dsts, offset = d
+                b = self.open.get(code)
+                if b is None:
+                    store = self.last_store.get(bid)
+                    b = self.open[code] = self.batch(
+                        code, (), None, len(dsts), () if store is None else (store,))
+                    self.batches[b].n, self.batches[b].extra = 0, []
+                    self.loads.setdefault(bid, []).append(b)
+                bt = self.batches[b]
+                bt.extra.append(self.off.get(node.mem.buffer, 0) + np.full(self.n, offset))
+                for k, r in enumerate(dsts):
+                    ref = self.out(b, k, len(dsts), bt.n)
+                    regs[r] = ref if r < 32 else ref[:, 0]
+                bt.n += self.n
+            elif kind == _STORE:  # n == 1: bodies with stores unroll
+                _, code, bid, src, offset = d
+                addr = offset + self.off.get(node.mem.buffer, 0) + np.zeros(1, np.int64)
+                after = [*self.loads.pop(bid, ()), *filter(None, [self.last_store.get(bid)])]
+                self.last_store[bid] = self.batch(code, (regs[src],), addr, 0, after)
+                self.open, self.merging, self.dirty = {}, {}, set()
+            elif kind == _IMM:
+                regs[d[1]] = np.full(self.n, self.const(d[2]))
+            elif kind == _XADD:
+                _, dr, src, delta, code = d
+                h = regs[src] if src is not None else self.zero[:, 0]
+                extra = np.full(self.n, _signed64(delta))
+                regs[dr] = self.out(self.batch(code, (h,), extra))[:, 0]
+            # _NOP: B_NE is cost-only
+
+    def repeat(self, rep: Repeat) -> None:
+        outer_n, count, outer_off = self.n, rep.count, self.off
+        strides = dict(rep.strides)
+        names = outer_off.keys() | strides.keys()
+        used, written, stores = _registers(rep, self.scans)
+        if id(rep) in self.unroll or stores:
+            for i in range(count):
+                self.off = {b: outer_off.get(b, 0) + i * strides.get(b, 0) for b in names}
+                self.block(rep.body)
+            self.off = outer_off
+            return
+        n = outer_n * count
+        self.off = {b: np.repeat(outer_off.get(b, 0) + np.zeros(outer_n, np.int64), count)
+                    + np.tile(np.arange(count) * strides.get(b, 0), outer_n) for b in names}
+        # a register the body writes is a placeholder there: its value at
+        # the step before, the value before the loop at step 0
+        base = len(self.tables) * _SLOTS
+        self.tables.append(None)
+        before = list(self.regs)
+        self.nest(n)
+        held = {}
+        for r in used:
+            if r in written:
+                self.regs[r] = held[r] = ((-1 - base - r) << _REF_SHIFT) | (
+                    self.pairs if r < 32 else self.steps)
+            else:  # the same at every step
+                self.regs[r] = np.repeat(before[r], count, axis=0)
+        loop, self.loop, outer_open, self.open = self.loop, rep, self.open, {}
+        self.merging, self.dirty = {}, set()
+        first = len(self.batches)
+        self.block(rep.body)
+
+        table = np.zeros((_SLOTS, outer_n, count, 2), np.int64)
+        for r, h in held.items():
+            end, h = self.regs[r].reshape(n, -1), h.reshape(n, -1)
+            w = h.shape[1]
+            table[r, :, :, :w] = before[r].reshape(outer_n, 1, w)
+            changed = (end != h).any(axis=0)  # per half
+            table[r, :, 1:, :w][..., changed] = end.reshape(outer_n, count, w)[:, :-1][..., changed]
+        table = table.reshape(_SLOTS, n, 2)
+        limit = -base << _REF_SHIFT  # below it: this loop's placeholders
+
+        def resolve(a: np.ndarray) -> np.ndarray:
+            while a.size and a.min() < limit:
+                a = a.copy()
+                mine = a < limit
+                a[mine] = table[-1 - base - (a[mine] >> _REF_SHIFT),
+                                (a[mine] & _REF_MASK) >> 1, a[mine] & 1]
+            return a
+
+        self.tables[base // _SLOTS] = table = resolve(table)
+        self.chains += self.find_chains(rep, first, outer_n, count, resolve)
+        for r in held:
+            before[r] = resolve(self.regs[r]).reshape((outer_n, count) + before[r].shape[1:])[:, -1]
+        self.nest(outer_n)
+        self.regs, self.loop, self.off, self.open = before, loop, outer_off, outer_open
+        self.merging, self.dirty = {}, set()
+
+    def find_chains(self, rep: Repeat, first: int, outer: int, inner: int, resolve) -> list:
+        """The accumulating chains along ``rep``'s step axis: batches of one
+        accumulating op, each reading the one before as its accumulator
+        at the same step, the first reading the last at the step before
+        (and the value before the loop at step 0)."""
+        n, batches = outer * inner, self.batches
+        ops = {code: key[0] for key, code in self.codes.items()}
+        for bt in batches[first:]:
+            _freeze(bt)
+
+        def link(b: int, acc: np.ndarray, back: int) -> int | None:
+            """The batch whose values batch ``b``'s accumulator ``acc``
+            holds, ``back`` steps before, each instruction's its own."""
+            t, size = int(acc.flat[-1] >> _REF_SHIFT), batches[b].n
+            if len(acc) != size or t < first or (batches[t].code, batches[t].n,
+                                                  batches[t].loop) != (batches[b].code, size, rep):
+                return None
+            out = (t << _REF_SHIFT) | (np.arange(size)[:, None] << 1) | np.array([0, 1])
+            out = out.reshape(-1, inner, 2)[..., :acc.size // size]
+            got = acc.reshape(-1, inner, out.shape[-1])
+            return t if np.array_equal(got[:, back:], out[:, :inner - back]) else None
+
+        chains = []
+        for head in range(first, len(batches) if inner > 1 else first):
+            bt = batches[head]
+            if (bt.loop is rep and bt.n % n == 0 and ops[bt.code] in _ACCUMULATE
+                    and bt.ins[0].flat[-1] < 0):  # a head reads its register before writing it
+                acc = resolve(bt.ins[0])
+                members = [link(head, acc, 1)]
+                while members[-1] is not None and head < members[-1]:
+                    members.append(link(members[-1], batches[members[-1]].ins[0], 0))
+                if members[-1] == head:
+                    # the links' accumulators are the chain itself: keep
+                    # only its value before the loop, at each outer step
+                    start = acc.reshape((-1, inner) + acc.shape[1:])[:, 0]
+                    for m in members:
+                        batches[m].ins = (start, *batches[m].ins[1:])
+                    chains.append((members[::-1], outer, inner))
+        return chains
+
+    def finish(self) -> Program:  # noqa: C901 - levels, groups, layout
+        batches, nb = self.batches, len(self.batches)
+        for bt in batches[1:]:
+            _freeze(bt)
+        root = np.arange(nb)  # a chain is one node: its first batch
+        chains = {members[0]: (members, outer, inner) for members, outer, inner in self.chains}
+        for members, _, _ in chains.values():
+            root[members] = members[0]
+
+        # every operand with its placeholders replaced by what they stand for
+        tables = [t.ravel() for t in self.tables]
+        table = np.concatenate(tables) if tables else np.zeros(0, np.int64)
+        t_start = np.cumsum([0] + [t.size for t in tables])
+        t_width = np.array([t.shape[1] for t in self.tables], np.int64)  # steps
+        operands = [(b, i, a.shape) for b in range(1, nb) for i, a in enumerate(batches[b].ins)]
+        flat = np.concatenate([a.ravel() for b in range(1, nb) for a in batches[b].ins]
+                              or [np.zeros(0, np.int64)])
+        while flat.size and flat.min() < 0:
+            held = flat < 0
+            loop, reg = np.divmod(-1 - (flat[held] >> _REF_SHIFT), _SLOTS)
+            flat[held] = table[t_start[loop] + 2 * reg * t_width[loop]
+                               + (flat[held] & _REF_MASK)]
+        ends = np.cumsum([math.prod(shape) for _, _, shape in operands], dtype=np.int64)
+        starts = ends - [math.prod(shape) for _, _, shape in operands]
+        ids = root[flat >> _REF_SHIFT]  # the node each reference reads
+        span = {(b, i): (slice(s0, s1), shape) for (b, i, shape), s0, s1
+                in zip(operands, starts.tolist(), ends.tolist())}
+
+        # the nodes each node reads: an operand mostly reads one
+        deps: list[set[int]] = [set() for _ in range(nb)]
+        nodes = root.tolist()
+        for b in range(1, nb):
+            deps[nodes[b]].update(nodes[d] for d in batches[b].after)
+        if operands:
+            low = np.minimum.reduceat(ids, starts).tolist()
+            high = np.maximum.reduceat(ids, starts).tolist()
+            for (b, i, _), s0, s1, lo, hi in zip(operands, starts.tolist(), ends.tolist(),
+                                                  low, high):
+                node = nodes[b]
+                if lo == hi:
+                    deps[node].add(lo)
+                else:
+                    seg = ids[s0:s1]
+                    deps[node].update((lo, hi) if ((seg == lo) | (seg == hi)).all()
+                                      else np.unique(seg).tolist())
+        # levels: passes in creation order until none changes (reads of
+        # later batches are a loop's shifts); a cycle never settles
+        level = [0] * nb
+        order = [(b, [d for d in deps[b] if d]) for b in range(1, nb) if nodes[b] == b]
+        for _ in range(len(order) + 1):
+            changed = None
+            for b, ds in order:
+                lv = 1 + max([level[d] for d in ds], default=0)
+                if lv != level[b]:
+                    level[b] = lv
+                    changed = b if changed is None else changed
+            if changed is None:
+                break
+        else:
+            raise _Unroll(batches[changed].loop)
+
+        # lay the groups out in execution order; a chain group's values
+        # step-major, every run's l-th partial sum next to the others' l-th
+        ops = {code: key for key, code in self.codes.items()}
+        keyed: dict[tuple, list[list[int]]] = {}
+        for b in range(1, nb):
+            if nodes[b] == b:
+                members, _, inner = chains.get(b, ([b], 1, 0))
+                op, buffer = ops[batches[b].code]
+                keyed.setdefault((level[b], op, buffer or "", len(members) * inner),
+                                 []).append(members)
+        # value i of batch b sits at base + (i % wrap) * step + i // wrap
+        base, wrap, step = [0] * nb, [1 << 40] * nb, [1] * nb
+        n_values = len(self.consts)
+        for key in sorted(keyed):
+            run = key[3]
+            if not run:
+                for (b,) in keyed[key]:
+                    base[b] = n_values
+                    n_values += batches[b].n * batches[b].outs
+                continue
+            runs = sum(batches[ms[0]].n * len(ms) // run for ms in keyed[key])
+            first = n_values
+            for members in keyed[key]:
+                m = len(members)
+                for j, b in enumerate(members):
+                    base[b], wrap[b], step[b] = first + j * runs, run // m, m * runs
+                first += batches[members[0]].n * m // run
+            n_values += runs * run
+        base, wrap, step = (np.array(a, np.int64) for a in (base, wrap, step))
+
+        def halves(refs: np.ndarray) -> np.ndarray:
+            b, i = refs >> _REF_SHIFT, (refs & _REF_MASK) >> 1
+            return 2 * (base[b] + i % wrap[b] * step[b] + i // wrap[b]) + (refs & 1)
+
+        flat = halves(flat)
+
+        def joined(parts: list[list[int]], field, run: int = 0) -> np.ndarray:
+            """``field(b)`` of every batch ``b`` of a group, in its layout."""
+            each = [np.stack([field(m) for m in members], axis=1) for members in parts]
+            if not run:
+                return np.concatenate([a.reshape((-1,) + a.shape[2:]) for a in each])
+            steps = [np.moveaxis(a.reshape((-1, run // a.shape[1]) + a.shape[1:]), 0, 2)
+                     .reshape((run, -1) + a.shape[2:]) for a in each]
+            return np.concatenate(steps, axis=1).reshape((-1,) + each[0].shape[2:])
+
+        def operand(i: int):
+            return lambda b: flat[span[(b, i)][0]].reshape(span[(b, i)][1])
+
+        groups = []
+        extent: dict[str, int] = {}
+        for (_, op, buffer, run), parts in sorted(keyed.items()):
+            first = batches[parts[0][0]]
+            ins = tuple(joined(parts, operand(i), run) for i in range(bool(run), len(first.ins)))
+            if run:  # each run starts from its chain's value before the loop
+                ins = (joined([members[:1] for members in parts], operand(0)), *ins)
+            extra = (None if first.extra is None
+                     else joined(parts, lambda b: batches[b].extra, run))
+            addr = None
+            if buffer:
+                addr = extra[:, None] + np.arange(_WIDTH[op])
+                if extra.min() < 0:
+                    raise SimulationError(f"negative memory offset {extra.min()} on {buffer!r}")
+                extent[buffer] = max(extent.get(buffer, 0), int(extra.max()) + _WIDTH[op])
+            n = sum(batches[m].n for members in parts for m in members)
+            lo = 2 * int(base[parts[0][0]])
+            groups.append(Group(
+                op, n, lo, lo + 2 * n * first.outs, ins,
+                lane=extra if op in _LANES else None, buffer=buffer or None, addr=addr,
+                imm=extra if op == "X_ADD" else None, run=run))
+
+        names = {bid: name for name, bid in self.buffers.items()}
+        return Program(
+            n_values=n_values,
+            groups=tuple(groups),
+            consts=np.asarray([[c, 0] for c in self.consts], np.int64).reshape(-1),
+            v_final=halves(np.concatenate(self.regs[:32])),
+            x_final=halves(np.concatenate(self.regs[32:])),
+            extent=extent,
+            stores=frozenset(names[bid] for bid in self.last_store),
+        )
+
+
+def compile_stream(program: Iterable[Node]) -> Program:
+    """Compile a loop program, or a flat stream (a program without
+    repeats), into a :class:`Program` (see the module docstring).
 
     Malformed instructions (a lane out of range, a register of the wrong
     kind, a missing operand) raise :class:`SimulationError` here, before
     anything runs.
 
-    A value is referenced as ``group << _REF_SHIFT | index << 1 | half``
-    while compiling; group 0 holds the constants, its value 0 the zero
-    every register starts as.  Once every group is known the references
+    While compiling, a value is referenced as ``batch << _REF_SHIFT |
+    index << 1 | half``, the index running over the steps of the loops
+    around it; batch 0 holds the constants, its value 0 the zero every
+    register starts as.  Once every batch has its level the references
     become positions in the value table, which lays each group's outputs
     out consecutively in execution order.
     """
-    codes: dict[tuple[str, str | None], int] = {}
-    buffers: dict[str, int] = {}
-    consts = [0]  # group 0: the constants, as signed 64-bit low halves
-    const_ref = {0: 0}
-    known = {0: 0, 1: 0}  # constant half references -> their value
-    glevel = [0]
-    gcode = [-1]
-    gdata: list[list] = [[]]  # per group: [id, positions, input refs, extras]
-    groups = _Groups(glevel, gcode, gdata)
-    vs = [(0, 1, 0)] * 32  # per v register: (half ref, half ref, level)
-    xs = [(0, 0)] * 31  # per x register: (half ref, level)
-    SHIFT, BITS = _REF_SHIFT, _CODE_BITS
-
-    def const(bits: int) -> int:
-        bits = _signed64(bits)
-        ref = const_ref.get(bits)
-        if ref is None:
-            ref = const_ref[bits] = len(consts) << 1
-            consts.append(bits)
-            known[ref], known[ref | 1] = bits, 0
-        return ref
-
-    # decode each distinct instruction once (generators share them)
-    decoded: dict[int, tuple] = {}
-    templates: dict[tuple, tuple] = {}
-    plan = []
-    for ins in stream:
-        d = decoded.get(id(ins))
-        if d is None:
-            d = decoded[id(ins)] = _decode(ins, codes, buffers, templates)
-        plan.append(d)
-    last_store = [0] * len(buffers)
-    last_load = [0] * len(buffers)
-
-    for at, d in enumerate(plan):
-        kind = d[0]
-        if kind == 3:  # accumulate with two sources
-            _, code, dr, a, b, c, lane = d
-            sa, sb, sc = vs[a], vs[b], vs[c]
-            lv = max(sa[2], sb[2], sc[2]) + 1
-            g = groups[(lv << BITS) | code]
-            ref = (g[0] << SHIFT) | (len(g[1]) << 1)
-            g[1].append(at)
-            g[2].extend((sa[0], sa[1], sb[0], sb[1], sc[0], sc[1]))
-            if lane is not None:
-                g[3].append(lane)
-            vs[dr] = (ref, ref | 1, lv)
-        elif kind == 2:
-            _, code, dr, a, b, _ = d
-            sa, sb = vs[a], vs[b]
-            lv = max(sa[2], sb[2]) + 1
-            g = groups[(lv << BITS) | code]
-            ref = (g[0] << SHIFT) | (len(g[1]) << 1)
-            g[1].append(at)
-            g[2].extend((sa[0], sa[1], sb[0], sb[1]))
-            vs[dr] = (ref, ref | 1, lv)
-        elif kind == _ZERO:
-            vs[d[1]] = (0, 1, 0)
-        elif kind == _LOAD_V:
-            _, code, bid, dst, offset = d
-            lv = last_store[bid] + 1
-            if lv > last_load[bid]:
-                last_load[bid] = lv
-            g = groups[(lv << BITS) | code]
-            ref = (g[0] << SHIFT) | (len(g[1]) * len(dst) << 1)
-            for r in dst:
-                vs[r] = (ref, ref | 1, lv)
-                ref += 2
-            g[1].append(at)
-            g[3].append(offset)
-        elif kind == _V_TO_X:
-            h = vs[d[2]][d[3]]
-            xs[d[1]] = (h, glevel[h >> SHIFT])
-        elif kind == _X_TO_V:
-            _, dr, src, lane = d
-            h, old = xs[src][0], vs[dr]
-            h0, h1 = (h, old[1]) if lane == 0 else (old[0], h)
-            vs[dr] = (h0, h1, max(glevel[h0 >> SHIFT], glevel[h1 >> SHIFT]))
-        elif kind == 1:
-            _, code, dr, a, _ = d
-            sa = vs[a]
-            lv = sa[2] + 1
-            g = groups[(lv << BITS) | code]
-            ref = (g[0] << SHIFT) | (len(g[1]) << 1)
-            g[1].append(at)
-            g[2].extend((sa[0], sa[1]))
-            vs[dr] = (ref, ref | 1, lv)
-        elif kind == _LOAD_X:
-            _, code, bid, dst, offset = d
-            lv = last_store[bid] + 1
-            if lv > last_load[bid]:
-                last_load[bid] = lv
-            g = groups[(lv << BITS) | code]
-            xs[dst] = ((g[0] << SHIFT) | (len(g[1]) << 1), lv)
-            g[1].append(at)
-            g[3].append(offset)
-        elif kind == _STORE_V or kind == _STORE_X:
-            _, code, bid, src, offset = d
-            s = vs[src] if kind == _STORE_V else xs[src]
-            lv = max(s[-1], last_store[bid], last_load[bid]) + 1
-            last_store[bid] = lv
-            g = groups[(lv << BITS) | code]
-            g[1].append(at)
-            g[2].extend(s[:-1])
-            g[3].append(offset)
-        elif kind == _IMM:
-            xs[d[1]] = (const(d[2]), 0)
-        elif kind == _XADD:
-            _, dr, src, delta, code = d
-            h, lv = xs[src] if src is not None else (0, 0)
-            if h in known:
-                xs[dr] = (const(known[h] + delta), 0)
-            else:
-                g = groups[((lv + 1) << BITS) | code]
-                xs[dr] = ((g[0] << SHIFT) | (len(g[1]) << 1), lv + 1)
-                g[1].append(at)
-                g[2].append(h)
-                g[3].append(_signed64(delta))
-        # _NOP: B_NE is cost-only
-
-    # lay the groups out in execution order: constants, then each group's
-    # outputs consecutively
-    ops = {code: key for key, code in codes.items()}
-    order = sorted(range(1, len(gdata)),
-                   key=lambda gid: (glevel[gid], *(s or "" for s in ops[gcode[gid]])))
-    base = np.zeros(len(gdata), np.int64)
-    n_values = len(consts)
-    for gid in order:
-        base[gid] = n_values
-        n_values += len(gdata[gid][1]) * (4 if ops[gcode[gid]][0] == "LD4R_B" else 1)
-
-    def halves(refs) -> np.ndarray:
-        refs = np.asarray(refs, np.int64)
-        return 2 * base[refs >> _REF_SHIFT] + (refs & _REF_MASK)
-
-    def joined(field: int) -> tuple[np.ndarray, list[int]]:
-        """One field of every group, concatenated in execution order, and
-        where each group's part starts."""
-        flat: list[int] = []
-        starts = [0]
-        for gid in order:
-            flat += gdata[gid][field]
-            starts.append(len(flat))
-        return np.array(flat, np.int64), starts
-
-    (ats, at_start), (refs, ref_start), (extras, extra_start) = (
-        joined(1), joined(2), joined(3))
-    refs = halves(refs)
-    built = []
-    extent: dict[str, int] = {}
-    for i, gid in enumerate(order):
-        op, buffer = ops[gcode[gid]]
-        n = at_start[i + 1] - at_start[i]
-        lo = 2 * int(base[gid])
-        hi = lo if op in ("ST1_16B", "STR_X") else lo + 2 * n * (4 if op == "LD4R_B" else 1)
-        ins = refs[ref_start[i]:ref_start[i + 1]]
-        if op in ("STR_X", "X_ADD"):
-            operands = (ins,)
-        else:
-            ins = ins.reshape(n, -1, 2)
-            operands = tuple(ins[:, j] for j in range(ins.shape[1]))
-        extra = extras[extra_start[i]:extra_start[i + 1]]
-        addr = None
-        if buffer is not None:
-            addr = extra[:, None] + np.arange(_WIDTH[op])
-            extent[buffer] = max(extent.get(buffer, 0), int(extra.max()) + _WIDTH[op])
-        built.append(Group(
-            op, n, lo, hi, operands, ats[at_start[i]:at_start[i + 1]],
-            lane=extra if op in _LANES else None, buffer=buffer, addr=addr,
-            imm=extra if op == "X_ADD" else None))
-
-    names = {bid: name for name, bid in buffers.items()}
-    return Program(
-        n_values=n_values,
-        groups=tuple(built),
-        consts=np.asarray([[c, 0] for c in consts], np.int64).reshape(-1),
-        v_final=halves([s[:2] for s in vs]),
-        x_final=halves([s[0] for s in xs]),
-        extent=extent,
-        stores=frozenset(names[bid] for bid, lv in enumerate(last_store) if lv),
-    )
+    program = tuple(program)  # keeps every node alive while ids key the decode
+    unroll: set[int] = set()
+    while True:
+        compiler = _Compiler(unroll)
+        try:
+            compiler.block(program)
+            return compiler.finish()
+        except _Unroll as exc:
+            unroll.add(id(exc.args[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -458,115 +681,125 @@ def _read(table: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.take(table, pairs, axis=1).view(np.uint8)
 
 
-def _read_half(table: np.ndarray, pairs: np.ndarray, g: Group) -> np.ndarray:
-    """The 8 bytes of each register that a half-width op reads: the upper
-    half for the ``2`` forms, ``(tiles, n, 8)``."""
+def _read_half(table: np.ndarray, pairs: np.ndarray, g: Group, dtype) -> np.ndarray:
+    """The 8 bytes of each register that a half-width op reads, as
+    ``dtype`` lanes: the upper half for the ``2`` forms, ``(tiles, n, lanes)``."""
     half = pairs[:, 1] if "2_" in g.op else pairs[:, 0]
-    return np.take(table, half, axis=1).view(np.uint8).reshape(len(table), g.n, 8)
+    return np.take(table, half, axis=1)[..., None].view(dtype)
 
 
 def _write(table: np.ndarray, g: Group, lanes: np.ndarray) -> None:
     table[:, g.lo:g.hi] = np.ascontiguousarray(lanes).reshape(len(table), -1).view(np.int64)
 
 
-def _settle(exact: np.ndarray, dtype, g: Group, check: bool) -> np.ndarray:
-    """Wrap exact lane values to ``dtype``; in checking mode a wrapped lane
-    raises :class:`OverflowDetected`, naming the earliest instruction."""
-    out = exact.astype(dtype)
-    if check and (out != exact).any():
-        bad = (out != exact).reshape(len(out), g.n, -1).any(axis=(0, 2))
-        raise OverflowDetected(
-            f"{g.op}: accumulator wrapped at instruction {int(g.at[bad].min())} "
-            f"(exact range [{exact.min()}, {exact.max()}], lane dtype {np.dtype(dtype)})")
-    return out
+def _smlal_8h(t, g):
+    return _read_half(t, g.ins[1], g, np.int8).astype(np.int16) * _read_half(t, g.ins[2], g, np.int8)
 
 
-def _smlal_8h(t, mem, g, check):
-    acc = _read(t, g.ins[0]).view(np.int16)
-    n = _read_half(t, g.ins[1], g).view(np.int8)
-    m = _read_half(t, g.ins[2], g).view(np.int8)
-    _write(t, g, _settle(acc + n.astype(np.int32) * m, np.int16, g, check))
-
-
-def _smlal_4s(t, mem, g, check):
-    acc = _read(t, g.ins[0]).view(np.int32)
-    n = _read_half(t, g.ins[1], g).view(np.int16).astype(np.int64)
+def _smlal_4s(t, g):
+    n = _read_half(t, g.ins[1], g, np.int16).astype(np.int32)
     if g.lane is None:
-        prod = n * _read_half(t, g.ins[2], g).view(np.int16)
-    else:
-        prod = n * _read(t, g.ins[2]).view(np.int16)[:, np.arange(g.n), g.lane][..., None]
-    _write(t, g, _settle(acc + prod, np.int32, g, check))
+        return n * _read_half(t, g.ins[2], g, np.int16)
+    return n * _read(t, g.ins[2]).view(np.int16)[:, np.arange(g.n), g.lane][..., None]
 
 
-def _sdot_4s(t, mem, g, check):
+def _sdot_4s(t, g):
     tiles = len(t)
-    acc = _read(t, g.ins[0]).view(np.int32)
     n = _read(t, g.ins[1]).view(np.int8).reshape(tiles, g.n, 4, 4).astype(np.int32)
     m = _read(t, g.ins[2]).view(np.int8).reshape(tiles, g.n, 4, 4)
     if g.lane is not None:
         m = m[:, np.arange(g.n), g.lane][:, :, None, :]
-    _write(t, g, _settle(acc + (n * m).sum(axis=-1, dtype=np.int64), np.int32, g, check))
+    return (n * m).sum(axis=-1)
 
 
-def _mla_16b(t, mem, g, check):
-    acc = _read(t, g.ins[0]).view(np.int8)
-    n = _read(t, g.ins[1]).view(np.int8)
-    m = _read(t, g.ins[2]).view(np.int8)
-    _write(t, g, _settle(acc + n.astype(np.int16) * m, np.int8, g, check))
+def _mla_16b(t, g):
+    return _read(t, g.ins[1]).view(np.int8).astype(np.int16) * _read(t, g.ins[2]).view(np.int8)
 
 
-def _saddw_8h(t, mem, g, check):
-    base = _read(t, g.ins[0]).view(np.int16)
-    m = _read_half(t, g.ins[1], g).view(np.int8)
-    _write(t, g, _settle(base.astype(np.int32) + m, np.int16, g, check))
-
-
-def _saddw_4s(t, mem, g, check):
-    base = _read(t, g.ins[0]).view(np.int32)
-    m = _read_half(t, g.ins[1], g).view(np.int16)
-    _write(t, g, _settle(base.astype(np.int64) + m, np.int32, g, check))
-
-
-def _uadalp_8h(t, mem, g, check):
-    acc = _read(t, g.ins[0]).view(np.uint16)
+def _uadalp_8h(t, g):
     n = _read(t, g.ins[1])
-    pair = n[..., 0::2].astype(np.uint32) + n[..., 1::2]
-    _write(t, g, _settle(acc + pair, np.uint16, g, check))
+    return n[..., 0::2].astype(np.int16) + n[..., 1::2]
 
 
-def _uadalp_4s(t, mem, g, check):
-    acc = _read(t, g.ins[0]).view(np.uint32)
+def _uadalp_4s(t, g):
     n = _read(t, g.ins[1]).view(np.uint16)
-    pair = n[..., 0::2].astype(np.uint64) + n[..., 1::2]
-    _write(t, g, _settle(acc + pair, np.uint32, g, check))
+    return n[..., 0::2].astype(np.int32) + n[..., 1::2]
 
 
-def _sshll_8h(t, mem, g, check):
-    _write(t, g, _read_half(t, g.ins[0], g).view(np.int8).astype(np.int16))
+#: accumulating ops: lane type, and the exact addend each lane receives, in
+#: the narrowest type that holds it (at most 2**30 in magnitude, but X_ADD's)
+_ACCUMULATE = {
+    "SMLAL_8H": (np.int16, _smlal_8h), "SMLAL2_8H": (np.int16, _smlal_8h),
+    **dict.fromkeys(("SMLAL_4S", "SMLAL2_4S", "SMLAL_4S_LANE", "SMLAL2_4S_LANE"),
+                    (np.int32, _smlal_4s)),
+    "SDOT_4S": (np.int32, _sdot_4s), "SDOT_4S_LANE": (np.int32, _sdot_4s),
+    "MLA_16B": (np.int8, _mla_16b),
+    **dict.fromkeys(("SADDW_8H", "SADDW2_8H"),
+                    (np.int16, lambda t, g: _read_half(t, g.ins[1], g, np.int8))),
+    **dict.fromkeys(("SADDW_4S", "SADDW2_4S"),
+                    (np.int32, lambda t, g: _read_half(t, g.ins[1], g, np.int16))),
+    "UADALP_8H": (np.uint16, _uadalp_8h), "UADALP_4S": (np.uint32, _uadalp_4s),
+    # SUBS / ADD_X on a value known only at run time: 64-bit, never checked
+    "X_ADD": (np.int64, lambda t, g: np.broadcast_to(g.imm[:, None], (len(t), g.n, 1))),
+}
 
 
-def _and_16b(t, mem, g, check):
-    _write(t, g, np.take(t, g.ins[0], axis=1) & np.take(t, g.ins[1], axis=1))
+def _lanes(table: np.ndarray, refs: np.ndarray, dtype) -> np.ndarray:
+    """Registers (``(n, 2)`` refs) or x registers (``(n,)``) as lanes."""
+    values = np.take(table, refs, axis=1)
+    return (values if refs.ndim == 2 else values[..., None]).view(dtype)
 
 
-def _cnt_16b(t, mem, g, check):
-    _write(t, g, _POPCOUNT8[_read(t, g.ins[0])])
+def _accumulate(t, mem, g, check):
+    """Add each lane's addend exactly, chains by a cumulative sum along
+    their steps; wrap to the lane type, which in checking mode raises
+    :class:`OverflowDetected` if any partial sum leaves its range."""
+    dtype, addend = _ACCUMULATE[g.op]
+    # int32 holds every sum of an 8- or 16-bit lane and up to 2**16 addends
+    wide = np.int32 if np.dtype(dtype).itemsize < 4 and g.run <= 1 << 16 else np.int64
+    add = addend(t, g)
+    if not g.run:
+        exact = _lanes(t, g.ins[0], dtype) + add.astype(wide, copy=False)
+    else:
+        tiles, lanes = add.shape[0], add.shape[-1]
+        exact = add.reshape(tiles, g.run, -1).astype(wide)
+        exact[:, 0] += _lanes(t, g.ins[0], dtype).reshape(tiles, -1)
+        if exact.size < 256 * g.run:  # small steps: one cumulative sum
+            exact = np.cumsum(exact, axis=1, dtype=wide)
+        else:  # a step at a time, each a contiguous row per tile
+            for step in range(1, g.run):
+                exact[:, step] += exact[:, step - 1]
+        exact = exact.reshape(tiles, -1, lanes)
+    if dtype is np.int64:  # an x register: the upper half is zero
+        exact = np.concatenate([exact, np.zeros_like(exact)], axis=-1)
+    elif check:
+        low, high = exact.min(), exact.max()
+        if low < np.iinfo(dtype).min or high > np.iinfo(dtype).max:
+            raise OverflowDetected(f"{g.op}: accumulator wrapped (exact range [{low}, {high}], "
+                                   f"lane dtype {np.dtype(dtype)})")
+    _write(t, g, exact.astype(dtype))
 
 
-def _add_4s(t, mem, g, check):  # wraps silently, as the interpreter does
-    _write(t, g, _read(t, g.ins[0]).view(np.int32) + _read(t, g.ins[1]).view(np.int32))
-
-
-def _ld1(t, mem, g, check):
+def _load8(t, mem, g):  # LD1_8B / LDR_X: 8 bytes, the upper half zeroed
     data = np.take(mem[g.buffer], g.addr, axis=1)
-    if g.op == "LD1_16B":
-        _write(t, g, data)
-    else:  # LD1_8B / LDR_X: 8 bytes, the upper half zeroed
-        _write(t, g, np.concatenate([data, np.zeros_like(data)], axis=-1))
+    return np.concatenate([data, np.zeros_like(data)], axis=-1)
 
 
-def _ldr(t, mem, g, check):  # LD1R_B / LD4R_B: each byte to all 16 lanes
-    _write(t, g, np.repeat(np.take(mem[g.buffer], g.addr, axis=1)[..., None], 16, axis=-1))
+#: the other ops: the lanes each instruction's value holds
+_VALUES = {
+    "SSHLL_8H": lambda t, mem, g: _read_half(t, g.ins[0], g, np.int8).astype(np.int16),
+    "AND_16B": lambda t, mem, g: np.take(t, g.ins[0], axis=1) & np.take(t, g.ins[1], axis=1),
+    "CNT_16B": lambda t, mem, g: _POPCOUNT8[_read(t, g.ins[0])],
+    # wraps silently, as the interpreter does
+    "ADD_4S": lambda t, mem, g: _read(t, g.ins[0]).view(np.int32) + _read(t, g.ins[1]).view(
+        np.int32),
+    "LD1_16B": lambda t, mem, g: np.take(mem[g.buffer], g.addr, axis=1),
+    "LD1_8B": _load8, "LDR_X": _load8,
+    # LD1R_B / LD4R_B: each byte to all 16 lanes
+    "LD1R_B": lambda t, mem, g: np.repeat(np.take(mem[g.buffer], g.addr, axis=1)[..., None],
+                                          16, axis=-1),
+}
+_VALUES["SSHLL2_8H"], _VALUES["LD4R_B"] = _VALUES["SSHLL_8H"], _VALUES["LD1R_B"]
 
 
 def _st1_16b(t, mem, g, check):
@@ -577,24 +810,8 @@ def _str_x(t, mem, g, check):
     mem[g.buffer][:, g.addr] = np.take(t, g.ins[0], axis=1).view(np.uint8).reshape(len(t), g.n, 8)
 
 
-def _x_add(t, mem, g, check):  # SUBS / ADD_X on a value known only at run time
-    value = np.take(t, g.ins[0], axis=1) + g.imm
-    _write(t, g, np.stack([value, np.zeros_like(value)], axis=-1))
-
-
 _EXEC: dict[str, Callable[[np.ndarray, dict, Group, bool], None]] = {
-    "SMLAL_8H": _smlal_8h, "SMLAL2_8H": _smlal_8h,
-    "SMLAL_4S": _smlal_4s, "SMLAL2_4S": _smlal_4s,
-    "SMLAL_4S_LANE": _smlal_4s, "SMLAL2_4S_LANE": _smlal_4s,
-    "SDOT_4S": _sdot_4s, "SDOT_4S_LANE": _sdot_4s,
-    "MLA_16B": _mla_16b,
-    "SADDW_8H": _saddw_8h, "SADDW2_8H": _saddw_8h,
-    "SADDW_4S": _saddw_4s, "SADDW2_4S": _saddw_4s,
-    "UADALP_8H": _uadalp_8h, "UADALP_4S": _uadalp_4s,
-    "SSHLL_8H": _sshll_8h, "SSHLL2_8H": _sshll_8h,
-    "AND_16B": _and_16b, "CNT_16B": _cnt_16b, "ADD_4S": _add_4s,
-    "LD1_16B": _ld1, "LD1_8B": _ld1, "LDR_X": _ld1,
-    "LD1R_B": _ldr, "LD4R_B": _ldr,
+    **dict.fromkeys(_ACCUMULATE, _accumulate),
+    **{op: lambda t, mem, g, check, f=f: _write(t, g, f(t, mem, g)) for op, f in _VALUES.items()},
     "ST1_16B": _st1_16b, "STR_X": _str_x,
-    "X_ADD": _x_add,
 }

@@ -1,7 +1,7 @@
 """Layer-level ARM cost model: machine parameters + tile-cycle estimation.
 
-The micro-kernel cycle counts come from statically scheduling real
-instruction streams (:mod:`repro.arm.pipeline`).  This module adds what
+The micro-kernel cycle counts come from statically scheduling the
+generated loop programs (:mod:`repro.arm.pipeline`).  This module adds what
 surrounds the kernel in a full convolution layer:
 
 * im2col, packing, requantization passes (byte-proportional charges),
@@ -116,19 +116,25 @@ _SCHEDULE_STORE = PersistentCache("arm-schedule")
 _FINGERPRINT: str | None = None
 
 
+def _fingerprinted() -> list:
+    """Every module a stored schedule depends on: the generators and what
+    they import (drain ratios and operand ranges included), the loop
+    programs, the scheduler, and this module's ``_generate``."""
+    from .. import util
+    from ..quant import ranges
+    from . import assembler, compiled, cost_model, isa, loops, pipeline, ratios, registers
+    from . import kernels as _kernels
+    from .kernels import base, mla_scheme, ncnn_like, popcount_scheme, sdot_scheme, smlal_scheme
+
+    return [pipeline, isa, registers, assembler, loops, compiled, ratios, ranges, util,
+            cost_model, _kernels, base, mla_scheme, ncnn_like, popcount_scheme, smlal_scheme,
+            sdot_scheme]
+
+
 def _code_version() -> str:
     global _FINGERPRINT
     if _FINGERPRINT is None:
-        from . import assembler, isa, pipeline, registers
-        from . import kernels as _kernels
-        from .kernels import base, mla_scheme, ncnn_like, popcount_scheme, smlal_scheme
-        from .kernels import sdot_scheme
-
-        _FINGERPRINT = code_fingerprint([
-            pipeline, isa, registers, assembler, _kernels,
-            base, mla_scheme, ncnn_like, popcount_scheme, smlal_scheme,
-            sdot_scheme,
-        ])
+        _FINGERPRINT = code_fingerprint(_fingerprinted())
     return _FINGERPRINT
 
 
@@ -170,7 +176,7 @@ def _schedule_many(
                 with obs_trace.span("arm.schedule", scheme=scheme, bits=bits,
                                     k=k, interleave=interleave):
                     kern = _generate(scheme, bits, k, interleave, round_steps)
-                    result = PipelineModel(A53_COST_TABLE).schedule(kern.stream)
+                    result = PipelineModel(A53_COST_TABLE).schedule(kern.code)
                 obs_metrics.counter("arm_schedules", outcome="computed").inc()
                 new.append((digest, result.to_json()))
             _SCHEDULES[(scheme, bits, k, interleave, round_steps)] = result

@@ -1,7 +1,8 @@
 """ARM micro-kernel generators.
 
-Each generator emits a complete, functionally executable instruction stream
-computing one register tile of the GEMM:
+Each generator returns a loop program (:mod:`repro.arm.loops`) computing
+one register tile of the GEMM: the K loop as repeated bodies between
+straight-line code, whose flattened stream is the kernel's listing:
 
 * :mod:`smlal_scheme` — the paper's 4~8-bit scheme (Alg. 1): 16x4 tile,
   ``SMLAL/SMLAL2`` into int16 lanes, periodic ``SADDW`` drains into int32.
@@ -12,10 +13,11 @@ computing one register tile of the GEMM:
 * :mod:`popcount_scheme` — the TVM-style 2-bit bit-serial baseline:
   ``AND`` + ``CNT`` + ``UADALP`` over bit-packed planes.
 
-All streams run functionally through :meth:`MicroKernel.execute`, which
-compiles them once (:mod:`repro.arm.compiled`) and matches the
-:class:`repro.arm.simulator.ArmSimulator` oracle bit for bit, and are
-scheduled for cycles by :class:`repro.arm.pipeline.PipelineModel`.
+All programs run functionally through :meth:`MicroKernel.execute`, which
+compiles them once, each body a single time (:mod:`repro.arm.compiled`),
+and matches the :class:`repro.arm.simulator.ArmSimulator` oracle on the
+flattened stream bit for bit; :class:`repro.arm.pipeline.PipelineModel`
+schedules them for cycles, each body decoded once and fast-forwarded.
 """
 
 from .base import MicroKernel

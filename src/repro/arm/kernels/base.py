@@ -11,13 +11,8 @@ import numpy as np
 from ...errors import ShapeError
 from ..compiled import Program, compile_stream
 from ..isa import Instr, macs_in_stream, stream_summary
+from ..loops import Node, flatten
 from ..pipeline import A53_COST_TABLE, CostTable, PipelineModel, PipelineResult
-
-#: entries in each generator's table of shared load instructions (one K
-#: step's loads per entry, two entries per step where two register groups
-#: alternate): streams up to K = 2048 share all their loads, and a longer
-#: stream rebuilds the ones that fell out
-LOAD_TABLE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -28,12 +23,14 @@ class MicroKernel:
     ----------
     name:
         Scheme identifier (``"smlal4"``, ``"mla2"``, ``"ncnn8"``, ...).
-    stream:
-        The full, unrolled instruction stream for one C tile.
+    code:
+        The loop program for one C tile (:mod:`repro.arm.loops`): the K
+        loop as :class:`~repro.arm.loops.Repeat` bodies between
+        straight-line code.  A flat stream is a program too.
     m_r, n_r:
-        Register-tile size: the stream computes an ``m_r x n_r`` int32 tile.
+        Register-tile size: the kernel computes an ``m_r x n_r`` int32 tile.
     k:
-        Reduction length the stream was generated for.
+        Reduction length the program was generated for.
     bits:
         Operand bit width the overflow analysis assumed.
     a_bytes, b_bytes:
@@ -44,7 +41,7 @@ class MicroKernel:
     """
 
     name: str
-    stream: tuple[Instr, ...]
+    code: tuple[Node, ...]
     m_r: int
     n_r: int
     k: int
@@ -53,21 +50,26 @@ class MicroKernel:
     b_bytes: int
     c_bytes: int
 
+    @functools.cached_property
+    def stream(self) -> tuple[Instr, ...]:
+        """The flattened instruction stream (listings and the oracles)."""
+        return flatten(self.code)
+
     def summary(self) -> dict[str, int]:
-        return stream_summary(list(self.stream))
+        return stream_summary(self.stream)
 
     @property
     def mac_lanes(self) -> int:
-        return macs_in_stream(list(self.stream))
+        return macs_in_stream(self.stream)
 
     def cycles(self, table: CostTable = A53_COST_TABLE) -> PipelineResult:
-        """Statically schedule the stream on the pipeline model."""
-        return PipelineModel(table).schedule(self.stream)
+        """Statically schedule the program on the pipeline model."""
+        return PipelineModel(table).schedule(self.code)
 
     @functools.cached_property
     def program(self) -> Program:
-        """The stream compiled for tile-batched execution, built on first use."""
-        return compile_stream(self.stream)
+        """The program compiled for tile-batched execution, built on first use."""
+        return compile_stream(self.code)
 
     def execute(
         self,
@@ -77,7 +79,7 @@ class MicroKernel:
         check_overflow: bool = False,
         extra_buffers: Mapping[str, np.ndarray] | None = None,
     ) -> KernelTiles:
-        """Run the stream functionally on one tile or on stacked tiles.
+        """Run the program functionally on one tile or on stacked tiles.
 
         ``a_panel`` / ``b_panel`` are packed byte panels (int8 or uint8):
         1-D for one tile, or ``(..., bytes)`` stacks whose leading axes

@@ -20,16 +20,17 @@ drains the int16 lanes drain into int32.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 from ...errors import ChainOverflowError, ShapeError, UnsupportedBitsError
 from ..isa import Instr, MemRef
+from ..loops import Node, Repeat
 from ..ratios import (
     MLA_SCHEME_BITS,
     mla_chain_length,
     saddw_second_level_interval,
 )
-from .base import LOAD_TABLE_SIZE, MicroKernel
+from .base import MicroKernel
 
 M_R = 64
 N_R = 1
@@ -101,18 +102,47 @@ _EPILOGUE = (
 _B_NE = Instr("B_NE")
 
 
-@lru_cache(maxsize=LOAD_TABLE_SIZE)
+#: bytes of A and B one K step reads
+_STEP_BYTES = {"A": M_R, "B": N_R}
+
+
 def _a_loads(step: int) -> tuple[Instr, ...]:
-    """The four ``LD1`` of K step ``step``'s A column, quarter q into
-    ``v<q>``, shared by every stream through a bounded table."""
+    """The four ``LD1`` of K step ``step``'s A column, quarter q into ``v<q>``."""
     return tuple(Instr("LD1_16B", dst=(_A_REGS[q],), mem=MemRef("A", step * M_R + q * 16))
                  for q in range(4))
 
 
-@lru_cache(maxsize=LOAD_TABLE_SIZE)
 def _b_load(step: int) -> Instr:
     """The replicated B byte of K step ``step`` into its rotation slot."""
     return Instr("LD1R_B", dst=(_B_REGS[step % 4],), mem=MemRef("B", step * N_R))
+
+
+def _steps(start: int, length: int, interleave: bool) -> list[Node]:
+    """The ``length`` K steps from ``start``.  The B rotation slot is the
+    step's position mod 4, so four steps at a time repeat verbatim."""
+    def step(cur: int) -> tuple[Instr, ...]:
+        s = cur - start
+        if not interleave:
+            return (*_a_loads(cur), _b_load(cur), *_MLA[cur % 4])
+        # each A quarter for step s+1 loads right after the MLA that frees
+        # its register; the replicated byte for step s+4 loads while step s
+        # computes (software pipelining without extra registers)
+        if s + 1 == length:
+            return _MLA[cur % 4]
+        pairs = (ins for mla, load in zip(_MLA[cur % 4], _a_loads(cur + 1)) for ins in (mla, load))
+        return (*pairs, *((_b_load(cur + 4),) if s + 4 < length else ()))
+
+    out: list[Node] = []
+    if interleave:  # fill the 4-deep B rotation and the first A column
+        out += [*(_b_load(start + t) for t in range(min(4, length))), *_a_loads(start)]
+    # interleaved, the last four steps load less
+    quads = (length - 4 * interleave) // 4
+    if quads > 0:
+        out.append(Repeat(tuple(ins for s in range(4) for ins in step(start + s)), quads,
+                          {b: 4 * d for b, d in _STEP_BYTES.items()}))
+    for cur in range(start + 4 * max(quads, 0), start + length):
+        out.extend(step(cur))
+    return out
 
 
 def generate_mla_kernel(
@@ -123,7 +153,11 @@ def generate_mla_kernel(
     chain_steps: int | None = None,
     allow_unsafe: bool = False,
 ) -> MicroKernel:
-    """Generate the MLA-scheme stream for a 64x1 tile over reduction ``k``.
+    """Generate the MLA-scheme program for a 64x1 tile over reduction ``k``.
+
+    The full first-level blocks between two second-level drains run as a
+    :class:`~repro.arm.loops.Repeat` of as many blocks as it takes the B
+    rotation to line up again; the steps inside a block are another.
 
     ``chain_steps`` overrides the first-level drain interval; an interval
     past the overflow-safe :func:`~repro.arm.ratios.mla_chain_length`
@@ -143,53 +177,35 @@ def generate_mla_kernel(
         raise ChainOverflowError(bits, min(chain, k), safe, "MLA")
     l2_interval = saddw_second_level_interval(bits)
 
-    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
-    tails: dict[int, tuple[Instr, ...]] = {}  # block length -> loop tail
-    step = 0
-    drains_since_l2 = 0
-    while step < k:
-        block = min(chain, k - step)
-        if interleave:
-            # fill the 4-deep B rotation, then keep it 4 steps ahead: the
-            # replicated byte for step s+4 loads while step s computes;
-            # each A quarter for step s+1 loads right after the MLA that
-            # frees its register (software pipelining without extra regs)
-            for t in range(min(4, block)):
-                out.append(_b_load(step + t))
-            out.extend(_a_loads(step))
-            for s in range(block):
-                cur = step + s
-                if s + 1 < block:
-                    for mla, load in zip(_MLA[cur % 4], _a_loads(cur + 1)):
-                        out.append(mla)
-                        out.append(load)
-                else:
-                    out.extend(_MLA[cur % 4])
-                if s + 4 < block:
-                    out.append(_b_load(cur + 4))
-        else:
-            for s in range(block):
-                cur = step + s
-                out.extend(_a_loads(cur))
-                out.append(_b_load(cur))
-                out.extend(_MLA[cur % 4])
-        step += block
-        out.extend(_DRAIN1)
-        drains_since_l2 += 1
-        if drains_since_l2 >= l2_interval:
-            out.extend(_DRAIN2)
-            drains_since_l2 = 0
-        if block not in tails:
-            tails[block] = (Instr("SUBS", dst=("x9",), src=("x9",), imm=block), _B_NE)
-        out.extend(tails[block])
+    def block(b: int, length: int) -> list[Node]:
+        """Block ``b``: its steps, the drains due after it, the loop tail."""
+        drain2 = _DRAIN2 if (b + 1) % l2_interval == 0 else ()
+        return [*_steps(b * chain, length, interleave), *_DRAIN1, *drain2,
+                Instr("SUBS", dst=("x9",), src=("x9",), imm=length), _B_NE]
 
-    if drains_since_l2:
+    out: list[Node] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
+    full, rest = divmod(k, chain)
+    period = 4 // math.gcd(chain, 4)  # blocks until the B rotation lines up
+    b = 0
+    while b < full:
+        # the blocks before the next second-level drain, then that block
+        run = min(full, (b // l2_interval + 1) * l2_interval - 1) - b
+        units = run // period
+        if units:
+            out.append(Repeat([ins for j in range(period) for ins in block(b + j, chain)],
+                              units, {n: period * chain * d for n, d in _STEP_BYTES.items()}))
+        for j in range(b + units * period, min(full, b + run + 1)):
+            out.extend(block(j, chain))
+        b += run + 1
+    if rest:
+        out.extend(block(full, rest))
+    if (full + (rest > 0)) % l2_interval:
         out.extend(_DRAIN2)
     out.extend(_EPILOGUE)
 
     return MicroKernel(
         name=f"mla{bits}",
-        stream=tuple(out),
+        code=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,

@@ -17,11 +17,10 @@ widened B, ``v8~v15`` int32 accumulators (col j in v8+2j / v9+2j).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ...errors import ShapeError
 from ..isa import Instr, MemRef
-from .base import LOAD_TABLE_SIZE, MicroKernel
+from ..loops import Node, Repeat, pipelined
+from .base import MicroKernel
 
 M_R = 8
 N_R = 4
@@ -60,10 +59,13 @@ _EPILOGUE = tuple(
 )
 
 
-@lru_cache(maxsize=LOAD_TABLE_SIZE)
+#: bytes of A and B one K step reads
+_STEP_BYTES = {"A": M_R, "B": N_R}
+
+
 def _loads_widen(step: int, g: int) -> tuple[Instr, ...]:
     """K step ``step``'s two raw loads into pipeline group ``g``, then the
-    group's widenings, shared by every stream through a bounded table."""
+    group's widenings."""
     grp = _GROUPS[g]
     return (Instr("LD1_8B", dst=(grp["a_raw"],), mem=MemRef("A", step * M_R)),
             Instr("LD1_8B", dst=(grp["b_raw"],), mem=MemRef("B", step * N_R)),
@@ -71,7 +73,7 @@ def _loads_widen(step: int, g: int) -> tuple[Instr, ...]:
 
 
 def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
-    """Generate the ncnn-like 8-bit stream for an 8x4 tile over ``k``.
+    """Generate the ncnn-like 8-bit program for an 8x4 tile over ``k``.
 
     The packed B panel must carry 4 bytes of slack beyond ``k * 4`` (the
     8-byte B load of the final step reads past the last row).
@@ -79,25 +81,21 @@ def generate_ncnn_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
     if k <= 0:
         raise ShapeError(f"k must be positive, got {k}")
 
-    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
+    out: list[Node] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]
     if interleave:
-        out.extend(_loads_widen(0, 0))
-        for s in range(k):
-            g = s % 2
-            if s + 1 < k:
-                out.extend(_loads_widen(s + 1, 1 - g))
-            out.extend(_MACS[g])
+        def step(s: int, g: int, prefetch: bool) -> tuple[Instr, ...]:
+            return (*(_loads_widen(s + 1, 1 - g) if prefetch else ()), *_MACS[g])
+
+        out += [*_loads_widen(0, 0), *pipelined(step, k, _STEP_BYTES)]
     else:
-        for s in range(k):
-            out.extend(_loads_widen(s, 0))
-            out.extend(_MACS[0])
+        out.append(Repeat((*_loads_widen(0, 0), *_MACS[0]), k, _STEP_BYTES))
     out.append(Instr("SUBS", dst=("x9",), src=("x9",), imm=k))
     out.append(Instr("B_NE"))
     out.extend(_EPILOGUE)
 
     return MicroKernel(
         name="ncnn8",
-        stream=tuple(out),
+        code=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,

@@ -26,6 +26,7 @@ import numpy as np
 from ...errors import ShapeError, UnsupportedBitsError
 from ...util import ceil_div
 from ..isa import Instr, MemRef
+from ..loops import Repeat
 from .base import MicroKernel
 
 M_R = 2
@@ -91,7 +92,8 @@ def pack_bitplane(plane: np.ndarray) -> np.ndarray:
 
 
 def generate_popcount_kernel(k: int, *, bits: int = BITS) -> MicroKernel:
-    """Generate the bit-serial stream for a 2x2 tile over reduction ``k``.
+    """Generate the bit-serial program for a 2x2 tile over reduction ``k``:
+    one :class:`~repro.arm.loops.Repeat` over the 128-bit chunks.
 
     Buffer layout (both planes bit-packed, chunk-padded):
 
@@ -106,27 +108,16 @@ def generate_popcount_kernel(k: int, *, bits: int = BITS) -> MicroKernel:
     chunks = ceil_div(k, _CHUNK_BITS)
     kbytes = chunks * _CHUNK_BYTES
 
-    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=chunks)]
-    for ch in range(chunks):
-        base = ch * _CHUNK_BYTES
-        for row in range(M_R):
-            for pa in range(BITS):
-                out.append(
-                    Instr("LD1_16B", dst=(_A_REGS[row * BITS + pa],),
-                          mem=MemRef("A", (row * BITS + pa) * kbytes + base))
-                )
-        for col in range(N_R):
-            for pw in range(BITS):
-                out.append(
-                    Instr("LD1_16B", dst=(_B_REGS[col * BITS + pw],),
-                          mem=MemRef("B", (col * BITS + pw) * kbytes + base))
-                )
-        out.extend(_REDUCE)
-        out.extend(_TAIL)
+    loads = tuple(
+        Instr("LD1_16B", dst=(regs[i * BITS + p],), mem=MemRef(buf, (i * BITS + p) * kbytes))
+        for buf, regs, count in (("A", _A_REGS, M_R), ("B", _B_REGS, N_R))
+        for i in range(count) for p in range(BITS))
+    out = (*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=chunks),
+           Repeat((*loads, *_REDUCE, *_TAIL), chunks, {"A": _CHUNK_BYTES, "B": _CHUNK_BYTES}))
 
     return MicroKernel(
         name=f"popcount{bits}",
-        stream=tuple(out),
+        code=out,
         m_r=M_R,
         n_r=N_R,
         k=k,

@@ -29,6 +29,7 @@ import numpy as np
 from ...errors import ShapeError
 from ...util import ceil_div
 from ..isa import Instr, MemRef
+from ..loops import Node, Repeat, pipelined
 from .base import MicroKernel
 
 M_R = 16
@@ -100,8 +101,19 @@ def pack_b_sdot(b: np.ndarray) -> np.ndarray:
     return buf.reshape(-1)
 
 
+#: bytes of A and B one k-group reads
+_STEP_BYTES = {"A": M_R * K_GROUP, "B": N_R * K_GROUP}
+
+
+def _load_instrs(g: int, s: int) -> list[Instr]:
+    """k-group ``g``'s four A quads and its B register, into operand set ``s``."""
+    return [*(Instr("LD1_16B", dst=(_A_SETS[s][q],), mem=MemRef("A", g * M_R * K_GROUP + q * 16))
+              for q in range(4)),
+            Instr("LD1_16B", dst=(_B_SET[s],), mem=MemRef("B", g * N_R * K_GROUP))]
+
+
 def generate_sdot_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
-    """Generate the ARMv8.2 stream for a 16x4 tile over reduction ``k``.
+    """Generate the ARMv8.2 program for a 16x4 tile over reduction ``k``.
 
     No drains: SDOT accumulates straight into the 16 int32 accumulator
     registers (v8~v23) and stores once at the end.
@@ -110,46 +122,26 @@ def generate_sdot_kernel(k: int, *, interleave: bool = True) -> MicroKernel:
         raise ShapeError(f"k must be positive, got {k}")
     kg = ceil_div(k, K_GROUP)
 
-    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=kg)]
-
-    def load_instrs(g: int, s: int) -> list[Instr]:
-        loads = [
-            Instr("LD1_16B", dst=(_A_SETS[s][q],),
-                  mem=MemRef("A", g * M_R * K_GROUP + q * 16))
-            for q in range(4)
-        ]
-        loads.append(Instr("LD1_16B", dst=(_B_SET[s],),
-                           mem=MemRef("B", g * N_R * K_GROUP)))
-        return loads
-
+    out: list[Node] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=kg)]
     if interleave:
         # double-buffered software pipeline: while group g's SDOTs execute,
         # group g+1's operands stream into the alternate register set
-        out.extend(load_instrs(0, 0))
-        for g in range(kg):
-            s = g % 2
-            pending = load_instrs(g + 1, 1 - s) if g + 1 < kg else []
-            n_emitted = 0
-            for j in range(N_R):
-                for q in range(4):
-                    out.append(_SDOT[s][j][q])
-                    if pending and n_emitted < len(pending):
-                        out.append(pending[n_emitted])
-                        n_emitted += 1
-            out.extend(pending[n_emitted:])
-            out.extend(_TAIL)
+        def step(g: int, s: int, prefetch: bool) -> list[Instr]:
+            pending = _load_instrs(g + 1, 1 - s) if prefetch else []
+            sdots = [_SDOT[s][j][q] for j in range(N_R) for q in range(4)]
+            mixed = [ins for pair in zip(sdots, pending) for ins in pair]
+            return [*mixed, *sdots[len(pending):], *_TAIL]
+
+        out += [*_load_instrs(0, 0), *pipelined(step, kg, _STEP_BYTES)]
     else:
-        for g in range(kg):
-            out.extend(load_instrs(g, 0))
-            for q in range(4):
-                for j in range(N_R):
-                    out.append(_SDOT[0][j][q])
-            out.extend(_TAIL)
+        out.append(Repeat((*_load_instrs(0, 0),
+                           *(_SDOT[0][j][q] for q in range(4) for j in range(N_R)),
+                           *_TAIL), kg, _STEP_BYTES))
     out.extend(_EPILOGUE)
 
     return MicroKernel(
         name="sdot8",
-        stream=tuple(out),
+        code=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,

@@ -25,12 +25,11 @@ the load pipeline at each drained block boundary instead.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ...errors import ChainOverflowError, ShapeError, UnsupportedBitsError
 from ..isa import Instr, MemRef
+from ..loops import Node, Repeat, pipelined
 from ..ratios import SMLAL_SCHEME_BITS, round_interval, smlal_chain_length
-from .base import LOAD_TABLE_SIZE, MicroKernel
+from .base import MicroKernel
 
 M_R = 16
 N_R = 4
@@ -110,14 +109,27 @@ _EPILOGUE = (
     Instr("ST1_16B", src=("v1",), mem=MemRef("C", 15 * 16)),
 )
 _B_NE = Instr("B_NE")
+#: bytes of A and B one K step reads
+_STEP_BYTES = {"A": M_R, "B": N_R}
 
 
-@lru_cache(maxsize=LOAD_TABLE_SIZE)
 def _loads(step: int, group: int) -> tuple[Instr, Instr]:
-    """The ``{LD1, LD4R}`` pair of K step ``step`` into register group
-    ``group``, shared by every stream through a bounded table."""
+    """The ``{LD1, LD4R}`` pair of K step ``step`` into register group ``group``."""
     return (Instr("LD1_16B", dst=(_A_REGS[group],), mem=MemRef("A", step * M_R)),
             Instr("LD4R_B", dst=_B_GROUPS[group], mem=MemRef("B", step * N_R)))
+
+
+def _block(start: int, length: int, interleave: bool) -> list[Node]:
+    """The ``length`` K steps from ``start``, then the drain and loop tail."""
+    if interleave:
+        def step(s: int, group: int, prefetch: bool) -> tuple[Instr, ...]:
+            loads = _loads(start + s + 1, 1 - group) if prefetch else ()
+            return (*loads, *_MACS[group])
+
+        steps = [*_loads(start, 0), *pipelined(step, length, _STEP_BYTES)]
+    else:
+        steps = [Repeat((*_loads(start, 0), *_MACS[0]), length, _STEP_BYTES)]
+    return [*steps, *_DRAIN, Instr("SUBS", dst=("x9",), src=("x9",), imm=length), _B_NE]
 
 
 def generate_smlal_kernel(
@@ -128,7 +140,10 @@ def generate_smlal_kernel(
     round_steps: int | None = None,
     allow_unsafe: bool = False,
 ) -> MicroKernel:
-    """Generate the Alg. 1 stream for a 16x4 tile over reduction length ``k``.
+    """Generate the Alg. 1 program for a 16x4 tile over reduction length ``k``.
+
+    The full drain blocks are one :class:`~repro.arm.loops.Repeat`, the
+    steps inside a block another; a shorter final block follows.
 
     Parameters
     ----------
@@ -160,32 +175,18 @@ def generate_smlal_kernel(
     if not allow_unsafe and min(interval, k) > safe:
         raise ChainOverflowError(bits, min(interval, k), safe, "SMLAL")
 
-    out: list[Instr] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]  # loop counter
-    drains: dict[int, tuple[Instr, ...]] = {}  # block length -> drain + loop tail
-    step = 0
-    while step < k:
-        block = min(interval, k - step)
-        if interleave:
-            out.extend(_loads(step, 0))  # block prologue: fill group 0
-            for s in range(block):
-                group = s % 2
-                if s + 1 < block:
-                    out.extend(_loads(step + s + 1, 1 - group))  # prefetch next step
-                out.extend(_MACS[group])
-        else:
-            for s in range(block):
-                out.extend(_loads(step + s, 0))
-                out.extend(_MACS[0])
-        step += block
-        if block not in drains:
-            drains[block] = (*_DRAIN, Instr("SUBS", dst=("x9",), src=("x9",), imm=block),
-                             _B_NE)
-        out.extend(drains[block])
+    out: list[Node] = [*_PROLOGUE, Instr("MOV_X_IMM", dst=("x9",), imm=k)]  # loop counter
+    blocks, rest = divmod(k, interval)
+    if blocks:
+        out.append(Repeat(_block(0, interval, interleave), blocks,
+                          {b: interval * d for b, d in _STEP_BYTES.items()}))
+    if rest:
+        out.extend(_block(blocks * interval, rest, interleave))
     out.extend(_EPILOGUE)
 
     return MicroKernel(
         name=f"smlal{bits}",
-        stream=tuple(out),
+        code=tuple(out),
         m_r=M_R,
         n_r=N_R,
         k=k,
@@ -194,8 +195,3 @@ def generate_smlal_kernel(
         b_bytes=k * N_R,
         c_bytes=M_R * N_R * 4,
     )
-
-
-def theoretical_chain(bits: int) -> int:
-    """Expose the safe chain length for documentation/reporting."""
-    return smlal_chain_length(bits)

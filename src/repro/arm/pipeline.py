@@ -16,11 +16,11 @@ kernel generators are *statically scheduled* under those constraints:
   effective 1-cycle latency.  Without that forwarding, long MAC chains
   would be latency-bound and the paper's schemes could not work at all.
 
-Scheduling is greedy and exact, and it fast-forwards: once the state at
-some instruction recurs, relative to the issue cycle, ahead of a verbatim
-repeat of the instructions in between, the schedule of every such repeat
-is the last one shifted in time, so a K loop costs its distinct periods,
-not its length (:func:`_issue`).
+Scheduling is greedy and exact, and it fast-forwards: the generators emit
+loop programs (:mod:`repro.arm.loops`), and once the state at the start
+of a repeated body recurs, relative to the issue cycle, the schedule of
+every later run of the same iterations is the last one shifted in time,
+so a K loop costs its distinct periods, not its length (:func:`_run`).
 
 The table values are documented estimates in the spirit of the A53
 software-optimization data; what the experiments rely on is the *relative*
@@ -30,15 +30,14 @@ drain rounds and of v<->x moves), not any single absolute number.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .isa import ACCUM_OPS, Instr
+from .loops import Node, Repeat
 
 
 @dataclass(frozen=True)
@@ -164,185 +163,177 @@ class PipelineResult:
         )
 
 
-#: most distinct anchor snapshots one schedule keeps, and the most recent
-#: visits kept per snapshot (a state can recur every K step while the
-#: signatures only repeat every few steps, e.g. a 4-deep register
-#: rotation); past either bound older entries go, which can only cost a
-#: missed jump, never a wrong cycle
-_MAX_SNAPSHOTS = 1024
-_VISITS_KEPT = 8
-#: the fields of an instruction that steer its schedule
-_SIGNATURE = attrgetter("op", "dst", "src")
+def _decode(program: Iterable[Node], table: CostTable) -> tuple[list, int]:
+    """Integer form of ``program`` for :meth:`PipelineModel.schedule`.
 
-
-def _decode(
-    stream: Sequence[Instr], table: CostTable
-) -> tuple[list[tuple], list[int], int]:
-    """Integer form of ``stream`` for :meth:`PipelineModel.schedule`.
-
-    Returns one row per distinct ``(op, dst, src)`` signature (NEON and
-    memory pipe cycles, latency, accumulate-chain latency, whether the op
-    accumulates, source and destination register indices), the signature
-    index of every instruction, and the number of registers.  Only those
-    fields steer the schedule: loads of different addresses into the same
-    registers share a row.  Each distinct ``Instr`` object is looked at
-    once; the per-instruction passes run inside ``dict``/``map``.
+    Returns the program as a list of parts, each a straight-line segment
+    (a list of rows) or a ``(parts, count)`` repeat, and the number of
+    registers.  A row holds what steers an instruction's schedule: NEON
+    and memory pipe cycles, latency, accumulate-chain latency, whether the
+    op accumulates, and source and destination register indices.  One row
+    object serves every instruction of one ``(op, dst, src)`` signature,
+    so loads of different addresses into the same registers share it, and
+    a body is decoded once however many times it runs.
     """
-    ids = list(map(id, stream))
-    objects = dict(zip(ids, stream))
-    signatures = list(map(_SIGNATURE, objects.values()))
-    row_of = dict.fromkeys(signatures)
-    rows: list[tuple] = []
+    rows: dict[tuple, tuple] = {}
     regs: dict[str, int] = {}
-    for sig in row_of:
-        op, dst, src = sig
-        c = table.cost(op)
-        row_of[sig] = len(rows)
-        rows.append((
-            c.mem_cycles, c.neon_cycles, c.latency,
-            c.acc_latency or c.latency, op in ACCUM_OPS,
-            tuple(regs.setdefault(r, len(regs)) for r in src),
-            tuple(regs.setdefault(r, len(regs)) for r in dst),
-        ))
-    sig_of = dict(zip(objects, map(row_of.__getitem__, signatures)))
-    return rows, list(map(sig_of.__getitem__, ids)), len(regs)
+
+    def row(ins: Instr) -> tuple:
+        sig = (ins.op, ins.dst, ins.src)
+        r = rows.get(sig)
+        if r is None:
+            c = table.cost(ins.op)
+            r = rows[sig] = (
+                c.mem_cycles, c.neon_cycles, c.latency,
+                c.acc_latency or c.latency, ins.op in ACCUM_OPS,
+                tuple(regs.setdefault(x, len(regs)) for x in ins.src),
+                tuple(regs.setdefault(x, len(regs)) for x in ins.dst))
+        return r
+
+    def parts(nodes: Iterable[Node]) -> list:
+        out: list = []
+        for node in nodes:
+            if isinstance(node, Repeat):
+                out.append((parts(node.body), node.count))
+            else:
+                if not out or not isinstance(out[-1], list):
+                    out.append([])
+                out[-1].append(row(node))
+        return out
+
+    return parts(program), len(regs)
 
 
-def _repeats(sigs: list[int], start: int, stop: int) -> int:
-    """How many more times ``sigs[start:stop]`` follows itself verbatim."""
-    period = stop - start
-    m, end = 0, stop + period
-    body = None
-    # the last signatures must agree before a whole period is compared
-    while end <= len(sigs) and sigs[end - 1] == sigs[stop - 1]:
-        if body is None:
-            body = sigs[start:stop]
-        if sigs[end - period:end] != body:
-            break
-        m += 1
-        end += period
-    return m
-
-
-def _issue(rows: list[tuple], sigs: list[int], n_regs: int, anchor: int,
-           width: int) -> tuple[int, int, int]:
-    """Greedy in-order issue of ``sigs``; returns the final issue cycle and
-    the cycles the LS and NEON pipes free up.
-
-    At every occurrence of the ``anchor`` signature the scheduler state is
-    snapshotted relative to the issue cycle (slots used this cycle; pipe
-    free times and register ready times clipped at the cycle, since a time
-    already past acts exactly like the cycle itself).  When a snapshot
-    repeats, the run of signatures between the two occurrences maps that
-    state onto itself shifted by their cycle difference; for every verbatim
-    repeat of the run that follows, the schedule repeats shifted again, so
-    those periods are applied at once by moving every time forward.
-    """
-    n = len(sigs)
-    ready = [0] * n_regs  # cycle each register's value is ready
-    acc_ready = [0] * n_regs  # the same for an accumulate chain
-    cur = slots = mem_free = neon_free = 0
-    seen: dict[tuple, list[tuple[int, int]]] = {}
-    pos = 0
-    while pos < n:
-        start, pos = pos, n
-        for i in range(start, n):
-            s = sigs[i]
-            if s == anchor:
-                key = (slots,
-                       mem_free - cur if mem_free > cur else 0,
-                       neon_free - cur if neon_free > cur else 0,
-                       *[r - cur if r > cur else 0 for r in ready],
-                       *[r - cur if r > cur else 0 for r in acc_ready])
-                hits = seen.get(key)
-                if hits is None:
-                    if len(seen) >= _MAX_SNAPSHOTS:
-                        seen.clear()
-                    seen[key] = [(i, cur)]
-                else:
-                    # the newest earlier visit whose run repeats from here
-                    for p, c0 in reversed(hits):
-                        m = _repeats(sigs, p, i)
-                        if m:
-                            break
-                    if m:
-                        shift = m * (cur - c0)
-                        cur += shift
-                        mem_free += shift
-                        neon_free += shift
-                        ready = [r + shift for r in ready]
-                        acc_ready = [r + shift for r in acc_ready]
-                        pos = i + m * (i - p)  # resume the scan there
-                        break
-                    hits.append((i, cur))
-                    if len(hits) > _VISITS_KEPT:
-                        del hits[0]
-
-            mem_c, neon_c, lat, acc_lat, is_acc, srcs, dsts = rows[s]
-            # operand readiness (an accumulator operand uses forwarding)
-            t = cur
-            for r in srcs:
-                if ready[r] > t:
-                    t = ready[r]
-            if is_acc:
-                for r in dsts:
-                    if acc_ready[r] > t:
-                        t = acc_ready[r]
+def _issue(rows: list[tuple], st: list[int], ready: list[int], acc_ready: list[int],
+           width: int) -> None:
+    """Greedy in-order issue of ``rows`` from the state ``st`` (the issue
+    cycle, slots used in it, and the cycles the LS and NEON pipes free
+    up) and the register ready times, all updated in place."""
+    cur, slots, mem_free, neon_free = st
+    for mem_c, neon_c, lat, acc_lat, is_acc, srcs, dsts in rows:
+        # operand readiness (an accumulator operand uses forwarding)
+        t = cur
+        for r in srcs:
+            if ready[r] > t:
+                t = ready[r]
+        if is_acc:
+            for r in dsts:
+                if acc_ready[r] > t:
+                    t = acc_ready[r]
+        if mem_c and mem_free > t:
+            t = mem_free
+        if neon_c and neon_free > t:
+            t = neon_free
+        if t > cur:
+            cur = t
+            slots = 1
+        elif slots < width:
+            slots += 1
+        else:  # issue slots of this cycle used up
+            t = cur + 1
             if mem_c and mem_free > t:
                 t = mem_free
             if neon_c and neon_free > t:
                 t = neon_free
-            if t > cur:
-                cur = t
-                slots = 1
-            elif slots < width:
-                slots += 1
-            else:  # issue slots of this cycle used up
-                t = cur + 1
-                if mem_c and mem_free > t:
-                    t = mem_free
-                if neon_c and neon_free > t:
-                    t = neon_free
-                cur = t
-                slots = 1
-            if mem_c:
-                mem_free = t + mem_c
-            if neon_c:
-                neon_free = t + neon_c
-            for r in dsts:
-                ready[r] = t + lat
-                acc_ready[r] = t + acc_lat
-    return cur, mem_free, neon_free
+            cur = t
+            slots = 1
+        if mem_c:
+            mem_free = t + mem_c
+        if neon_c:
+            neon_free = t + neon_c
+        for r in dsts:
+            ready[r] = t + lat
+            acc_ready[r] = t + acc_lat
+    st[:] = cur, slots, mem_free, neon_free
+
+
+def _periods(count: int, i: int, j: int) -> int:
+    """Whole periods of ``i - j`` iterations left at iteration ``i`` of a
+    repeat of ``count``: how far the fast-forward jumps."""
+    return (count - i) // (i - j)
+
+
+def _run(parts: list, st: list[int], ready: list[int], acc_ready: list[int],
+         width: int) -> None:
+    """Issue ``parts`` (see :func:`_decode`), fast-forwarding repeats.
+
+    At the start of every iteration of a repeat the state is snapshotted
+    relative to the issue cycle (slots used this cycle; pipe free times
+    and register ready times clipped at the cycle, since a time already
+    past acts exactly like the cycle itself).  The body is the same at
+    every iteration, so when a snapshot recurs, the iterations since its
+    last visit map that state onto itself shifted by their cycle
+    difference, and so does every later run of as many iterations: the
+    whole periods left are applied at once by moving every time forward.
+    """
+    for part in parts:
+        if isinstance(part, list):
+            _issue(part, st, ready, acc_ready, width)
+            continue
+        body, count = part
+        seen: dict[tuple, tuple[int, int]] = {}
+        i = 0
+        while i < count:
+            cur = st[0]
+            key = (st[1], st[2] - cur if st[2] > cur else 0,
+                   st[3] - cur if st[3] > cur else 0,
+                   *[r - cur if r > cur else 0 for r in ready],
+                   *[r - cur if r > cur else 0 for r in acc_ready])
+            hit = seen.setdefault(key, (i, cur))
+            if hit[0] < i:
+                m = _periods(count, i, hit[0])
+                shift = m * (cur - hit[1])
+                st[0] += shift
+                st[2] += shift
+                st[3] += shift
+                ready[:] = [r + shift for r in ready]
+                acc_ready[:] = [r + shift for r in acc_ready]
+                i += m * (i - hit[0])
+                seen = {}  # no shorter period follows; the rest runs through
+                if i == count:
+                    break
+            _run(body, st, ready, acc_ready, width)
+            i += 1
+
+
+def _totals(parts: list) -> tuple[int, int, int]:
+    """Instructions and LS and NEON pipe cycles of ``parts``, repeats counted."""
+    n = mem = neon = 0
+    for part in parts:
+        if isinstance(part, list):
+            n += len(part)
+            mem += sum(r[0] for r in part)
+            neon += sum(r[1] for r in part)
+        else:
+            pn, pm, pv = _totals(part[0])
+            n, mem, neon = n + pn * part[1], mem + pm * part[1], neon + pv * part[1]
+    return n, mem, neon
 
 
 class PipelineModel:
     """Greedy in-order scheduler over a cost table.
 
-    :meth:`schedule` is exact and costs time in proportion to a stream's
-    distinct work rather than its length: the unrolled K loop of a
-    micro-kernel is fast-forwarded period by period (see :func:`_issue`).
-    The per-instruction loop it must equal is kept as the test oracle.
+    :meth:`schedule` is exact and costs time in proportion to a program's
+    distinct work rather than its length: each repeated body of a loop
+    program (:mod:`repro.arm.loops`) is decoded once and fast-forwarded
+    period by period (see :func:`_run`).  The per-instruction loop over
+    the flattened stream it must equal is kept as the test oracle.
     """
 
     def __init__(self, table: CostTable = A53_COST_TABLE) -> None:
         self.table = table
 
-    def schedule(self, stream: Iterable[Instr]) -> PipelineResult:
+    def schedule(self, program: Iterable[Node]) -> PipelineResult:
+        """Schedule a loop program, or a flat stream (a program without
+        repeats)."""
         table = self.table
-        # a sequence keeps every object alive while decoding keys on id()
-        if not isinstance(stream, (tuple, list)):
-            stream = tuple(stream)
-        rows, sigs, n_regs = _decode(stream, table)
-        counts = Counter(sigs)
-        # the most frequent signature (the first seen, on a tie)
-        anchor = max(counts, key=counts.__getitem__) if counts else -1
-        cur, mem_free, neon_free = _issue(
-            rows, sigs, n_regs, anchor, table.issue_width)
+        parts, n_regs = _decode(program, table)
+        st = [0, 0, 0, 0]
+        _run(parts, st, [0] * n_regs, [0] * n_regs, table.issue_width)
+        cur, _, mem_free, neon_free = st
 
-        instructions = len(sigs)
         # pipe occupancy does not depend on when an op issues
-        mem_busy = sum(rows[s][0] * c for s, c in counts.items())
-        neon_busy = sum(rows[s][1] * c for s, c in counts.items())
+        instructions, mem_busy, neon_busy = _totals(parts)
         total = max(cur + 1, mem_free, neon_free)
         min_possible = max(
             (instructions + table.issue_width - 1) // table.issue_width,
@@ -357,8 +348,8 @@ class PipelineModel:
             stall_cycles=max(0, total - min_possible),
         )
         if obs_trace.active():
-            # per-stream scheduling detail, gated: schedule() sits behind
-            # the persistent memo but still runs for every novel stream
+            # per-program scheduling detail, gated: schedule() sits behind
+            # the persistent memo but still runs for every novel program
             obs_metrics.counter("arm_pipeline_streams").inc()
             obs_metrics.counter("arm_pipeline_instructions").inc(instructions)
             obs_metrics.histogram("arm_pipeline_cycles").observe(total)

@@ -1,20 +1,21 @@
 """The compiled executor against the interpreter (the oracle).
 
-Every test runs one stream both ways, from zeroed registers, and asserts
-the same final v/x registers and memory, and that
-:class:`OverflowDetected` is raised exactly when the interpreter raises
-it.  Streams start by loading random bytes into the registers they use,
-so every opcode sees random operands.
+Every test runs one program both ways, compiled and interpreted as its
+flattened stream, from zeroed registers, and asserts the same final v/x
+registers and memory, and that :class:`OverflowDetected` is raised
+exactly when the interpreter raises it.  Streams start by loading random
+bytes into the registers they use, so every opcode sees random operands.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.arm import compiled
+from repro.arm import compiled, loops
 from repro.arm.compiled import compile_stream
 from repro.arm.isa import ALL_OPS, Instr, MemRef
 from repro.arm.kernels import generate_mla_kernel, generate_smlal_kernel
+from repro.arm.loops import flatten
 from repro.arm.simulator import ArmSimulator
 from repro.conv.padding import pack_a, pack_b
 from repro.errors import OverflowDetected, SimulationError
@@ -102,9 +103,9 @@ def run_compiled(stream, buffers, check):
     return v, x, {k: written.get(k, b) for k, b in buffers.items()}
 
 
-def assert_same(stream, buffers, check):
-    want = interpret(stream, buffers, check)
-    got = run_compiled(stream, buffers, check)
+def assert_same(program, buffers, check):
+    want = interpret(flatten(program), buffers, check)
+    got = run_compiled(program, buffers, check)
     assert (got is None) == (want is None), "OverflowDetected differs from the interpreter"
     if want is not None:
         assert np.array_equal(got[0], want[0])
@@ -215,12 +216,12 @@ def test_kernel_streams_match_interpreter():
     for kern, hi in ((generate_smlal_kernel(8, 40), 127), (generate_mla_kernel(3, 30), 4)):
         a = rng.integers(-hi, hi, (kern.m_r, kern.k)).astype(np.int8)
         b = rng.integers(-hi, hi, (kern.k, kern.n_r)).astype(np.int8)
-        assert not assert_same(list(kern.stream), kernel_buffers(kern, a, b), True)
+        assert not assert_same(kern.code, kernel_buffers(kern, a, b), True)
     # one step past the 2-bit MLA chain, at the worst case, wraps in both
     kern = generate_mla_kernel(2, 32, chain_steps=32, allow_unsafe=True)
     worst = kernel_buffers(kern, np.full((64, 32), -2, np.int8), np.full((32, 1), -2, np.int8))
-    assert assert_same(list(kern.stream), worst, True)
-    assert not assert_same(list(kern.stream), worst, False)
+    assert assert_same(kern.code, worst, True)
+    assert not assert_same(kern.code, worst, False)
 
 
 @pytest.fixture
@@ -255,9 +256,21 @@ def test_bad_memory_raises_before_running(buffers, no_group_runs):
         compile_stream(stream).run(buffers)
 
 
-def test_group_counts_of_long_streams():
-    """One numpy operation per group, however long the stream."""
-    smlal = generate_smlal_kernel(8, 1024)
-    assert len(smlal.stream) == 27695 and len(smlal.program.groups) < 1100
+def test_group_counts_of_long_streams(monkeypatch):
+    """One numpy operation per group, and as many groups however long the
+    K loop: each repeated body compiles once.  Neither running nor
+    scheduling a kernel flattens its program."""
+    groups = {k: len(generate_smlal_kernel(8, k).program.groups) for k in (64, 1024, 4608)}
+    assert groups[64] == groups[1024] == groups[4608] < 40
+    assert len(generate_smlal_kernel(8, 1024).stream) == 27695
     mla = generate_mla_kernel(2, 1152)
-    assert len(mla.stream) == 10997 and len(mla.program.groups) < 130
+    assert len(mla.stream) == 10997 and len(mla.program.groups) < 60
+
+    def refuse(*args):
+        raise AssertionError("the program was flattened")
+
+    monkeypatch.setattr(loops, "_unroll", refuse)
+    kern = generate_smlal_kernel(8, 4608)
+    kern.execute(np.zeros(kern.a_bytes, np.int8), np.zeros(kern.b_bytes, np.int8),
+                 check_overflow=True)
+    assert kern.cycles().instructions == 124463

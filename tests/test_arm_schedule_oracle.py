@@ -1,9 +1,9 @@
 """The fast-forwarding scheduler equals the per-instruction oracle.
 
-:meth:`PipelineModel.schedule` skips whole periods of a stream at once; on
-every generated micro-kernel it must return exactly the
+:meth:`PipelineModel.schedule` skips whole periods of a loop program at
+once; on every generated micro-kernel it must return exactly the
 :class:`PipelineResult` that :func:`tests.pipeline_oracle.schedule_reference`
-gets by walking each instruction.
+gets by walking each instruction of the flattened stream.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.arm.kernels import (
     generate_sdot_kernel,
     generate_smlal_kernel,
 )
+from repro.arm.loops import flatten
 from repro.arm.pipeline import PipelineModel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -49,15 +50,15 @@ def _generators():
 _GENERATORS = dict(_generators())
 
 
-def assert_same_schedule(stream):
-    got = PipelineModel().schedule(stream).to_json()
-    assert got == schedule_reference(stream).to_json()
+def assert_same_schedule(program):
+    got = PipelineModel().schedule(program).to_json()
+    assert got == schedule_reference(flatten(program)).to_json()
 
 
 @pytest.mark.parametrize("name", sorted(_GENERATORS))
 def test_generated_streams_schedule_as_the_oracle(name):
     for k in KS:
-        assert_same_schedule(_GENERATORS[name](k).stream)
+        assert_same_schedule(_GENERATORS[name](k).code)
 
 
 def test_empty_stream_schedules_as_the_oracle():
@@ -66,14 +67,14 @@ def test_empty_stream_schedules_as_the_oracle():
 
 
 def test_traced_schedule_counts_fast_forwarded_instructions():
-    stream = generate_smlal_kernel(8, 1024).stream
+    kern = generate_smlal_kernel(8, 1024)
     streams = obs_metrics.counter("arm_pipeline_streams")
     instructions = obs_metrics.counter("arm_pipeline_instructions")
     before = streams.value, instructions.value
     with obs_trace.capture():
-        PipelineModel().schedule(stream)
+        PipelineModel().schedule(kern.code)
     assert streams.value - before[0] == 1
-    assert instructions.value - before[1] == len(stream)
+    assert instructions.value - before[1] == len(kern.stream)
 
 
 def test_one_shot_iterators_schedule_as_their_tuple():

@@ -65,7 +65,7 @@ def test_assembled_stream_executes_identically():
     b = rng.integers(-8, 8, (k, 4)).astype(np.int8)
     kern = generate_smlal_kernel(4, k)
     reparsed = MicroKernel(
-        name=kern.name, stream=tuple(assemble(disassemble(kern.stream))),
+        name=kern.name, code=tuple(assemble(disassemble(kern.stream))),
         m_r=kern.m_r, n_r=kern.n_r, k=kern.k, bits=kern.bits,
         a_bytes=kern.a_bytes, b_bytes=kern.b_bytes, c_bytes=kern.c_bytes,
     )

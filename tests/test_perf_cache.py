@@ -419,3 +419,49 @@ def test_arm_schedule_persistent_roundtrip(tmp_path, monkeypatch):
     finally:
         clear_schedule_cache()
         sched.reset_stats()
+
+
+def _imported_modules(module):
+    """The ``repro`` modules ``module`` imports at its top level."""
+    import ast
+    import importlib.util
+    import inspect
+
+    def is_module(name):
+        try:
+            return importlib.util.find_spec(name) is not None
+        except ModuleNotFoundError:  # an attribute of a module, not a submodule
+            return False
+
+    package = module.__name__ if hasattr(module, "__path__") else module.__package__
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+            for alias in node.names:
+                name = f"{base}.{alias.name}"
+                yield name if is_module(name) else base
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_schedule_fingerprint_covers_what_a_schedule_depends_on():
+    """Editing any module the generators, the drain ratios or the scheduler
+    import (errors and the obs/perf plumbing aside), or the cost model's
+    own ``_generate``, must invalidate the stored ARM schedules."""
+    import importlib
+
+    from repro.arm import cost_model
+
+    todo = ["repro.arm.kernels.smlal_scheme", "repro.arm.kernels.mla_scheme",
+            "repro.arm.kernels.ncnn_like", "repro.arm.kernels.sdot_scheme",
+            "repro.arm.kernels.popcount_scheme", "repro.arm.ratios", "repro.arm.pipeline"]
+    needed = {"repro.arm.cost_model"}
+    while todo:
+        name = todo.pop()
+        if (name in needed or not name.startswith("repro.") or name == "repro.errors"
+                or name.startswith(("repro.obs", "repro.perf"))):
+            continue
+        needed.add(name)
+        todo.extend(_imported_modules(importlib.import_module(name)))
+    assert {"repro.arm.ratios", "repro.quant.ranges", "repro.arm.loops"} <= needed
+    assert needed <= {m.__name__ for m in cost_model._fingerprinted()}

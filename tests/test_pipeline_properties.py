@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.arm import pipeline
 from repro.arm.isa import Instr, MemRef
+from repro.arm.loops import Repeat, flatten
 from repro.arm.pipeline import A53_COST_TABLE, CostTable, InstrCost, PipelineModel
 from repro.arm.simulator import ArmSimulator
 
@@ -107,15 +108,15 @@ def test_checked_mode_agrees_when_it_passes(stream):
                           checked.regs.snapshot()["v"])
 
 
-# -- periodic streams: the scheduler's fast-forward -------------------------
+# -- loop programs: the scheduler's fast-forward -----------------------------
 
 
 def _load(reg, offset=0):
     return Instr("LD1_16B", dst=(reg,), mem=MemRef("A", offset))
 
 
-#: a prologue leaves v5..v7 ready well after the body starts, so the body's
-#: state at its anchor needs several periods to settle
+#: a prologue leaves v5..v7 ready well after the body starts, so the state
+#: at the body's start needs several iterations to settle
 _CONVERGING = ([_load("v5"), _load("v6"), _load("v7")],
                [Instr("MOVI_ZERO", dst=("v0",))], 40, 0,
                [Instr("AND_16B", dst=("v1",), src=("v5", "v7"))])
@@ -130,7 +131,12 @@ _CUT_SHORT = ([Instr("MOV_X_IMM", dst=("x9",), imm=5)],
 
 
 def _assemble(prologue, body, repeats, cut, epilogue):
-    return [*prologue, *body * repeats, *body[:cut], *epilogue]
+    """The program: the body as a :class:`Repeat`, then cut short."""
+    return [*prologue, *([Repeat(body, repeats)] if repeats else []), *body[:cut], *epilogue]
+
+
+def assert_schedules_as_the_oracle(program, table=A53_COST_TABLE):
+    assert PipelineModel(table).schedule(program) == schedule_reference(flatten(program), table)
 
 
 #: few registers and every kind of operand, so that the scheduler meets
@@ -174,8 +180,7 @@ def periodic_streams(draw, streams=random_streams, body_size=12, edge_size=20):
 @example(_CUT_SHORT)
 @settings(max_examples=100, deadline=None)
 def test_periodic_streams_schedule_as_the_oracle(parts):
-    stream = _assemble(*parts)
-    assert PipelineModel().schedule(stream) == schedule_reference(stream)
+    assert_schedules_as_the_oracle(_assemble(*parts))
 
 
 @st.composite
@@ -198,8 +203,7 @@ def cost_tables(draw):
 @given(cost_tables(), periodic_streams(tight_streams, body_size=4, edge_size=5))
 @settings(max_examples=150, deadline=None)
 def test_periodic_streams_schedule_as_the_oracle_on_any_cost_table(table, parts):
-    stream = _assemble(*parts)
-    assert PipelineModel(table).schedule(stream) == schedule_reference(stream, table)
+    assert_schedules_as_the_oracle(_assemble(*parts), table)
 
 
 def _table(width, **costs):
@@ -215,63 +219,59 @@ _SMLAL = Instr("SMLAL_8H", dst=("v0",), src=("v0", "v0"))
 _MOVX = Instr("MOV_X_IMM", dst=("x1",), imm=0)
 
 
-#: for each part of the anchor snapshot, a stream with two anchor visits
-#: that agree on everything but that part; leaving it out of the snapshot
-#: would fast-forward with the wrong cycle step
-@pytest.mark.parametrize("table, stream", [
+#: for each part of the snapshot, a program whose repeat starts two
+#: iterations in states that agree on everything but that part; leaving
+#: it out of the snapshot would fast-forward with the wrong cycle step
+@pytest.mark.parametrize("table, program", [
     # the third MOVI finds both issue slots of its cycle taken
-    (_table(2, MOVI_ZERO=(0, 0, 1, None)), [_MOVI] * 3),
+    (_table(2, MOVI_ZERO=(0, 0, 1, None)), [Repeat((_MOVI,), 3)]),
     # at the second MOVI the NEON pipe is still busy with the first
     (_table(1, MOVI_ZERO=(0, 2, 1, None), LD1_16B=(0, 0, 1, None)),
-     [_load("v0"), _MOVI, _MOVI]),
+     [_load("v0"), Repeat((_MOVI,), 2)]),
     # the load/store pipe is still busy with the prologue's op
     (_table(2, MOVI_ZERO=(1, 0, 2, None), SMLAL_8H=(3, 0, 2, None)),
-     [_SMLAL] + [_MOVI] * 4),
+     [_SMLAL, Repeat((_MOVI,), 4)]),
     # AND forwards to an accumulate chain later than to other readers
-    (_table(1, AND_16B=(0, 0, 1, 3), SMLAL_8H=(0, 0, 1, None),
+    (_table(2, AND_16B=(0, 0, 1, 3), SMLAL_8H=(0, 0, 1, None),
             MOVI_ZERO=(0, 0, 1, None), MOV_X_IMM=(0, 0, 1, None)),
-     [_MOVI, _SMLAL, _SMLAL, _MOVX]
-     + [_SMLAL, _MOVI, Instr("AND_16B", dst=("v0",), src=("v0", "v0")), _MOVX] * 2),
-    # x1 is still pending at the first SUBS only
-    (A53_COST_TABLE, [_MOVX] + [Instr("SUBS", dst=("x9",), src=("x9",), imm=1)] * 8),
+     [Instr("AND_16B", dst=("v0",), src=("v0", "v0")), Repeat((_MOVX,), 10), _SMLAL]),
+    # SMLAL forwards to an accumulate chain sooner than to other readers
+    (A53_COST_TABLE, [_SMLAL, Repeat((_MOVX,), 20),
+                      Instr("AND_16B", dst=("v1",), src=("v0", "v0"))]),
 ], ids=["issue-slots", "neon-pipe", "memory-pipe", "accumulate-ready", "register-ready"])
-def test_every_part_of_the_snapshot_matters(table, stream):
-    assert PipelineModel(table).schedule(stream) == schedule_reference(stream, table)
+def test_every_part_of_the_snapshot_matters(table, program):
+    assert_schedules_as_the_oracle(program, table)
 
 
 @pytest.fixture
 def jumps(monkeypatch):
-    """Every ``(start, stop, periods)`` the fast-forward tried."""
+    """Every ``(iteration, earlier iteration, periods)`` the fast-forward took."""
     calls = []
 
-    def record(sigs, start, stop):
-        calls.append((start, stop, real(sigs, start, stop)))
+    def record(count, i, j):
+        calls.append((i, j, real(count, i, j)))
         return calls[-1][2]
 
-    real = pipeline._repeats
-    monkeypatch.setattr(pipeline, "_repeats", record)
+    real = pipeline._periods
+    monkeypatch.setattr(pipeline, "_periods", record)
     return calls
 
 
 @pytest.mark.parametrize("parts", [_CONVERGING, _CUT_SHORT], ids=["converging", "cut-short"])
 def test_fast_forward_jumps_and_stays_exact(parts, jumps):
-    stream = _assemble(*parts)
-    assert PipelineModel().schedule(stream) == schedule_reference(stream)
-    taken = [(start, periods) for start, _, periods in jumps if periods]
-    assert taken, "a long periodic stream must be fast-forwarded"
-    prologue, body = parts[0], parts[1]
+    assert_schedules_as_the_oracle(_assemble(*parts))
+    taken = [(i, periods) for i, _, periods in jumps if periods]
+    assert taken, "a long repeat must be fast-forwarded"
     if parts is _CONVERGING:
-        # v5..v7 are still pending for the first periods: no jump before
-        # the state has settled
-        assert taken[0][0] >= len(prologue) + 3 * len(body)
+        # v5..v7 are still pending for the first iterations: no jump
+        # before the state has settled
+        assert taken[0][0] >= 3
 
 
-def test_anchor_state_that_never_repeats_runs_the_slow_path(jumps):
-    """``MOVI v0`` is the anchor (most frequent, seen first), but each
-    occurrence follows one more load than the last, so the load pipe is
-    always further behind and no snapshot recurs."""
-    stream = [ins for i in range(1, 12)
-              for ins in (Instr("MOVI_ZERO", dst=("v0",)),
-                          *(_load(f"v{j}", 16 * j) for j in range(1, i + 1)))]
-    assert PipelineModel().schedule(stream) == schedule_reference(stream)
+def test_body_state_that_never_repeats_runs_the_slow_path(jumps):
+    """While v5..v7 are pending the state at the body's start changes
+    every iteration, so a repeat that ends before it settles runs
+    every iteration."""
+    prologue, body, _, _, epilogue = _CONVERGING
+    assert_schedules_as_the_oracle([*prologue, Repeat(body, 3), *epilogue])
     assert jumps == []
