@@ -139,7 +139,7 @@ def _code_version() -> str:
 
 
 def schedule_store() -> PersistentCache:
-    """The persistent schedule cache (bench/stats introspection)."""
+    """The persistent schedule cache (stats introspection)."""
     return _SCHEDULE_STORE
 
 
@@ -192,7 +192,7 @@ def _schedule_cycles(
 
 
 def clear_schedule_cache(*, persistent: bool = False) -> None:
-    """Drop memoized schedules (tests/bench; mirrors
+    """Drop memoized schedules (tests; mirrors
     :func:`repro.gpu.autotune.clear_cache`)."""
     _SCHEDULES.clear()
     _linear_fit.cache_clear()

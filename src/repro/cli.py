@@ -16,33 +16,23 @@ Commands
     and (with ``--listing``) the full instruction listing.  A width the
     scheme does not model (``ncnn``/``sdot`` are 8-bit, ``popcount``
     2-bit) or a non-positive ``k`` exits 2 with a one-line message.
-``bench [--smoke] [--model M] [--batch B] ...``
-    Time the Fig. 10/11 autotune sweep on an empty and then a warm
-    persistent cache, verify bit-identical results, and write
-    ``BENCH_*.json`` (see :mod:`repro.perf.bench`).  ``--smoke`` times
-    only the GPU section, so ``--smoke --backend arm`` exits 2.
 ``profile <target> [--trace out.json] [--metrics out.json]``
     Run one figure (or a whole model) under a :mod:`repro.obs.trace`
     capture and the metrics registry; print a text summary and
     optionally write a Chrome/Perfetto trace and a metrics snapshot.
 ``report [--html out.html] [--backend arm,gpu]``
     Roofline analytics over a model: per-layer arithmetic intensity and
-    %-of-roof per backend, the Fig. 1 CAL/LD ratio, the Sec. 3.3 chain
-    overhead, and the bench-history tail — as text, or as a
-    self-contained HTML dashboard with ``--html``.
-``regress [--baseline SHA] [--no-wall] [--json] [--attribute]``
-    Compare the newest ``bench --save`` ledger entry against a baseline:
-    model cycles bit-identical, wall clock within a noise-aware median
-    threshold.  Exits non-zero on regression (the CI gate).  ``--json``
-    emits one machine-readable verdict object; ``--attribute`` runs the
-    differential-profiling engine on failure and embeds the ranked
-    attribution (``--no-collect`` keeps it byte-stable for CI).
+    %-of-roof per backend, the Fig. 1 CAL/LD ratio and the Sec. 3.3
+    chain overhead — as text, or as a self-contained HTML dashboard with
+    ``--html``.  An input file that cannot be read or parsed exits 2
+    with one stderr line naming it.
 ``diff A B [--flamegraph out.svg] [--json] [--top N]``
-    Differential profiling between two runs: each side is a trace JSON,
-    collapsed-stack file, metrics snapshot, BENCH report, or a ledger
-    selector (``-1``/``-2``, run-id / git-sha / fingerprint prefix).
-    Prints ranked phase/span/frame/metric deltas + ledger changepoints;
-    ``--flamegraph`` writes the red/blue differential flamegraph SVG.
+    Differential profiling between two runs: each side is a Chrome trace
+    JSON (``profile --trace``, ``flight --dump``, or the e2e benchmark's
+    ``trace.json``), a collapsed-stack file or a metrics snapshot.
+    Prints ranked span/frame/metric deltas; ``--flamegraph`` writes the
+    red/blue differential flamegraph SVG.  An unusable side exits 2
+    with one stderr line naming the file.
 ``chaos [SCENARIO ...] [--list]``
     Run the :mod:`repro.resilience.chaos` scenarios (all, or the named
     subset): autotune under a seeded transient-fault plan must return
@@ -190,36 +180,6 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .errors import ReproError
-    from .perf.bench import DEFAULT_OUT_DIR, run_bench
-
-    backends = (args.backend,) if args.backend in ("gpu", "arm") else ("gpu", "arm")
-    try:
-        run_bench(
-            model=args.model,
-            batch=args.batch,
-            smoke=args.smoke,
-            out_dir=args.out if args.out else DEFAULT_OUT_DIR,
-            cache_dir=args.cache_dir,
-            backends=backends,
-            trace_path=args.trace,
-            metrics_path=args.metrics,
-            save=args.save,
-            history_dir=args.history_dir,
-            sample_interval_ms=args.profile_sample,
-            flamegraph_path=args.flamegraph,
-            stacks_path=args.stacks,
-        )
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"bench FAILED: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     from .obs.report import run_profile
 
@@ -351,42 +311,41 @@ def cmd_report(args: argparse.Namespace) -> int:
                   f"{', '.join(known)}", file=sys.stderr)
             return 2
     if args.html:
-        import json as _json
+        import json
+        import pathlib
 
+        from .obs import sampler as obs_sampler
         from .obs.htmlreport import write_report
 
-        serve_summary = None
-        if args.serve_summary:
-            import pathlib
-
+        def load(what: str, name: str, parse):
             try:
-                serve_summary = _json.loads(
-                    pathlib.Path(args.serve_summary).read_text(
-                        encoding="utf-8"))
+                return parse(pathlib.Path(name).read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
-                print(f"cannot read serve summary "
-                      f"{args.serve_summary!r}: {exc}", file=sys.stderr)
-                return 2
-        sample = None
-        diff_sample = None
-        if args.sample_collapsed or args.diff_collapsed:
-            import pathlib
+                raise ValueError(f"cannot read {what} {name!r}: {exc}") from exc
 
-            from .obs import sampler as obs_sampler
+        def summary(text: str) -> dict:
+            doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            return doc
 
-            if args.sample_collapsed:
-                sample = obs_sampler.parse_collapsed(
-                    pathlib.Path(args.sample_collapsed).read_text(
-                        encoding="utf-8"))
-            if args.diff_collapsed:
-                diff_sample = tuple(
-                    obs_sampler.parse_collapsed(
-                        pathlib.Path(p).read_text(encoding="utf-8"))
-                    for p in args.diff_collapsed)
+        stacks = obs_sampler.parse_collapsed
+        try:
+            serve_summary = (load("serve summary", args.serve_summary,
+                                  summary)
+                             if args.serve_summary else None)
+            sample = (load("collapsed stacks", args.sample_collapsed, stacks)
+                      if args.sample_collapsed else None)
+            diff_sample = (tuple(load("collapsed stacks", name, stacks)
+                                 for name in args.diff_collapsed)
+                           if args.diff_collapsed else None)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         try:
             path = write_report(
                 args.html, model=args.model, backends=backends,
-                batch=args.batch, history_dir=args.history_dir,
+                batch=args.batch,
                 sample=sample, diff_sample=diff_sample,
                 serve_summary=serve_summary,
             )
@@ -420,50 +379,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_regress(args: argparse.Namespace) -> int:
-    from .obs.regress import (
-        DEFAULT_WALL_TOLERANCE,
-        DEFAULT_WALL_WINDOW,
-        run_regress,
-    )
-
-    return run_regress(
-        history_dir=args.history_dir,
-        baseline=args.baseline,
-        wall_window=(args.wall_window if args.wall_window is not None
-                     else DEFAULT_WALL_WINDOW),
-        wall_tolerance=(args.wall_tolerance if args.wall_tolerance is not None
-                        else DEFAULT_WALL_TOLERANCE),
-        check_wall=not args.no_wall,
-        json_out=args.json,
-        attribute=args.attribute,
-        attribute_top=args.top,
-        collect=not args.no_collect,
-    )
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
     import pathlib
 
     from .obs import diff as obs_diff
 
     try:
-        a = obs_diff.load_side(args.a, history_dir=args.history_dir)
-        b = obs_diff.load_side(args.b, history_dir=args.history_dir)
+        a = obs_diff.load_side(args.a)
+        b = obs_diff.load_side(args.b)
     except (ValueError, OSError) as exc:
         print(f"diff: {exc}", file=sys.stderr)
         return 2
     report = obs_diff.diff_sides(a, b)
-    if a.kind == "ledger" and b.kind == "ledger" and b.entry is not None:
-        from .obs.history import BenchLedger
-
-        entries = BenchLedger(args.history_dir).entries()
-        if entries:
-            obs_diff.attach_ledger_changepoints(report, entries, b.entry)
     if args.flamegraph:
         if report.stacks_a is None or report.stacks_b is None:
             print("diff: --flamegraph needs collapsed stacks on both sides "
-                  "(export them with `bench`/`profile` --profile-sample "
+                  "(export them with `profile` --profile-sample "
                   "--stacks OUT.txt)", file=sys.stderr)
             return 2
         svg = obs_diff.differential_flamegraph_svg(
@@ -585,42 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the full instruction stream")
     kp.set_defaults(fn=cmd_kernel)
 
-    bp = sub.add_parser(
-        "bench", help="time the autotune sweep and write BENCH_*.json")
-    bp.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"])
-    bp.add_argument("--batch", type=int, default=1)
-    bp.add_argument("--smoke", action="store_true",
-                    help="3-layer sweep for CI; skips figure regeneration")
-    bp.add_argument("--out", default=None,
-                    help="output directory (default: benchmarks/out)")
-    bp.add_argument("--cache-dir", default=None,
-                    help="persistent cache dir (default: throwaway temp dir)")
-    bp.add_argument("--backend", default="all",
-                    choices=["all", "gpu", "arm"],
-                    help="which backend sections to run (default: all)")
-    bp.add_argument("--trace", default=None, metavar="OUT.json",
-                    help="also record a Chrome/Perfetto trace of the run")
-    bp.add_argument("--metrics", default=None, metavar="OUT.json",
-                    help="also write the metrics snapshot standalone")
-    bp.add_argument("--save", action="store_true",
-                    help="append this run to the bench-history ledger "
-                         "(benchmarks/history/ledger.jsonl)")
-    bp.add_argument("--history-dir", default=None, metavar="DIR",
-                    help="ledger directory for --save "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
-    bp.add_argument("--profile-sample", nargs="?", const=5.0, default=None,
-                    type=float, metavar="MS",
-                    help="run the wall-clock stack sampler over the bench "
-                         "(optional tick interval in ms, default 5)")
-    bp.add_argument("--flamegraph", default=None, metavar="OUT.svg",
-                    help="write the sampled stacks as a flamegraph SVG "
-                         "(requires --profile-sample)")
-    bp.add_argument("--stacks", default=None, metavar="OUT.txt",
-                    help="write the sampled stacks as collapsed-stack text "
-                         "for `repro diff` (requires --profile-sample)")
-    bp.set_defaults(fn=cmd_bench)
-
     pp = sub.add_parser(
         "profile",
         help="run one artifact under a trace capture and summarize")
@@ -661,9 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--html", default=None, metavar="OUT.html",
                     help="write the self-contained HTML dashboard here "
                          "instead of printing text tables")
-    rr.add_argument("--history-dir", default=None, metavar="DIR",
-                    help="bench ledger shown in the dashboard "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
     rr.add_argument("--sample-collapsed", default=None, metavar="FILE",
                     help="collapsed-stack file (from the sampler) to render "
                          "as a flamegraph panel in the --html dashboard")
@@ -677,48 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "dashboard")
     rr.set_defaults(fn=cmd_report)
 
-    gp = sub.add_parser(
-        "regress",
-        help="compare the newest ledger run against a baseline; "
-             "non-zero exit on regression")
-    gp.add_argument("--history-dir", default=None, metavar="DIR",
-                    help="ledger directory "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
-    gp.add_argument("--baseline", default=None, metavar="RUN|SHA",
-                    help="baseline selector: run_id or git sha prefix "
-                         "(default: newest comparable run)")
-    gp.add_argument("--wall-window", type=int, default=None,
-                    help="prior runs in the wall-clock median window")
-    gp.add_argument("--wall-tolerance", type=float, default=None,
-                    help="flat wall-clock tolerance fraction (default 0.5)")
-    gp.add_argument("--no-wall", action="store_true",
-                    help="demote wall-clock overruns to advisory warnings")
-    gp.add_argument("--json", action="store_true",
-                    help="emit one machine-readable JSON verdict object "
-                         "instead of the text table")
-    gp.add_argument("--attribute", action="store_true",
-                    help="on failure, run the repro.obs.diff attribution "
-                         "(ranked phase/metric deltas + ledger changepoints)")
-    gp.add_argument("--top", type=int, default=10, metavar="N",
-                    help="rows per attribution section (default 10)")
-    gp.add_argument("--no-collect", action="store_true",
-                    help="skip the fresh trace+sample hot-spot collection "
-                         "(keeps --attribute output deterministic; CI does)")
-    gp.set_defaults(fn=cmd_regress)
-
     dp = sub.add_parser(
         "diff",
         help="differential profiling between two runs: ranked attribution "
              "+ red/blue differential flamegraph")
     dp.add_argument("a", metavar="A",
-                    help="first run: trace/BENCH/metrics JSON, collapsed-"
-                         "stack file, or a ledger selector (-2, run_id / "
-                         "git sha / fingerprint prefix)")
-    dp.add_argument("b", metavar="B",
-                    help="second run (same forms; -1 is the newest entry)")
-    dp.add_argument("--history-dir", default=None, metavar="DIR",
-                    help="ledger directory for selector sides "
-                         "(default: $REPRO_BENCH_DIR or benchmarks/history)")
+                    help="first run: a Chrome trace or metrics JSON, or a "
+                         "collapsed-stack file")
+    dp.add_argument("b", metavar="B", help="second run (same forms)")
     dp.add_argument("--flamegraph", default=None, metavar="OUT.svg",
                     help="write the red/blue differential flamegraph "
                          "(needs collapsed stacks on both sides)")

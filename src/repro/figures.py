@@ -279,7 +279,7 @@ def figure_registry() -> "dict[str, object]":
     """Figure name -> ``fn(model=..., batch=...)`` generator.
 
     The single source of truth for what is reproducible; the CLI, the
-    profile/report surfaces and the bench/regress tooling all dispatch
+    profile/report surfaces and the end-to-end benchmark all dispatch
     through it.  Figures pinned to one workload (fig14..fig17) ignore the
     model/batch arguments.
     """

@@ -220,7 +220,7 @@ def _code_version() -> str:
 def clear_cache(*, persistent: bool = False) -> None:
     """Drop memoized autotune results (the memo and the store's index
     always; the on-disk store too with ``persistent=True``) and release
-    quarantined candidates.  Public for tests and the bench harness."""
+    quarantined candidates.  Public for tests and the chaos scenarios."""
     _MEM_CACHE.clear()
     _DIGESTS.clear()
     _QUARANTINE.clear()
@@ -230,7 +230,7 @@ def clear_cache(*, persistent: bool = False) -> None:
 
 
 def cache_store() -> PersistentCache:
-    """The persistent store (exposed for stats/bench introspection)."""
+    """The persistent store (exposed for stats introspection)."""
     return _STORE
 
 

@@ -378,7 +378,7 @@ def kernel_time_batch(
     One batched profile-run counter tick replaces the scalar path's
     per-call (capture-gated) tick — cheap enough to record unconditionally,
     which is what makes ``gpu_profile_runs{pricing_mode=vector}`` reliable
-    in BENCH reports.
+    in metrics snapshots.
     """
     if split_k < 1:
         raise TilingError(f"split_k must be >= 1, got {split_k}")

@@ -16,8 +16,8 @@ the reproduction carries its own instrumentation:
   on, ``span()`` returns a shared null context manager and hot paths pay
   one global read;
 * :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
-  sampler (``bench/profile --profile-sample``) producing collapsed
-  stacks and flamegraph SVGs for the time spans don't cover;
+  sampler (``profile --profile-sample``) producing collapsed stacks and
+  flamegraph SVGs for the time spans don't cover;
 * :mod:`repro.obs.export` — OpenMetrics/Prometheus text exposition of
   the metrics registry with span-id exemplars (``python -m repro
   metrics-export [--serve PORT]``) plus the ``python -m repro top``
@@ -39,20 +39,17 @@ Derived analytics build on those primitives:
 * :mod:`repro.obs.roofline` — per-layer arithmetic intensity and
   %-of-roof from the backend cost models, the Fig. 1 CAL/LD ratio and
   the Sec. 3.3 accumulation-chain overhead as live gauges;
-* :mod:`repro.obs.history` — the append-only JSONL ledger ``bench
-  --save`` writes (schema v3: git sha, machine fingerprint, per-figure
-  cycles, wall clock, metrics);
-* :mod:`repro.obs.regress` — ``python -m repro regress``, the CI
-  perf-regression sentinel over that ledger (cycles bit-identical, wall
-  clock within a noise-aware median threshold; ``--attribute`` explains
-  failures via the diff engine below);
 * :mod:`repro.obs.diff` — differential profiling (``python -m repro
-  diff A B``): ranked attribution between two runs — tree-aligned span
-  deltas, wall-clock phase deltas, counter/histogram deltas, ledger
-  changepoint detection, and the red/blue differential flamegraph;
+  diff A B``): ranked attribution between two traces, collapsed-stack
+  files or metrics snapshots — tree-aligned span deltas,
+  counter/histogram deltas and the red/blue differential flamegraph;
 * :mod:`repro.obs.htmlreport` — the self-contained ``python -m repro
   report --html`` dashboard (roofline scatter, chain-overhead bars,
-  ledger trends, attribution card; no external assets).
+  optional flamegraph, differential-flamegraph and serving cards; no
+  external assets).
+
+Wall-clock performance is measured by the end-to-end benchmark,
+``benchmarks/e2e/run.py``, not by anything in this package.
 
 The text reporting surface is ``python -m repro profile <figure|model>``
 (:mod:`repro.obs.report`), which runs one artifact under a fresh capture +

@@ -1,29 +1,20 @@
 """Differential profiling: attribute *where* two runs diverge.
 
-``python -m repro regress`` can say *that* wall clock drifted; this
-module answers *where*.  It takes two runs — Chrome trace JSONs from a
-:class:`~repro.obs.trace.Recorder` (a capture or the ring), collapsed-stack
-samples from :mod:`repro.obs.sampler`, metrics snapshots, ``BENCH_*.json``
-reports, or two ledger entries selected by run id / git sha /
-fingerprint — and produces a ranked attribution report:
+``python -m repro diff A B`` takes two runs — Chrome trace JSONs (from a
+:class:`~repro.obs.trace.Recorder`, ``profile --trace``, ``flight
+--dump`` or the ``trace.json`` of ``benchmarks/e2e/run.py --trace 1``),
+collapsed-stack samples from :mod:`repro.obs.sampler`, or metrics
+snapshots — and produces a ranked attribution report:
 
 * **per-span deltas with tree alignment** — spans are keyed by their
   *name path* (the chain of span names from the trace root, via the
-  ``trace_id``/``span_id``/``parent_id`` linkage every span carries), so
-  ``autotune.search`` under ``bench.cold`` never aliases the same span
-  under ``bench.warm``; each aligned node reports count and self/total
-  time on both sides;
-* **per-phase wall-clock deltas** — ranked by ``|log(b/a)|`` so a 2x
-  shift on a 30 ms phase outranks 30% noise on a 300 ms one; phases
-  shorter than :data:`PHASE_FLOOR_S` on both sides are demoted below
-  every floored phase (their ratios are pure timer noise);
+  ``span_id``/``parent_id`` linkage every span carries, across
+  processes in an e2e trace), so ``autotune.search`` under one figure's
+  span never aliases the same span under another; each aligned node
+  reports count and self/total time on both sides;
 * **counter / gauge / histogram deltas** — histogram deltas include
   per-bucket shifts when both sides expose
   :meth:`~repro.obs.metrics.Histogram.bucket_counts`;
-* **changepoint detection** — each phase's wall-clock series over the
-  ledger is split at the point of maximum between-segment variance
-  reduction, so a ``regress`` failure points at the *first offending
-  entry* (run id + git sha) and the culprit phase, not just the newest;
 * **a red/blue differential flamegraph** — two collapsed-stack sets
   merged into one icicle layout, sample counts normalized to the second
   run's total, each frame colored by its share shift (red grew, blue
@@ -31,15 +22,13 @@ fingerprint — and produces a ranked attribution report:
 
 Determinism: every ranking breaks ties lexically, floats are rounded at
 the report boundary, and :meth:`DiffReport.to_json` serializes with
-sorted keys — the same inputs always produce byte-identical output (the
-``regress --attribute`` embedding contract, pinned by tests).
+sorted keys — the same inputs always produce byte-identical output
+(pinned by tests).
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -48,19 +37,8 @@ from . import metrics as obs_metrics
 from . import sampler as obs_sampler
 
 #: bump when the diff-report JSON layout changes
-SCHEMA_VERSION = 1
-
-#: phases where both sides are shorter than this are ranked below every
-#: longer phase: at sub-5 ms scale the log-ratio measures timer noise,
-#: not behavior
-PHASE_FLOOR_S = 0.005
-
-#: changepoints scoring below this fraction of total variance explained
-#: are suppressed (a flat-but-noisy series "splits" anywhere)
-CHANGEPOINT_MIN_SCORE = 0.5
-
-#: series shorter than this cannot support a changepoint verdict
-CHANGEPOINT_MIN_RUNS = 4
+#: v2: no wall-clock ``phases`` section and no ledger section
+SCHEMA_VERSION = 2
 
 
 def _round6(v: float) -> float:
@@ -203,77 +181,6 @@ def diff_spans(spans_a: Sequence[dict], spans_b: Sequence[dict]) -> list[SpanDel
 
 
 # ---------------------------------------------------------------------------
-# Phase deltas (wall-clock seconds per bench phase)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseDelta:
-    """One wall-clock phase compared across the two runs.
-
-    ``score`` is ``|log(b/a)|`` — scale-free, so a genuine 2x shift on a
-    small phase outranks proportionally small noise on a large one — and
-    0.0 for floored phases (see :data:`PHASE_FLOOR_S`) and phases
-    missing on either side.
-    """
-
-    phase: str
-    seconds_a: float | None
-    seconds_b: float | None
-    floored: bool = False
-
-    @property
-    def delta(self) -> float | None:
-        if self.seconds_a is None or self.seconds_b is None:
-            return None
-        return self.seconds_b - self.seconds_a
-
-    @property
-    def ratio(self) -> float | None:
-        if not self.seconds_a or self.seconds_b is None:
-            return None
-        return self.seconds_b / self.seconds_a
-
-    @property
-    def score(self) -> float:
-        if self.floored or not self.seconds_a or not self.seconds_b:
-            return 0.0
-        return abs(math.log(self.seconds_b / self.seconds_a))
-
-    def as_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "seconds_a": _round6(self.seconds_a) if self.seconds_a is not None else None,
-            "seconds_b": _round6(self.seconds_b) if self.seconds_b is not None else None,
-            "delta": _round6(self.delta) if self.delta is not None else None,
-            "ratio": _round6(self.ratio) if self.ratio is not None else None,
-            "score": _round6(self.score),
-            "floored": self.floored,
-        }
-
-
-def diff_phases(
-    phases_a: dict[str, float], phases_b: dict[str, float],
-    *, floor_s: float = PHASE_FLOOR_S,
-) -> list[PhaseDelta]:
-    """Ranked wall-clock phase deltas over the union of phase names.
-
-    Phases below ``floor_s`` on *both* sides rank below every other
-    phase regardless of ratio; within each group the order is score
-    descending, ties lexical.
-    """
-    out = []
-    for phase in set(phases_a) | set(phases_b):
-        a = phases_a.get(phase)
-        b = phases_b.get(phase)
-        floored = (
-            (a is None or a < floor_s) and (b is None or b < floor_s))
-        out.append(PhaseDelta(
-            phase=phase, seconds_a=a, seconds_b=b, floored=floored))
-    return sorted(out, key=lambda d: (d.floored, -d.score, d.phase))
-
-
-# ---------------------------------------------------------------------------
 # Metrics deltas (counters / gauges / histograms)
 # ---------------------------------------------------------------------------
 
@@ -383,108 +290,6 @@ def diff_metrics(snap_a: dict, snap_b: dict) -> tuple[
     key_fn = lambda d: (-abs(d.delta), d.key)  # noqa: E731
     return (sorted(counters, key=key_fn), sorted(gauges, key=key_fn),
             sorted(hists, key=lambda d: (-abs(d.count_b - d.count_a), d.key)))
-
-
-# ---------------------------------------------------------------------------
-# Changepoint detection over the ledger's wall-clock series
-# ---------------------------------------------------------------------------
-
-
-def changepoint(series: Sequence[float]) -> tuple[int, float] | None:
-    """The best two-segment split of ``series``: ``(index, score)``.
-
-    ``index`` is the first point of the *after* segment; ``score`` is
-    the fraction of total variance the split explains (1.0 = a perfect
-    step, 0.0 = flat).  Deterministic: ties resolve to the earliest
-    split.  Returns ``None`` for series shorter than
-    :data:`CHANGEPOINT_MIN_RUNS` or with zero variance.
-    """
-    n = len(series)
-    if n < CHANGEPOINT_MIN_RUNS:
-        return None
-    xs = [float(v) for v in series]
-    mean = sum(xs) / n
-    sse_total = sum((v - mean) ** 2 for v in xs)
-    # flatness check is *relative*: a constant series like [0.1]*6 keeps
-    # femto-scale rounding residue that a split would "explain" perfectly
-    if sse_total <= n * (abs(mean) * 1e-9) ** 2 + 1e-24:
-        return None
-
-    def sse(seg: Sequence[float]) -> float:
-        m = sum(seg) / len(seg)
-        return sum((v - m) ** 2 for v in seg)
-
-    best_k, best_score = None, -1.0
-    for k in range(1, n):
-        score = 1.0 - (sse(xs[:k]) + sse(xs[k:])) / sse_total
-        if score > best_score + 1e-12:
-            best_k, best_score = k, score
-    assert best_k is not None
-    return best_k, best_score
-
-
-@dataclass(frozen=True)
-class Changepoint:
-    """One detected step in a phase's ledger wall-clock series."""
-
-    phase: str
-    index: int  #: ledger-series index of the first changed run
-    run_id: str
-    git_sha: str | None
-    before_mean: float
-    after_mean: float
-    score: float
-
-    @property
-    def shift(self) -> float:
-        return (self.after_mean / self.before_mean
-                if self.before_mean else float("inf"))
-
-    def as_dict(self) -> dict:
-        return {
-            "phase": self.phase, "index": self.index,
-            "run_id": self.run_id, "git_sha": self.git_sha,
-            "before_mean": _round6(self.before_mean),
-            "after_mean": _round6(self.after_mean),
-            "shift": _round6(self.shift) if self.before_mean else None,
-            "score": _round6(self.score),
-        }
-
-
-def ledger_changepoints(
-    entries: Sequence[dict], *,
-    min_score: float = CHANGEPOINT_MIN_SCORE,
-) -> list[Changepoint]:
-    """Changepoints per wall-clock phase over ``entries`` (oldest first).
-
-    Callers pass a *comparable* slice (same config/fingerprint — the
-    regress window logic); each phase series is split independently and
-    low-score splits are suppressed.  Ranked by score descending, ties
-    lexical by phase.
-    """
-    phases = sorted({k for e in entries for k in e.get("wall_seconds", {})})
-    out = []
-    for phase in phases:
-        indexed = [(i, float(e["wall_seconds"][phase]))
-                   for i, e in enumerate(entries)
-                   if phase in e.get("wall_seconds", {})]
-        cp = changepoint([v for _, v in indexed])
-        if cp is None:
-            continue
-        k, score = cp
-        if score < min_score:
-            continue
-        values = [v for _, v in indexed]
-        first = entries[indexed[k][0]]
-        out.append(Changepoint(
-            phase=phase, index=indexed[k][0],
-            run_id=first.get("run_id", "?"),
-            git_sha=first.get("git_sha"),
-            before_mean=sum(values[:k]) / k,
-            after_mean=sum(values[k:]) / (len(values) - k),
-            score=score,
-        ))
-    return sorted(out, key=lambda c: (-c.score, c.phase))
 
 
 # ---------------------------------------------------------------------------
@@ -646,95 +451,55 @@ def _esc(s: object) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sides: one run's comparable material, wherever it came from
+# Sides: one run's comparable material
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class Side:
-    """Everything diffable extracted from one input (file or ledger)."""
+    """Everything diffable extracted from one input file."""
 
     label: str
-    kind: str  #: "trace" | "bench" | "metrics" | "collapsed" | "ledger"
+    kind: str  #: "trace" | "metrics" | "collapsed"
     spans: list[dict] | None = None
     stacks: dict[str, int] | None = None
-    phases: dict[str, float] | None = None
     metrics: dict | None = None
-    entry: dict | None = None  #: the ledger entry, when kind == "ledger"
 
 
-def _bench_phases(doc: dict) -> dict[str, float]:
-    """Wall-clock phases of a ``BENCH_*.json`` report, named like the
-    ledger's ``wall_seconds`` keys so the two sources align."""
-    out: dict[str, float] = {}
-    gpu = doc.get("gpu_autotune") or {}
-    for phase in ("cold", "warm"):
-        sec = (gpu.get(phase) or {}).get("seconds")
-        if isinstance(sec, (int, float)):
-            out[f"gpu_{phase}"] = float(sec)
-    arm = doc.get("arm_schedule") or {}
-    for phase in ("cold", "warm"):
-        sec = (arm.get(phase) or {}).get("seconds")
-        if isinstance(sec, (int, float)):
-            out[f"arm_{phase}"] = float(sec)
-    return out
+def load_side(spec: str) -> Side:
+    """Auto-detect and load one diff input file.
 
-
-def side_from_ledger_entry(entry: dict) -> Side:
-    return Side(
-        label=entry.get("run_id", "?"), kind="ledger",
-        phases={k: float(v) for k, v in entry.get("wall_seconds", {}).items()},
-        metrics=entry.get("metrics") or None,
-        entry=entry,
-    )
-
-
-def load_side(
-    spec: str, *, history_dir: str | os.PathLike | None = None,
-) -> Side:
-    """Auto-detect and load one diff input.
-
-    An existing file is sniffed by content: a Chrome trace (has
-    ``traceEvents``), a ``BENCH_*.json`` report (has ``gpu_autotune`` /
-    ``arm_schedule``), a metrics snapshot (has ``counters``), a single
-    ledger-entry JSON (has ``wall_seconds``), or collapsed-stack text.
-    Anything else is a ledger selector — ``-1`` (newest), ``-2``, or a
-    run-id / git-sha / fingerprint prefix — resolved against
-    ``history_dir`` via :meth:`repro.obs.history.BenchLedger.select`.
+    The file is sniffed by content: a Chrome trace (has
+    ``traceEvents``), a metrics snapshot (has ``counters`` or
+    ``histograms``), or collapsed-stack text.  Every unusable input
+    raises ``ValueError`` naming the file.
     """
     path = pathlib.Path(spec)
-    if path.is_file():
+    if not path.is_file():
+        raise ValueError(
+            f"{spec}: {'not a file' if path.exists() else 'no such file'}")
+    try:
         text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{spec}: cannot read ({exc})") from exc
+    try:
+        doc = json.loads(text)
+    except ValueError:
         try:
-            doc = json.loads(text)
-        except ValueError:
-            return Side(label=path.name, kind="collapsed",
-                        stacks=obs_sampler.parse_collapsed(text))
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: JSON top level must be an object")
-        if "traceEvents" in doc:
-            return Side(label=path.name, kind="trace",
-                        spans=spans_from_chrome(doc))
-        if "gpu_autotune" in doc or "arm_schedule" in doc:
-            side = Side(label=path.name, kind="bench",
-                        phases=_bench_phases(doc),
-                        metrics=doc.get("metrics") or None)
-            sampler_block = doc.get("sampler") or {}
-            if sampler_block.get("stacks"):
-                side.stacks = {k: int(v)
-                               for k, v in sampler_block["stacks"].items()}
-            return side
-        if "wall_seconds" in doc:
-            side = side_from_ledger_entry(doc)
-            side.label = path.name
-            return side
-        if "counters" in doc or "histograms" in doc:
-            return Side(label=path.name, kind="metrics", metrics=doc)
-        raise ValueError(f"{path}: unrecognized JSON document "
-                         f"(keys: {', '.join(sorted(doc)[:8])})")
-    from .history import BenchLedger
-
-    return side_from_ledger_entry(BenchLedger(history_dir).select(spec))
+            stacks = obs_sampler.parse_collapsed(text)
+        except ValueError as exc:
+            raise ValueError(f"{spec}: neither JSON nor collapsed stacks "
+                             f"({exc})") from exc
+        return Side(label=path.name, kind="collapsed", stacks=stacks)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{spec}: JSON top level must be an object")
+    if "traceEvents" in doc:
+        return Side(label=path.name, kind="trace",
+                    spans=spans_from_chrome(doc))
+    if "counters" in doc or "histograms" in doc:
+        return Side(label=path.name, kind="metrics", metrics=doc)
+    raise ValueError(f"{spec}: unrecognized JSON document "
+                     f"(keys: {', '.join(sorted(doc)[:8])})")
 
 
 # ---------------------------------------------------------------------------
@@ -751,28 +516,18 @@ class DiffReport:
     kind_a: str = "?"
     kind_b: str = "?"
     spans: list[SpanDelta] = field(default_factory=list)
-    phases: list[PhaseDelta] = field(default_factory=list)
     counters: list[MetricDelta] = field(default_factory=list)
     gauges: list[MetricDelta] = field(default_factory=list)
     histograms: list[HistogramDelta] = field(default_factory=list)
     frames: list[FrameDelta] = field(default_factory=list)
-    changepoints: list[Changepoint] = field(default_factory=list)
     stacks_a: dict[str, int] | None = None
     stacks_b: dict[str, int] | None = None
 
     @property
     def empty(self) -> bool:
         """True when no section found anything to attribute."""
-        return not (self.spans or self.phases or self.counters
-                    or self.gauges or self.histograms or self.frames
-                    or self.changepoints)
-
-    def top_phase(self) -> PhaseDelta | None:
-        """The highest-ranked (non-floored) phase delta, if any."""
-        for d in self.phases:
-            if not d.floored and d.score > 0.0:
-                return d
-        return None
+        return not (self.spans or self.counters or self.gauges
+                    or self.histograms or self.frames)
 
     def as_dict(self, *, top: int | None = None) -> dict:
         """Plain-JSON view; ``top`` caps every ranked section (the cap is
@@ -786,43 +541,23 @@ class DiffReport:
             "a": {"label": self.label_a, "kind": self.kind_a},
             "b": {"label": self.label_b, "kind": self.kind_b},
             "top": top,
-            "phases": [d.as_dict() for d in cap(self.phases)],
             "spans": [d.as_dict() for d in cap(self.spans)],
             "counters": [d.as_dict() for d in cap(self.counters)],
             "gauges": [d.as_dict() for d in cap(self.gauges)],
             "histograms": [d.as_dict() for d in cap(self.histograms)],
             "frames": [d.as_dict() for d in cap(self.frames)],
-            "changepoints": [c.as_dict() for c in self.changepoints],
         }
 
     def to_json(self, *, top: int | None = None) -> str:
         """Byte-stable serialization: sorted keys, compact separators,
         floats rounded at the section boundary — fixed inputs always
-        produce identical bytes (the CI embedding contract)."""
+        produce identical bytes."""
         return json.dumps(self.as_dict(top=top), sort_keys=True,
                           separators=(",", ":")) + "\n"
 
     def table(self, *, top: int = 10) -> list[str]:
         """The human-facing text rendering (ranked, capped per section)."""
         lines: list[str] = []
-        if self.phases:
-            lines.append(f"  {'phase':<22} {'A (s)':>10} {'B (s)':>10} "
-                         f"{'delta':>10} {'ratio':>7}")
-            for d in self.phases[:top]:
-                fmt = lambda v: f"{v:.4f}" if v is not None else "—"  # noqa: E731
-                ratio = f"{d.ratio:.2f}x" if d.ratio is not None else "—"
-                note = " (floored)" if d.floored else ""
-                lines.append(f"  {d.phase:<22} {fmt(d.seconds_a):>10} "
-                             f"{fmt(d.seconds_b):>10} {fmt(d.delta):>10} "
-                             f"{ratio:>7}{note}")
-        if self.changepoints:
-            lines.append("  changepoints (ledger series):")
-            for c in self.changepoints[:top]:
-                sha = (c.git_sha or "nogit")[:10]
-                lines.append(
-                    f"    {c.phase}: {c.before_mean:.4f}s -> "
-                    f"{c.after_mean:.4f}s ({c.shift:.2f}x) first at "
-                    f"{c.run_id} [{sha}] (score {c.score:.2f})")
         if self.spans:
             lines.append(f"  {'span (self-time delta)':<44} {'count':>11} "
                          f"{'self A ms':>10} {'self B ms':>10} {'delta':>9}")
@@ -862,8 +597,6 @@ def diff_sides(a: Side, b: Side) -> DiffReport:
         label_a=a.label, label_b=b.label, kind_a=a.kind, kind_b=b.kind)
     if a.spans is not None and b.spans is not None:
         report.spans = diff_spans(a.spans, b.spans)
-    if a.phases is not None and b.phases is not None:
-        report.phases = diff_phases(a.phases, b.phases)
     if a.metrics is not None and b.metrics is not None:
         report.counters, report.gauges, report.histograms = diff_metrics(
             a.metrics, b.metrics)
@@ -873,70 +606,3 @@ def diff_sides(a: Side, b: Side) -> DiffReport:
     obs_metrics.counter("diff_reports",
                         outcome="empty" if report.empty else "ranked").inc()
     return report
-
-
-def attach_ledger_changepoints(
-    report: DiffReport, entries: Sequence[dict], candidate: dict,
-) -> DiffReport:
-    """Add changepoint rows computed over the comparable ledger slice.
-
-    ``entries`` is the whole ledger (oldest first); the comparable slice
-    shares the candidate's config key and fingerprint — the same filter
-    the regression checker applies to its wall-clock window.
-    """
-    from .regress import _config_key
-
-    comparable = [
-        e for e in entries
-        if _config_key(e) == _config_key(candidate)
-        and e.get("fingerprint") == candidate.get("fingerprint")
-    ]
-    report.changepoints = ledger_changepoints(comparable)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# regress --attribute: the bridge from a verdict to an explanation
-# ---------------------------------------------------------------------------
-
-
-def attribute_entries(
-    baseline: dict, candidate: dict, *,
-    ledger_entries: Sequence[dict] = (),
-) -> DiffReport:
-    """The deterministic attribution for a regress failure: per-phase
-    deltas + metrics deltas between the two ledger entries, plus
-    changepoints over the comparable ledger series.  Pure function of
-    its inputs — ``to_json`` output is byte-stable."""
-    report = diff_sides(
-        side_from_ledger_entry(baseline), side_from_ledger_entry(candidate))
-    if ledger_entries:
-        attach_ledger_changepoints(report, ledger_entries, candidate)
-    return report
-
-
-def collect_fresh_profile(
-    model: str = "resnet50", batch: int = 1, *,
-    sample_interval_s: float = 0.002, layers_cap: int = 3,
-) -> tuple[list[dict], dict[str, int]]:
-    """A fresh (trace spans, collapsed stacks) pair of the smoke-scale
-    autotune sweep under the current code — the ``regress --attribute``
-    evidence for *where the candidate's time goes now*.
-
-    Runs the first ``layers_cap`` layers through the autotuner under a
-    private capture + sampler; the in-process memo is cleared first so
-    the sweep does real work.  Wall-clock content is inherently
-    nondeterministic — callers must keep it out of byte-stable sections.
-    """
-    from ..gpu.autotune import autotune_conv, clear_cache
-    from ..models import get_model_layers
-    from . import trace as obs_trace
-
-    clear_cache()
-    specs = get_model_layers(model, batch=batch)[:layers_cap]
-    with obs_trace.capture() as rec, \
-            obs_sampler.sampling(interval_s=sample_interval_s) as sampler:
-        with obs_trace.span("attribute.collect", model=model, batch=batch):
-            for spec in specs:
-                autotune_conv(spec, bits=4)
-    return spans_from_chrome(rec.chrome_trace()), sampler.collapsed()

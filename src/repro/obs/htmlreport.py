@@ -7,11 +7,10 @@ One file, no external assets or scripts: inline CSS (light + dark via
   compute/memory roofs drawn in, points keyed by bit width);
 * the Sec. 3.3 accumulation-chain overhead bars per bit width;
 * the Fig. 1 CAL/LD table (traditional vs re-designed GEMM, ~4x);
-* the bench-history ledger tail with per-phase wall-clock sparklines;
-* an **attribution card** (when the ledger holds two comparable runs):
-  the :mod:`repro.obs.diff` ranked phase deltas and changepoints between
-  the newest pair, plus — with ``--diff-collapsed A B`` — the red/blue
-  differential flamegraph of two collapsed-stack exports.
+* optional panels: a flamegraph of one collapsed-stack export
+  (``--sample-collapsed``), the :mod:`repro.obs.diff` red/blue
+  differential flamegraph of two (``--diff-collapsed A B``), and the
+  serving card of a ``repro serve --out`` summary (``--serve-summary``).
 
 Every chart carries a ``<details>`` data table (the accessibility/table
 view), native ``<title>`` tooltips on marks, and a colorblind-validated
@@ -264,22 +263,6 @@ def flamegraph_svg(
     return "".join(parts)
 
 
-def _sparkline(values: Sequence[float], width: int = 140,
-               height: int = 30) -> str:
-    if len(values) < 2:
-        return ""
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    step = (width - 8) / (len(values) - 1)
-    pts = " ".join(
-        f"{4 + i * step:.1f},{height - 5 - (v - lo) / span * (height - 10):.1f}"
-        for i, v in enumerate(values))
-    return (f"<svg viewBox='0 0 {width} {height}' width='{width}' "
-            f"height='{height}' role='img' aria-label='wall-clock trend'>"
-            f"<polyline points='{pts}' fill='none' stroke='{_slot(0)}' "
-            f"stroke-width='2'/></svg>")
-
-
 # ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------
@@ -301,86 +284,6 @@ def _roofline_rows(points: Sequence[RooflinePoint]) -> str:
           _fmt_si(p.roof_ops), f"{p.pct_of_roof:.1%}", p.bound)
          for p in sorted(points, key=lambda p: -p.pct_of_roof)],
     )
-
-
-def _attribution_sections(
-    all_entries: Sequence[dict],
-    diff_sample: "tuple[dict[str, int], dict[str, int]] | None",
-) -> list[str]:
-    """The attribution card: :mod:`repro.obs.diff` between the newest
-    ledger entry and the newest earlier comparable one (same config +
-    fingerprint), plus the differential flamegraph when a collapsed-stack
-    pair was supplied.  Omitted entirely when the ledger can't support a
-    comparison and no pair was given."""
-    from . import diff as obs_diff
-    from .regress import _config_key
-
-    sections: list[str] = []
-    pair = None
-    if len(all_entries) >= 2:
-        cand = all_entries[-1]
-        for prev in reversed(all_entries[:-1]):
-            if (_config_key(prev) == _config_key(cand)
-                    and prev.get("fingerprint") == cand.get("fingerprint")):
-                pair = (prev, cand)
-                break
-    if pair is not None:
-        base, cand = pair
-        report = obs_diff.attribute_entries(
-            base, cand, ledger_entries=list(all_entries))
-        top = report.top_phase()
-        headline = (
-            f"top delta: <b>{_esc(top.phase)}</b> "
-            f"{top.seconds_a:.3f}s &rarr; {top.seconds_b:.3f}s "
-            f"({top.ratio:.2f}&times;)" if top is not None
-            else "no phase shifted beyond the noise floor")
-        sections += [
-            "<h2>Attribution — newest comparable ledger pair</h2>",
-            "<div class='card'>",
-            f"<p class='sub'>{_esc(base.get('run_id', '?'))} &rarr; "
-            f"{_esc(cand.get('run_id', '?'))} — {headline}. Ranked by "
-            f"|log ratio| with a {obs_diff.PHASE_FLOOR_S * 1e3:g} ms "
-            f"noise floor (DESIGN.md §5.13).</p>",
-            _table(("phase", "A (s)", "B (s)", "delta (s)", "ratio", "rank"),
-                   [(d.phase,
-                     f"{d.seconds_a:.4f}" if d.seconds_a is not None else "—",
-                     f"{d.seconds_b:.4f}" if d.seconds_b is not None else "—",
-                     f"{d.delta:+.4f}" if d.delta is not None else "—",
-                     f"{d.ratio:.2f}×" if d.ratio is not None else "—",
-                     "floored" if d.floored else f"{d.score:.2f}")
-                    for d in report.phases]),
-        ]
-        if report.changepoints:
-            sections += [
-                "<p class='sub'>changepoints over the comparable ledger "
-                "series:</p>",
-                _table(("phase", "first changed run", "sha", "before (s)",
-                        "after (s)", "shift", "score"),
-                       [(c.phase, c.run_id, (c.git_sha or "")[:10],
-                         f"{c.before_mean:.4f}", f"{c.after_mean:.4f}",
-                         f"{c.shift:.2f}×", f"{c.score:.2f}")
-                        for c in report.changepoints]),
-            ]
-        if report.counters:
-            sections += [
-                "<details><summary>counter deltas</summary>",
-                _table(("counter", "A", "B", "delta"),
-                       [(d.key, f"{d.a:g}", f"{d.b:g}", f"{d.delta:+g}")
-                        for d in report.counters[:20]]),
-                "</details>",
-            ]
-        sections.append("</div>")
-    if diff_sample is not None:
-        counts_a, counts_b = diff_sample
-        sections += [
-            "<h2>Differential flamegraph</h2>",
-            "<div class='card'>",
-            "<p class='sub'>red: grew in run B, blue: shrank — sample "
-            "shares (A normalized to B's total; see DESIGN.md §5.13).</p>",
-            obs_diff.differential_flamegraph_svg(counts_a, counts_b),
-            "</div>",
-        ]
-    return sections
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +359,6 @@ def render_report(
     model: str = "resnet50",
     backends: Sequence[str] = ("arm", "gpu"),
     batch: int = 1,
-    history_dir: str | os.PathLike | None = None,
     sample: "dict[str, int] | None" = None,
     diff_sample: "tuple[dict[str, int], dict[str, int]] | None" = None,
     serve_summary: "dict | None" = None,
@@ -468,13 +370,9 @@ def render_report(
     collapsed file) — adds a flamegraph panel of the sampled wall-clock
     profile.  ``diff_sample`` — an (A, B) pair of collapsed-stack count
     dicts (``--diff-collapsed A B``) — adds the red/blue differential
-    flamegraph.  An attribution card between the two newest comparable
-    ledger runs is added automatically whenever the ledger allows it.
-    ``serve_summary`` — a parsed ``python -m repro serve --out`` summary
-    dict — adds the serving/overload-robustness card.
+    flamegraph.  ``serve_summary`` — a parsed ``python -m repro serve
+    --out`` summary dict — adds the serving/overload-robustness card.
     """
-    from .history import BenchLedger
-
     with obs_trace.span("report.html", model=model):
         per_backend = {}
         for name in backends:
@@ -483,8 +381,6 @@ def render_report(
             per_backend[name] = (points, bit_list)
         cal_ld = model_cal_ld(model, batch=batch)
         chains = chain_overhead_table()
-        all_entries = BenchLedger(history_dir).entries()
-        entries = list(reversed(all_entries[-10:]))
 
     geomean = math.exp(
         sum(math.log(r["improvement"]) for r in cal_ld) / len(cal_ld))
@@ -499,8 +395,6 @@ def render_report(
         f"<div class='tile'><div class='v'>{best.pct_of_roof:.0%}</div>"
         f"<div class='k'>best %-of-roof: {_esc(best.layer)} "
         f"{best.bits}-bit on {_esc(best.backend)}</div></div>",
-        f"<div class='tile'><div class='v'>{len(entries)}</div>"
-        f"<div class='k'>bench runs in the ledger tail</div></div>",
         "</div>",
     ]
 
@@ -558,50 +452,24 @@ def render_report(
     if serve_summary:
         sections += _serve_sections(serve_summary)
 
-    sections += _attribution_sections(all_entries, diff_sample)
+    if diff_sample is not None:
+        from . import diff as obs_diff
 
-    sections.append("<h2>Bench history (newest first)</h2><div class='card'>")
-    if entries:
-        wall_keys = sorted({k for e in entries
-                            for k in e.get("wall_seconds", {})})
-        rows = []
-        for e in entries:
-            wall = e.get("wall_seconds", {})
-            rows.append(
-                [e.get("run_id", "?"), (e.get("git_sha") or "")[:10],
-                 e.get("kind", "?")]
-                + [f"{wall[k]:.3f}" if k in wall else "—" for k in wall_keys])
-        sections.append(_table(
-            ["run", "sha", "kind"] + [f"{k} (s)" for k in wall_keys], rows))
-        for k in wall_keys:
-            series = [e["wall_seconds"][k] for e in reversed(entries)
-                      if k in e.get("wall_seconds", {})]
-            spark = _sparkline(series)
-            if spark:
-                sections.append(
-                    f"<p class='sub'>{_esc(k)} trend {spark}</p>")
-        # candidate-pricing throughput trends (entries predating the
-        # ``throughput`` key simply contribute no points)
-        tput_keys = sorted({k for e in entries
-                            for k in e.get("throughput", {})})
-        for k in tput_keys:
-            series = [e["throughput"][k] for e in reversed(entries)
-                      if k in e.get("throughput", {})]
-            spark = _sparkline(series)
-            if spark:
-                sections.append(
-                    f"<p class='sub'>{_esc(k)} candidates/s trend {spark}</p>")
-    else:
-        sections.append("<p class='sub'>ledger is empty — run "
-                        "<code>python -m repro bench --save</code></p>")
-    sections.append("</div>")
+        sections += [
+            "<h2>Differential flamegraph</h2>",
+            "<div class='card'>",
+            "<p class='sub'>red: grew in run B, blue: shrank — sample "
+            "shares (A normalized to B's total; see DESIGN.md §5.13).</p>",
+            obs_diff.differential_flamegraph_svg(*diff_sample),
+            "</div>",
+        ]
 
     body = "\n".join(sections)
     return (
         "<!doctype html><html lang='en'><head><meta charset='utf-8'>"
         f"<title>repro report — {_esc(model)}</title>"
         f"<style>{_CSS}</style></head><body>"
-        f"<h1>Roofline &amp; regression report</h1>"
+        f"<h1>Roofline report</h1>"
         f"<p class='sub'>{_esc(model)}, batch {batch} — backends: "
         f"{_esc(', '.join(backends))}. Cost-model metrics; see DESIGN.md "
         f"§5.9 for the formulas.</p>"

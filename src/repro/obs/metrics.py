@@ -2,7 +2,7 @@
 
 The registry is deliberately tiny — no exposition server, no time series,
 just monotonically updated values snapshotted into plain JSON by the
-profile/bench reporting surfaces::
+``profile`` and ``metrics-export`` surfaces::
 
     from repro.obs import metrics
 

@@ -21,7 +21,7 @@ can price also gets
   width, measured on the actually generated instruction streams.
 
 Every quantity is registered as an ``obs.metrics`` gauge so profile runs
-and bench reports carry it; the text/ASCII rendering lives here too, the
+and metrics exports carry it; the text/ASCII rendering lives here too, the
 self-contained HTML dashboard in :mod:`repro.obs.htmlreport`.
 """
 

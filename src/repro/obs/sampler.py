@@ -143,7 +143,7 @@ class StackSampler:
             return dict(self._counts)
 
     def summary(self, *, top: int | None = None) -> dict:
-        """JSON-ready stats block for BENCH payloads and the HTML report.
+        """JSON-ready stats block of the sampled run.
 
         ``top`` caps the exported stacks to the heaviest N (full counts
         stay available via :meth:`collapsed`); the cap is reported so a
@@ -191,7 +191,7 @@ def write_collapsed(
 ) -> "pathlib.Path":
     """Write ``counts`` as a collapsed-stack text file — the interchange
     format ``repro diff`` and external flamegraph tooling consume
-    (``--stacks`` on bench/profile routes here)."""
+    (``profile --stacks`` routes here)."""
     import pathlib
 
     p = pathlib.Path(path)

@@ -9,10 +9,10 @@ changing any result*:
   tolerant of corruption and unwritable filesystems;
 * :func:`~repro.perf.cache.stable_hash` — a canonical hash for cache keys
   built from dataclasses / dicts / kwargs, independent of insertion order
-  and safe for unhashable values;
-* :mod:`repro.perf.bench` — the wall-clock benchmark harness behind
-  ``python -m repro bench`` (imported lazily; it pulls in the figure
-  generators).
+  and safe for unhashable values.
+
+Wall-clock speed is measured by ``benchmarks/e2e/run.py``, which pins
+every figure's digest from a cold and a warm process.
 
 The consumers are the GPU profile-run autotuner (:mod:`repro.gpu.autotune`,
 branch-and-bound pruned sweep), the ARM static scheduler memo

@@ -11,8 +11,8 @@ the failures themselves *reproducible*:
 :mod:`repro.resilience.faults`
     A deterministic, env/config-driven fault-injection framework.
     ``inject("autotune.profile", key=digest)`` hooks are wired into named
-    sites across the cache, the bench harness, the GPU autotuner, the
-    bench-history ledger and the runtime executor;
+    sites across the cache, the GPU autotuner, the runtime executor and
+    the serving simulator;
     a seeded :class:`FaultPlan` (``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED``)
     decides — purely from ``(seed, site, key)`` — whether a call raises,
     delays, corrupts bytes or returns garbage, so chaos runs replay
@@ -26,10 +26,9 @@ the failures themselves *reproducible*:
     the survivors instead of dying.
 
 :mod:`repro.resilience.atomic`
-    Crash-safe persistence: write-temp/fsync/rename for whole files,
-    single-``write`` fsynced appends for JSONL, and startup recovery that
-    quarantines torn or corrupt files into a ``.quarantine/`` sibling
-    instead of raising.
+    Crash-safe persistence: write-temp/fsync/rename for whole files, one
+    JSONL line reader, and a quarantine that moves corrupt files into a
+    ``.quarantine/`` sibling instead of raising.
 
 :mod:`repro.resilience.chaos`
     The ``python -m repro chaos`` smoke runner: reprices/autotunes under
@@ -38,11 +37,9 @@ the failures themselves *reproducible*:
 """
 
 from .atomic import (
-    atomic_append_line,
     atomic_write_json,
     atomic_write_text,
     quarantine_file,
-    recover_jsonl,
 )
 from .faults import (
     FaultPlan,
@@ -82,9 +79,7 @@ __all__ = [
     "PermanentFailure",
     "Quarantine",
     "call_with_policy",
-    "atomic_append_line",
     "atomic_write_json",
     "atomic_write_text",
     "quarantine_file",
-    "recover_jsonl",
 ]

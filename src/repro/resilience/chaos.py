@@ -16,11 +16,10 @@ own pass/fail verdict (the CLI exits non-zero when any check fails);
   show the degradation was not silent.
 * **persistence-crash-safety** — injected crashes at the persistence
   sites (``cache.put`` before any bytes move, ``cache.put.tmp`` inside
-  the write/rename window, ``history.append``) plus hand-torn artifacts
-  must leave *zero* torn files: every successful cache put reads back in
-  a fresh instance, no stranded temp files, a segment with a corrupt
-  line lands in ``.quarantine/`` and re-misses cleanly, and a torn
-  ledger tail is recovered on startup.
+  the write/rename window) plus a hand-torn segment must leave *zero*
+  torn files: every successful cache put reads back in a fresh
+  instance, no stranded temp files, and a segment with a corrupt line
+  lands in ``.quarantine/`` and re-misses cleanly.
 * **serve-slo** — a short :mod:`repro.serve` replay under the serving
   chaos plan (transient dispatch faults + a scripted primary kill): the
   breaker must open and re-close through a half-open probe, admitted
@@ -30,7 +29,7 @@ own pass/fail verdict (the CLI exits non-zero when any check fails);
 
 The scenarios run against throwaway temp directories and scoped
 :func:`repro.resilience.faults.fault_plan` installs, so they never
-disturb the user's real cache, ledger, or environment-driven plan.
+disturb the user's real cache or environment-driven plan.
 """
 
 from __future__ import annotations
@@ -197,7 +196,6 @@ def _torn_artifacts(root: pathlib.Path) -> list[pathlib.Path]:
 
 def scenario_persistence_crash_safety() -> ScenarioResult:
     """Crashes at every persistence site leave old-or-new, never torn."""
-    from ..obs.history import BenchLedger
     from ..perf.cache import PersistentCache
 
     res = ScenarioResult("persistence-crash-safety", passed=True)
@@ -240,26 +238,6 @@ def scenario_persistence_crash_safety() -> ScenarioResult:
                   "corrupt segment moved into .quarantine/")
         res.check(second is None and fresh.stats.errors == errors,
                   "second lookup is a clean miss")
-
-        # -- ledger: torn tail recovered, failed append leaves no bytes ----
-        ledger = BenchLedger(root / "history")
-        entry = {"schema": 3, "run_id": "chaos-1", "model_cycles": {}}
-        ledger.append(dict(entry))
-        with open(ledger.path, "ab") as fh:  # simulate kill -9 mid-append
-            fh.write(b'{"schema": 3, "run_id": "chaos-2", "mo')
-        recovered = ledger.recover()
-        res.check(recovered > 0, f"torn tail recovered ({recovered} bytes)")
-        res.check(len(ledger.entries()) == 1,
-                  "only the complete record survives")
-        size_before = ledger.path.stat().st_size
-        with fault_plan("history.append:raise:1:0", seed=CANNED_SEED):
-            try:
-                ledger.append(dict(entry, run_id="chaos-3"))
-                appended = True
-            except Exception:
-                appended = False
-        res.check(not appended and ledger.path.stat().st_size == size_before,
-                  "failed append leaves the ledger byte-identical")
 
         # -- the global claim: nothing anywhere is torn ---------------------
         torn = _torn_artifacts(root)

@@ -15,8 +15,8 @@ Usage::
     value = faults.maybe_garbage("cache.get", value, key=digest)
 
 Sites are dotted names (``cache.put``, ``autotune.profile``,
-``history.append``, ...); rules match them with ``fnmatch`` globs.  The
-active plan comes from :func:`install_plan` / :func:`fault_plan`, or —
+``executor.price_conv``, ...); rules match them with ``fnmatch`` globs.
+The active plan comes from :func:`install_plan` / :func:`fault_plan`, or —
 when neither was called — from the ``REPRO_FAULTS`` environment variable
 (re-read whenever it changes, so tests can flip it mid-process).
 

@@ -77,7 +77,7 @@ class CostTable:
         Prewarms the backend's memo caches across all (spec, batch)
         combinations first (best-effort; batched autotune sweeps on gpu),
         then sums the serial re-read — the same warm-then-read pattern the
-        bench harness uses, so a 16-entry gpu table costs well under 1 s.
+        figure sweeps use, so a 16-entry gpu table costs well under 1 s.
         """
         if max_batch < 1:
             raise ReproError(f"max_batch must be >= 1, got {max_batch}")

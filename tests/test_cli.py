@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import available_backends
 from repro.cli import main
 
 
@@ -87,101 +88,9 @@ def test_kernel_fixed_width_schemes_accept_their_width(capsys, scheme, bits, nam
     assert capsys.readouterr().out.startswith(f"{name}: ")
 
 
-def test_bench_smoke(tmp_path, capsys):
-    from repro.resilience.faults import active_plan
-
-    injected = active_plan().total_injected()
-    assert main(["bench", "--smoke", "--backend", "gpu",
-                 "--out", str(tmp_path),
-                 "--cache-dir", str(tmp_path / "cache")]) == 0
-    injected = active_plan().total_injected() - injected
-    out = capsys.readouterr().out
-    assert "identical best tilings: True" in out
-    report = tmp_path / "BENCH_autotune_smoke.json"
-    assert report.is_file()
-    import json
-
-    data = json.loads(report.read_text())
-    assert data["kind"] == "smoke"
-    gpu = data["gpu_autotune"]
-    assert gpu["identical_best"] is True
-    assert gpu["identical_series"] is True
-    # the cold phase searched (and pruned), the warm one read the cache:
-    # every cold put is a warm hit, or a failed read under a fault plan
-    # (which only fails puts and garbles reads)
-    cold, warm = gpu["cold"], gpu["warm"]
-    assert cold["pruned"] > 0
-    assert cold["candidates_per_sec"] > 0
-    assert cold["cache"]["puts"] > 0
-    assert warm["cache"]["hits"] + warm["cache"]["errors"] \
-        == cold["cache"]["puts"]
-    if not injected:
-        assert warm["cache"]["hit_rate"] == 1.0
-    # the report always carries an obs metrics block and, since v3, the
-    # git/fingerprint provenance used by the bench-history ledger
-    assert data["schema"] == 3
-    assert data["fingerprint"]
-    metrics = data["metrics"]
-    assert set(metrics) >= {"schema", "counters", "gauges", "histograms"}
-    assert any(k.startswith("cache_lookups{") for k in metrics["counters"])
-    assert any(k.startswith("autotune_evaluated{")
-               for k in metrics["counters"])
-
-
-def test_bench_smoke_trace_and_metrics_outputs(tmp_path, capsys):
-    tpath = tmp_path / "trace.json"
-    mpath = tmp_path / "metrics.json"
-    assert main(["bench", "--smoke", "--backend", "gpu",
-                 "--out", str(tmp_path),
-                 "--cache-dir", str(tmp_path / "cache"),
-                 "--trace", str(tpath), "--metrics", str(mpath)]) == 0
-    import json
-
-    doc = json.loads(tpath.read_text())
-    assert doc["displayTimeUnit"] == "ms"
-    assert any(e["name"] == "autotune.search"
-               for e in doc["traceEvents"] if e["ph"] == "X")
-    snap = json.loads(mpath.read_text())
-    assert set(snap) >= {"schema", "counters", "gauges", "histograms"}
-
-
-def test_bench_save_then_regress_clean(tmp_path, capsys):
-    """The acceptance loop: two identical --save runs, then a clean regress."""
-    hist = tmp_path / "history"
-    for _ in range(2):
-        assert main(["bench", "--smoke", "--backend", "gpu",
-                     "--out", str(tmp_path),
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--save", "--history-dir", str(hist)]) == 0
-    assert (hist / "ledger.jsonl").is_file()
-    assert main(["regress", "--history-dir", str(hist)]) == 0
-    out = capsys.readouterr().out
-    assert "bit-identical" in out and "regress: clean" in out
-
-
-def test_bench_smoke_arm_measures_nothing_and_exits_2(tmp_path, capsys):
-    """The smoke bench has no ARM section, so an ARM-only smoke run is a
-    usage error: one stderr line, exit 2, no report and no ledger entry."""
-    assert main(["bench", "--smoke", "--backend", "arm",
-                 "--out", str(tmp_path / "out"), "--save",
-                 "--history-dir", str(tmp_path / "history")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "--smoke" in captured.err and "Traceback" not in captured.err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_regress_needs_two_entries(tmp_path, capsys):
-    assert main(["regress", "--history-dir", str(tmp_path)]) == 2
-    assert "at least 2 ledger entries" in capsys.readouterr().out
-
-
 def test_report_html(tmp_path, capsys):
     out_html = tmp_path / "report.html"
-    assert main(["report", "--html", str(out_html),
-                 "--backend", "ref",
-                 "--history-dir", str(tmp_path / "history")]) == 0
+    assert main(["report", "--html", str(out_html), "--backend", "ref"]) == 0
     text = out_html.read_text()
     assert text.startswith("<!doctype html>")
     assert "<svg" in text and "Roofline" in text
@@ -209,6 +118,24 @@ def test_layers_unknown_backend(capsys):
     assert err.count("\n") == 1
     assert "nope" in err and "arm" in err and "ref" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_layers_and_profile_run_on_every_backend(
+        backend, tmp_path, monkeypatch, capsys):
+    """Every registered backend prices ResNet-50 through both CLI
+    surfaces, on an empty cache of its own."""
+    from repro.perf.cache import CACHE_DIR_ENV
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    assert main(["layers", "resnet50", "--backend", backend]) == 0
+    out = capsys.readouterr().out
+    assert f"[{backend} 8-bit:" in out and out.count("\n") == 20
+    assert out.splitlines()[-1].startswith("total: ")
+    assert main(["profile", "resnet50", "--backend", backend]) == 0
+    out = capsys.readouterr().out
+    assert f"executor_graphs_priced{{backend={backend}}}" in out
+    assert f"roofline [{backend}]:" in out
 
 
 def test_profile_unknown_backend(capsys):
@@ -299,6 +226,37 @@ def test_report_serve_summary_unreadable_exits_two(tmp_path, capsys):
     assert main(["report", "--html", str(tmp_path / "x.html"),
                  "--serve-summary", str(tmp_path / "missing.json")]) == 2
     assert "cannot read serve summary" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["report", "--html", str(tmp_path / "x.html"),
+                 "--serve-summary", str(listed)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a JSON object" in err
+    assert str(listed) in err and not (tmp_path / "x.html").exists()
+
+
+@pytest.mark.parametrize("flag", ["--sample-collapsed", "--diff-collapsed"])
+@pytest.mark.parametrize("content", [None, "main;hot count\n"],
+                         ids=["missing", "malformed"])
+def test_report_bad_collapsed_file_exits_two(tmp_path, capsys, flag, content):
+    """A collapsed-stack input that is missing or not ``stack count``
+    lines is a usage error: one stderr line naming the file, exit 2, no
+    traceback and no report."""
+    good = tmp_path / "good.txt"
+    good.write_text("main;hot 3\n")
+    bad = tmp_path / "bad.txt"
+    if content is not None:
+        bad.write_text(content)
+    files = [str(bad)] if flag == "--sample-collapsed" else [str(good), str(bad)]
+    out_html = tmp_path / "report.html"
+    assert main(["report", "--html", str(out_html), "--backend", "ref",
+                 flag, *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cannot read collapsed stacks" in captured.err
+    assert str(bad) in captured.err and "Traceback" not in captured.err
+    assert not out_html.exists()
 
 
 def test_bad_command():

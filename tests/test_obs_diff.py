@@ -1,10 +1,9 @@
 """The differential-profiling engine (repro.obs.diff).
 
 Acceptance contracts: span trees align by name path through parent ids
-(never by bare name), phase ranking is noise-robust (|log ratio| with a
-floor, so a 2x shift on the pricing phase outranks 30% serial noise),
-changepoints name the first offending ledger run, the differential
-flamegraph is well-formed SVG, and every report serializes byte-stably.
+(never by bare name), metrics deltas drop unchanged series, the
+differential flamegraph is well-formed SVG, every input is sniffed by
+content, and every report serializes byte-stably.
 """
 
 import json
@@ -14,7 +13,6 @@ import pytest
 
 from repro.obs import diff
 from repro.obs import metrics as obs_metrics
-from repro.obs.history import BenchLedger
 
 
 @pytest.fixture(autouse=True)
@@ -85,39 +83,6 @@ def test_diff_spans_ranks_by_absolute_self_delta():
 
 
 # ---------------------------------------------------------------------------
-# phase ranking: the noise-robustness contract
-# ---------------------------------------------------------------------------
-
-
-def test_phase_ranking_prefers_ratio_over_absolute_delta():
-    """The acceptance scenario: serial noise moves 95 ms, the pricing
-    phase moves 17 ms — but 2.1x beats 1.5x on |log ratio|, so the
-    pricing phase ranks first."""
-    deltas = diff.diff_phases(
-        {"gpu_serial": 0.190, "gpu_cold": 0.030},
-        {"gpu_serial": 0.285, "gpu_cold": 0.0143})
-    assert [d.phase for d in deltas[:2]] == ["gpu_cold", "gpu_serial"]
-
-
-def test_phase_floor_demotes_sub_noise_phases():
-    deltas = diff.diff_phases(
-        {"gpu_warm": 0.001, "gpu_cold": 0.030},
-        {"gpu_warm": 0.004, "gpu_cold": 0.031})
-    # warm quadrupled but both sides sit under the 5 ms floor → last
-    assert deltas[-1].phase == "gpu_warm" and deltas[-1].floored
-    assert deltas[-1].score == 0.0
-    # one side over the floor keeps the phase rankable
-    live = diff.diff_phases({"p": 0.001}, {"p": 0.100})
-    assert not live[0].floored and live[0].score > 0
-
-
-def test_phase_missing_side_scores_zero_but_reports():
-    deltas = diff.diff_phases({"gone": 0.5}, {})
-    assert deltas[0].seconds_b is None and deltas[0].score == 0.0
-    assert deltas[0].delta is None and deltas[0].ratio is None
-
-
-# ---------------------------------------------------------------------------
 # metrics / histogram deltas
 # ---------------------------------------------------------------------------
 
@@ -146,35 +111,6 @@ def test_histogram_delta_buckets_from_live_histograms():
     # snapshot dicts (no buckets) degrade to aggregates only
     d2 = diff.histogram_delta("h", ha.as_dict(), hb.as_dict())
     assert d2.bucket_deltas is None and d2.count_b == 4
-
-
-# ---------------------------------------------------------------------------
-# changepoint detection
-# ---------------------------------------------------------------------------
-
-
-def test_changepoint_finds_the_step():
-    k, score = diff.changepoint([1.0, 1.05, 0.95, 3.0, 3.1, 2.9])
-    assert k == 3 and score > 0.9
-
-
-def test_changepoint_refuses_short_or_flat_series():
-    assert diff.changepoint([1.0, 2.0, 3.0]) is None  # n < 4
-    assert diff.changepoint([2.0] * 8) is None  # zero variance
-
-
-def test_ledger_changepoints_name_the_first_offending_run():
-    entries = []
-    for i in range(6):
-        entries.append({
-            "run_id": f"r{i}", "git_sha": f"sha{i}",
-            "wall_seconds": {"gpu_cold": 0.03 if i < 4 else 0.09,
-                             "gpu_serial": 0.1},
-        })
-    cps = diff.ledger_changepoints(entries)
-    assert [c.phase for c in cps] == ["gpu_cold"]  # flat serial suppressed
-    assert cps[0].run_id == "r4" and cps[0].git_sha == "sha4"
-    assert cps[0].shift == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +155,10 @@ def test_differential_flamegraph_empty_sides():
 # ---------------------------------------------------------------------------
 
 
-def _ledger_entry(run_id, *, cold=0.03, sha="cafe0000", fp="fp0"):
-    return {
-        "schema": 3, "run_id": run_id, "git_sha": sha, "fingerprint": fp,
-        "kind": "smoke", "model": "resnet50", "batch": 1, "jobs": 1,
-        "backends": ["gpu"], "model_cycles": {"m": 1},
-        "figures": {"fig10": {"s": [1.0]}},
-        "wall_seconds": {"gpu_cold": cold, "gpu_serial": 0.1},
-        "metrics": {"schema": 1, "counters": {}, "gauges": {},
-                    "histograms": {}},
-    }
-
-
 def test_load_side_detects_each_file_kind(tmp_path):
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps({"traceEvents": [
         {"name": "s", "ph": "X", "dur": 5.0, "args": {}}]}))
-    bench = tmp_path / "BENCH_x.json"
-    bench.write_text(json.dumps({
-        "gpu_autotune": {"cold": {"seconds": 0.03},
-                         "warm": {"seconds": 0.001}},
-        "arm_schedule": None,
-        "metrics": {"counters": {"c": 1}},
-    }))
     metrics = tmp_path / "m.json"
     metrics.write_text(json.dumps({"counters": {"c": 2}, "gauges": {},
                                    "histograms": {}}))
@@ -249,25 +166,9 @@ def test_load_side_detects_each_file_kind(tmp_path):
     stacks.write_text("main;hot 10\nmain;idle 3\n")
 
     assert diff.load_side(str(trace)).kind == "trace"
-    bench_side = diff.load_side(str(bench))
-    assert bench_side.kind == "bench"
-    assert bench_side.phases == {"gpu_cold": 0.03, "gpu_warm": 0.001}
     assert diff.load_side(str(metrics)).kind == "metrics"
     assert diff.load_side(str(stacks)).stacks == {"main;hot": 10,
                                                   "main;idle": 3}
-
-
-def test_load_side_resolves_ledger_selectors(tmp_path):
-    ledger = BenchLedger(tmp_path)
-    ledger.append(_ledger_entry("r0", sha="aaaa1111"))
-    ledger.append(_ledger_entry("r1", sha="bbbb2222"))
-    assert diff.load_side("-1", history_dir=tmp_path).label == "r1"
-    assert diff.load_side("-2", history_dir=tmp_path).label == "r0"
-    assert diff.load_side("aaaa", history_dir=tmp_path).label == "r0"
-    with pytest.raises(ValueError, match="matches no"):
-        diff.load_side("zzzz", history_dir=tmp_path)
-    with pytest.raises(ValueError, match="only 2 entries"):
-        diff.load_side("-3", history_dir=tmp_path)
 
 
 def test_load_side_rejects_unrecognized_json(tmp_path):
@@ -277,6 +178,24 @@ def test_load_side_rejects_unrecognized_json(tmp_path):
         diff.load_side(str(p))
 
 
+@pytest.mark.parametrize("name, content, needle", [
+    ("missing.json", None, "no such file"),
+    ("bad.txt", "main;hot count\n", "neither JSON nor collapsed stacks"),
+    ("list.json", "[1, 2]", "top level must be an object"),
+    ("latin1.txt", b"main;h\xe9 3\n", "cannot read"),
+], ids=["missing", "malformed", "not-an-object", "not-utf8"])
+def test_load_side_errors_name_the_file(tmp_path, name, content, needle):
+    p = tmp_path / name
+    if isinstance(content, bytes):
+        p.write_bytes(content)
+    elif content is not None:
+        p.write_text(content)
+    with pytest.raises(ValueError, match=needle) as info:
+        diff.load_side(str(p))
+    assert str(info.value).startswith(f"{p}: ")
+    assert "\n" not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # the report: ranking + byte-stable serialization
 # ---------------------------------------------------------------------------
@@ -284,7 +203,7 @@ def test_load_side_rejects_unrecognized_json(tmp_path):
 
 def test_diff_sides_only_compares_shared_sections():
     a = diff.Side(label="a", kind="trace", spans=[_span("x", 5)])
-    b = diff.Side(label="b", kind="bench", phases={"p": 1.0})
+    b = diff.Side(label="b", kind="metrics", metrics={"counters": {"c": 1}})
     report = diff.diff_sides(a, b)
     assert report.empty
     assert "identical" in "\n".join(report.table())
@@ -292,33 +211,19 @@ def test_diff_sides_only_compares_shared_sections():
 
 def test_report_json_is_byte_stable_and_capped():
     def build():
-        a = diff.Side(label="A", kind="bench",
-                      phases={"gpu_cold": 0.03, "gpu_serial": 0.1})
-        b = diff.Side(label="B", kind="bench",
-                      phases={"gpu_cold": 0.013, "gpu_serial": 0.11})
+        a = diff.Side(label="A", kind="trace",
+                      spans=[_span("search", 30), _span("serial", 100)])
+        b = diff.Side(label="B", kind="trace",
+                      spans=[_span("search", 13), _span("serial", 110)])
         return diff.diff_sides(a, b)
 
     j1, j2 = build().to_json(top=1), build().to_json(top=1)
     assert j1 == j2
     doc = json.loads(j1)
-    assert doc["top"] == 1 and len(doc["phases"]) == 1
-    assert doc["phases"][0]["phase"] == "gpu_cold"
+    assert doc["schema"] == diff.SCHEMA_VERSION == 2
+    assert set(doc) == {"schema", "a", "b", "top", "spans", "counters",
+                        "gauges", "histograms", "frames"}
+    assert doc["top"] == 1 and len(doc["spans"]) == 1
+    assert doc["spans"][0]["path"] == "search"
     # compact separators + sorted keys + trailing newline
     assert j1.endswith("\n") and '": ' not in j1
-
-
-def test_attribute_entries_is_deterministic_and_ranks_pricing():
-    entries = [_ledger_entry(f"r{i}") for i in range(5)]
-    entries.append(_ledger_entry("slow", cold=0.09, sha="eeee9999"))
-    base, cand = entries[-2], entries[-1]
-    r1 = diff.attribute_entries(base, cand, ledger_entries=entries)
-    r2 = diff.attribute_entries(base, cand, ledger_entries=entries)
-    assert r1.to_json(top=5) == r2.to_json(top=5)
-    assert r1.top_phase().phase == "gpu_cold"
-    assert r1.changepoints and r1.changepoints[0].run_id == "slow"
-
-
-def test_top_phase_skips_floored_rows():
-    report = diff.DiffReport(label_a="a", label_b="b")
-    report.phases = diff.diff_phases({"w": 0.001}, {"w": 0.004})
-    assert report.top_phase() is None

@@ -1,13 +1,13 @@
-"""Differential profiling through the CLI: ``repro diff`` and
-``repro regress --attribute/--json``.
+"""Differential profiling through the CLI: ``repro diff``.
 
-These drive the same paths CI gates on — selector resolution against a
-real on-disk ledger, collapsed-stack pairs with ``--flamegraph``, JSON
-purity on stdout, and the exit-code contract (0 clean / 1 regression /
-2 unusable input) with attribution riding along on failure.
+These drive what a user runs — trace pairs from ``repro profile
+--trace`` and from the end-to-end benchmark's traced mode,
+collapsed-stack pairs with ``--flamegraph``, JSON purity on stdout, and
+exit 2 with one stderr line naming the file for every unusable input.
 """
 
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -15,7 +15,6 @@ import pytest
 from repro.cli import main
 from repro.obs import metrics as obs_metrics
 from repro.obs import sampler as obs_sampler
-from repro.obs.history import BenchLedger
 
 
 @pytest.fixture(autouse=True)
@@ -25,60 +24,44 @@ def _fresh_metrics():
     obs_metrics.reset()
 
 
-def _entry(run_id, *, cold=0.030, sha=None, counters=None):
-    return {
-        "schema": 3, "run_id": run_id, "git_sha": sha or f"{run_id}00cafe",
-        "fingerprint": "fp0", "kind": "smoke", "model": "resnet50",
-        "batch": 1, "jobs": 1, "backends": ["gpu"],
-        "model_cycles": {"gpu_4bit": 1000},
-        "figures": {"fig10": {"ours 8-bit": [1.0, 2.0]}},
-        "wall_seconds": {"gpu_serial": 0.100, "gpu_cold": cold,
-                         "gpu_warm": 0.001},
-        "metrics": {"schema": 1, "counters": counters or {},
-                    "gauges": {}, "histograms": {}},
-    }
-
-
-def _ledger(tmp_path, entries):
-    led = BenchLedger(tmp_path / "hist")
-    for e in entries:
-        led.append(e)
-    return tmp_path / "hist"
-
-
 # ---------------------------------------------------------------------------
 # repro diff
 # ---------------------------------------------------------------------------
 
 
-def test_diff_ledger_pair_text_and_json(tmp_path, capsys):
-    hist = _ledger(tmp_path, [
-        _entry("r0", counters={"pricing.vector": 5}),
-        _entry("r1", cold=0.013, counters={"pricing.vector": 40}),
-    ])
-    assert main(["diff", "-2", "-1", "--history-dir", str(hist)]) == 0
-    out = capsys.readouterr().out
-    assert "r0" in out and "r1" in out and "gpu_cold" in out
-
-    assert main(["diff", "-2", "-1", "--history-dir", str(hist),
-                 "--json"]) == 0
-    out = capsys.readouterr().out
-    doc = json.loads(out)  # stdout is pure JSON
-    assert doc["schema"] == 1
-    assert doc["phases"][0]["phase"] == "gpu_cold"
-    assert any(c["key"] == "pricing.vector" for c in doc["counters"])
+def _one_error_line(capsys, *needles):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    for needle in needles:
+        assert needle in captured.err
+    return captured.err
 
 
-def test_diff_selector_and_file_errors_exit_2(tmp_path, capsys):
-    hist = _ledger(tmp_path, [_entry("r0")])
-    assert main(["diff", "-2", "-1", "--history-dir", str(hist)]) == 2
-    err = capsys.readouterr().err
-    assert "only 1 entries" in err and "Traceback" not in err
+def test_diff_selector_and_file_errors_exit_2(tmp_path, capsys, monkeypatch):
+    """Every side is a file, ``-2`` and ``-1`` included; a side that is
+    missing, malformed or of no known kind exits 2 with one stderr line
+    naming it."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["diff", "-2", "-1"]) == 2
+    err = _one_error_line(capsys, "diff: -2: no such file")
+    assert "ledger" not in err
 
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"nope": 1}')
     assert main(["diff", str(bogus), str(bogus)]) == 2
-    assert "unrecognized" in capsys.readouterr().err
+    _one_error_line(capsys, "unrecognized", str(bogus))
+
+    bad = tmp_path / "bad.txt"
+    bad.write_text("main;hot count\n")
+    assert main(["diff", str(bad), str(bad)]) == 2
+    _one_error_line(capsys, f"diff: {bad}: ",
+                    "invalid literal for int() with base 10: 'count'")
+
+    good = tmp_path / "a.txt"
+    good.write_text("main;hot 3\n")
+    assert main(["diff", str(good), str(tmp_path / "nope.json")]) == 2
+    _one_error_line(capsys, f"diff: {tmp_path / 'nope.json'}: no such file")
 
 
 def test_diff_collapsed_pair_with_flamegraph(tmp_path, capsys):
@@ -117,74 +100,97 @@ def test_profile_pair_differential_flamegraph(tmp_path, monkeypatch, capsys):
     assert main(["diff", str(cold), str(warm), "--flamegraph",
                  str(diff_flame), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["frames"], "frame deltas empty: both samples identical?"
     ET.parse(flame)
     ET.parse(diff_flame)
 
 
 def test_diff_flamegraph_requires_stacks_on_both_sides(tmp_path, capsys):
-    hist = _ledger(tmp_path, [_entry("r0"), _entry("r1")])
-    assert main(["diff", "-2", "-1", "--history-dir", str(hist),
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps({"traceEvents": [
+        {"name": "s", "ph": "X", "dur": 5.0, "args": {}}]}))
+    assert main(["diff", str(trace), str(trace),
                  "--flamegraph", str(tmp_path / "d.svg")]) == 2
     err = capsys.readouterr().err
     assert "stacks" in err.lower()
+    assert not (tmp_path / "d.svg").exists()
 
 
-# ---------------------------------------------------------------------------
-# repro regress --json / --attribute
-# ---------------------------------------------------------------------------
+def test_diff_ranks_an_injected_slowdown_first(tmp_path, monkeypatch, capsys):
+    """Two traced ``profile fig13`` runs; the second sleeps 0.25 s inside
+    the figure's span.  The diff must rank that span's path first, grown."""
+    import repro.figures as figures
 
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["profile", "fig13", "--trace", str(a)]) == 0
+    original = figures.model_space_report
 
-def test_regress_json_clean_run(tmp_path, capsys):
-    hist = _ledger(tmp_path, [_entry(f"r{i}") for i in range(4)])
-    rc = main(["regress", "--history-dir", str(hist), "--json"])
+    def slow(*args, **kwargs):
+        time.sleep(0.25)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(figures, "model_space_report", slow)
+    assert main(["profile", "fig13", "--trace", str(b)]) == 0
+    capsys.readouterr()
+    assert main(["diff", str(a), str(b), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert rc == 0 and doc["exit_code"] == 0
-    assert doc["exit_codes"]["1"] == "regression"
-    assert not doc["regressed"]
+    top = doc["spans"][0]
+    assert top["path"] == "profile;figure.fig13_space_overhead"
+    assert top["d_self_us"] >= 0.2e6 and top["count_a"] == top["count_b"] == 1
 
 
-def test_regress_json_exit_2_on_unusable_ledger(tmp_path, capsys):
-    rc = main(["regress", "--history-dir", str(tmp_path / "none"), "--json"])
+def _e2e_trace(path, gpu_us):
+    """A trace in the layout of ``benchmarks/e2e/run.py --trace 1``: one
+    trace process per benchmark process (0 is ``run.py`` itself), string
+    span ids ``<process>.<seq>`` in ``args``, and each worker's root span
+    parented on the ``run.py`` span of the process that ran it."""
+    def span(name, pid, sid, parent, dur):
+        return {"name": name, "cat": "bench", "ph": "X", "ts": 0.0,
+                "dur": dur, "pid": pid, "tid": 1,
+                "args": {"span_id": sid, "parent_id": parent, "round": 0,
+                         "self_us": 0.0}}
+
+    events = [{"name": "process_name", "ph": "M", "pid": pid,
+               "args": {"name": label}}
+              for pid, label in ((0, "run.py"), (2, "kernels"),
+                                 (3, "kernels"))]
+    events += [
+        span("workload", 0, "0.0", None, 20000.0 + gpu_us),
+        span("iteration", 0, "0.1", "0.0", 9000.0 + gpu_us),
+        span("process", 0, "0.2", "0.1", 8000.0 + gpu_us),
+        span("round", 2, "2.0", "0.2", 5000.0 + gpu_us),
+        span("execute_arm_conv", 2, "2.1", "2.0", 3000.0),
+        span("conv2d_implicit_gemm", 2, "2.2", "2.0", 1000.0 + gpu_us),
+        span("iteration", 0, "0.3", "0.0", 9000.0),
+        span("process", 0, "0.4", "0.3", 8000.0),
+        span("round", 3, "3.0", "0.4", 5000.0),
+        span("execute_arm_conv", 3, "3.1", "3.0", 3000.0),
+        span("conv2d_implicit_gemm", 3, "3.2", "3.0", 1000.0),
+    ]
+    path.write_text(json.dumps({"traceEvents": events,
+                                "displayTimeUnit": "ms"}))
+    return path
+
+
+def test_diff_reads_e2e_traces_across_processes(tmp_path, capsys):
+    a = _e2e_trace(tmp_path / "a.json", gpu_us=0.0)
+    b = _e2e_trace(tmp_path / "b.json", gpu_us=5000.0)
+    assert main(["diff", str(a), str(b), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert rc == 2 and doc["exit_code"] == 2 and doc["error"]
-
-
-def test_regress_attribute_on_regression(tmp_path, capsys):
-    entries = [_entry(f"r{i}", counters={"x": 10}) for i in range(5)]
-    entries.append(_entry("slow", cold=0.090, counters={"x": 40}))
-    hist = _ledger(tmp_path, entries)
-    rc = main(["regress", "--history-dir", str(hist),
-               "--attribute", "--no-collect", "--json"])
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    assert rc == 1 and doc["exit_code"] == 1 and doc["regressed"]
-    attrib = doc["attribution"]
-    assert attrib["phases"][0]["phase"] == "gpu_cold"
-    assert attrib["phases"][0]["ratio"] == 3.0
-    assert attrib["changepoints"][0]["run_id"] == "slow"
-    assert any(c["key"] == "x" for c in attrib["counters"])
-    # --no-collect keeps attribution deterministic: byte-identical rerun
-    main(["regress", "--history-dir", str(hist),
-          "--attribute", "--no-collect", "--json"])
-    assert capsys.readouterr().out == out
-
-
-def test_regress_attribute_text_table(tmp_path, capsys):
-    entries = [_entry(f"r{i}") for i in range(5)]
-    entries.append(_entry("slow", cold=0.090))
-    hist = _ledger(tmp_path, entries)
-    rc = main(["regress", "--history-dir", str(hist),
-               "--attribute", "--no-collect"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "attribution" in out and "gpu_cold" in out
-    assert "changepoint" in out and "slow" in out
+    assert doc["a"]["kind"] == doc["b"]["kind"] == "trace"
+    # a worker's spans hang under run.py's across processes, and the
+    # two iterations' processes align into one path
+    gemm = "workload;iteration;process;round;conv2d_implicit_gemm"
+    top = doc["spans"][0]
+    assert top["path"] == gemm and top["d_self_us"] == 5000.0
+    assert top["count_a"] == top["count_b"] == 2
+    assert all(d["path"].startswith("workload") for d in doc["spans"])
+    assert all(d["d_self_us"] == 0.0 for d in doc["spans"][1:])
 
 
 # ---------------------------------------------------------------------------
-# stack export plumbing shared by bench/profile --stacks
+# stack export plumbing behind profile --stacks
 # ---------------------------------------------------------------------------
 
 
@@ -195,19 +201,17 @@ def test_write_collapsed_round_trips(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# dashboard: attribution card from the ledger + diff flamegraph
+# dashboard: the differential flamegraph card
 # ---------------------------------------------------------------------------
 
 
-def test_html_report_renders_attribution_card(tmp_path):
+def test_html_report_renders_differential_flamegraph_card():
     from repro.obs.htmlreport import render_report
 
-    hist = _ledger(tmp_path, [
-        _entry("r0"), _entry("r1", cold=0.013)])
     html = render_report(
-        model="resnet50", backends=("ref",), history_dir=hist,
+        model="resnet50", backends=("ref",),
         diff_sample=({"m;hot": 9, "m;idle": 1}, {"m;hot": 2, "m;idle": 8}))
-    assert "Attribution" in html
-    assert "gpu_cold" in html
     assert "Differential flamegraph" in html
     assert "http://" not in html and "https://" not in html
+    assert "Differential flamegraph" not in render_report(
+        model="resnet50", backends=("ref",))

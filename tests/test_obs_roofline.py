@@ -137,9 +137,8 @@ def test_text_renderers_cover_every_point():
     assert roofline.roofline_table([]) == ["  (no roofline points)"]
 
 
-def test_html_report_is_self_contained(tmp_path):
-    text = render_report(model="resnet50", backends=("ref",),
-                         history_dir=tmp_path / "history")
+def test_html_report_is_self_contained():
+    text = render_report(model="resnet50", backends=("ref",))
     assert text.startswith("<!doctype html>")
     for forbidden in ("<script", "http://", "https://", "url("):
         assert forbidden not in text

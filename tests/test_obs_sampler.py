@@ -13,19 +13,24 @@ import pytest
 from repro.obs import htmlreport, sampler
 
 
-def _busy_beacon(stop_at: float) -> int:
-    """A distinctive frame for the sampler to catch."""
+def _busy_beacon(done) -> int:
+    """A distinctive frame for the sampler to catch: spins until
+    ``done()``."""
     acc = 0
-    while time.perf_counter() < stop_at:
+    while not done():
         acc += 1
     return acc
 
 
 def test_sampler_catches_a_busy_function():
+    """The beacon spins until the sampler has taken 10 samples, however
+    long a loaded host makes that take, up to a 5 s deadline."""
+    deadline = time.perf_counter() + 5.0
     with sampler.sampling(interval_s=0.002) as s:
-        _busy_beacon(time.perf_counter() + 0.1)
+        _busy_beacon(lambda: s.sample_count >= 10
+                     or time.perf_counter() > deadline)
     counts = s.collapsed()
-    assert s.sample_count >= 10
+    assert s.sample_count >= 10, f"{s.sample_count} samples in 5 s"
     assert counts, "expected at least one collapsed stack"
     hits = [k for k in counts if "_busy_beacon" in k]
     assert hits, f"beacon frame not sampled; got {sorted(counts)[:5]}"

@@ -201,6 +201,21 @@ def test_chrome_trace_round_trip_reconstructs_span_tree(tmp_path):
         e["tid"] not in tids for e in events if e["name"] == "root")
 
 
+def _best_per_call_s(batches: int = 10, calls: int = 2_000) -> float:
+    """Per-call cost of an empty ``trace.span`` in the fastest of several
+    timed batches.  Outside load only ever slows a batch down, so the
+    best batch tracks the code's own cost while a real per-call
+    regression slows every batch alike."""
+    best = float("inf")
+    for _ in range(batches):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            with trace.span("hot", k=1):
+                pass
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
+
+
 def test_disabled_span_overhead_is_negligible():
     """Instrumentation compiled into hot paths must be near-free without
     a capture — and the default is the ring ON, so this measures the
@@ -210,12 +225,7 @@ def test_disabled_span_overhead_is_negligible():
     100x this bound."""
     assert not trace.active()
     assert trace.ring_enabled()  # measuring the realistic default path
-    n = 20_000
-    t0 = time.perf_counter()
-    for _ in range(n):
-        with trace.span("hot", k=1):
-            pass
-    per_call = (time.perf_counter() - t0) / n
+    per_call = _best_per_call_s()
     assert per_call < 20e-6, f"ring-only span costs {per_call * 1e6:.2f} us"
 
 
@@ -223,13 +233,8 @@ def test_fully_disabled_span_overhead_is_negligible():
     """With the ring suspended too, the shared null span is returned and
     the per-call cost is one global read."""
     assert not trace.active()
-    n = 20_000
     with trace.suspended():
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with trace.span("hot", k=1):
-                pass
-        per_call = (time.perf_counter() - t0) / n
+        per_call = _best_per_call_s()
     assert per_call < 20e-6, f"disabled span costs {per_call * 1e6:.2f} us"
 
 

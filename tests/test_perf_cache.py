@@ -81,14 +81,14 @@ def test_nested_structures_round_trip():
 
 
 def test_code_fingerprint_distinguishes_modules():
-    from repro.perf import bench as bench_mod
     from repro.perf import cache as cache_mod
+    from repro.resilience import atomic as atomic_mod
 
     fp = code_fingerprint([cache_mod])
     assert len(fp) == 16 and int(fp, 16) >= 0
     assert fp == code_fingerprint([cache_mod])
-    assert fp != code_fingerprint([bench_mod])
-    assert fp != code_fingerprint([cache_mod, bench_mod])
+    assert fp != code_fingerprint([atomic_mod])
+    assert fp != code_fingerprint([cache_mod, atomic_mod])
 
 
 # ---------------------------------------------------------------------------

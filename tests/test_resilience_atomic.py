@@ -1,17 +1,14 @@
-"""Crash-safe persistence primitives and startup recovery."""
+"""Crash-safe persistence primitives and the quarantine."""
 
 import json
-import os
 
 import pytest
 
 from repro.resilience.atomic import (
-    atomic_append_line,
     atomic_write_json,
     atomic_write_text,
     quarantine_dir_for,
     quarantine_file,
-    recover_jsonl,
 )
 from repro.resilience.faults import InjectedFault, fault_plan, install_plan
 
@@ -73,108 +70,6 @@ def test_corrupt_rule_corrupts_the_published_payload(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Append + recovery
-# ---------------------------------------------------------------------------
-
-
-def test_append_lines_accumulate(tmp_path):
-    path = tmp_path / "log.jsonl"
-    for i in range(3):
-        atomic_append_line(path, json.dumps({"i": i}))
-    lines = path.read_text().splitlines()
-    assert [json.loads(ln)["i"] for ln in lines] == [0, 1, 2]
-
-
-def test_recover_noop_on_clean_or_absent_file(tmp_path):
-    path = tmp_path / "log.jsonl"
-    assert recover_jsonl(path) == 0  # absent
-    atomic_append_line(path, '{"ok": 1}')
-    assert recover_jsonl(path) == 0  # clean
-    assert path.read_text() == '{"ok": 1}\n'
-
-
-def test_recover_truncates_torn_tail_and_keeps_specimen(tmp_path):
-    path = tmp_path / "log.jsonl"
-    atomic_append_line(path, '{"ok": 1}')
-    with open(path, "ab") as fh:
-        fh.write(b'{"torn": tr')  # kill -9 mid-append
-    torn = recover_jsonl(path)
-    assert torn == len(b'{"torn": tr')
-    assert path.read_text() == '{"ok": 1}\n'
-    specimens = list(quarantine_dir_for(path).iterdir())
-    assert len(specimens) == 1
-    assert specimens[0].read_bytes() == b'{"torn": tr'
-
-
-def test_recover_counts_bytes_and_records_in_metrics(tmp_path):
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.reset()
-    path = tmp_path / "log.jsonl"
-    atomic_append_line(path, '{"ok": 1}')
-    with open(path, "ab") as fh:
-        fh.write(b'{"torn": tr')  # kill -9 mid-append
-    torn = recover_jsonl(path)
-    assert torn == len(b'{"torn": tr')
-    snap = obs_metrics.snapshot()["counters"]
-    assert snap["ledger_recovered_bytes"] == torn
-    assert snap["ledger_recovered_records"] == 1
-    # a second recovery on another file accumulates
-    other = tmp_path / "log2.jsonl"
-    atomic_append_line(other, '{"ok": 2}')
-    with open(other, "ab") as fh:
-        fh.write(b'{"bad": json}\n')  # corrupt *complete* final line
-    assert recover_jsonl(other) == len(b'{"bad": json}\n')
-    snap = obs_metrics.snapshot()["counters"]
-    assert snap["ledger_recovered_records"] == 2
-    obs_metrics.reset()
-
-
-def test_recover_metric_floors_at_one_record(tmp_path):
-    """Even a pure-whitespace torn tail counts as one recovered record:
-    recovery that touched the file must never report zero."""
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.reset()
-    path = tmp_path / "log.jsonl"
-    atomic_append_line(path, '{"ok": 1}')
-    with open(path, "ab") as fh:
-        fh.write(b"   ")  # whitespace fragment, no newline
-    assert recover_jsonl(path) == 3
-    snap = obs_metrics.snapshot()["counters"]
-    assert snap["ledger_recovered_records"] == 1
-    obs_metrics.reset()
-
-
-def test_recover_unparseable_final_line_with_newline(tmp_path):
-    """A corrupt *complete* final line is also a crash signature (e.g. a
-    corrupt-rule write): recovered, earlier lines kept."""
-    path = tmp_path / "log.jsonl"
-    atomic_append_line(path, '{"ok": 1}')
-    with open(path, "ab") as fh:
-        fh.write(b"garbage not json\n")
-    assert recover_jsonl(path) > 0
-    assert path.read_text() == '{"ok": 1}\n'
-
-
-def test_recover_whole_file_torn(tmp_path):
-    path = tmp_path / "log.jsonl"
-    path.write_bytes(b"no newline at all")
-    assert recover_jsonl(path) == len(b"no newline at all")
-    assert path.read_bytes() == b""
-
-
-def test_repeated_recovery_keeps_every_specimen(tmp_path):
-    path = tmp_path / "log.jsonl"
-    for _ in range(2):
-        with open(path, "ab") as fh:
-            fh.write(b"torn")
-        recover_jsonl(path)
-    names = sorted(p.name for p in quarantine_dir_for(path).iterdir())
-    assert names == ["log.jsonl.torn", "log.jsonl.torn.1"]
-
-
-# ---------------------------------------------------------------------------
 # Quarantine moves
 # ---------------------------------------------------------------------------
 
@@ -197,36 +92,3 @@ def test_quarantine_collision_gets_serial_suffix(tmp_path):
     qdir = quarantine_dir_for(tmp_path / "same.json")
     assert sorted(p.name for p in qdir.iterdir()) == [
         "same.json", "same.json.1"]
-
-
-# ---------------------------------------------------------------------------
-# The ledger uses all of the above
-# ---------------------------------------------------------------------------
-
-
-def test_ledger_survives_kill_nine_mid_append(tmp_path):
-    from repro.obs.history import BenchLedger
-
-    ledger = BenchLedger(tmp_path)
-    ledger.append({"schema": 3, "run_id": "r1"})
-    ledger.append({"schema": 3, "run_id": "r2"})
-    with open(ledger.path, "ab") as fh:
-        fh.write(b'{"schema": 3, "run_id": "r3", "mod')  # torn
-    entries = ledger.entries()  # recovery runs on open
-    assert [e["run_id"] for e in entries] == ["r1", "r2"]
-    # the next append lands after the recovered tail, not glued to it
-    ledger.append({"schema": 3, "run_id": "r4"})
-    assert [e["run_id"] for e in ledger.entries()] == ["r1", "r2", "r4"]
-
-
-def test_ledger_append_failure_leaves_no_bytes(tmp_path):
-    from repro.obs.history import BenchLedger
-    from repro.resilience.faults import fault_plan
-
-    ledger = BenchLedger(tmp_path)
-    ledger.append({"schema": 3, "run_id": "r1"})
-    size = ledger.path.stat().st_size
-    with fault_plan("history.append:raise"):
-        with pytest.raises(InjectedFault):
-            ledger.append({"schema": 3, "run_id": "r2"})
-    assert ledger.path.stat().st_size == size

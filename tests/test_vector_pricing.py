@@ -505,35 +505,3 @@ def test_arm_prewarm_schedules_streams_and_prices_nothing(monkeypatch):
     assert errors.value == before[1]
     with pytest.raises(UnsupportedBitsError):
         price_conv(backend, layers[0], 9)
-
-
-# ---------------------------------------------------------------------------
-# Bench report surface
-# ---------------------------------------------------------------------------
-
-
-def test_phase_report_carries_pricing_and_throughput():
-    from repro.perf.bench import PhaseReport
-
-    report = PhaseReport(
-        name="cold", seconds=2.0, candidates=24016, evaluated=2400,
-        pruned=21616,
-    )
-    d = report.as_dict()
-    assert d["pruned_fraction"] == pytest.approx(21616 / 24016, abs=1e-4)
-    assert d["candidates_per_sec"] == pytest.approx(24016 / 2.0)
-    empty = PhaseReport(name="warm", seconds=0.0).as_dict()
-    assert empty["candidates_per_sec"] is None
-
-
-def test_ledger_entry_carries_throughput():
-    from repro.obs.history import build_entry
-
-    base = dict(
-        kind="full", model="resnet50", batch=1, backends=["gpu"],
-        timestamp="2026-08-09T00:00:00", model_cycles={}, figures={},
-        wall_seconds={"gpu_cold": 0.05}, metrics_snapshot={},
-    )
-    entry = build_entry(**base, throughput={"gpu_cold": 480000.0})
-    assert entry["throughput"] == {"gpu_cold": 480000.0}
-    assert "throughput" not in build_entry(**base)
