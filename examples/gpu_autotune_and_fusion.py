@@ -33,7 +33,7 @@ from repro.types import ConvSpec, Layout
 def main() -> None:
     rng = np.random.default_rng(0)
 
-    # 1. functional: int4 conv through real mma.m8n8k32 fragments --------------
+    # 1. functional: int4 conv, each k tile what its mma.m8n8k32 sequence gives -
     small = ConvSpec("demo", in_channels=8, out_channels=16, height=8,
                      width=8, kernel=(3, 3), padding=(1, 1))
     x = rng.integers(-8, 8, small.input_shape(Layout.NHWC)).astype(np.int8)
@@ -42,7 +42,7 @@ def main() -> None:
         small, x, w, bits=4, tiling=TilingParams(16, 16, 32, 32, 1, 1)
     )
     assert np.array_equal(out.data, conv2d_ref(small, x, w, layout=Layout.NHWC))
-    print(f"functional: {small.describe()} via mma.m8n8k32 "
+    print(f"functional: {small.describe()} as mma.m8n8k32 k tiles "
           f"({out.blocks} blocks) — bit-exact vs direct conv\n")
 
     # 2. autotune vs defaults vs baselines, batch 1 -----------------------------

@@ -4,7 +4,9 @@ Mirrors the ARM package's two-layer structure:
 
 * functional — exact ``mma``/``dp4a`` semantics (:mod:`repro.gpu.mma`) and
   an implicit-precomp-GEMM convolution (:mod:`repro.gpu.implicit_gemm`)
-  that walks the real Alg. 2 tile/fragment structure;
+  that computes Alg. 2's tiles as whole-array index arithmetic, one exact
+  float64 GEMM per k tile (the per-fragment loop nest is the oracle in
+  ``tests/gpu_oracle.py``);
 * performance — an analytic machine model (:mod:`repro.gpu.pipelinemodel`)
   fed by the coalescing/shared-memory analyzers (:mod:`repro.gpu.memory`),
   with the paper's knobs (tiling parameters, access reordering, register
@@ -43,14 +45,6 @@ from .autotune import (
     clear_cache,
 )
 from .baselines import cudnn_dp4a_time, tensorrt_time
-from .kernelsim import (
-    BlockInstr,
-    BlockSchedule,
-    generate_block_program,
-    execute_block_program,
-    simulate_conv_block,
-    schedule_block_program,
-)
 
 __all__ = [
     "TU102",
@@ -90,10 +84,4 @@ __all__ = [
     "clear_cache",
     "cudnn_dp4a_time",
     "tensorrt_time",
-    "BlockInstr",
-    "BlockSchedule",
-    "generate_block_program",
-    "execute_block_program",
-    "simulate_conv_block",
-    "schedule_block_program",
 ]

@@ -1,21 +1,31 @@
 """Functional implicit-precomp GEMM convolution (Alg. 2).
 
-Walks the exact structure of the paper's kernel:
+Computes the paper's kernel as whole-array index arithmetic over the
+structure it walks:
 
 * grid level — C (the ``batch*OH*OW x Cout`` NHWC output matrix) is cut
-  into ``MTile x NTile`` block tiles;
-* ``k_outer`` — A_Tile is *gathered* from the input via the precomputed
-  offset buffer (never an explicit im2col matrix), B_Tile sliced from the
-  weights: the shared-memory staging of lines 3-4;
-* ``k_inner`` / warp level — each warp's ``MFrag x NFrag`` C fragment is
-  accumulated ``KStep`` at a time through real ``mma.m8n8k16`` /
-  ``mma.m8n8k32`` calls (lines 6-14);
+  into ``MTile x NTile`` block tiles, so every operand is zero-padded to
+  whole tiles: A to ``(m_pad, k_pad)``, B to ``(k_pad, n_pad)``;
+* ``k_outer`` staging — A is *gathered* from the input through the
+  precomputed offset buffer with predicated loads (never an explicit
+  im2col matrix), one gather per image; B is the weight matrix, padded
+  once (the shared-memory staging of lines 3-4).  int4 operands
+  round-trip through the packed two-per-byte storage format once each;
+* ``k_outer`` / warp level — for each ``KTile`` slice of K, one GEMM
+  gives every block's partial at once: the int32 value that block's
+  ``mma.m8n8k16`` / ``mma.m8n8k32`` sequence over the k tile produces
+  (lines 6-14).  The partials add up in int64;
 * epilogue — bias + re-quantization (or fused dequantization / ReLU) apply
-  *in place* on the int32 fragments before the single store (line 15).
+  *in place* on the accumulators before the single store (line 15).
 
-Bit-exact against the NCHW reference (tests transpose layouts); int4 mode
-additionally round-trips operands through nibble packing to prove the
-storage format lossless.
+The k-tile GEMMs run in float64 on BLAS, exact by a bound (DESIGN.md
+§5.18): a partial sums ``KTile`` products of at most ``2^(2*bits-2)``
+each, and the shared-memory budget that :func:`validate_tiling` enforces
+keeps ``KTile`` small enough that this is at most 2^25.  So every partial
+is an integer far below 2^53, exact in any BLAS order, and fits the
+int32 an ``mma`` returns.  Bit-exact against the NCHW reference (tests
+transpose layouts) and against the per-fragment loop nest this replaced,
+which is the oracle in ``tests/gpu_oracle.py``.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from ..quant.ranges import qrange
 from ..quant.schemes import requantize, requantize_per_channel
 from ..types import ConvSpec, GemmShape, Layout
 from ..util import ceil_div
-from .mma import mma_m8n8k16_int8, mma_m8n8k32_int4, mma_shape, pack_int4, unpack_int4
-from .precompute import PrecomputedOffsets, build_offsets
+from .mma import mma_m8n8k16_int8, mma_m8n8k32_int4, pack_int4, unpack_int4
+from .precompute import build_offsets
 from .tiling import TilingParams, default_tiling, validate_tiling
 
 EPILOGUES = ("none", "requant", "requant_relu", "dequant", "dequant_relu")
@@ -49,6 +59,7 @@ class ConvGpuOutput:
 
 
 def _mma_for(bits: int):
+    """The Tensor Core instruction of a bit width (Sec. 2.3)."""
     if bits == 8:
         return mma_m8n8k16_int8
     if bits == 4:
@@ -99,26 +110,31 @@ def conv2d_implicit_gemm(
     bias: np.ndarray | None = None,
     requant_mult: float | np.ndarray = 0.03125,
     dequant_scale: float = 1.0,
-    offsets: PrecomputedOffsets | None = None,
     pack_nibbles: bool | None = None,
 ) -> ConvGpuOutput:
     """Run the Alg. 2 kernel functionally (NHWC activations, OIHW weights).
 
-    ``pack_nibbles`` (int4 only; default on) round-trips every staged tile
-    through the packed two-per-byte storage format.
+    Both operands must be integer arrays inside the signed ``bits``-bit
+    range.  ``pack_nibbles`` (int4 only; default on) round-trips both
+    staged operands through the packed two-per-byte storage format.
     """
+    _mma_for(bits)  # the width picks the instruction: check it before the data
     if epilogue not in EPILOGUES:
         raise ShapeError(f"unknown epilogue {epilogue!r}; one of {EPILOGUES}")
     x = np.asarray(x)
+    w = np.asarray(w)
     if x.shape != spec.input_shape(Layout.NHWC):
         raise ShapeError(
             f"{spec.name}: input {x.shape} != NHWC {spec.input_shape(Layout.NHWC)}"
         )
     half = 1 << (bits - 1)
-    if x.size and (x.min() < -half or x.max() >= half):
-        raise ShapeError(f"input exceeds {bits}-bit range")
-    mma = _mma_for(bits)
-    mm, nn, kk = mma_shape(bits)
+    for name, arr in (("input", x), ("weights", w)):
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ShapeError(f"{spec.name}: {name} must be integer, got {arr.dtype}")
+        if arr.size and (arr.min() < -half or arr.max() >= half):
+            raise ShapeError(
+                f"{spec.name}: {name} outside the {bits}-bit range [{-half}, {half - 1}]"
+            )
     tiling = tiling or default_tiling(bits)
     validate_tiling(tiling, bits)
     if pack_nibbles is None:
@@ -129,92 +145,39 @@ def conv2d_implicit_gemm(
         if bias.shape != (spec.out_channels,):
             raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
 
-    offsets = offsets or build_offsets(spec)
-    # B matrix: (K, Cout) with NHWC K ordering (dy, dx, c)
-    b_full = weight_matrix(spec, w, layout=Layout.NHWC).T.copy()
-
     gemm = GemmShape(m=spec.batch * spec.out_spatial, k=spec.gemm_k,
                      n=spec.out_channels)
     m_pad = ceil_div(gemm.m, tiling.m_tile) * tiling.m_tile
     n_pad = ceil_div(gemm.n, tiling.n_tile) * tiling.n_tile
     k_pad = ceil_div(gemm.k, tiling.k_tile) * tiling.k_tile
-    c_full = np.zeros((m_pad, n_pad), dtype=np.int64)
 
-    pixels_per_img = spec.out_spatial
-    k_tile_num = k_pad // tiling.k_tile
-    blocks = 0
-    for m0 in range(0, m_pad, tiling.m_tile):
-        for n0 in range(0, n_pad, tiling.n_tile):
-            blocks += 1
-            acc_tile = np.zeros((tiling.m_tile, tiling.n_tile), dtype=np.int64)
-            for ko in range(k_tile_num):
-                k0 = ko * tiling.k_tile
-                a_tile = _gather_a_tile(
-                    spec, x, offsets, m0, k0, tiling, gemm, pixels_per_img
-                )
-                b_tile = _slice_b_tile(b_full, k0, n0, tiling, gemm)
-                if pack_nibbles:
-                    a_tile = unpack_int4(pack_int4(a_tile))
-                    b_tile = unpack_int4(pack_int4(b_tile))
-                # warp-level fragments, mma at a time (Alg. 2 lines 6-14)
-                for wr in range(tiling.block_row_warps):
-                    fr = wr * tiling.m_frag
-                    for wc in range(tiling.block_col_warps):
-                        fc = wc * tiling.n_frag
-                        for ks in range(0, tiling.k_tile, tiling.k_step):
-                            for ki in range(0, tiling.k_step, kk):
-                                k_lo = ks + ki
-                                for fm in range(0, tiling.m_frag, mm):
-                                    for fn in range(0, tiling.n_frag, nn):
-                                        a_frag = a_tile[
-                                            fr + fm : fr + fm + mm,
-                                            k_lo : k_lo + kk,
-                                        ]
-                                        b_frag = b_tile[
-                                            k_lo : k_lo + kk,
-                                            fc + fn : fc + fn + nn,
-                                        ]
-                                        acc_tile[
-                                            fr + fm : fr + fm + mm,
-                                            fc + fn : fc + fn + nn,
-                                        ] += mma(a_frag, b_frag)
-            c_full[m0 : m0 + tiling.m_tile, n0 : n0 + tiling.n_tile] = acc_tile
+    # A: one predicated gather per image through the offset buffer
+    offsets = build_offsets(spec)
+    pixels, taps = np.arange(spec.out_spatial), np.arange(gemm.k)
+    a = np.zeros((m_pad, k_pad), dtype=np.int8)
+    for img in range(spec.batch):
+        rows = slice(img * spec.out_spatial, (img + 1) * spec.out_spatial)
+        a[rows, : gemm.k] = offsets.gather(x[img], pixels, taps)
+    # B: (K, Cout) with NHWC K ordering (dy, dx, c)
+    b = np.zeros((k_pad, n_pad), dtype=np.int8)
+    b[: gemm.k, : gemm.n] = weight_matrix(spec, w, layout=Layout.NHWC).T
+    if pack_nibbles:
+        a = unpack_int4(pack_int4(a))
+        b = unpack_int4(pack_int4(b))
 
-    c = c_full[: gemm.m, : gemm.n]
-    out = _epilogue(c, epilogue, bits, bias, requant_mult, dequant_scale)
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    acc = np.zeros((m_pad, n_pad), dtype=np.int64)
+    # k_outer: every block's k-tile partial at once, exact by the bound above
+    for k0 in range(0, k_pad, tiling.k_tile):
+        k1 = k0 + tiling.k_tile
+        acc += (a[:, k0:k1] @ b[k0:k1]).astype(np.int32)
+
+    out = _epilogue(acc[: gemm.m, : gemm.n], epilogue, bits, bias,
+                    requant_mult, dequant_scale)
     shaped = out.reshape(spec.batch, spec.out_height, spec.out_width,
                          spec.out_channels)
+    blocks = (m_pad // tiling.m_tile) * (n_pad // tiling.n_tile)
     return ConvGpuOutput(
         data=shaped, epilogue=epilogue, bits=bits, blocks=blocks, tiling=tiling
     )
-
-
-def _gather_a_tile(spec, x, offsets, m0, k0, tiling, gemm, pixels_per_img):
-    """Stage one A_Tile: predicated gathers through the offset buffer."""
-    rows = np.arange(m0, m0 + tiling.m_tile)
-    cols = np.arange(k0, k0 + tiling.k_tile)
-    tile = np.zeros((tiling.m_tile, tiling.k_tile), dtype=np.int8)
-    valid_rows = rows < gemm.m
-    valid_cols = cols < gemm.k
-    if not valid_rows.any() or not valid_cols.any():
-        return tile
-    vr = rows[valid_rows]
-    vc = cols[valid_cols]
-    imgs = vr // pixels_per_img
-    pix = vr % pixels_per_img
-    for img in np.unique(imgs):
-        sel = imgs == img
-        gathered = offsets.gather(x[img], pix[sel], vc)
-        # scatter into the padded tile
-        r_idx = np.nonzero(valid_rows)[0][sel]
-        tile[np.ix_(r_idx, np.nonzero(valid_cols)[0])] = gathered
-    return tile
-
-
-def _slice_b_tile(b_full, k0, n0, tiling, gemm):
-    tile = np.zeros((tiling.k_tile, tiling.n_tile), dtype=np.int8)
-    k1 = min(k0 + tiling.k_tile, gemm.k)
-    n1 = min(n0 + tiling.n_tile, gemm.n)
-    if k1 > k0 and n1 > n0:
-        tile[: k1 - k0, : n1 - n0] = b_full[k0:k1, n0:n1]
-    return tile

@@ -4,8 +4,9 @@ A traced run of ``benchmarks/e2e/run.py`` replaces program attributes by
 name (``Backend.prewarm``, ``autotune_conv``, ``MicroKernel.execute``, ...)
 and reads counters by label, so a renamed attribute or label crashes it
 before any metric is taken.  This test installs the same instrumentation
-in a fresh process, then reads one autotune sweep and one
-``execute_arm_conv`` back through the same counters and spans.
+in a fresh process, then reads one autotune sweep, one
+``execute_arm_conv`` and one ``conv2d_implicit_gemm`` back through the
+same counters and spans.
 """
 
 import json
@@ -26,6 +27,7 @@ rec = tracing.Recorder()
 worker.instrument(rec)
 from repro.arm.conv_runner import execute_arm_conv
 from repro.gpu.autotune import autotune_conv
+from repro.gpu.implicit_gemm import conv2d_implicit_gemm
 from repro.models import get_model_layers
 from repro.types import ConvSpec
 
@@ -36,6 +38,7 @@ rng = np.random.default_rng(0)
 x = rng.integers(-8, 8, spec.input_shape()).astype(np.int8)
 w = rng.integers(-8, 8, spec.weight_shape()).astype(np.int8)
 execute_arm_conv(spec, x, w, 4, check_overflow=True)
+conv2d_implicit_gemm(spec, np.ascontiguousarray(x.transpose(0, 2, 3, 1)), w, bits=4)
 print(json.dumps({"counters": worker._counters(), "tiles": rec.tiles,
                   "spans": sorted({s["name"] for s in rec.spans})}))
 """
@@ -60,3 +63,6 @@ def test_benchmark_instrumentation_resolves(tmp_path):
     assert calls > 0 and seconds > 0 and instructions > 0
     for name in ("generate_kernel", "im2col", "pack_gemm_operands", "output_from_gemm"):
         assert name in out["spans"], name
+    # the GPU functional path builds its offset buffer through the module
+    # global that the benchmark wraps
+    assert "build_offsets" in out["spans"]

@@ -1,59 +1,21 @@
-"""Event-driven block-level GPU simulator (Alg. 2 / Fig. 6, executable)."""
+"""Event-driven block-level GPU simulator (Alg. 2 / Fig. 6, scheduled)."""
 
-import numpy as np
+import itertools
+
 import pytest
 
-from repro.conv import conv2d_ref
 from repro.errors import ShapeError, SimulationError
-from repro.gpu.kernelsim import (
+from repro.gpu.mma import mma_shape
+from repro.gpu.tiling import TilingParams
+
+from .gpu_kernelsim import (
     BlockInstr,
-    execute_block_program,
     generate_block_program,
     schedule_block_program,
-    simulate_conv_block,
 )
-from repro.gpu.tiling import TilingParams
-from repro.types import ConvSpec, Layout
 
 SMALL = TilingParams(16, 16, 16, 16, 1, 1)
 MID = TilingParams(64, 64, 32, 16, 2, 2)
-
-
-def _conv_case(seed=0, bits=8):
-    rng = np.random.default_rng(seed)
-    spec = ConvSpec("b", in_channels=6, out_channels=10, height=6, width=6,
-                    kernel=(3, 3), padding=(1, 1))
-    half = 1 << (bits - 1)
-    x = rng.integers(-half, half, spec.input_shape(Layout.NHWC)).astype(np.int8)
-    w = rng.integers(-half, half, spec.weight_shape(Layout.NCHW)).astype(np.int8)
-    ref = conv2d_ref(spec, x, w, layout=Layout.NHWC).reshape(-1, 10)
-    return spec, x, w, ref
-
-
-@pytest.mark.parametrize("double_buffer", [True, False])
-@pytest.mark.parametrize("m0", [0, 16, 32])
-def test_block_execution_matches_reference(double_buffer, m0):
-    spec, x, w, ref = _conv_case()
-    tile = simulate_conv_block(spec, x, w, SMALL, 8, m0=m0,
-                               double_buffer=double_buffer)
-    rows = min(16, 36 - m0)
-    assert np.array_equal(tile[:rows, :10], ref[m0:m0 + rows])
-    # padded rows/cols are zero
-    assert tile[rows:, :].sum() == 0
-    assert tile[:, 10:].sum() == 0
-
-
-def test_block_execution_int4():
-    spec, x, w, ref = _conv_case(seed=1, bits=4)
-    t4 = TilingParams(16, 16, 32, 32, 1, 1)
-    tile = simulate_conv_block(spec, x, w, t4, 4)
-    assert np.array_equal(tile[:16, :10], ref[:16])
-
-
-def test_multiwarp_block_matches_reference():
-    spec, x, w, ref = _conv_case(seed=2)
-    tile = simulate_conv_block(spec, x, w, MID, 8)
-    assert np.array_equal(tile[:36, :10], ref)
 
 
 def test_program_structure():
@@ -69,18 +31,44 @@ def test_program_structure():
     assert stages == [0, 1, 0, 1]
 
 
-def test_lds_before_barrier_is_rejected():
-    bad = [
-        BlockInstr("GLD_A", k_iter=0), BlockInstr("GLD_B", k_iter=0),
-        BlockInstr("STS_A", k_iter=0), BlockInstr("STS_B", k_iter=0),
-        BlockInstr("LDS_FRAG", k_iter=0, warp=(0, 0)),  # missing BAR
-    ]
-    with pytest.raises(SimulationError):
-        execute_block_program(
-            bad, SMALL, 8,
-            gather_a=lambda i: np.zeros((16, 16), np.int8),
-            slice_b=lambda i: np.zeros((16, 16), np.int8),
-        )
+@pytest.mark.parametrize("double_buffer", [True, False])
+@pytest.mark.parametrize("tiling,bits", [
+    (SMALL, 8), (MID, 8), (TilingParams(32, 16, 64, 32, 2, 1), 4)])
+def test_program_stages_every_fragment_once(tiling, bits, double_buffer):
+    """Each iteration's tiles pass GLD -> STS -> BAR -> LDS before a warp's
+    MMAs read them, no stage is refilled while an earlier iteration still
+    reads it, and the MMAs cover every fragment of the block tile once per
+    iteration."""
+    mm, nn, kk = mma_shape(bits)
+    k_iters = 4
+    prog = generate_block_program(tiling, bits, k_iters,
+                                  double_buffer=double_buffer)
+    at = {}
+    for pos, ins in enumerate(prog):
+        at.setdefault((ins.op, ins.k_iter, ins.warp), []).append(pos)
+    warps = list(itertools.product(range(tiling.block_row_warps),
+                                   range(tiling.block_col_warps)))
+    frags = sorted(itertools.product(range(0, tiling.m_frag, mm),
+                                     range(0, tiling.n_frag, nn),
+                                     range(0, tiling.k_tile, kk)))
+    for i in range(k_iters):
+        (bar,) = at[("BAR", i, None)]
+        for x in "AB":
+            (gld,), (sts,) = at[(f"GLD_{x}", i, None)], at[(f"STS_{x}", i, None)]
+            assert gld < sts < bar
+            stage = prog[sts].stage
+            assert prog[gld].stage == stage
+            for j in range(i):  # earlier users of the same staging buffer
+                if prog[at[(f"STS_{x}", j, None)][0]].stage == stage:
+                    assert gld > at[(f"STS_{x}", j, None)][0]
+                    assert sts > max(at[("LDS_FRAG", j, w)][0] for w in warps)
+        for warp in warps:
+            (lds,) = at[("LDS_FRAG", i, warp)]
+            mmas = at[("MMA", i, warp)]
+            assert bar < lds < min(mmas)
+            assert sorted(prog[p].frag for p in mmas) == frags
+            assert {prog[p].stage for p in mmas} == {prog[lds].stage}
+    assert prog[-1].op == "EPI"
 
 
 def test_instr_validation():
