@@ -53,13 +53,10 @@ Commands
     Inspect the always-on ring of :mod:`repro.obs.trace` and export the
     last N seconds as a Chrome trace — after the fact, no capture
     required up front.
-``metrics-export [--run TARGET] [--out FILE] [--serve PORT]``
+``metrics-export [--run TARGET] [--out FILE]``
     Render the metrics registry in OpenMetrics text exposition (with
     span-id exemplars on histograms), self-validated by the strict
-    in-repo parser; ``--serve`` exposes it on ``/metrics``.
-``top [--run TARGET] [--interval S] [--iterations N]``
-    Live terminal view over the metrics registry: gauges, counter
-    rates, histogram tails, refreshed in place.
+    in-repo parser.
 """
 
 from __future__ import annotations
@@ -248,14 +245,6 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
         rc = _run_workload(args.run, args.model, args.batch)
         if rc:
             return rc
-    if args.serve is not None:
-        import threading
-
-        ready = threading.Event()
-        print(f"serving OpenMetrics on http://127.0.0.1:{args.serve}/metrics "
-              f"(Ctrl-C to stop)")
-        obs_export.serve(args.serve, ready=ready)
-        return 0
     text = obs_export.render()
     # self-check: the renderer's output must round-trip the strict parser
     families = obs_export.validate(text)
@@ -270,33 +259,6 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    from .obs import export as obs_export
-
-    worker = None
-    if args.run:
-        import threading
-
-        from .obs.report import MODELS, resolve_target
-
-        try:
-            runner = resolve_target(args.run, args.model, args.batch)
-        except KeyError:
-            print(f"unknown target {args.run!r}; use fig7..fig17, tab1, or "
-                  f"one of {', '.join(MODELS)}", file=sys.stderr)
-            return 2
-        worker = threading.Thread(
-            target=runner, name="repro-top-workload", daemon=True)
-        worker.start()
-    frames = obs_export.run_top(
-        interval_s=args.interval,
-        iterations=args.iterations,
-        clear=not args.no_clear,
-        stop_when=(lambda: not worker.is_alive()) if worker else None,
-    )
-    return 0 if frames else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -676,28 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("--batch", type=int, default=1)
     me.add_argument("--out", default=None, metavar="FILE",
                     help="write the exposition here instead of stdout")
-    me.add_argument("--serve", type=int, default=None, metavar="PORT",
-                    help="serve /metrics on 127.0.0.1:PORT until Ctrl-C")
     me.set_defaults(fn=cmd_metrics_export)
-
-    tp = sub.add_parser(
-        "top",
-        help="live terminal view over the metrics registry")
-    tp.add_argument("--run", default=None, metavar="TARGET",
-                    help="run a workload on a background thread while "
-                         "watching: fig7..fig17, tab1, or a model name")
-    tp.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"],
-                    help="model for figure targets that take one")
-    tp.add_argument("--batch", type=int, default=1)
-    tp.add_argument("--interval", type=float, default=1.0, metavar="S",
-                    help="refresh interval in seconds (default 1.0)")
-    tp.add_argument("--iterations", type=int, default=None, metavar="N",
-                    help="stop after N frames (default: until Ctrl-C or "
-                         "the --run workload finishes)")
-    tp.add_argument("--no-clear", action="store_true",
-                    help="append frames instead of redrawing in place")
-    tp.set_defaults(fn=cmd_top)
     return p
 
 

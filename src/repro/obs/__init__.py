@@ -20,8 +20,7 @@ the reproduction carries its own instrumentation:
   flamegraph SVGs for the time spans don't cover;
 * :mod:`repro.obs.export` — OpenMetrics/Prometheus text exposition of
   the metrics registry with span-id exemplars (``python -m repro
-  metrics-export [--serve PORT]``) plus the ``python -m repro top``
-  live terminal view, validated by a strict in-repo parser;
+  metrics-export``), validated by a strict in-repo parser;
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled counters,
   gauges and histograms.  Coarse, always-on events (cache hits/misses,
   autotune candidates evaluated/pruned, per-layer cycle gauges) cost one

@@ -1,17 +1,11 @@
-"""OpenMetrics text exposition of the metrics registry, plus a live view.
+"""OpenMetrics text exposition of the metrics registry.
 
-Three consumers share this module:
-
-* ``python -m repro metrics-export`` renders the process registry in the
-  OpenMetrics text format (the Prometheus exposition superset): counters
-  as ``name_total``, gauges verbatim, histograms as cumulative
-  ``_bucket{le=...}`` series with ``_sum``/``_count`` — and, where a
-  span context was active, an *exemplar* per bucket linking the latest
-  observation to its ``trace_id``/``span_id`` span.
-* ``--serve PORT`` wraps the same renderer in a tiny threading HTTP
-  server exposing ``/metrics`` for an actual Prometheus scrape.
-* ``python -m repro top`` refreshes a terminal dashboard of key gauges
-  and counter *rates* computed between consecutive snapshots.
+``python -m repro metrics-export`` renders the process registry in the
+OpenMetrics text format (the Prometheus exposition superset): counters
+as ``name_total``, gauges verbatim, histograms as cumulative
+``_bucket{le=...}`` series with ``_sum``/``_count`` — and, where a span
+context was active, an *exemplar* per bucket linking the latest
+observation to its ``trace_id``/``span_id`` span.
 
 The module also ships :func:`parse_exposition` / :func:`validate`, a
 deliberately strict parser for the subset this renderer emits.  CI runs
@@ -25,15 +19,10 @@ becomes a red build, not a silently garbled scrape.
 from __future__ import annotations
 
 import math
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Iterable
 
 from . import metrics as obs_metrics
-
-#: exposition content type (what ``--serve`` answers with)
-CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 
 # ---------------------------------------------------------------------------
@@ -341,136 +330,3 @@ def exemplar_count(families: dict[str, Family]) -> int:
     return sum(
         1 for fam in families.values() for s in fam.samples
         if s.exemplar is not None)
-
-
-# ---------------------------------------------------------------------------
-# --serve: a scrape endpoint over the same renderer
-# ---------------------------------------------------------------------------
-
-
-def serve(port: int, *, registry: "obs_metrics.MetricsRegistry | None" = None,
-          ready: "threading.Event | None" = None) -> None:
-    """Serve ``/metrics`` until interrupted (Ctrl-C returns cleanly)."""
-    server = make_server(port, registry=registry)
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-
-
-def make_server(port: int,
-                *, registry: "obs_metrics.MetricsRegistry | None" = None):
-    """A ``ThreadingHTTPServer`` answering ``/metrics`` with :func:`render`.
-
-    Split from :func:`serve` so tests can drive the server from a thread
-    and shut it down deterministically.
-    """
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-            if self.path.split("?")[0] not in ("/metrics", "/"):
-                self.send_error(404, "try /metrics")
-                return
-            payload = render(registry).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args: Any) -> None:  # quiet by default
-            pass
-
-    return ThreadingHTTPServer(("127.0.0.1", port), Handler)
-
-
-# ---------------------------------------------------------------------------
-# `repro top`: a live terminal view of gauges and counter rates
-# ---------------------------------------------------------------------------
-
-
-def render_top(
-    snap: dict, prev: "dict | None", dt_s: float, *, width: int = 72,
-) -> str:
-    """One frame of the live view: gauges, counter rates, histogram p50/p99.
-
-    Pure text in, text out — the CLI adds the screen clearing; tests call
-    this directly with canned snapshots.
-    """
-    lines: list[str] = []
-    title = "repro top"
-    lines.append(f"{title} — {len(snap['counters'])} counters, "
-                 f"{len(snap['gauges'])} gauges, "
-                 f"{len(snap['histograms'])} histograms")
-    lines.append("-" * width)
-
-    if snap["gauges"]:
-        lines.append("gauges:")
-        for key, value in sorted(snap["gauges"].items()):
-            lines.append(f"  {key:<48} {value:>14.6g}")
-
-    if snap["counters"]:
-        lines.append("counters (value, rate/s):")
-        prev_counters = (prev or {}).get("counters", {})
-        for key, value in sorted(snap["counters"].items()):
-            rate = 0.0
-            if prev is not None and dt_s > 0:
-                rate = (value - prev_counters.get(key, 0)) / dt_s
-            lines.append(f"  {key:<48} {value:>10} {rate:>10.2f}/s")
-
-    if snap["histograms"]:
-        lines.append("histograms (count, mean, max):")
-        for key, h in sorted(snap["histograms"].items()):
-            lines.append(
-                f"  {key:<48} {h['count']:>8} {h['mean']:>12.6g} "
-                f"{h['max'] if h['max'] is not None else float('nan'):>12.6g}")
-    return "\n".join(lines) + "\n"
-
-
-def run_top(
-    *, interval_s: float = 1.0, iterations: int | None = None,
-    stream: "TextIO | None" = None,
-    snapshot_fn: "Callable[[], dict] | None" = None,
-    clear: bool = True,
-    stop_when: "Callable[[], bool] | None" = None,
-) -> int:
-    """Drive the live view: snapshot, render, sleep, repeat.
-
-    ``iterations=None`` runs until Ctrl-C (or until ``stop_when()``
-    returns true — the CLI uses it to exit once a ``--run`` workload
-    finishes, after one final frame).  Returns the frame count (so the
-    CLI exit path and tests can assert progress).
-    """
-    import sys
-
-    out = stream if stream is not None else sys.stdout
-    snap_fn = snapshot_fn if snapshot_fn is not None else obs_metrics.snapshot
-    prev: dict | None = None
-    prev_t = time.monotonic()
-    frames = 0
-    stop_next = False
-    try:
-        while iterations is None or frames < iterations:
-            snap = snap_fn()
-            now = time.monotonic()
-            frame = render_top(snap, prev, now - prev_t)
-            if clear:
-                out.write("\x1b[2J\x1b[H")
-            out.write(frame)
-            out.flush()
-            prev, prev_t = snap, now
-            frames += 1
-            if stop_next or (iterations is not None and frames >= iterations):
-                break
-            # render one last frame after the workload ends so the final
-            # numbers are on screen
-            stop_next = stop_when is not None and stop_when()
-            time.sleep(interval_s)
-    except KeyboardInterrupt:
-        pass
-    return frames

@@ -11,19 +11,24 @@ batch-efficiency curve says amortizes best, not a hand-tuned constant.
 A :class:`CostTable` is immutable once built: ``service_us[b-1]`` is the
 full-model service time for a batch of ``b`` images, plus a fixed
 ``overhead_us`` per dispatch (launch/queue overhead the per-conv model
-does not include).  Helper views:
+does not include).  Its views are tabulated once, at construction, so
+the questions the serving loop asks on every event are index lookups:
 
 * :meth:`service` — total time to run one batch of ``b``;
 * :meth:`per_image` — amortized per-image cost at batch ``b``, the
   quantity batching exists to minimize;
 * :meth:`best_batch` — the batch size (<= a cap) with the lowest
-  per-image cost, i.e. where the efficiency curve bottoms out.
+  per-image cost, i.e. where the efficiency curve bottoms out, and
+  :meth:`best_per_image`, the cost there;
+* :attr:`CostTable.prefix_max_us` — the slowest batch up to each size,
+  which the batcher bisects for the largest batch a deadline affords.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+import math
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 from ..backends import get_backend
 from ..errors import ReproError
@@ -31,9 +36,18 @@ from ..models import get_model_layers
 from ..obs import log as obs_log
 
 
+def _derived():
+    """A field computed in ``__post_init__``, outside init, repr and eq."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class CostTable:
-    """Priced service time of one (backend, model, bits) per batch size."""
+    """Priced service time of one (backend, model, bits) per batch size.
+
+    Raises :class:`ReproError` on an empty table, or on a price or an
+    overhead that is not a finite time >= 0.
+    """
 
     backend: str
     model: str
@@ -42,6 +56,44 @@ class CostTable:
     service_us: Tuple[float, ...]
     #: fixed per-dispatch overhead added to every batch
     overhead_us: float = 0.0
+    #: ``prefix_max_us[b-1]`` is the largest :meth:`service` of batches 1..b
+    prefix_max_us: Tuple[float, ...] = _derived()
+    _service: Tuple[float, ...] = _derived()
+    #: ``_best[c-1]`` is :meth:`best_batch` at cap ``c``, and
+    #: ``_best_per_image[c-1]`` its per-image cost
+    _best: Tuple[int, ...] = _derived()
+    _best_per_image: Tuple[float, ...] = _derived()
+
+    def __post_init__(self) -> None:
+        if not self.service_us:
+            raise ReproError(f"{self.backend} cost table has no batch sizes")
+        # `0 <= x < inf` is false for NaN too
+        for b, s in enumerate(self.service_us, start=1):
+            if not 0 <= s < math.inf:
+                raise ReproError(
+                    f"{self.backend} cost table: service of batch {b} is {s}, "
+                    f"not a finite time >= 0")
+        if not 0 <= self.overhead_us < math.inf:
+            raise ReproError(
+                f"{self.backend} cost table: overhead_us is "
+                f"{self.overhead_us}, not a finite time >= 0")
+        service = tuple(s + self.overhead_us for s in self.service_us)
+        best: List[int] = []
+        best_per_image: List[float] = []
+        prefix_max: List[float] = []
+        for b, s in enumerate(service, start=1):
+            # strictly lower, so a tie keeps the smaller batch
+            if b == 1 or s / b < best_per_image[-1]:
+                best.append(b)
+                best_per_image.append(s / b)
+            else:
+                best.append(best[-1])
+                best_per_image.append(best_per_image[-1])
+            prefix_max.append(max(prefix_max[-1], s) if prefix_max else s)
+        for name, table in (("_service", service), ("_best", best),
+                            ("_best_per_image", best_per_image),
+                            ("prefix_max_us", prefix_max)):
+            object.__setattr__(self, name, tuple(table))
 
     @property
     def max_batch(self) -> int:
@@ -49,18 +101,24 @@ class CostTable:
 
     def service(self, batch: int) -> float:
         """Microseconds to serve one batch of ``batch`` images."""
-        if not 1 <= batch <= self.max_batch:
+        if not 1 <= batch <= len(self._service):
             raise ReproError(
                 f"batch {batch} outside table range 1..{self.max_batch}")
-        return self.service_us[batch - 1] + self.overhead_us
+        return self._service[batch - 1]
 
     def per_image(self, batch: int) -> float:
         return self.service(batch) / batch
 
+    def _cap_index(self, cap: "int | None") -> int:
+        return -1 if cap is None else max(1, min(cap, len(self._best))) - 1
+
     def best_batch(self, cap: int | None = None) -> int:
         """Batch size with the lowest per-image cost (ties: smallest)."""
-        hi = self.max_batch if cap is None else max(1, min(cap, self.max_batch))
-        return min(range(1, hi + 1), key=lambda b: (self.per_image(b), b))
+        return self._best[self._cap_index(cap)]
+
+    def best_per_image(self, cap: int | None = None) -> float:
+        """``per_image(best_batch(cap))``."""
+        return self._best_per_image[self._cap_index(cap)]
 
     @classmethod
     def build(
@@ -102,7 +160,7 @@ class CostTable:
             "cost_table_built", logger="repro.serve.cost",
             backend=backend, model=model, bits=bits, max_batch=max_batch,
             b1_us=round(service[0], 2),
-            per_image_best_us=round(table.per_image(table.best_batch()), 2),
+            per_image_best_us=round(table.best_per_image(), 2),
             best_batch=table.best_batch(),
         )
         return table

@@ -48,9 +48,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs import metrics as obs_metrics
@@ -163,6 +164,13 @@ class ServeSim:
         fallback_table: CostTable,
         trace: "List[Request] | None" = None,
     ) -> None:
+        for role, table in (("primary", primary_table),
+                            ("fallback", fallback_table)):
+            if table.max_batch < config.max_batch:
+                raise ReproError(
+                    f"{role} cost table ({table.backend}) prices batches "
+                    f"1..{table.max_batch}, but max_batch is "
+                    f"{config.max_batch}")
         self.cfg = config
         self.primary = primary_table
         self.fallback = fallback_table
@@ -188,6 +196,7 @@ class ServeSim:
             timeout_s=None,
             backoff_s=max(0.0, config.backoff_ms) / 1e3)
         self._root_ctx = obs_trace.new_trace()
+        self._handles: Dict[tuple, Any] = {}
 
     # -- event plumbing ------------------------------------------------------
 
@@ -196,6 +205,21 @@ class ServeSim:
     def _push(self, t_us: float, kind: int, payload: object) -> None:
         self._seq += 1
         heapq.heappush(self._events, (t_us, self._seq, kind, payload))
+
+    def _metric(self, make: Callable[..., Any], name: str,
+                **labels: str) -> Any:
+        """This run's handle on one registry series, bound on first use.
+
+        Bound per run, not at import, because ``obs_metrics.reset()``
+        drops series; bound on first use, so the registry holds only the
+        series the run touched.  A name is split by at most one label,
+        always the same one, so the name and label values key the handle.
+        """
+        key = (name, *labels.values())
+        handle = self._handles.get(key)
+        if handle is None:
+            handle = self._handles[key] = make(name, **labels)
+        return handle
 
     # -- pricing views -------------------------------------------------------
 
@@ -217,8 +241,8 @@ class ServeSim:
                    for ln in self.lanes if ln.busy)
 
     def _estimate_finish_us(self, now: float, table: CostTable) -> float:
-        queued_work = len(self.queue) * table.per_image(
-            table.best_batch(self.cfg.max_batch))
+        queued_work = (len(self.queue)
+                       * table.best_per_image(self.cfg.max_batch))
         backlog = (self._busy_us(now) + queued_work) / len(self.lanes)
         return now + backlog + table.service(1)
 
@@ -243,7 +267,7 @@ class ServeSim:
             self.stats.shed_deadline += 1
         else:
             self.stats.shed_queue_full += 1
-        obs_metrics.counter("serve_shed", reason=reason).inc()
+        self._metric(obs_metrics.counter, "serve_shed", reason=reason).inc()
 
     # -- batching ------------------------------------------------------------
 
@@ -251,15 +275,20 @@ class ServeSim:
                         cap: int) -> int:
         """Largest batch <= cap whose service still makes the head's
         deadline (arrivals are sorted and SLOs uniform, so the head's
-        deadline is the batch's earliest).  0 when even batch 1 misses."""
-        head = self.queue[0]
-        best = 0
-        for b in range(1, min(cap, len(self.queue)) + 1):
-            if now + table.service(b) <= head.deadline_us:
-                best = b
-            else:
-                break
-        return best
+        deadline is the batch's earliest).  0 when even batch 1 misses.
+
+        That is the largest b with ``now + service(b') <= deadline`` for
+        every b' <= b.  Float addition is monotone, so this holds exactly
+        when ``now + prefix_max(b) <= deadline``, which is monotone in b:
+        a bisect over the prefix maximum finds it, on any service curve.
+        The sum is compared as written; ``deadline - now`` rounds
+        differently.
+        """
+        hi = min(cap, len(self.queue))
+        if hi < 1:
+            return 0  # bisect reads hi=-1 as the whole table
+        return bisect_right(table.prefix_max_us, self.queue[0].deadline_us,
+                            0, hi, key=lambda s: now + s)
 
     def _plan(self, now: float) -> None:
         """Dispatch work onto idle lanes, or arm the hold timer."""
@@ -272,7 +301,7 @@ class ServeSim:
             while self.queue and self.queue[0].deadline_us <= now:
                 req = self.queue.popleft()
                 self.stats.expired += 1
-                obs_metrics.counter("serve_expired").inc()
+                self._metric(obs_metrics.counter, "serve_expired").inc()
             if not self.queue:
                 return
             table = self._active_table()
@@ -334,15 +363,15 @@ class ServeSim:
         batch_key = f"b{self._batch_seq}"
         self.stats.batches += 1
         self.stats.batch_hist[b] = self.stats.batch_hist.get(b, 0) + 1
-        obs_metrics.histogram("serve_batch_size").observe(b)
+        self._metric(obs_metrics.histogram, "serve_batch_size").observe(b)
 
         if state == "open":
             # brownout: the breaker says the primary is down, serve on
             # the fallback at its (honest, slower) price
             lane_clock.sleep_s(self.fallback.service(b) / 1e6)
             self.stats.brownout_batches += 1
-            obs_metrics.counter(
-                "serve_batches", path="brownout").inc()
+            self._metric(
+                obs_metrics.counter, "serve_batches", path="brownout").inc()
             return lane_clock.now_us, self.fallback.backend, "brownout"
 
         if state == "probe":
@@ -377,11 +406,13 @@ class ServeSim:
             # the failed batch reruns on the fallback, late but served
             lane_clock.sleep_s(self.fallback.service(b) / 1e6)
             self.stats.brownout_batches += 1
-            obs_metrics.counter("serve_batches", path="failed_over").inc()
+            self._metric(
+                obs_metrics.counter, "serve_batches", path="failed_over").inc()
             kind = "probe_failed" if state == "probe" else "brownout"
             return lane_clock.now_us, self.fallback.backend, kind
         self.breaker.record_success(lane_clock.now_s())
-        obs_metrics.counter("serve_batches", path="primary").inc()
+        self._metric(
+            obs_metrics.counter, "serve_batches", path="primary").inc()
         return (lane_clock.now_us, cfg.backend,
                 "probe" if state == "probe" else "normal")
 
@@ -389,6 +420,8 @@ class ServeSim:
         lane_id, batch, start_us, served_on, kind = payload  # type: ignore
         lane = self.lanes[lane_id]
         lane.busy = False
+        latency_hist = self._metric(
+            obs_metrics.histogram, "serve_latency_us", backend=served_on)
         recording = obs_trace.recording()
         if recording:
             ctx = self._root_ctx.child()
@@ -405,10 +438,9 @@ class ServeSim:
                 self.stats.slo_met += 1
             else:
                 self.stats.slo_missed += 1
-            obs_metrics.histogram(
-                "serve_latency_us", backend=served_on).observe(latency)
-            obs_metrics.counter(
-                "serve_completed", slo="met" if met else "missed").inc()
+            latency_hist.observe(latency)
+            self._metric(obs_metrics.counter, "serve_completed",
+                         slo="met" if met else "missed").inc()
             if recording:
                 obs_trace.record_span(
                     "serve.request", "serve",

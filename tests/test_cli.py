@@ -313,12 +313,6 @@ def test_metrics_export_stdout_and_file(target, tmp_path, capsys):
     assert "metric families" in capsys.readouterr().out
 
 
-def test_top_iterations(capsys):
-    assert main(["top", "--iterations", "2", "--interval", "0.01",
-                 "--no-clear"]) == 0
-    assert capsys.readouterr().out.count("repro top") == 2
-
-
 def test_profile_sample_flag_and_flamegraph(tmp_path, capsys):
     fg = tmp_path / "fg.svg"
     assert main(["profile", "fig7", "--profile-sample", "1",

@@ -13,16 +13,21 @@ cover :meth:`CostTable.build`.
 """
 
 import json
+import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
+from repro.obs import metrics as obs_metrics
 from repro.resilience.faults import fault_plan
 from repro.serve import (
     ClockError,
     CostTable,
     Request,
     ServeConfig,
+    ServeSim,
     VirtualClock,
     generate_trace,
     load_trace,
@@ -30,6 +35,8 @@ from repro.serve import (
     save_trace,
     summary_digest,
 )
+
+from .serve_oracle import best_batch_reference, feasible_batch_reference
 
 # ---------------------------------------------------------------------------
 # Virtual clock
@@ -152,6 +159,73 @@ def test_cost_table_build_prices_a_real_backend():
     assert t.service(2) > t.service(1)
 
 
+@pytest.mark.parametrize("per_batch, overhead", [
+    ((), 10.0),
+    ((200.0, math.nan), 10.0),
+    ((200.0, math.inf), 10.0),
+    ((200.0, -1.0), 10.0),
+    ((200.0, 250.0), math.nan),
+    ((200.0, 250.0), math.inf),
+    ((200.0, 250.0), -1.0),
+], ids=["empty", "nan", "inf", "negative", "nan-overhead", "inf-overhead",
+        "negative-overhead"])
+def test_cost_table_rejects_bad_values(per_batch, overhead):
+    with pytest.raises(ReproError):
+        make_table(per_batch=per_batch, overhead=overhead)
+
+
+def times_us(hi):
+    """Float times up to ``hi`` us, half of them with arbitrary low bits,
+    so that sums round both ways."""
+    return st.floats(0.0, hi) | st.integers(0, int(hi * 1e6)).map(
+        lambda i: i / 1e6)
+
+
+@st.composite
+def cost_tables(draw):
+    """1-32 entries mixing free service times (so curves that fall as
+    well as rise) with entries at a small integer per-image cost, which
+    tie exactly across batches."""
+    overhead = draw(st.sampled_from([0.0, 0.5, 10.0]))
+    service = []
+    for b in range(1, draw(st.integers(1, 32)) + 1):
+        per_image = draw(st.integers(0, 4))
+        if per_image and per_image * b >= overhead:
+            service.append(per_image * b - overhead)
+        else:
+            service.append(draw(times_us(1e5)))
+    return make_table(per_batch=service, overhead=overhead)
+
+
+@given(cost_tables())
+@settings(max_examples=200, deadline=None)
+def test_best_batch_matches_the_min_over_batches(table):
+    for cap in [None, *range(-1, 41)]:
+        best = best_batch_reference(table, cap)
+        assert table.best_batch(cap) == best, cap
+        assert table.best_per_image(cap) == table.per_image(best), cap
+
+
+@given(cost_tables(), times_us(1e7), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_feasible_batch_matches_the_early_break_loop(table, now, queue_len):
+    sim = ServeSim(make_config(max_batch=1), primary_table=table,
+                   fallback_table=table, trace=[])
+    # a deadline at exactly now + service(b) for every b, and one float
+    # step either side of it
+    for b in range(1, table.max_batch + 1):
+        exact = now + table.service(b)
+        for deadline in (math.nextafter(exact, 0.0), exact,
+                         math.nextafter(exact, math.inf)):
+            sim.queue = deque(Request(rid=i, arrival_us=0.0, slo_us=deadline)
+                              for i in range(queue_len))
+            # a run's cap is its max_batch, which the table must cover
+            for cap in range(-1, table.max_batch + 1):
+                assert sim._feasible_batch(now, table, cap) == (
+                    feasible_batch_reference(
+                        now, table, cap, queue_len, deadline)), (b, cap)
+
+
 # ---------------------------------------------------------------------------
 # The simulator
 # ---------------------------------------------------------------------------
@@ -176,6 +250,18 @@ def make_config(**kw):
 def run(cfg, **kw):
     return run_serve(cfg, primary_table=PRIMARY, fallback_table=FALLBACK,
                      **kw)
+
+
+@pytest.mark.parametrize("role", ["primary", "fallback"])
+def test_table_shorter_than_max_batch_is_rejected(role):
+    tables = {"primary_table": PRIMARY, "fallback_table": FALLBACK}
+    tables[f"{role}_table"] = make_table(per_batch=(200.0, 250.0, 280.0))
+    with pytest.raises(ReproError,
+                       match=rf"{role} .*1\.\.3, but max_batch is 4"):
+        ServeSim(make_config(), **tables)
+    with pytest.raises(ReproError, match=r"1\.\.4, but max_batch is 8"):
+        run_serve(make_config(max_batch=8, qps=50_000.0),
+                  primary_table=PRIMARY, fallback_table=FALLBACK)
 
 
 def test_conservation_invariant_clean_run():
@@ -276,6 +362,55 @@ def test_chaos_replay_is_deterministic_with_faults():
     assert sum(injected.values()) > 0
     assert all(site.startswith("serve.backend.prim")
                for site in injected)
+
+
+def test_registry_agrees_with_the_summary():
+    """A chaos replay on one lane that sheds on deadline (the queue never
+    fills), expires queued requests, browns out and fails batches over:
+    its ``serve_*`` series hold the summary's counts, and no series exists
+    for a label value that never occurred."""
+    from repro.serve.harness import chaos_spec
+
+    cfg = make_config(
+        lanes=1, fault_detect_us=2000.0, queue_cap=128,
+        kill_start_us=0.4 * 2000 / 5000 * 1e6,
+        kill_end_us=0.6 * 2000 / 5000 * 1e6)
+    obs_metrics.reset()
+    try:
+        with fault_plan(chaos_spec(cfg.backend), seed=cfg.seed):
+            s = run(cfg)
+        snap = obs_metrics.snapshot()
+    finally:
+        obs_metrics.reset()
+    c = s["counts"]
+    assert c["shed"]["deadline"] and not c["shed"]["queue_full"]
+    assert c["expired"] and c["brownout_batches"] and c["slo_missed"]
+    counters = {k: v for k, v in snap["counters"].items()
+                if k.startswith("serve_")}
+    # the summary counts brownout and failed-over batches together
+    batches = {k: counters.pop(k) for k in list(counters)
+               if k.startswith("serve_batches")}
+    assert set(batches) == {f"serve_batches{{path={p}}}" for p in
+                            ("primary", "brownout", "failed_over")}
+    assert (batches["serve_batches{path=primary}"]
+            == c["batches"] - c["brownout_batches"])
+    assert sum(batches.values()) == c["batches"]
+    expected = {
+        "serve_completed{slo=met}": c["slo_met"],
+        "serve_completed{slo=missed}": c["slo_missed"],
+        "serve_shed{reason=deadline}": c["shed"]["deadline"],
+        "serve_shed{reason=queue_full}": c["shed"]["queue_full"],
+        "serve_expired": c["expired"],
+    }
+    assert counters == {k: v for k, v in expected.items() if v}
+    histograms = {k: h for k, h in snap["histograms"].items()
+                  if k.startswith("serve_")}
+    assert set(histograms) == {"serve_batch_size",
+                               "serve_latency_us{backend=prim}",
+                               "serve_latency_us{backend=fb}"}
+    sizes = histograms.pop("serve_batch_size")
+    assert (sizes["count"], sizes["sum"]) == (c["batches"], c["completed"])
+    assert sum(h["count"] for h in histograms.values()) == c["completed"]
 
 
 def test_request_dataclass_deadline():
