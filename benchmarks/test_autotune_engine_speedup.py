@@ -2,9 +2,9 @@
 
 Figs. 10 and 11 on ResNet-50 are regenerated twice in one process:
 
-* through :func:`~repro.gpu.autotune.autotune_reference`, the exhaustive
-  serial sweep, with every ``autotune_many`` call routed to it and each
-  distinct sweep memoized in-process (``tests/autotune_oracle.py``);
+* through ``autotune_reference`` in ``tests/autotune_oracle.py``, the
+  exhaustive serial sweep, with every ``autotune_many`` call routed to it
+  and each distinct sweep memoized in-process;
 * through the production engine (pruned, batched, vectorized) on an empty
   persistent cache directory.
 

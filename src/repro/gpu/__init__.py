@@ -12,7 +12,10 @@ Mirrors the ARM package's two-layer structure:
   with the paper's knobs (tiling parameters, access reordering, register
   double buffering, in-place epilogue, quantization fusion) as explicit
   switches, plus cuDNN-dp4a / TensorRT baseline models and the profile-run
-  autotuner.
+  autotuner.  The model's terms price one tiling (``kernel_time``) or a
+  legal population (``kernel_time_batch``) with the same code, and
+  ``validate_tiling`` alone decides legality (the exhaustive sweep the
+  autotuner is checked against is in ``tests/autotune_oracle.py``).
 """
 
 from .device import TU102, GpuDevice
@@ -23,25 +26,28 @@ from .mma import (
     pack_int4,
     unpack_int4,
 )
-from .tiling import TilingParams, default_tiling, search_space, validate_tiling
+from .tiling import (
+    TilingArrays,
+    TilingParams,
+    default_tiling,
+    search_space,
+    validate_tiling,
+)
 from .precompute import PrecomputedOffsets, build_offsets
 from .implicit_gemm import conv2d_implicit_gemm, ConvGpuOutput
 from .memory import coalesced_transactions, lds_instructions, SmemAccessReport
-from .pipelinemodel import GpuKernelPerf, kernel_time, conv_time
-from .vecmodel import (
+from .pipelinemodel import (
     BatchKernelPerf,
-    TilingArrays,
-    kernel_lower_bound_batch,
+    GpuKernelPerf,
+    conv_time,
+    kernel_time,
     kernel_time_batch,
-    validate_mask,
 )
 from .fusion import FusionMode, pipeline_time, fusion_speedups
 from .autotune import (
     autotune,
     autotune_many,
-    autotune_reference,
     AutotuneResult,
-    autotune_options,
     clear_cache,
 )
 from .baselines import cudnn_dp4a_time, tensorrt_time
@@ -55,6 +61,7 @@ __all__ = [
     "pack_int4",
     "unpack_int4",
     "TilingParams",
+    "TilingArrays",
     "default_tiling",
     "search_space",
     "validate_tiling",
@@ -69,18 +76,13 @@ __all__ = [
     "kernel_time",
     "conv_time",
     "BatchKernelPerf",
-    "TilingArrays",
-    "kernel_lower_bound_batch",
     "kernel_time_batch",
-    "validate_mask",
     "FusionMode",
     "pipeline_time",
     "fusion_speedups",
     "autotune",
     "autotune_many",
-    "autotune_reference",
     "AutotuneResult",
-    "autotune_options",
     "clear_cache",
     "cudnn_dp4a_time",
     "tensorrt_time",

@@ -16,11 +16,12 @@ Three layers make the search fast without changing its answer:
   the sweep stops.  The bound never exceeds the achieved time, so the
   winner — including the tie-break on search-space order — is identical
   to the exhaustive sweep's;
-* **vectorized, batched candidate pricing** — the population is priced
-  through :mod:`repro.gpu.vecmodel`'s structure-of-arrays twin of the
-  cost model (bit-identical per element): one batched call for every
-  lower bound, then numpy-sized pricing rounds with the pruning cutoff
-  applied as an array mask.  :func:`autotune_many` runs up to
+* **vectorized, batched candidate pricing** — the legal population is
+  priced as a :class:`~repro.gpu.tiling.TilingArrays` through the same
+  cost-model terms that price one tiling
+  (:mod:`repro.gpu.pipelinemodel`, bit-identical per lane): one batched
+  call for every lower bound, then numpy-sized pricing rounds with the
+  pruning cutoff applied as an array mask.  :func:`autotune_many` runs up to
   ``_PASS_SWEEPS`` sweeps through each of those numpy passes (the GPU
   backend's prewarm hands it a whole network at once); every sweep keeps
   its own cutoff, tallies and cache entries, so a batched sweep returns
@@ -35,10 +36,10 @@ A fourth layer keeps long sweeps alive when individual profile runs
 misbehave (TVM-style candidate isolation — Cowan et al. survive thousands
 of failing template instantiations by skipping them):
 
-* **hardened profile runs** — quarantined candidates, lanes the legality
-  mask rejects and lanes the active fault plan selects at
-  ``autotune.profile`` (a per-lane mask: selection hashes seed, site and
-  key) go through :func:`repro.resilience.policy.call_with_policy`
+* **hardened profile runs** — quarantined candidates and lanes the active
+  fault plan selects at ``autotune.profile`` (a per-lane mask: selection
+  hashes seed, site and key) go through
+  :func:`repro.resilience.policy.call_with_policy`
   instead of the numpy pass: per-attempt timeout
   (``REPRO_TIMEOUT_S``), bounded retry with exponential backoff
   (``REPRO_RETRY`` / ``REPRO_BACKOFF_S``), and the deterministic
@@ -51,15 +52,14 @@ of failing template instantiations by skipping them):
   absorb every (transient) fault, the result — winner, cycle breakdown
   and tallies — equals the fault-free sweep's; the chaos suite asserts it.
 
-``autotune_reference`` keeps the original exhaustive loop as the
-equivalence oracle for tests; nothing in production calls it.  Its
-profile runs wear the same retry armor so a seeded chaos plan cannot
-kill the oracle either.
+The search space holds only tilings :func:`~repro.gpu.tiling.validate_tiling`
+accepts on the device, resident blocks included, so a profile run fails
+only by a fault.  The exhaustive serial sweep is the tests' oracle
+(``tests/autotune_oracle.py``); nothing in production calls it.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,14 +79,15 @@ from ..resilience.policy import (
 )
 from ..types import ConvSpec, GemmShape
 from .device import GpuDevice, TU102
-from .pipelinemodel import GpuKernelPerf, conv_gemm_shape, kernel_time
-from .tiling import TilingParams, search_space, search_space_size
-from .vecmodel import (
+from .pipelinemodel import (
     GemmArrays,
-    TilingArrays,
-    kernel_lower_bound_batch,
+    GpuKernelPerf,
+    conv_gemm_shape,
+    kernel_lower_bound,
+    kernel_time,
     kernel_time_batch,
 )
+from .tiling import TilingArrays, TilingParams, search_space, search_space_size
 
 #: the first pricing round of every sweep: small enough that the incumbent
 #: it establishes (from the best-bound candidates) prunes most of the
@@ -191,7 +192,7 @@ def _tiling_from_json(v: list) -> TilingParams:
 
 
 # ---------------------------------------------------------------------------
-# Caches and options
+# Caches
 # ---------------------------------------------------------------------------
 
 _MEM_CACHE: dict[str, AutotuneResult] = {}
@@ -204,16 +205,22 @@ _QUARANTINE = Quarantine("autotune.profile")
 _FINGERPRINT: str | None = None
 
 
+def _fingerprinted() -> list:
+    """Every module a stored result depends on: the cost model and the
+    search space, what they import (the device, the mma shapes and the
+    GEMM shape), and this module's search."""
+    import sys
+
+    from .. import types
+    from . import device, mma, pipelinemodel, tiling
+
+    return [tiling, pipelinemodel, device, mma, types, sys.modules[__name__]]
+
+
 def _code_version() -> str:
     global _FINGERPRINT
     if _FINGERPRINT is None:
-        from . import device, mma, pipelinemodel, tiling, vecmodel
-
-        import sys
-
-        _FINGERPRINT = code_fingerprint(
-            [tiling, pipelinemodel, vecmodel, device, mma, sys.modules[__name__]]
-        )
+        _FINGERPRINT = code_fingerprint(_fingerprinted())
     return _FINGERPRINT
 
 
@@ -238,37 +245,6 @@ def profile_quarantine() -> Quarantine:
     """Candidates whose profile runs failed permanently this process
     (exposed for chaos tests and the ``repro chaos`` report)."""
     return _QUARANTINE
-
-
-@dataclass(frozen=True)
-class AutotuneOptions:
-    """Session-wide search-engine switches (see :func:`autotune_options`)."""
-
-    prune: bool = True
-    persistent: bool = True
-
-
-_OPTIONS = AutotuneOptions()
-
-
-@contextlib.contextmanager
-def autotune_options(
-    *,
-    prune: bool | None = None,
-    persistent: bool | None = None,
-):
-    """Temporarily override engine defaults (tests); process-wide,
-    so configure it around a run, not from inside concurrent callers."""
-    global _OPTIONS
-    prev = _OPTIONS
-    _OPTIONS = AutotuneOptions(
-        prune=prev.prune if prune is None else prune,
-        persistent=prev.persistent if persistent is None else persistent,
-    )
-    try:
-        yield _OPTIONS
-    finally:
-        _OPTIONS = prev
 
 
 def _legal_candidates(
@@ -369,35 +345,33 @@ def _search(
     space: list[TilingParams],
     arrays: TilingArrays,
     device: GpuDevice,
-    *,
-    prune: bool,
     kernel_kwargs: dict,
 ) -> list[AutotuneResult | AutotuneError]:
     """Best-bound-first sweeps of ``gemms`` (one bit width and kernel
     kwargs) sharing every numpy pass.
 
-    One :func:`~repro.gpu.vecmodel.kernel_lower_bound_batch` call bounds
+    One :func:`~repro.gpu.pipelinemodel.kernel_lower_bound` call bounds
     every (shape, candidate) pair and a stable row-wise argsort orders
     each shape's candidates by ``(bound, index)``.  Each round prices
     every unfinished shape's next slice of that order in one
-    :func:`~repro.gpu.vecmodel.kernel_time_batch` call over per-lane GEMM
-    dimensions, after masking out lanes whose bound exceeds the shape's
-    own incumbent; a shape stops once its next-smallest bound does.  A
-    pruned candidate is then *strictly* slower than the incumbent, so
-    pruning changes neither the winner nor the first-in-search-order
-    tie-break, and with the batched model bit-identical to the scalar one
-    each shape's result, tallies included, equals a sweep of it alone.
+    :func:`~repro.gpu.pipelinemodel.kernel_time_batch` call over per-lane
+    GEMM dimensions, after masking out lanes whose bound exceeds the
+    shape's own incumbent; a shape stops once its next-smallest bound
+    does.  A pruned candidate is then *strictly* slower than the
+    incumbent, so pruning changes neither the winner nor the
+    first-in-search-order tie-break, and with each lane priced as the
+    one-tiling call prices it, each shape's result, tallies included,
+    equals a sweep of it alone.
 
-    Quarantined candidates, lanes the legality mask rejects (a legal
-    tiling can still fail occupancy on an exotic device) and lanes the
-    active fault plan selects at ``autotune.profile`` go through
-    :func:`_guarded_profile`.  A shape with no survivor gets an
-    :class:`AutotuneError` in its slot of the returned list.
+    Quarantined candidates and lanes the active fault plan selects at
+    ``autotune.profile`` go through :func:`_guarded_profile`.  A shape
+    with no survivor gets an :class:`AutotuneError` in its slot of the
+    returned list.
     """
     with obs_trace.span(
         "autotune.search", bits=bits, sweeps=len(gemms), candidates=len(space),
     ):
-        bounds = kernel_lower_bound_batch(
+        bounds = kernel_lower_bound(
             GemmArrays.from_shapes(gemms, np.s_[:, None]), bits, arrays,
             device=device, **kernel_kwargs)
         lanes = [_Lane(g, b, o) for g, b, o in
@@ -433,7 +407,7 @@ def _search(
         while active:
             rounds: list[tuple[_Lane, np.ndarray]] = []
             for lane in active:
-                cut = lane.best_key[0] if prune and lane.best_key else None
+                cut = lane.best_key[0] if lane.best_key else None
                 if lane.pos >= lane.order.size or (
                         cut is not None and lane.bounds[lane.order[lane.pos]] > cut):
                     continue  # sorted bounds: every remaining candidate is slower
@@ -450,17 +424,17 @@ def _search(
             batch = kernel_time_batch(
                 GemmArrays.from_shapes([lane.gemm for lane, _ in rounds], owner),
                 bits, arrays.take(idx), device=device, **kernel_kwargs)
-            priced = batch.legal
+            ok = np.arange(idx.size)
             if chaos:
-                priced = priced & ~np.fromiter(
+                routed = np.fromiter(
                     (plan.selects("autotune.profile", _candidate_key(
                         rounds[o][0].gemm, bits, space[i]))
                      for o, i in zip(owner, idx)),
                     dtype=bool, count=idx.size,
                 )
-            for j in np.flatnonzero(~priced):
-                guarded(rounds[owner[j]][0], int(idx[j]))
-            ok = np.flatnonzero(priced)
+                for j in np.flatnonzero(routed):
+                    guarded(rounds[owner[j]][0], int(idx[j]))
+                ok = ok[~routed]
             totals = batch.total_cycles
             if observe_gaps:
                 lower = np.concatenate([lane.bounds[live] for lane, live in rounds])
@@ -520,54 +494,6 @@ def _count_sweep(result: AutotuneResult, *, engine: str) -> None:
     )
 
 
-def autotune_reference(
-    gemm: GemmShape,
-    bits: int,
-    *,
-    device: GpuDevice = TU102,
-    **kernel_kwargs,
-) -> AutotuneResult:
-    """The original serial exhaustive sweep, kept as the tests' oracle:
-    no pruning, no batching, no caching of any kind, and no production
-    caller.  ``benchmarks/test_autotune_engine_speedup.py`` times the
-    engine against it.  Profile runs wear the same retry/quarantine armor
-    as the engine so a chaos plan degrades the oracle identically instead
-    of killing it."""
-    best: TilingParams | None = None
-    best_perf: GpuKernelPerf | None = None
-    policy = ExecPolicy.resolve()
-    count = 0
-    evaluated = 0
-    skipped = 0
-    with obs_trace.span(
-        "autotune.reference", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}", bits=bits
-    ):
-        for tiling in search_space(bits, device=device):
-            count += 1
-            perf = _guarded_profile(
-                gemm, bits, tiling, device, policy, kernel_kwargs)
-            if perf is None:
-                skipped += 1
-                continue
-            evaluated += 1
-            if best_perf is None or perf.total_cycles < best_perf.total_cycles:
-                best, best_perf = tiling, perf
-    if count == 0:
-        raise _no_legal_tiling_error(gemm, bits, device)
-    if best is None or best_perf is None:
-        raise AutotuneError(
-            f"reference sweep for {gemm} at {bits}-bit on {device.name} "
-            f"produced no survivor: {skipped} of {count} candidates failed "
-            f"permanently (quarantined)"
-        )
-    result = AutotuneResult(
-        gemm=gemm, bits=bits, best=best, best_perf=best_perf,
-        candidates=count, evaluated=evaluated, pruned=0, skipped=skipped,
-    )
-    _count_sweep(result, engine="reference")  # reference span already closed
-    return result
-
-
 def _sweep_digest(
     gemm: GemmShape, bits: int, device: GpuDevice, kernel_kwargs: dict
 ) -> str:
@@ -620,8 +546,6 @@ def autotune_many(
     sweeps: Sequence[tuple[GemmShape, int, dict]],
     *,
     device: GpuDevice = TU102,
-    prune: bool | None = None,
-    persistent: bool | None = None,
 ) -> list[AutotuneResult]:
     """The results of many ``(gemm, bits, kernel_kwargs)`` sweeps, in order.
 
@@ -633,14 +557,11 @@ def autotune_many(
     the others: they are all memoized and stored, as one batch, first,
     then the error of the first failing sweep in ``sweeps`` is raised.
     """
-    opts = _OPTIONS
-    prune = opts.prune if prune is None else prune
-    persistent = opts.persistent if persistent is None else persistent
     digests = [_digest_of(g, b, device, kw) for g, b, kw in sweeps]
     outcome: dict[str, AutotuneResult | AutotuneError | None] = {
         digest: _MEM_CACHE.get(digest) for digest in digests}
     todo = {d: sweep for d, sweep in zip(digests, sweeps) if outcome[d] is None}
-    stored = _STORE.get_many(todo) if persistent else [None] * len(todo)
+    stored = _STORE.get_many(todo)
     groups: dict[tuple[int, str], list[tuple[str, GemmShape, dict]]] = {}
     for (digest, (gemm, bits, kwargs)), data in zip(todo.items(), stored):
         outcome[digest] = _from_store(digest, data, gemm, bits)
@@ -655,8 +576,7 @@ def autotune_many(
             for start in range(0, len(members), _PASS_SWEEPS):
                 part = members[start:start + _PASS_SWEEPS]
                 gemms = [gemm for _, gemm, _ in part]
-                found = (_search(gemms, bits, space, arrays, device,
-                                 prune=prune, kernel_kwargs=kwargs)
+                found = (_search(gemms, bits, space, arrays, device, kwargs)
                          if space else
                          [_no_legal_tiling_error(g, bits, device) for g in gemms])
                 for (digest, _, _), result in zip(part, found):
@@ -665,8 +585,7 @@ def autotune_many(
                         new.append((digest, result))
                     outcome[digest] = result
     finally:
-        if persistent:
-            _STORE.put_many((d, result.to_json()) for d, result in new)
+        _STORE.put_many((d, result.to_json()) for d, result in new)
     for digest in digests:
         if isinstance(outcome[digest], AutotuneError):
             raise outcome[digest]
@@ -678,19 +597,13 @@ def autotune(
     bits: int,
     *,
     device: GpuDevice = TU102,
-    prune: bool | None = None,
-    persistent: bool | None = None,
     **kernel_kwargs,
 ) -> AutotuneResult:
     """Sweep every legal tiling, profile each, return the fastest: the
-    one-sweep call of :func:`autotune_many`.  ``prune``/``persistent``
-    override the engine defaults (see :func:`autotune_options`); other
-    keywords go to :func:`~repro.gpu.pipelinemodel.kernel_time` and into
-    the cache key.
+    one-sweep call of :func:`autotune_many`.  The keywords go to
+    :func:`~repro.gpu.pipelinemodel.kernel_time` and into the cache key.
     """
-    [result] = autotune_many(
-        [(gemm, bits, kernel_kwargs)],
-        device=device, prune=prune, persistent=persistent)
+    [result] = autotune_many([(gemm, bits, kernel_kwargs)], device=device)
     return result
 
 

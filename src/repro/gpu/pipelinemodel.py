@@ -1,4 +1,4 @@
-"""Analytic GPU kernel cost model.
+"""Analytic GPU kernel cost model, for one tiling or a whole population.
 
 Composes the quantities the paper's optimizations manipulate:
 
@@ -13,134 +13,160 @@ Composes the quantities the paper's optimizations manipulate:
 * **overlap** — with the Fig. 6 register double buffer, compute and memory
   pipelines overlap (``max``); without it they serialize (``+``).
 
+Each term is one function written with plain operators and numpy's
+``minimum``/``maximum``, so it takes a
+:class:`~repro.gpu.tiling.TilingParams` with a
+:class:`~repro.types.GemmShape`, or a
+:class:`~repro.gpu.tiling.TilingArrays` population with a ``GemmShape``
+or per-lane :class:`GemmArrays`.  One lane of a population runs the same
+float64 operations, in the same order, as the one-tiling call, and
+IEEE-754 arithmetic is deterministic, so
+``kernel_time_batch(...).perf_at(i) == kernel_time(...)`` bit for bit.
+:func:`kernel_time` validates its tiling and returns Python numbers;
+:func:`kernel_time_batch` prices a legal population (the autotuner's,
+built from :func:`~repro.gpu.tiling.search_space`) in a handful of numpy
+kernels.  Legality is decided once, by
+:func:`~repro.gpu.tiling.validate_tiling`, so no term guards against an
+illegal tiling or a non-positive GEMM dimension.
+
 All times are device cycles; ``GpuKernelPerf.microseconds`` converts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..errors import TilingError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..types import ConvSpec, GemmShape
-from ..util import ceil_div
 from .device import GpuDevice, TU102
-from .tiling import TilingParams, default_tiling, grid_blocks, validate_tiling
-
-
-@dataclass(frozen=True)
-class GpuKernelPerf:
-    """Cycle breakdown of one kernel launch."""
-
-    gemm: GemmShape
-    tiling: TilingParams
-    bits: int
-    compute_cycles: float
-    dram_cycles: float
-    smem_cycles: float
-    launch_cycles: float
-    blocks: int
-    blocks_per_sm: int
-    occupancy: float
-    overlapped: bool
-
-    @property
-    def total_cycles(self) -> float:
-        if self.overlapped:
-            body = max(self.compute_cycles, self.dram_cycles, self.smem_cycles)
-        else:
-            body = self.compute_cycles + self.dram_cycles + 0.5 * self.smem_cycles
-        return body + self.launch_cycles
-
-    def microseconds(self, device: GpuDevice = TU102) -> float:
-        return device.microseconds(self.total_cycles)
-
-    @property
-    def bound(self) -> str:
-        parts = {
-            "compute": self.compute_cycles,
-            "dram": self.dram_cycles,
-            "smem": self.smem_cycles,
-        }
-        return max(parts, key=parts.get)
-
-
-def _blocks_per_sm(tiling: TilingParams, bits: int, device: GpuDevice,
-                   double_buffer: bool) -> int:
-    by_smem = device.smem_per_sm // max(
-        1, tiling.smem_bytes(bits, double_buffer=double_buffer))
-    by_threads = device.max_threads_per_sm // tiling.threads_per_block
-    by_regs = device.regs_per_sm // max(
-        1, tiling.regs_per_thread(bits) * tiling.threads_per_block)
-    return max(0, min(by_smem, by_threads, by_regs, device.max_blocks_per_sm))
-
+from .tiling import TilingArrays, TilingParams, default_tiling, validate_tiling
 
 #: cycles per k_outer iteration: __syncthreads, staging pointer math,
 #: predicated-gather index arithmetic — what makes micro tiles non-free
 _K_ITER_OVERHEAD = 60.0
 
 
-def _compute_cycles(
-    gemm: GemmShape,
-    bits: int,
-    tiling: TilingParams,
-    device: GpuDevice,
-    *,
-    tensor_core: bool,
-    base_efficiency: float,
-    split_k: int,
-    occupancy: float,
-) -> float:
+@dataclass(frozen=True)
+class GemmArrays:
+    """Per-lane GEMM dimensions: int64 ``m``/``k``/``n`` arrays that
+    broadcast against a :class:`~repro.gpu.tiling.TilingArrays`."""
+
+    m: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
+
+    @classmethod
+    def from_shapes(
+        cls, shapes: Sequence[GemmShape], lanes=slice(None)
+    ) -> "GemmArrays":
+        """``shapes`` at numpy index ``lanes``: one row per lane given each
+        lane's shape index, or ``(S, 1)`` columns with ``np.s_[:, None]``."""
+        dims = np.array([(g.m, g.k, g.n) for g in shapes], dtype=np.int64)
+        return cls(*np.moveaxis(dims.reshape(-1, 3)[lanes], -1, 0))
+
+    def at(self, i: int) -> GemmShape:
+        return GemmShape(int(self.m[i]), int(self.k[i]), int(self.n[i]))
+
+
+# ---------------------------------------------------------------------------
+# The terms
+# ---------------------------------------------------------------------------
+
+
+def _ceil_div(a, b):
+    """Ceiling division of ints or int64 arrays, ``a >= 0`` and ``b > 0``."""
+    return -(-a // b)
+
+
+def grid_blocks(gemm, tiling):
+    """Thread blocks launched for a GEMM under a tiling (grid level)."""
+    return _ceil_div(gemm.m, tiling.m_tile) * _ceil_div(gemm.n, tiling.n_tile)
+
+
+def _k_pad_block(gemm, t, split_k: int):
+    """One block's K: padded to whole KTiles, split ``split_k`` ways, and
+    padded to whole KTiles again."""
+    k_pad = _ceil_div(gemm.k, t.k_tile) * t.k_tile
+    return _ceil_div(_ceil_div(k_pad, split_k), t.k_tile) * t.k_tile
+
+
+def _blocks_per_sm(t, bits: int, device: GpuDevice, double_buffer: bool):
+    """Resident blocks per SM: the scarcest of shared memory, threads,
+    registers and block slots (at least 1 for a legal tiling)."""
+    by_smem = device.smem_per_sm // t.smem_bytes(bits, double_buffer=double_buffer)
+    by_threads = device.max_threads_per_sm // t.threads_per_block
+    by_regs = device.regs_per_sm // (t.regs_per_thread(bits) * t.threads_per_block)
+    return np.minimum(np.minimum(by_smem, by_threads),
+                      np.minimum(by_regs, device.max_blocks_per_sm))
+
+
+def _occupancy(t, blocks_per_sm):
+    """Resident warps over the 16 that keep the tensor pipes fed, capped at 1."""
+    return np.minimum(1.0, blocks_per_sm * t.warps_per_block / 16.0)
+
+
+def _compute_cycles(gemm, bits: int, t, device: GpuDevice, *, tensor_core: bool,
+                    base_efficiency: float, split_k: int, occupancy):
     """Tensor-pipe cycles at a given occupancy (shared with the pruning
     bound, which calls it at ``occupancy=1.0`` — the best case, since the
     efficiency derate is monotone in occupancy)."""
-    k_pad = ceil_div(gemm.k, tiling.k_tile) * tiling.k_tile
-    k_pad_block = ceil_div(ceil_div(k_pad, split_k), tiling.k_tile) * tiling.k_tile
-    block_macs = tiling.m_tile * tiling.n_tile * k_pad_block
+    k_pad_block = _k_pad_block(gemm, t, split_k)
+    block_macs = t.m_tile * t.n_tile * k_pad_block
     rate = device.mac_rate(bits, tensor_core=tensor_core)
     eff = base_efficiency * (0.35 + 0.65 * occupancy)
-    k_iters = ceil_div(k_pad_block, tiling.k_tile)
+    k_iters = _ceil_div(k_pad_block, t.k_tile)
     block_cycles = block_macs / (rate * eff) + k_iters * _K_ITER_OVERHEAD
     # an SM's concurrent blocks share its tensor pipes, so throughput-wise
     # blocks serialize per SM; partial waves still pay a full block time
-    blocks = grid_blocks(gemm, tiling) * split_k
-    return ceil_div(blocks, device.sm_count) * block_cycles
+    blocks = grid_blocks(gemm, t) * split_k
+    return _ceil_div(blocks, device.sm_count) * block_cycles
 
 
-def _dram_cycles(
-    gemm: GemmShape,
-    bits: int,
-    tiling: TilingParams,
-    device: GpuDevice,
-    *,
-    coalesced: bool,
-    in_place_epilogue: bool,
-    out_elem_bytes: float,
-    split_k: int,
-) -> float:
+def _dram_cycles(gemm, bits: int, t, device: GpuDevice, *, coalesced: bool,
+                 in_place_epilogue: bool, out_elem_bytes: float, split_k: int):
     """Global-memory cycles; exact for any tiling (no occupancy term)."""
     elem = bits / 8
-    m_blocks = ceil_div(gemm.m, tiling.m_tile)
-    n_blocks = ceil_div(gemm.n, tiling.n_tile)
     a_bytes_once = gemm.m * gemm.k * elem
     b_bytes_once = gemm.k * gemm.n * elem
-    a_rereads = max(0, n_blocks - 1) * a_bytes_once
-    b_rereads = max(0, m_blocks - 1) * b_bytes_once
-    # re-reads hit L2 when the operand fits there (weights usually do)
-    l2_speedup = 3.0
-    a_reread_cost = a_rereads / (l2_speedup if a_bytes_once <= device.l2_bytes else 1.0)
-    b_reread_cost = b_rereads / (l2_speedup if b_bytes_once <= device.l2_bytes else 1.0)
+    a_rereads = (_ceil_div(gemm.n, t.n_tile) - 1) * a_bytes_once
+    b_rereads = (_ceil_div(gemm.m, t.m_tile) - 1) * b_bytes_once
+    # re-reads hit L2 when the operand fits there (weights usually do): the
+    # divisor is exactly 3.0 where it fits, else 1.0 (a bool times 2.0)
+    a_reread_cost = a_rereads / (1.0 + 2.0 * (a_bytes_once <= device.l2_bytes))
+    b_reread_cost = b_rereads / (1.0 + 2.0 * (b_bytes_once <= device.l2_bytes))
     out_bytes = gemm.m * gemm.n * (out_elem_bytes if in_place_epilogue else 4.0)
     if split_k > 1:
         # partial int32 tiles written then re-read by the reduction kernel
-        base_blocks = grid_blocks(gemm, tiling)
-        partial = base_blocks * split_k * tiling.m_tile * tiling.n_tile * 4.0
-        out_bytes += 2.0 * partial
+        partial = grid_blocks(gemm, t) * split_k * t.m_tile * t.n_tile * 4.0
+        out_bytes = out_bytes + 2.0 * partial
     transaction_derate = 1.0 if coalesced else 4.0
     dram_bytes = (a_bytes_once + b_bytes_once + a_reread_cost
                   + b_reread_cost + out_bytes)
     return dram_bytes * transaction_derate / device.dram_bytes_per_cycle
+
+
+def _smem_cycles(gemm, bits: int, t, device: GpuDevice, *, reorder_smem: bool,
+                 split_k: int):
+    """Shared-memory cycles of the staged-fragment reads."""
+    blocks = grid_blocks(gemm, t) * split_k
+    elem = bits / 8
+    # every warp re-reads its A/B fragments from the staged tiles: warps in
+    # the same block row share B columns and warps in the same column share
+    # A rows, so the per-block LDS traffic is (bcw*MTile + brw*NTile)*K
+    frag_bytes_per_block = (
+        t.block_col_warps * t.m_tile + t.block_row_warps * t.n_tile
+    ) * _k_pad_block(gemm, t, split_k) * elem
+    smem_bytes_total = blocks * frag_bytes_per_block
+    # without the Fig. 5 reordering each 16 bytes take four LDS.32 issue
+    # slots instead of one LDS.128 — the path becomes instruction-bound
+    smem_bw = device.smem_bytes_per_cycle if reorder_smem else 24.0
+    active_sms = np.minimum(blocks, device.sm_count)
+    return smem_bytes_total / (smem_bw * active_sms)
 
 
 def _launch_cycles(device: GpuDevice, split_k: int) -> float:
@@ -150,10 +176,22 @@ def _launch_cycles(device: GpuDevice, split_k: int) -> float:
     return launch
 
 
+def _total_cycles(perf):
+    """Body plus launch of a :class:`GpuKernelPerf` or
+    :class:`BatchKernelPerf`: with the double buffer the pipelines
+    overlap (``max``), without it they serialize."""
+    if perf.overlapped:
+        body = np.maximum(np.maximum(perf.compute_cycles, perf.dram_cycles),
+                          perf.smem_cycles)
+    else:
+        body = perf.compute_cycles + perf.dram_cycles + 0.5 * perf.smem_cycles
+    return body + perf.launch_cycles
+
+
 def kernel_lower_bound(
-    gemm: GemmShape,
+    gemm: GemmShape | GemmArrays,
     bits: int,
-    tiling: TilingParams,
+    tiling: TilingParams | TilingArrays,
     *,
     device: GpuDevice = TU102,
     tensor_core: bool = True,
@@ -164,11 +202,13 @@ def kernel_lower_bound(
     out_elem_bytes: float = 1.0,
     base_efficiency: float = 0.55,
     split_k: int = 1,
-) -> float:
-    """An *admissible* lower bound on ``kernel_time(...).total_cycles``.
+):
+    """An *admissible* lower bound on ``kernel_time(...).total_cycles``,
+    a float64 per lane for a population (``(S, C)`` for ``(S, 1)``
+    :class:`GemmArrays` columns against ``C`` tilings).
 
-    Built from the same term helpers as :func:`kernel_time` so the two
-    cannot drift apart:
+    Built from the same terms as :func:`kernel_time` so the two cannot
+    drift apart:
 
     * **compute floor** — the exact compute term evaluated at occupancy
       1.0 (its best case: the efficiency derate is monotone increasing in
@@ -199,11 +239,93 @@ def kernel_lower_bound(
         coalesced=coalesced, in_place_epilogue=in_place_epilogue,
         out_elem_bytes=out_elem_bytes, split_k=split_k,
     )
-    if double_buffer:
-        body = max(compute, dram)
-    else:
-        body = compute + dram
+    body = np.maximum(compute, dram) if double_buffer else compute + dram
     return body + _launch_cycles(device, split_k)
+
+
+def _breakdown(
+    gemm, bits: int, t, device: GpuDevice, tensor_core: bool,
+    double_buffer: bool, reorder_smem: bool, coalesced: bool,
+    in_place_epilogue: bool, out_elem_bytes: float, base_efficiency: float,
+    split_k: int,
+) -> tuple:
+    """Every term, in the field order :class:`GpuKernelPerf` and
+    :class:`BatchKernelPerf` share after their GEMM, tiling and bits."""
+    if split_k < 1:
+        raise TilingError(f"split_k must be >= 1, got {split_k}")
+    bps = _blocks_per_sm(t, bits, device, double_buffer)
+    occupancy = _occupancy(t, bps)
+    compute = _compute_cycles(
+        gemm, bits, t, device,
+        tensor_core=tensor_core, base_efficiency=base_efficiency,
+        split_k=split_k, occupancy=occupancy,
+    )
+    dram = _dram_cycles(
+        gemm, bits, t, device,
+        coalesced=coalesced, in_place_epilogue=in_place_epilogue,
+        out_elem_bytes=out_elem_bytes, split_k=split_k,
+    )
+    smem = _smem_cycles(gemm, bits, t, device,
+                        reorder_smem=reorder_smem, split_k=split_k)
+    return (compute, dram, smem, _launch_cycles(device, split_k),
+            grid_blocks(gemm, t) * split_k, bps, occupancy, double_buffer)
+
+
+# ---------------------------------------------------------------------------
+# One tiling
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GpuKernelPerf:
+    """Cycle breakdown of one kernel launch, in Python numbers."""
+
+    gemm: GemmShape
+    tiling: TilingParams
+    bits: int
+    compute_cycles: float
+    dram_cycles: float
+    smem_cycles: float
+    launch_cycles: float
+    blocks: int
+    blocks_per_sm: int
+    occupancy: float
+    overlapped: bool
+
+    @property
+    def total_cycles(self) -> float:
+        return float(_total_cycles(self))
+
+    def microseconds(self, device: GpuDevice = TU102) -> float:
+        return device.microseconds(self.total_cycles)
+
+    @property
+    def bound(self) -> str:
+        parts = {
+            "compute": self.compute_cycles,
+            "dram": self.dram_cycles,
+            "smem": self.smem_cycles,
+        }
+        return max(parts, key=parts.get)
+
+
+def _perf(gemm: GemmShape, tiling: TilingParams, bits: int, compute, dram,
+          smem, launch, blocks, bps, occupancy, overlapped) -> GpuKernelPerf:
+    """One tiling's terms as a :class:`GpuKernelPerf` of Python numbers
+    (a numpy scalar would change the ``repr`` that result digests hash)."""
+    return GpuKernelPerf(
+        gemm=gemm,
+        tiling=tiling,
+        bits=bits,
+        compute_cycles=float(compute),
+        dram_cycles=float(dram),
+        smem_cycles=float(smem),
+        launch_cycles=float(launch),
+        blocks=int(blocks),
+        blocks_per_sm=int(bps),
+        occupancy=float(occupancy),
+        overlapped=overlapped,
+    )
 
 
 def kernel_time(
@@ -233,71 +355,86 @@ def kernel_time(
     """
     tiling = tiling or default_tiling(bits)
     validate_tiling(tiling, bits, device=device, double_buffer=double_buffer)
-    if split_k < 1:
-        raise TilingError(f"split_k must be >= 1, got {split_k}")
-    elem = bits / 8
-
-    base_blocks = grid_blocks(gemm, tiling)
-    blocks = base_blocks * split_k
-    bps = _blocks_per_sm(tiling, bits, device, double_buffer)
-    if bps == 0:
-        raise TilingError(f"{tiling.describe()}: block does not fit on an SM")
-
-    # ---- compute ----------------------------------------------------------
-    # occupancy derate: tensor pipes need warps in flight to stay fed
-    warps_resident = bps * tiling.warps_per_block
-    occupancy = min(1.0, warps_resident / 16.0)
-    compute = _compute_cycles(
-        gemm, bits, tiling, device,
-        tensor_core=tensor_core, base_efficiency=base_efficiency,
-        split_k=split_k, occupancy=occupancy,
-    )
-
-    # ---- dram -------------------------------------------------------------
-    dram = _dram_cycles(
-        gemm, bits, tiling, device,
-        coalesced=coalesced, in_place_epilogue=in_place_epilogue,
-        out_elem_bytes=out_elem_bytes, split_k=split_k,
-    )
-
-    # ---- shared memory ----------------------------------------------------
-    k_pad = ceil_div(gemm.k, tiling.k_tile) * tiling.k_tile
-    k_pad_block = ceil_div(ceil_div(k_pad, split_k), tiling.k_tile) * tiling.k_tile
-    # every warp re-reads its A/B fragments from the staged tiles: warps in
-    # the same block row share B columns and warps in the same column share
-    # A rows, so the per-block LDS traffic is (bcw*MTile + brw*NTile)*K
-    frag_bytes_per_block = (
-        tiling.block_col_warps * tiling.m_tile
-        + tiling.block_row_warps * tiling.n_tile
-    ) * k_pad_block * elem
-    smem_bytes_total = blocks * frag_bytes_per_block
-    # without the Fig. 5 reordering each 16 bytes take four LDS.32 issue
-    # slots instead of one LDS.128 — the path becomes instruction-bound
-    smem_bw = device.smem_bytes_per_cycle if reorder_smem else 24.0
-    active_sms = min(blocks, device.sm_count)
-    smem = smem_bytes_total / (smem_bw * active_sms)
-
-    launch = _launch_cycles(device, split_k)
+    terms = _breakdown(
+        gemm, bits, tiling, device, tensor_core, double_buffer, reorder_smem,
+        coalesced, in_place_epilogue, out_elem_bytes, base_efficiency, split_k)
     if obs_trace.active():
         # one profile run of the pipeline model; per-call detail is gated
-        # because this is the autotuner's innermost hot function (the
-        # vector path in repro.gpu.vecmodel records batched, ungated)
+        # because single-tiling calls come in the hundreds per figure pass
+        # (a population records batched, ungated)
         obs_metrics.counter(
             "gpu_profile_runs", bits=bits, pricing_mode="scalar"
         ).inc()
-    return GpuKernelPerf(
-        gemm=gemm,
-        tiling=tiling,
-        bits=bits,
-        compute_cycles=compute,
-        dram_cycles=dram,
-        smem_cycles=smem,
-        launch_cycles=launch,
-        blocks=blocks,
-        blocks_per_sm=bps,
-        occupancy=occupancy,
-        overlapped=double_buffer,
-    )
+    return _perf(gemm, tiling, bits, *terms)
+
+
+# ---------------------------------------------------------------------------
+# A population
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BatchKernelPerf:
+    """Cycle breakdowns of a tiling population, one lane per candidate
+    (the arrays of :class:`GpuKernelPerf`; a :class:`GemmArrays` ``gemm``
+    is lane-aligned).  :meth:`perf_at` returns one lane as the
+    :class:`GpuKernelPerf` :func:`kernel_time` gives, equal bit for bit."""
+
+    gemm: GemmShape | GemmArrays
+    bits: int
+    tilings: TilingArrays
+    compute_cycles: np.ndarray
+    dram_cycles: np.ndarray
+    smem_cycles: np.ndarray
+    launch_cycles: float
+    blocks: np.ndarray
+    blocks_per_sm: np.ndarray
+    occupancy: np.ndarray
+    overlapped: bool
+
+    @property
+    def total_cycles(self) -> np.ndarray:
+        return _total_cycles(self)
+
+    def perf_at(self, i: int) -> GpuKernelPerf:
+        gemm = self.gemm
+        return _perf(
+            gemm.at(i) if isinstance(gemm, GemmArrays) else gemm,
+            self.tilings.param_at(i), self.bits,
+            self.compute_cycles[i], self.dram_cycles[i], self.smem_cycles[i],
+            self.launch_cycles, self.blocks[i], self.blocks_per_sm[i],
+            self.occupancy[i], self.overlapped,
+        )
+
+
+def kernel_time_batch(
+    gemm: GemmShape | GemmArrays,
+    bits: int,
+    tilings: TilingArrays,
+    *,
+    device: GpuDevice = TU102,
+    tensor_core: bool = True,
+    double_buffer: bool = True,
+    reorder_smem: bool = True,
+    coalesced: bool = True,
+    in_place_epilogue: bool = True,
+    out_elem_bytes: float = 1.0,
+    base_efficiency: float = 0.55,
+    split_k: int = 1,
+) -> BatchKernelPerf:
+    """Price a tiling population in one shot: :func:`kernel_time`'s
+    keywords and terms, but every tiling must already pass
+    :func:`~repro.gpu.tiling.validate_tiling` on ``device`` (the
+    autotuner's come from :func:`~repro.gpu.tiling.search_space`).  The
+    batched profile-run tick is cheap enough to record unconditionally,
+    which makes ``gpu_profile_runs{pricing_mode=vector}`` reliable."""
+    terms = _breakdown(
+        gemm, bits, tilings, device, tensor_core, double_buffer, reorder_smem,
+        coalesced, in_place_epilogue, out_elem_bytes, base_efficiency, split_k)
+    obs_metrics.counter(
+        "gpu_profile_runs", bits=bits, pricing_mode="vector"
+    ).inc(len(tilings))
+    return BatchKernelPerf(gemm, bits, tilings, *terms)
 
 
 def conv_gemm_shape(spec: ConvSpec) -> GemmShape:

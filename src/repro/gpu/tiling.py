@@ -5,22 +5,71 @@ thread block, splits it into per-warp fragments via ``blockRowWarpNum x
 blockColWarpNum``, and walks K in ``KTile`` chunks (staged through shared
 memory) sub-divided into ``KStep`` register-resident steps — exactly the
 parameter set of Alg. 2.
+
+:class:`TilingParams` is one instantiation and :class:`TilingArrays` a
+population of them as int64 columns; both derive their footprints from
+the same formulas, and :func:`validate_tiling` decides legality for both
+(a population is built from legal tilings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from ..errors import TilingError
-from ..types import GemmShape
-from ..util import ceil_div
 from .device import GpuDevice, TU102
 from .mma import mma_shape
 
+#: TilingParams fields, in dataclass order (the TilingArrays column set)
+_FIELDS = ("m_tile", "n_tile", "k_tile", "k_step",
+           "block_row_warps", "block_col_warps")
+
+
+class _Footprint:
+    """Derived sizes of one tiling or of a population.
+
+    Written with plain operators, so :class:`TilingParams` (ints) and
+    :class:`TilingArrays` (int64 columns) share every formula; only the
+    truncation to a whole count, ``_floor``, is per class (``int()``
+    truncates, which is ``floor`` for these positive sizes).
+    """
+
+    @property
+    def warps_per_block(self):
+        return self.block_row_warps * self.block_col_warps
+
+    @property
+    def threads_per_block(self):
+        return self.warps_per_block * 32
+
+    @property
+    def m_frag(self):
+        """MFrag: C-fragment rows owned by one warp."""
+        return self.m_tile // self.block_row_warps
+
+    @property
+    def n_frag(self):
+        return self.n_tile // self.block_col_warps
+
+    def smem_bytes(self, bits: int, *, double_buffer: bool = True):
+        """A_Tile + B_Tile staging footprint."""
+        elem = bits / 8
+        tiles = (self.m_tile * self.k_tile + self.k_tile * self.n_tile) * elem
+        return self._floor(tiles * (2 if double_buffer else 1))
+
+    def regs_per_thread(self, bits: int):
+        """Accumulator fragments + operand fragments + bookkeeping."""
+        acc = self.m_frag * self.n_frag / 32  # int32 accumulators per thread
+        elem = bits / 8
+        frag = (self.m_frag + self.n_frag) * self.k_step * elem / 32 / 4
+        return self._floor(acc + 2 * frag) + 16  # + addressing/bookkeeping
+
 
 @dataclass(frozen=True)
-class TilingParams:
+class TilingParams(_Footprint):
     """One point of the kernel-template instantiation space."""
 
     m_tile: int
@@ -30,35 +79,7 @@ class TilingParams:
     block_row_warps: int  #: blockRowWarpNum
     block_col_warps: int  #: blockColWarpNum
 
-    @property
-    def warps_per_block(self) -> int:
-        return self.block_row_warps * self.block_col_warps
-
-    @property
-    def threads_per_block(self) -> int:
-        return self.warps_per_block * 32
-
-    @property
-    def m_frag(self) -> int:
-        """MFrag: C-fragment rows owned by one warp."""
-        return self.m_tile // self.block_row_warps
-
-    @property
-    def n_frag(self) -> int:
-        return self.n_tile // self.block_col_warps
-
-    def smem_bytes(self, bits: int, *, double_buffer: bool = True) -> int:
-        """A_Tile + B_Tile staging footprint."""
-        elem = bits / 8
-        tiles = (self.m_tile * self.k_tile + self.k_tile * self.n_tile) * elem
-        return int(tiles * (2 if double_buffer else 1))
-
-    def regs_per_thread(self, bits: int) -> int:
-        """Accumulator fragments + operand fragments + bookkeeping."""
-        acc = self.m_frag * self.n_frag / 32  # int32 accumulators per thread
-        elem = bits / 8
-        frag = (self.m_frag + self.n_frag) * self.k_step * elem / 32 / 4
-        return int(acc + 2 * frag) + 16  # + addressing/bookkeeping
+    _floor = staticmethod(int)
 
     def describe(self) -> str:
         return (
@@ -75,7 +96,9 @@ def validate_tiling(
     double_buffer: bool = True,
 ) -> None:
     """Raise :class:`TilingError` for configurations the template could not
-    instantiate (Sec. 5.1's auto-search only profiles legal candidates)."""
+    instantiate, or whose block cannot be resident on one of ``device``'s
+    SMs (Sec. 5.1's auto-search only profiles legal candidates).  This is
+    the one legality rule: the cost model prices any tiling that passes."""
     mm, nn, kk = mma_shape(bits)
     t = tiling
     if t.m_tile <= 0 or t.n_tile <= 0 or t.k_tile <= 0 or t.k_step <= 0:
@@ -101,6 +124,10 @@ def validate_tiling(
         raise TilingError(f"{t.describe()}: register fragment exceeds 255/thread")
     if t.regs_per_thread(bits) * t.threads_per_block > device.regs_per_sm:
         raise TilingError(f"{t.describe()}: block register file exceeds the SM")
+    if (t.smem_bytes(bits, double_buffer=double_buffer) > device.smem_per_sm
+            or t.threads_per_block > device.max_threads_per_sm
+            or device.max_blocks_per_sm < 1):
+        raise TilingError(f"{t.describe()}: block does not fit on an SM")
 
 
 def default_tiling(bits: int) -> TilingParams:
@@ -151,6 +178,42 @@ def search_space_size(bits: int) -> int:
     return count * 5 * 5 * 7  # x m_tile x n_tile x warp-grid choices
 
 
-def grid_blocks(gemm: GemmShape, tiling: TilingParams) -> int:
-    """Thread blocks launched for a GEMM under a tiling (grid level)."""
-    return ceil_div(gemm.m, tiling.m_tile) * ceil_div(gemm.n, tiling.n_tile)
+@dataclass(frozen=True)
+class TilingArrays(_Footprint):
+    """A tiling population as parallel int64 columns (structure of arrays).
+
+    Built once per (bits, device) search space and cached by the autotuner;
+    ``take`` re-slices it for chunked pricing without touching the original
+    ``TilingParams`` objects.
+    """
+
+    m_tile: np.ndarray
+    n_tile: np.ndarray
+    k_tile: np.ndarray
+    k_step: np.ndarray
+    block_row_warps: np.ndarray
+    block_col_warps: np.ndarray
+
+    @staticmethod
+    def _floor(x: np.ndarray) -> np.ndarray:
+        return np.floor(x).astype(np.int64)
+
+    @classmethod
+    def from_params(cls, tilings: Sequence[TilingParams]) -> "TilingArrays":
+        return cls(**{
+            name: np.array([getattr(t, name) for t in tilings], dtype=np.int64)
+            for name in _FIELDS
+        })
+
+    def __len__(self) -> int:
+        return int(self.m_tile.shape[0])
+
+    def take(self, indices) -> "TilingArrays":
+        """The sub-population at ``indices`` (any numpy fancy index)."""
+        return TilingArrays(**{
+            name: getattr(self, name)[indices] for name in _FIELDS
+        })
+
+    def param_at(self, i: int) -> TilingParams:
+        """The ``i``-th candidate back as a scalar :class:`TilingParams`."""
+        return TilingParams(*(int(getattr(self, name)[i]) for name in _FIELDS))

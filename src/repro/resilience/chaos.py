@@ -106,7 +106,7 @@ def scenario_autotune_invariance() -> ScenarioResult:
 
     clear_cache()
     with _env(REPRO_NO_CACHE="1"), fault_plan(None):
-        base = autotune(_GEMM, _BITS, persistent=False)
+        base = autotune(_GEMM, _BITS)
 
     clear_cache()
     plan = FaultPlan.from_spec(
@@ -114,7 +114,7 @@ def scenario_autotune_invariance() -> ScenarioResult:
     # retries (3) > times (2): every transient fault is absorbed
     with _env(REPRO_NO_CACHE="1", REPRO_RETRY="3", REPRO_BACKOFF_S="0"), \
             fault_plan(plan):
-        chaotic = autotune(_GEMM, _BITS, persistent=False)
+        chaotic = autotune(_GEMM, _BITS)
     clear_cache()
 
     injected = plan.total_injected()

@@ -2,32 +2,33 @@
 
 Pruning is only legal because the lower bound is *admissible* (never above
 the achieved kernel time).  The acceptance test for the engine is the
-sweep below: pruning on vs off must produce the same winner and the same
-``best_cycles`` on every shape, with the tie-break on search-space order
-preserved.
+sweep below: the pruned engine must produce the exhaustive reference
+sweep's winner, cycle breakdown and ``best_cycles`` on every shape, with
+the tie-break on search-space order preserved.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.errors import AutotuneError
+from repro.errors import AutotuneError, TilingError
 from repro.gpu.autotune import (
     AutotuneResult,
     autotune,
     autotune_conv,
-    autotune_options,
-    autotune_reference,
     cache_store,
     clear_cache,
+    profile_quarantine,
 )
 from repro.gpu.device import TU102
 from repro.gpu.pipelinemodel import conv_gemm_shape, kernel_lower_bound, kernel_time
-from repro.gpu.tiling import search_space, search_space_size
+from repro.gpu.tiling import default_tiling, search_space, search_space_size
 from repro.models import get_model_layers
 from repro.perf.cache import CACHE_DIR_ENV
 from repro.resilience.faults import fault_plan
 from repro.types import GemmShape
+
+from .autotune_oracle import autotune_reference
 
 
 @pytest.fixture(autouse=True)
@@ -88,28 +89,25 @@ def test_lower_bound_never_exceeds_kernel_time(bits):
 
 
 @pytest.mark.parametrize("bits", [8, 4])
-def test_pruning_preserves_winner_and_cycles(bits):
+def test_pruning_preserves_winner_and_cycles(bits, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     for gemm in _SHAPES:
         reference = autotune_reference(gemm, bits)
-        with autotune_options(persistent=False):
-            exhaustive = autotune(gemm, bits, prune=False)
-            clear_cache()
-            pruned = autotune(gemm, bits, prune=True)
+        pruned = autotune(gemm, bits)
 
-        assert exhaustive.best == reference.best
         assert pruned.best == reference.best
         assert pruned.best_cycles == reference.best_cycles
-        assert pruned.best_perf == exhaustive.best_perf
+        assert pruned.best_perf == reference.best_perf
 
-        assert exhaustive.pruned == 0
-        assert exhaustive.evaluated == exhaustive.candidates
+        assert reference.pruned == reference.skipped == pruned.skipped == 0
+        assert reference.evaluated == reference.candidates
         assert pruned.evaluated + pruned.pruned == pruned.candidates
-        assert pruned.candidates == exhaustive.candidates == reference.candidates
+        assert pruned.candidates == reference.candidates
 
 
-def test_pruning_actually_prunes():
-    with autotune_options(persistent=False):
-        res = autotune(GemmShape(3136, 576, 64), 4)
+def test_pruning_actually_prunes(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    res = autotune(GemmShape(3136, 576, 64), 4)
     assert res.pruned > 0
     assert res.evaluated < res.candidates
     assert res.candidates > 50  # the sweep still covers the full legal grid
@@ -221,3 +219,32 @@ def test_reference_raises_the_same_diagnostic():
                                   max_smem_per_block=1, max_threads_per_sm=1)
     with pytest.raises(AutotuneError, match="tiny"):
         autotune_reference(GemmShape(8, 16, 8), 8, device=cramped)
+
+
+def test_non_resident_tilings_are_illegal_not_faults(monkeypatch):
+    """On SMs with 16 KiB of shared memory a block that stages more cannot
+    be resident.  ``validate_tiling`` rejects it, so the search space
+    leaves it out and the sweep never profiles it, instead of retrying it
+    like a fault, quarantining it and counting it as skipped."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+    dev = dataclasses.replace(TU102, name="half-smem", smem_per_sm=16 * 1024)
+    full = list(search_space(8))
+    space = list(search_space(8, device=dev))
+    assert space == [t for t in full if t.smem_bytes(8) <= dev.smem_per_sm]
+    assert 0 < len(space) < len(full)
+
+    gemm = GemmShape(3136, 576, 64)
+    with pytest.raises(TilingError, match="does not fit on an SM"):
+        kernel_time(gemm, 8, default_tiling(8), device=dev)
+    # single-buffered, the same tiling stages exactly 16 KiB and fits
+    assert kernel_time(gemm, 8, default_tiling(8), device=dev,
+                       double_buffer=False).blocks_per_sm == 1
+
+    reference = autotune_reference(gemm, 8, device=dev)
+    engine = autotune(gemm, 8, device=dev)
+    assert engine.best == reference.best
+    assert engine.best_perf == reference.best_perf
+    assert engine.candidates == reference.candidates == len(space)
+    assert engine.skipped == reference.skipped == 0
+    assert len(profile_quarantine()) == 0

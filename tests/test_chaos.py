@@ -27,6 +27,8 @@ from repro.resilience.chaos import (
 from repro.resilience.faults import FaultPlan, fault_plan, install_plan
 from repro.types import GemmShape
 
+from .autotune_oracle import autotune_reference
+
 GEMM = GemmShape(m=64, k=288, n=100)
 BITS = 4
 
@@ -51,13 +53,13 @@ def test_autotune_winner_invariant_under_transient_faults(monkeypatch):
     # fault-free baseline on the production engine: lanes the plan selects
     # take the guarded path, but every other lane prices exactly as here
     with fault_plan(None):
-        base = autotune(GEMM, BITS, persistent=False)
+        base = autotune(GEMM, BITS)
     clear_cache()
 
     monkeypatch.setenv("REPRO_RETRY", "3")
     plan = FaultPlan.from_spec("autotune.profile:raise:0.4:2", seed=7)
     with fault_plan(plan):
-        chaotic = autotune(GEMM, BITS, persistent=False)
+        chaotic = autotune(GEMM, BITS)
 
     assert plan.total_injected() >= max(1, chaotic.evaluated // 10)
     assert chaotic.best == base.best
@@ -96,8 +98,6 @@ def test_batched_gpu_prewarm_invariant_under_transient_faults(monkeypatch):
 
 
 def test_reference_sweep_wears_the_same_armor(monkeypatch):
-    from repro.gpu.autotune import autotune_reference
-
     base = autotune_reference(GEMM, BITS)
     monkeypatch.setenv("REPRO_RETRY", "3")
     with fault_plan("autotune.profile:raise:0.4:2", seed=7):
@@ -117,7 +117,7 @@ def test_permanent_failures_quarantine_and_search_continues(monkeypatch):
     # times=0 (unlimited): retries can never absorb these — permanent
     plan = FaultPlan.from_spec("autotune.profile:raise:0.25:0", seed=11)
     with fault_plan(plan):
-        result = autotune(GEMM, BITS, persistent=False, prune=False)
+        result = autotune(GEMM, BITS)
 
     assert result.skipped > 0, "the seeded plan must kill some candidates"
     assert result.evaluated + result.pruned + result.skipped == result.candidates
@@ -133,16 +133,19 @@ def test_quarantined_candidates_skipped_cheaply_on_resweep(monkeypatch):
 
     monkeypatch.setenv("REPRO_RETRY", "0")
     with fault_plan("autotune.profile:raise:0.25:0", seed=11):
-        first = autotune(GEMM, BITS, persistent=False, prune=False)
+        # the exhaustive reference profiles every candidate, so it
+        # quarantines every one the plan kills
+        first = autotune_reference(GEMM, BITS)
+        quarantined = set(profile_quarantine().entries())
+        assert first.skipped == len(quarantined) > 0
         obs_metrics.reset()
-        # drop the memo but keep the quarantine: the resweep must skip the
-        # known-dead candidates without re-profiling (and re-failing) them
-        from repro.gpu.autotune import _MEM_CACHE
-
-        _MEM_CACHE.clear()
-        second = autotune(GEMM, BITS, persistent=False, prune=False)
+        # the engine's resweep must skip exactly the known-dead candidates
+        # without re-profiling (and re-failing) them
+        second = autotune(GEMM, BITS)
     assert second.best == first.best
+    assert second.best_perf == first.best_perf
     assert second.skipped == first.skipped
+    assert set(profile_quarantine().entries()) == quarantined
     snap = obs_metrics.snapshot()["counters"]
     assert snap.get("autotune_skipped{reason=quarantined}", 0) == second.skipped
     assert "autotune_skipped{reason=failed}" not in snap
@@ -152,7 +155,7 @@ def test_all_candidates_dead_raises_not_empty(monkeypatch):
     monkeypatch.setenv("REPRO_RETRY", "0")
     with fault_plan("autotune.profile:raise:1:0"):
         with pytest.raises(AutotuneError, match="no survivor"):
-            autotune(GEMM, BITS, persistent=False)
+            autotune(GEMM, BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ import pytest
 
 from repro.errors import TilingError
 from repro.gpu.device import TU102
+from repro.gpu.pipelinemodel import grid_blocks
 from repro.gpu.tiling import (
     TilingParams,
     default_tiling,
-    grid_blocks,
     search_space,
     validate_tiling,
 )

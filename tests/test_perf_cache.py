@@ -465,3 +465,23 @@ def test_schedule_fingerprint_covers_what_a_schedule_depends_on():
         todo.extend(_imported_modules(importlib.import_module(name)))
     assert {"repro.arm.ratios", "repro.quant.ranges", "repro.arm.loops"} <= needed
     assert needed <= {m.__name__ for m in cost_model._fingerprinted()}
+
+
+def test_autotune_fingerprint_covers_what_a_result_depends_on():
+    """Editing any module the GPU cost model or the search space imports
+    (errors and the obs/perf plumbing aside), or the search itself, must
+    invalidate the stored autotune results."""
+    import importlib
+
+    autotune = importlib.import_module("repro.gpu.autotune")
+    todo = ["repro.gpu.pipelinemodel", "repro.gpu.tiling"]
+    needed = {"repro.gpu.autotune"}
+    while todo:
+        name = todo.pop()
+        if (name in needed or not name.startswith("repro.") or name == "repro.errors"
+                or name.startswith(("repro.obs", "repro.perf"))):
+            continue
+        needed.add(name)
+        todo.extend(_imported_modules(importlib.import_module(name)))
+    assert {"repro.types", "repro.gpu.device", "repro.gpu.mma"} <= needed
+    assert needed <= {m.__name__ for m in autotune._fingerprinted()}

@@ -19,9 +19,7 @@ import pytest
 from repro.gpu.autotune import (
     autotune,
     autotune_many,
-    autotune_reference,
     clear_cache,
-    autotune_options,
     profile_quarantine,
     _candidate_key,
 )
@@ -31,7 +29,7 @@ from repro.resilience.chaos import CANNED_SEED, CANNED_SPEC
 from repro.resilience.faults import FaultPlan, fault_plan
 from repro.types import GemmShape
 
-from .autotune_oracle import route_to_reference
+from .autotune_oracle import autotune_reference, route_to_reference
 
 # the module, not the package's ``autotune`` function of the same name
 autotune_mod = importlib.import_module("repro.gpu.autotune")
@@ -73,10 +71,10 @@ def _vector_runs(bits):
 def test_vector_mode_is_the_default(monkeypatch):
     """A fault-free sweep prices every candidate through the batched
     model; the scalar model (the guarded path's) is never called."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     _forbid_scalar_pricing(monkeypatch)
     before = _vector_runs(8)
-    with autotune_options(persistent=False):
-        res = autotune(GemmShape(3136, 576, 64), 8)
+    res = autotune(GemmShape(3136, 576, 64), 8)
     assert _vector_runs(8) - before >= res.evaluated > 0
 
 
@@ -84,12 +82,12 @@ def test_no_vector_env_forces_scalar(monkeypatch):
     """``REPRO_NO_VECTOR`` is gone: setting it changes neither the
     engine nor the result."""
     gemm = GemmShape(196, 2304, 256)
-    with autotune_options(persistent=False):
-        expected = autotune(gemm, 8)
-        clear_cache()
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        _forbid_scalar_pricing(monkeypatch)
-        res = autotune(gemm, 8)
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    expected = autotune(gemm, 8)
+    clear_cache()
+    monkeypatch.setenv("REPRO_NO_VECTOR", "1")
+    _forbid_scalar_pricing(monkeypatch)
+    res = autotune(gemm, 8)
     assert res == expected
 
 
@@ -99,10 +97,10 @@ def test_fault_plan_on_profile_site_forces_scalar(monkeypatch):
     winner, cycles and tallies equal the fault-free run.  A rule on an
     unrelated site routes nothing there."""
     gemm = GemmShape(3136, 576, 64)
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RETRY", "2")
     monkeypatch.setenv("REPRO_BACKOFF_S", "0")
-    with autotune_options(persistent=False):
-        base = autotune(gemm, 4)
+    base = autotune(gemm, 4)
     routed = []
     guarded = autotune_mod._guarded_profile
 
@@ -115,7 +113,7 @@ def test_fault_plan_on_profile_site_forces_scalar(monkeypatch):
         clear_cache()
         routed.clear()
         plan = FaultPlan.from_spec(spec, seed=3)
-        with fault_plan(plan), autotune_options(persistent=False):
+        with fault_plan(plan):
             res = autotune(gemm, 4)
         assert routed, spec
         assert all(plan.selects("autotune.profile", k) for k in routed)
@@ -123,7 +121,7 @@ def test_fault_plan_on_profile_site_forces_scalar(monkeypatch):
         assert res == base
     clear_cache()
     routed.clear()
-    with fault_plan("cache.put:corrupt"), autotune_options(persistent=False):
+    with fault_plan("cache.put:corrupt"):
         assert autotune(gemm, 4) == base
     assert not routed
 
@@ -138,16 +136,16 @@ def test_vector_engine_matches_scalar_engine(bits, monkeypatch):
     """A rate-1 transient plan routes every priced lane through the
     guarded scalar model; the result, tallies included, must equal the
     numpy-priced sweep, and the winner the reference sweep's."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RETRY", "1")
     monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     for gemm in _GEMMS:
         reference = autotune_reference(gemm, bits)
-        with autotune_options(persistent=False):
-            vector = autotune(gemm, bits)
-            clear_cache()
-            with fault_plan("autotune.profile:raise:1.0:1") as plan:
-                scalar = autotune(gemm, bits)
-            clear_cache()
+        vector = autotune(gemm, bits)
+        clear_cache()
+        with fault_plan("autotune.profile:raise:1.0:1") as plan:
+            scalar = autotune(gemm, bits)
+        clear_cache()
         assert plan.total_injected() == scalar.evaluated
 
         # the winner and its full cycle breakdown are engine-independent
@@ -158,9 +156,9 @@ def test_vector_engine_matches_scalar_engine(bits, monkeypatch):
         assert vector.evaluated + vector.pruned + vector.skipped == vector.candidates
 
 
-def test_vector_engine_prunes_and_accounts():
-    with autotune_options(persistent=False):
-        res = autotune(GemmShape(3136, 576, 64), 4)
+def test_vector_engine_prunes_and_accounts(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    res = autotune(GemmShape(3136, 576, 64), 4)
     assert res.pruned > 0
     assert res.evaluated < res.candidates
     assert res.evaluated + res.pruned + res.skipped == res.candidates
@@ -171,24 +169,29 @@ def test_vector_engine_prunes_and_accounts():
     {"double_buffer": False, "coalesced": False},
     {"split_k": 2, "out_elem_bytes": 4.0},
 ])
-def test_vector_engine_forwards_kernel_kwargs(kwargs):
+def test_vector_engine_forwards_kernel_kwargs(kwargs, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     gemm = GemmShape(196, 2304, 256)
     reference = autotune_reference(gemm, 8, **kwargs)
-    with autotune_options(persistent=False):
-        vector = autotune(gemm, 8, **kwargs)
+    vector = autotune(gemm, 8, **kwargs)
     assert vector.best == reference.best
     assert vector.best_cycles == reference.best_cycles
 
 
-def test_vector_exhaustive_equals_vector_pruned():
+def test_vector_exhaustive_equals_vector_pruned(monkeypatch):
+    """The pruned engine equals the exhaustive reference sweep: winner,
+    cycle breakdown and the candidates both account for."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     gemm = GemmShape(37, 123, 211)
-    with autotune_options(persistent=False):
-        exhaustive = autotune(gemm, 8, prune=False)
-        clear_cache()
-        pruned = autotune(gemm, 8, prune=True)
+    exhaustive = autotune_reference(gemm, 8)
+    pruned = autotune(gemm, 8)
     assert exhaustive.pruned == 0
     assert exhaustive.evaluated == exhaustive.candidates
+    assert pruned.best == exhaustive.best
     assert pruned.best_perf == exhaustive.best_perf
+    assert pruned.candidates == exhaustive.candidates
+    assert pruned.evaluated + pruned.pruned == pruned.candidates
+    assert pruned.skipped == exhaustive.skipped == 0
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +199,16 @@ def test_vector_exhaustive_equals_vector_pruned():
 # ---------------------------------------------------------------------------
 
 
-def test_quarantined_candidate_is_skipped_not_priced():
+def test_quarantined_candidate_is_skipped_not_priced(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     gemm = GemmShape(3136, 576, 64)
     reference = autotune_reference(gemm, 8)
     # quarantine a non-winning candidate; the vector sweep must skip it
     # through the scalar guarded path and still find the same winner
-    with autotune_options(persistent=False):
-        loser = next(t for t in _space_for(8) if t != reference.best)
-        profile_quarantine().add(
-            _candidate_key(gemm, 8, loser), reason="test")
-        res = autotune(gemm, 8)
+    loser = next(t for t in _space_for(8) if t != reference.best)
+    profile_quarantine().add(
+        _candidate_key(gemm, 8, loser), reason="test")
+    res = autotune(gemm, 8)
     assert res.skipped == 1
     assert res.evaluated + res.pruned + res.skipped == res.candidates
     assert res.best == reference.best
@@ -223,11 +226,11 @@ def _space_for(bits):
 # ---------------------------------------------------------------------------
 
 
-def test_vector_profile_runs_counted_in_batch():
+def test_vector_profile_runs_counted_in_batch(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     before = obs_metrics.counter(
         "gpu_profile_runs", bits=8, pricing_mode="vector").value
-    with autotune_options(persistent=False):
-        res = autotune(GemmShape(196, 2304, 256), 8)
+    res = autotune(GemmShape(196, 2304, 256), 8)
     after = obs_metrics.counter(
         "gpu_profile_runs", bits=8, pricing_mode="vector").value
     # every vector-priced candidate ticks the counter, pruned ones do not
@@ -247,10 +250,10 @@ def test_batched_equals_one_shape_equals_reference(plan, bits, monkeypatch):
     calls (best tiling, exact cycles and the evaluated/pruned tallies),
     and the winner of the reference sweep, also under the canned chaos
     plan, whose transient profile faults the retries absorb."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RETRY", "3")
     monkeypatch.setenv("REPRO_BACKOFF_S", "0")
-    with fault_plan(plan, seed=CANNED_SEED) as active, \
-            autotune_options(persistent=False):
+    with fault_plan(plan, seed=CANNED_SEED) as active:
         single = []
         for gemm in _GEMMS:
             clear_cache()
@@ -285,13 +288,12 @@ def test_fig11_series_identical_to_the_reference(monkeypatch):
         base = series(fig11_gpu_autotune("resnet50"))
     assert reference_sweeps.value > before
 
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     clear_cache()
-    with autotune_options(persistent=False):
-        assert series(fig11_gpu_autotune("resnet50")) == base
+    assert series(fig11_gpu_autotune("resnet50")) == base
     monkeypatch.setattr(GpuBackend, "_warm", lambda self, work: None)
     clear_cache()
-    with autotune_options(persistent=False):
-        assert series(fig11_gpu_autotune("resnet50")) == base
+    assert series(fig11_gpu_autotune("resnet50")) == base
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ def test_results_found_before_an_escaping_error_are_stored(monkeypatch):
     monkeypatch.setattr(autotune_mod, "_search", interrupted)
     sweeps = [(_GEMMS[0], 4, {}), (_GEMMS[1], 8, {})]  # one pass per width
     with pytest.raises(KeyboardInterrupt):
-        autotune_many(sweeps, persistent=True)
+        autotune_many(sweeps)
     assert len(passes) == 2
     digest = autotune_mod._digest_of(_GEMMS[0], 4, autotune_mod.TU102, {})
     assert PersistentCache("gpu-autotune").get(digest) is not None
