@@ -28,8 +28,8 @@ Commands
     with one stderr line naming it.
 ``diff A B [--flamegraph out.svg] [--json] [--top N]``
     Differential profiling between two runs: each side is a Chrome trace
-    JSON (``profile --trace``, ``flight --dump``, or the e2e benchmark's
-    ``trace.json``), a collapsed-stack file or a metrics snapshot.
+    JSON (``profile --trace`` or the e2e benchmark's ``trace.json``), a
+    collapsed-stack file or a metrics snapshot.
     Prints ranked span/frame/metric deltas; ``--flamegraph`` writes the
     red/blue differential flamegraph SVG.  An unusable side exits 2
     with one stderr line naming the file.
@@ -49,14 +49,10 @@ Commands
     virtual clock, and print (or ``--out``) the byte-stable summary.
     ``--chaos`` adds the canned transient-fault plan and a scripted
     primary-kill window (the CI gate scenario).
-``flight [--run TARGET] [--dump OUT.json] [--last SECONDS]``
-    Inspect the always-on ring of :mod:`repro.obs.trace` and export the
-    last N seconds as a Chrome trace — after the fact, no capture
-    required up front.
 ``metrics-export [--run TARGET] [--out FILE]``
-    Render the metrics registry in OpenMetrics text exposition (with
-    span-id exemplars on histograms), self-validated by the strict
-    in-repo parser.
+    Render the metrics registry in OpenMetrics text exposition,
+    self-validated by the strict in-repo parser.  It opens no trace
+    capture, so a workload it runs leaves no span-id exemplars.
 """
 
 from __future__ import annotations
@@ -193,58 +189,18 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
 
 
-def _run_workload(target: str, model: str, batch: int) -> int:
-    """Run one profile-style target to populate telemetry; 0 on success."""
-    from .obs.report import MODELS, resolve_target
-
-    try:
-        runner = resolve_target(target, model, batch)
-    except KeyError:
-        print(f"unknown target {target!r}; use fig7..fig17, tab1, or one of "
-              f"{', '.join(MODELS)}", file=sys.stderr)
-        return 2
-    runner()
-    return 0
-
-
-def cmd_flight(args: argparse.Namespace) -> int:
-    from .obs import trace as obs_trace
-
-    if args.run:
-        rc = _run_workload(args.run, args.model, args.batch)
-        if rc:
-            return rc
-    rec = obs_trace.ring()
-    events = rec.events(last_s=args.last)
-    spans = obs_trace.span_events(events)
-    orphans = obs_trace.unresolved_parents(events)
-    window = f" in the last {args.last:g} s" if args.last is not None else ""
-    print(f"flight recorder: "
-          f"{'enabled' if obs_trace.ring_enabled() else 'DISABLED'}"
-          f", capacity {rec.capacity} events"
-          f" ({rec.total_recorded} recorded, {rec.dropped} dropped)")
-    print(f"{len(events)} events{window}: {len(spans)} spans, "
-          f"{len(events) - len(spans)} instants, "
-          f"{len(obs_trace.trace_ids(events))} traces, "
-          f"{len(orphans)} unresolved parents")
-    if args.dump:
-        path = rec.write(args.dump, last_s=args.last,
-                         process_name="repro flight")
-        print(f"wrote flight trace {path}  "
-              f"(open in chrome://tracing or Perfetto)")
-    elif not args.run:
-        print("hint: add --run TARGET to record a workload, "
-              "--dump OUT.json to export")
-    return 0
-
-
 def cmd_metrics_export(args: argparse.Namespace) -> int:
     from .obs import export as obs_export
+    from .obs.report import MODELS, resolve_target
 
     if args.run:
-        rc = _run_workload(args.run, args.model, args.batch)
-        if rc:
-            return rc
+        try:
+            runner = resolve_target(args.run, args.model, args.batch)
+        except KeyError:
+            print(f"unknown target {args.run!r}; use fig7..fig17, tab1, or "
+                  f"one of {', '.join(MODELS)}", file=sys.stderr)
+            return 2
+        runner()
     text = obs_export.render()
     # self-check: the renderer's output must round-trip the strict parser
     families = obs_export.validate(text)
@@ -606,29 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the summary as canonical JSON on stdout")
     sv.set_defaults(fn=cmd_serve)
 
-    fl = sub.add_parser(
-        "flight",
-        help="inspect the always-on flight recorder; --dump exports the "
-             "last N seconds as a Chrome trace")
-    fl.add_argument("--run", default=None, metavar="TARGET",
-                    help="record a workload first: fig7..fig17, tab1, or a "
-                         "model name")
-    fl.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"],
-                    help="model for figure targets that take one")
-    fl.add_argument("--batch", type=int, default=1)
-    fl.add_argument("--dump", default=None, metavar="OUT.json",
-                    help="write the recorded window as a Chrome trace_event "
-                         "file (Perfetto-loadable)")
-    fl.add_argument("--last", type=float, default=None, metavar="SECONDS",
-                    help="restrict to events from the last N seconds "
-                         "(default: the whole ring)")
-    fl.set_defaults(fn=cmd_flight)
-
     me = sub.add_parser(
         "metrics-export",
-        help="render the metrics registry as OpenMetrics text "
-             "(with histogram exemplars)")
+        help="render the metrics registry as OpenMetrics text (no trace "
+             "capture, so no exemplars)")
     me.add_argument("--run", default=None, metavar="TARGET",
                     help="run a workload first: fig7..fig17, tab1, or a "
                          "model name")

@@ -553,9 +553,12 @@ def autotune_many(
     in-process memo, from the disk store, or — for the misses — by
     :func:`_search` passes of up to ``_PASS_SWEEPS`` sweeps that share bit
     width and kernel kwargs.  Every result, tallies included, equals what
-    the one-shape :func:`autotune` returns.  A failing sweep does not stop
-    the others: they are all memoized and stored, as one batch, first,
-    then the error of the first failing sweep in ``sweeps`` is raised.
+    the one-shape :func:`autotune` returns.  A sweep that lost candidates
+    to quarantine (``skipped > 0``) is memoized, like the quarantine,
+    but not stored: a later process without the faults searches again.
+    A failing sweep does not stop the others: they are all memoized and
+    stored, as one batch, first, then the error of the first failing
+    sweep in ``sweeps`` is raised.
     """
     digests = [_digest_of(g, b, device, kw) for g, b, kw in sweeps]
     outcome: dict[str, AutotuneResult | AutotuneError | None] = {
@@ -582,7 +585,8 @@ def autotune_many(
                 for (digest, _, _), result in zip(part, found):
                     if isinstance(result, AutotuneResult):
                         result = _MEM_CACHE.setdefault(digest, result)
-                        new.append((digest, result))
+                        if not result.skipped:
+                            new.append((digest, result))
                     outcome[digest] = result
     finally:
         _STORE.put_many((d, result.to_json()) for d, result in new)

@@ -6,15 +6,12 @@ the reproduction carries its own instrumentation:
 
 * :mod:`repro.obs.trace` — spans (``trace.span("autotune", bits=4)``
   context managers, nestable, thread-safe) and structured markers
-  (``trace.instant``), each carrying ``TraceContext`` ids and recorded
-  into :class:`~repro.obs.trace.Recorder` buffers that export Chrome
-  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto.  The
-  always-on bounded **ring** (``REPRO_FLIGHT=0`` to disable) lets
-  ``python -m repro flight --dump`` export the last N seconds *after*
-  something interesting happened; ``trace.capture()`` (``python -m repro
-  profile``) adds an unbounded recorder for one block.  With no recorder
-  on, ``span()`` returns a shared null context manager and hot paths pay
-  one global read;
+  (``trace.instant``), each carrying ``TraceContext`` ids.  They are
+  recorded only under ``trace.capture()`` (``python -m repro profile``),
+  into a :class:`~repro.obs.trace.Recorder` that exports Chrome
+  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto.  Outside a
+  capture ``span()`` returns a shared null context manager and hot
+  paths pay one global read;
 * :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
   sampler (``profile --profile-sample``) producing collapsed stacks and
   flamegraph SVGs for the time spans don't cover;

@@ -1,8 +1,8 @@
 """Differential profiling: attribute *where* two runs diverge.
 
 ``python -m repro diff A B`` takes two runs — Chrome trace JSONs (from a
-:class:`~repro.obs.trace.Recorder`, ``profile --trace``, ``flight
---dump`` or the ``trace.json`` of ``benchmarks/e2e/run.py --trace 1``),
+:class:`~repro.obs.trace.Recorder`, ``profile --trace`` or the
+``trace.json`` of ``benchmarks/e2e/run.py --trace 1``),
 collapsed-stack samples from :mod:`repro.obs.sampler`, or metrics
 snapshots — and produces a ranked attribution report:
 
@@ -76,7 +76,7 @@ def aggregate_spans(spans: Sequence[dict]) -> dict[str, dict]:
 
     The *name path* is the ``;``-joined chain of span names from the
     trace root (resolved through ``parent_id``; an unresolvable parent —
-    evicted from the ring, or a trace without ids — starts a
+    one outside the recorded window, or a trace without ids — starts a
     fresh root).  Self time is the span's duration minus its children's,
     clamped at zero: clock jitter can make a child nominally outlast its
     parent, and a negative self time would poison every ranking above it.

@@ -165,11 +165,6 @@ class Gauge:
         return self._value
 
 
-#: retained-sample ceiling per histogram; beyond it the sample set is
-#: decimated 2x (keep every other) and only every ``stride``-th observation
-#: is retained — a deterministic uniform subsample, never reservoir noise
-SAMPLE_CAP = 4096
-
 #: fixed log-decade bucket upper bounds for the exposition format — wide
 #: enough for microseconds-to-hours latencies *and* cycle counts in the
 #: trillions; the implicit final bucket is +Inf
@@ -179,12 +174,6 @@ BUCKET_BOUNDS: tuple[float, ...] = tuple(10.0 ** e for e in range(-9, 13))
 class Histogram:
     """Streaming summary (count/sum/min/max) of observed values.
 
-    Besides the running aggregates, a bounded, deterministically decimated
-    sample set is retained so :meth:`percentile` can answer quantile
-    queries — exact until :data:`SAMPLE_CAP` observations, a uniform
-    1-in-``stride`` subsample beyond.  The regression checker leans on
-    this for its noise-aware wall-clock medians.
-
     For the OpenMetrics exposition (:mod:`repro.obs.export`) every
     observation is also counted into fixed log-decade buckets
     (:data:`BUCKET_BOUNDS` plus +Inf), and — while a span context is
@@ -193,7 +182,7 @@ class Histogram:
     the span that produced it.
     """
 
-    __slots__ = ("_lock", "count", "sum", "min", "max", "_samples", "_stride",
+    __slots__ = ("_lock", "count", "sum", "min", "max",
                  "_bucket_counts", "_exemplars")
 
     def __init__(self) -> None:
@@ -202,8 +191,6 @@ class Histogram:
         self.sum = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._samples: list[float] = []
-        self._stride = 1
         self._bucket_counts = [0] * (len(BUCKET_BOUNDS) + 1)
         self._exemplars: dict[int, tuple[float, str, str]] = {}
 
@@ -222,11 +209,6 @@ class Histogram:
             self._bucket_counts[bucket] += 1
             if exemplar is not None:
                 self._exemplars[bucket] = exemplar
-            if (self.count - 1) % self._stride == 0:
-                self._samples.append(value)
-                if len(self._samples) >= SAMPLE_CAP:
-                    self._samples = self._samples[::2]
-                    self._stride *= 2
 
     def bucket_counts(self) -> list[int]:
         """Per-bucket (non-cumulative) counts; bucket ``i`` holds
@@ -243,54 +225,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100) of the observed values.
-
-        Linear interpolation between order statistics of the retained
-        sample set; raises :class:`ValueError` on an empty histogram.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        with self._lock:
-            samples = sorted(self._samples)
-        if not samples:
-            raise ValueError("percentile of an empty histogram")
-        if len(samples) == 1:
-            return samples[0]
-        pos = (q / 100.0) * (len(samples) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(samples) - 1)
-        frac = pos - lo
-        return samples[lo] * (1.0 - frac) + samples[hi] * frac
-
-    @classmethod
-    def merge(cls, histograms: "list[Histogram] | tuple[Histogram, ...]") -> "Histogram":
-        """Combine histograms into a fresh one (sum of the windows).
-
-        Aggregates add exactly; the merged sample set concatenates the
-        inputs' retained samples and re-decimates past :data:`SAMPLE_CAP`.
-        """
-        out = cls()
-        merged: list[float] = []
-        for h in histograms:
-            with h._lock:
-                out.count += h.count
-                out.sum += h.sum
-                if h.min is not None:
-                    out.min = h.min if out.min is None else min(out.min, h.min)
-                if h.max is not None:
-                    out.max = h.max if out.max is None else max(out.max, h.max)
-                merged.extend(h._samples)
-                out._stride = max(out._stride, h._stride)
-                for i, n in enumerate(h._bucket_counts):
-                    out._bucket_counts[i] += n
-                out._exemplars.update(h._exemplars)
-        while len(merged) >= SAMPLE_CAP:
-            merged = merged[::2]
-            out._stride *= 2
-        out._samples = merged
-        return out
 
     def as_dict(self) -> dict:
         return {

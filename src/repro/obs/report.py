@@ -35,8 +35,8 @@ def resolve_target(
 ) -> Callable[[], object]:
     """A zero-argument callable reproducing ``target`` (or raise KeyError).
 
-    Shared by ``profile`` and the telemetry CLI commands (``flight``,
-    ``metrics-export``) that need to run a workload before exporting.
+    Shared by ``profile`` and ``metrics-export``, which runs a workload
+    before exporting.
     """
     if target in MODELS:
         def run_model():
@@ -63,10 +63,6 @@ def resolve_target(
         raise KeyError(target)
     fn = registry[target]
     return lambda: fn(model=model, batch=batch)
-
-
-#: backwards-compatible private alias (pre-telemetry callers)
-_resolve_target = resolve_target
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ def run_profile(
             echo(str(exc))
             return 2
     try:
-        runner = _resolve_target(target, model, batch, backend)
+        runner = resolve_target(target, model, batch, backend)
     except KeyError:
         echo(f"unknown profile target {target!r}; use fig7..fig17, tab1, "
              f"or one of {', '.join(MODELS)}")

@@ -76,12 +76,6 @@ class RooflinePoint:
         return self.achieved_ops / self.roof_ops if self.roof_ops else 0.0
 
     @property
-    def pct_of_peak(self) -> float:
-        """Fraction of the flat compute roof (ignores the memory slope)."""
-        return (self.achieved_ops / self.peak_compute_ops
-                if self.peak_compute_ops else 0.0)
-
-    @property
     def bound(self) -> str:
         """Which roof caps this layer at its intensity."""
         return ("compute"

@@ -1,5 +1,5 @@
-"""Spans, markers and trace contexts, recorded into bounded or unbounded
-:class:`Recorder` buffers and exported as Chrome ``trace_event`` JSON.
+"""Spans, markers and trace contexts, recorded into a :class:`Recorder`
+under :func:`capture` and exported as Chrome ``trace_event`` JSON.
 
 Usage::
 
@@ -12,22 +12,16 @@ Usage::
 
 One event type, one record path, one exporter:
 
-* **Two kinds of recorder, one class.**  The process *ring* is a
-  :class:`Recorder` bounded at :data:`RING_CAPACITY` events.  It is on by
-  default (``REPRO_FLIGHT=0`` turns it off) and answers "what just
-  happened?" after the fact (``python -m repro flight --dump``).
-  :func:`capture` installs an unbounded recorder for a block (``repro
-  profile``, ``--trace``); a nested capture restores the outer one on
-  exit.  Each span or marker is built once and appended to every
-  recorder that is on.
-* **Cheap by default.**  :func:`span` reads one module-level tuple of
-  the recorders that are on; when it is empty it returns a shared null
-  span.  With only the ring on, a span costs one context derivation, two
-  clock reads and one locked append — both regimes are bounded by tests
-  (``tests/test_obs_trace.py``).
-* **Per-item detail is opt-in.**  :func:`active` is true only under
-  :func:`capture`; call sites gate their per-candidate histograms on it,
-  so the always-on ring keeps a coarse, bounded event rate.
+* **Recording happens only under a capture.**  :func:`capture` installs
+  a recorder for one block (``repro profile``, ``--trace``); a nested
+  capture restores the outer one on exit.  Outside a capture nothing is
+  recorded: :func:`span` returns a shared null span and :func:`instant`
+  and :func:`record_span` return at once, so instrumentation stays in
+  hot paths at the cost of one global read (bounded by
+  ``tests/test_obs_trace.py``).
+* **Per-item detail is gated the same way.**  :func:`active` is true
+  only under a capture; call sites gate their per-candidate histograms
+  and hand-built spans on it.
 * **Trace contexts.**  :class:`TraceContext` is the ``(trace_id,
   span_id, parent_id)`` triple carried in a thread-local.  Every span
   derives a child context on entry and restores its parent on exit; a
@@ -49,14 +43,7 @@ import os
 import pathlib
 import threading
 import time
-from collections import deque
 from typing import Any, Iterable, Iterator, NamedTuple
-
-#: environment variable turning the ring off ("0" | "off" | "false" | "no")
-FLIGHT_ENV = "REPRO_FLIGHT"
-#: ring capacity; at the library's coarse span rate this holds minutes
-#: of history in a few MB
-RING_CAPACITY = 65536
 
 # ---------------------------------------------------------------------------
 # Clocks: one monotonic base per process, wall clock only as the epoch
@@ -141,80 +128,46 @@ class Event(NamedTuple):
 
 
 class Recorder:
-    """A thread-safe event buffer: bounded (oldest events evicted first,
-    and counted) when ``capacity`` is given, unbounded otherwise."""
+    """A thread-safe, unbounded event buffer: what one :func:`capture`
+    recorded."""
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"recorder capacity must be >= 1, got {capacity}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._events: deque[Event] = deque(maxlen=capacity)
+        self._events: list[Event] = []
         self._thread_names: dict[int, str] = {}
-        self._total = 0
 
     def record(self, event: Event) -> None:
         with self._lock:
             self._events.append(event)
-            self._total += 1
             if event.tid not in self._thread_names:
                 self._thread_names[event.tid] = threading.current_thread().name
-
-    @property
-    def capacity(self) -> int | None:
-        return self._events.maxlen
-
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded (>= ``len`` once a ring has wrapped)."""
-        with self._lock:
-            return self._total
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted off the back of the ring so far."""
-        with self._lock:
-            return self._total - len(self._events)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
 
-    def events(self, *, last_s: float | None = None) -> list[Event]:
-        """A snapshot, oldest first; ``last_s`` keeps only events that
-        *ended* within the trailing window (``repro flight --last``)."""
+    def events(self) -> list[Event]:
+        """A snapshot, in record order."""
         with self._lock:
-            out = list(self._events)
-        if last_s is not None:
-            cutoff = monotonic_us() - last_s * 1e6
-            out = [e for e in out if e.ts_us + e.dur_us >= cutoff]
-        return out
+            return list(self._events)
 
     def spans(self) -> list[Event]:
         """The recorded spans, markers excluded."""
         return span_events(self.events())
 
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._thread_names.clear()
-            self._total = 0
-
-    def chrome_trace(
-        self, *, last_s: float | None = None, process_name: str = "repro",
-    ) -> dict:
+    def chrome_trace(self, *, process_name: str = "repro") -> dict:
         """The Chrome ``trace_event`` object format (Perfetto-loadable).
 
         Spans become ``"X"`` events and markers thread-scoped ``"i"``
         events; process and thread names ride along as ``"M"`` metadata.
-        ``ts`` is relative to the oldest exported event, whose wall-clock
+        ``ts`` is relative to the oldest event, whose wall-clock
         time is ``otherData.trace_epoch_wall_us``.  Trace ids travel in
         each event's ``args`` — the keys
         :func:`repro.obs.diff.spans_from_chrome` aligns span trees by.
         """
-        events = self.events(last_s=last_s)
         with self._lock:
+            events = list(self._events)
             thread_names = sorted(self._thread_names.items())
-            recorded, kept = self._total, len(self._events)
         pid = os.getpid()
         t0 = min((e.ts_us for e in events), default=0.0)
         out: list[dict] = [{
@@ -245,11 +198,7 @@ class Recorder:
         return {
             "traceEvents": out,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "trace_epoch_wall_us": round(_EPOCH_WALL_US + t0, 3),
-                "events_recorded": recorded,
-                "events_dropped": recorded - kept,
-            },
+            "otherData": {"trace_epoch_wall_us": round(_EPOCH_WALL_US + t0, 3)},
         }
 
     def write(self, path: str | os.PathLike, **kwargs: Any) -> pathlib.Path:
@@ -269,7 +218,7 @@ def _jsonable(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Trace-tree validation (tests, ``repro flight``)
+# Trace-tree validation
 # ---------------------------------------------------------------------------
 
 
@@ -281,9 +230,8 @@ def unresolved_parents(events: Iterable[Event]) -> list[Event]:
     """Events whose ``parent_id`` does not resolve to a recorded span.
 
     Spans are recorded at *exit*, so children precede their parents in
-    buffer order — resolution is order-insensitive.  On an un-wrapped
-    buffer covering a whole operation this returns ``[]``; eviction of
-    old parents from the ring is the one legitimate source of orphans.
+    buffer order — resolution is order-insensitive.  On a capture
+    covering a whole operation this returns ``[]``.
     """
     events = list(events)
     known = {(e.trace_id, e.span_id) for e in span_events(events)}
@@ -298,92 +246,35 @@ def trace_ids(events: Iterable[Event]) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# The switchboard: which recorders are on
+# The capture: the one recorder, on only for a block
 # ---------------------------------------------------------------------------
 
-_RING = Recorder(RING_CAPACITY)
-_RING_ON = os.environ.get(FLIGHT_ENV, "").strip().lower() not in (
-    "0", "off", "false", "no")
+#: the open capture's recorder — the one global the hot path reads
 _CAPTURE: Recorder | None = None
-#: the recorders that are on — the one global the hot path reads
-_SINKS: tuple[Recorder, ...] = ()
 _LOCK = threading.Lock()
 
 
-def _refresh() -> None:
-    """Rebuild :data:`_SINKS` from the switches (caller holds _LOCK)."""
-    global _SINKS
-    _SINKS = ((_RING,) if _RING_ON else ()) + (
-        (_CAPTURE,) if _CAPTURE is not None else ())
-
-
-_refresh()
-
-
-def ring() -> Recorder:
-    """The process ring (bounded; on unless ``REPRO_FLIGHT=0``)."""
-    return _RING
-
-
-def ring_enabled() -> bool:
-    return _RING_ON
-
-
-def recording() -> bool:
-    """True while any recorder is on — the gate for call sites that build
-    their events by hand (the serving simulator's virtual-time spans)."""
-    return bool(_SINKS)
-
-
 def active() -> bool:
-    """True only under :func:`capture`: the gate for per-item detail
-    (bound-gap histograms, per-stream stalls) that must never flood the
-    always-on ring."""
+    """True only under :func:`capture`: the gate for call sites that
+    build events or per-item detail (bound-gap histograms, per-stream
+    stalls, the serving simulator's virtual-time spans) by hand."""
     return _CAPTURE is not None
 
 
 @contextlib.contextmanager
 def capture() -> Iterator[Recorder]:
-    """Record into a fresh unbounded recorder for the block, restoring
-    the previous capture (if any) on exit.  The recorder keeps its
-    events afterwards, ready for :meth:`Recorder.write`."""
+    """Record into a fresh recorder for the block, restoring the
+    previous capture (if any) on exit.  The recorder keeps its events
+    afterwards, ready for :meth:`Recorder.write`."""
     global _CAPTURE
     rec = Recorder()
     with _LOCK:
         prev, _CAPTURE = _CAPTURE, rec
-        _refresh()
     try:
         yield rec
     finally:
         with _LOCK:
             _CAPTURE = prev
-            _refresh()
-
-
-@contextlib.contextmanager
-def _ring_switched(on: bool) -> Iterator[Recorder]:
-    global _RING_ON
-    with _LOCK:
-        prev, _RING_ON = _RING_ON, on
-        _refresh()
-    try:
-        yield _RING
-    finally:
-        with _LOCK:
-            _RING_ON = prev
-            _refresh()
-
-
-def suspended() -> contextlib.AbstractContextManager[Recorder]:
-    """Turn the ring off for the block (tests, overhead baselines)."""
-    return _ring_switched(False)
-
-
-def fresh_ring() -> contextlib.AbstractContextManager[Recorder]:
-    """Clear the ring and turn it on for the block; yields the ring
-    (test helper)."""
-    _RING.clear()
-    return _ring_switched(True)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +284,12 @@ def fresh_ring() -> contextlib.AbstractContextManager[Recorder]:
 
 class _Span:
     """Live span: derives a trace context on entry, records one event to
-    the recorders that were on when it was opened."""
+    the capture that was open when it was opened."""
 
-    __slots__ = ("_sinks", "_name", "_cat", "_args", "_start", "_ctx", "_prev")
+    __slots__ = ("_rec", "_name", "_cat", "_args", "_start", "_ctx", "_prev")
 
-    def __init__(self, sinks: tuple[Recorder, ...], name: str, cat: str,
-                 args: dict) -> None:
-        self._sinks = sinks
+    def __init__(self, rec: Recorder, name: str, cat: str, args: dict) -> None:
+        self._rec = rec
         self._name = name
         self._cat = cat
         self._args = args
@@ -414,39 +304,36 @@ class _Span:
         end = monotonic_us()
         _TLS.ctx = self._prev
         ctx = self._ctx
-        event = Event("span", self._name, self._cat, self._start,
-                      max(0.0, end - self._start), threading.get_ident(),
-                      ctx.trace_id, ctx.span_id, ctx.parent_id, self._args)
-        for rec in self._sinks:
-            rec.record(event)
+        self._rec.record(Event(
+            "span", self._name, self._cat, self._start,
+            max(0.0, end - self._start), threading.get_ident(),
+            ctx.trace_id, ctx.span_id, ctx.parent_id, self._args))
 
 
-#: the shared no-op span returned while no recorder is on
+#: the shared no-op span returned outside a capture
 _NULL_SPAN = contextlib.nullcontext()
 
 
 def span(name: str, *, cat: str = "repro", **args: Any):
-    """A span recorded by every recorder that is on, or a shared no-op
-    when none is."""
-    sinks = _SINKS
-    if not sinks:
+    """A span recorded by the open capture, or a shared no-op outside
+    one."""
+    rec = _CAPTURE
+    if rec is None:
         return _NULL_SPAN
-    return _Span(sinks, name, cat, args)
+    return _Span(rec, name, cat, args)
 
 
 def instant(name: str, *, cat: str = "repro", **args: Any) -> None:
     """A zero-duration marker under the current context (fault
-    injections, breaker transitions, autotune sweeps); no-op while no
-    recorder is on."""
-    sinks = _SINKS
-    if not sinks:
+    injections, breaker transitions, autotune sweeps); no-op outside a
+    capture."""
+    rec = _CAPTURE
+    if rec is None:
         return
     ctx = derive(current_context())
-    event = Event("instant", name, cat, monotonic_us(), 0.0,
-                  threading.get_ident(), ctx.trace_id, ctx.span_id,
-                  ctx.parent_id, args)
-    for rec in sinks:
-        rec.record(event)
+    rec.record(Event("instant", name, cat, monotonic_us(), 0.0,
+                     threading.get_ident(), ctx.trace_id, ctx.span_id,
+                     ctx.parent_id, args))
 
 
 def record_span(
@@ -454,12 +341,10 @@ def record_span(
     ctx: TraceContext, *, tid: int | None = None,
 ) -> None:
     """Record one span built by hand (explicit times, context and track);
-    no-op while no recorder is on."""
-    sinks = _SINKS
-    if not sinks:
+    no-op outside a capture."""
+    rec = _CAPTURE
+    if rec is None:
         return
-    event = Event("span", name, cat, start_us, max(0.0, end_us - start_us),
-                  tid if tid is not None else threading.get_ident(),
-                  ctx.trace_id, ctx.span_id, ctx.parent_id, args)
-    for rec in sinks:
-        rec.record(event)
+    rec.record(Event("span", name, cat, start_us, max(0.0, end_us - start_us),
+                     tid if tid is not None else threading.get_ident(),
+                     ctx.trace_id, ctx.span_id, ctx.parent_id, args))

@@ -422,7 +422,7 @@ class ServeSim:
         lane.busy = False
         latency_hist = self._metric(
             obs_metrics.histogram, "serve_latency_us", backend=served_on)
-        recording = obs_trace.recording()
+        recording = obs_trace.active()
         if recording:
             ctx = self._root_ctx.child()
             obs_trace.record_span(
@@ -470,7 +470,7 @@ class ServeSim:
         while self.queue:
             req = self.queue.popleft()
             self.stats.expired += 1
-        if obs_trace.recording():
+        if obs_trace.active():
             # the root span every batch span parents to — recorded last
             # (its end is the run's end) so a recorder holds no orphans
             obs_trace.record_span(

@@ -264,37 +264,15 @@ def test_bad_command():
         main(["not-a-command"])
 
 
-@pytest.mark.parametrize("target", ["fig7", "fig10"])
-def test_flight_dump(target, tmp_path, capsys, monkeypatch):
-    import json
-
-    from repro.gpu.autotune import clear_cache
-    from repro.obs import trace
-    from repro.perf.cache import CACHE_DIR_ENV
-
-    # an empty cache and ring: fig10's sweeps run and leave their markers
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
-    clear_cache()
-    out = tmp_path / "flight.json"
-    with trace.fresh_ring():
-        assert main(["flight", "--run", target, "--dump", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "flight recorder: enabled" in text
-    assert "0 unresolved parents" in text
-    doc = json.loads(out.read_text())
-    assert doc["displayTimeUnit"] == "ms"
-    events = doc["traceEvents"]
-    spans = [e for e in events if e["ph"] == "X"]
-    assert spans and all(e["args"]["trace_id"] for e in spans)
-    if target == "fig10":
-        sweeps = [e for e in events if e["name"] == "autotune.sweep"]
-        assert sweeps and all(e["ph"] == "i" for e in sweeps)
-        span_ids = {e["args"]["span_id"] for e in spans}
-        assert all(e["args"]["parent_id"] in span_ids for e in sweeps)
+def test_flight_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flight"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'flight'" in capsys.readouterr().err
 
 
-def test_flight_unknown_target(capsys):
-    assert main(["flight", "--run", "fig99"]) == 2
+def test_metrics_export_unknown_target(capsys):
+    assert main(["metrics-export", "--run", "fig99"]) == 2
     assert "fig99" in capsys.readouterr().err
 
 

@@ -7,7 +7,6 @@ terminator equal to ``_count``, and exemplars ride on bucket samples and
 resolve to recorded spans.
 """
 
-import contextlib
 import math
 
 import pytest
@@ -79,18 +78,9 @@ def test_label_values_with_specials_survive_the_round_trip():
     assert sample.labels == {"path": 'a"b\\c', "note": "x,y{z}=w"}
 
 
-@contextlib.contextmanager
-def _capture_with_ring_off():
-    with trace.suspended(), trace.capture() as rec:
-        yield rec
-
-
-@pytest.mark.parametrize(
-    "recording", [trace.fresh_ring, _capture_with_ring_off],
-    ids=["ring-on", "ring-off-capture-on"])
-def test_exemplars_attach_to_buckets_and_resolve(recording):
-    """Exemplars follow the span context, whichever recorder is on."""
-    with recording() as rec:
+def test_exemplars_attach_to_buckets_and_resolve():
+    """Exemplars follow the span context of a capture."""
+    with trace.capture() as rec:
         with trace.span("probe", cat="test"):
             metrics.histogram("probe_seconds").observe(0.003)
     text = export.render()
@@ -100,14 +90,15 @@ def test_exemplars_attach_to_buckets_and_resolve(recording):
                   if s.exemplar is not None)
     ex = bucket.exemplar
     assert ex["value"] == pytest.approx(0.003)
-    # the exemplar names the probe span the recorder holds
+    # the exemplar names the probe span the capture holds
     probe = next(e for e in rec.spans() if e.name == "probe")
     assert (ex["labels"]["trace_id"], ex["labels"]["span_id"]) == (
         probe.trace_id, probe.span_id)
 
 
 def test_no_exemplars_without_flight_or_context():
-    with trace.suspended():
+    """Outside a capture no span context exists, so no exemplar."""
+    with trace.span("probe", cat="test"):
         metrics.histogram("quiet_seconds").observe(0.5)
     fams = export.validate(export.render())
     assert export.exemplar_count(fams) == 0

@@ -1,10 +1,10 @@
-"""The always-on ring: trace contexts, the bounded recorder, telemetry.
+"""Trace contexts, the capture's recorder and telemetry.
 
-The contract under test: contexts derive parent-linked children; the
-ring is bounded, thread-safe and exports a Perfetto-loadable Chrome
-trace; every recorded span tree resolves — no orphan parents — and a
-real instrumented run (the ARM prewarm) exports OpenMetrics histograms
-with span-id exemplars.
+The contract under test: contexts derive parent-linked children; a
+capture's recorder is thread-safe and exports a Perfetto-loadable
+Chrome trace; every recorded span tree resolves — no orphan parents —
+and a real instrumented run (the ARM prewarm) exports OpenMetrics
+histograms with span-id exemplars.
 """
 
 import json
@@ -60,45 +60,20 @@ def test_ids_are_unique_across_threads():
 
 
 # ---------------------------------------------------------------------------
-# The ring buffer
+# The recorder
 # ---------------------------------------------------------------------------
 
 
-def _mk_event(name="e", kind="span", ts=0.0, dur=1.0, ctx=None):
+def _mk_event(name="e", ctx=None):
     ctx = ctx or trace.new_trace()
     return trace.Event(
-        kind=kind, name=name, cat="test", ts_us=ts, dur_us=dur,
+        kind="span", name=name, cat="test", ts_us=0.0, dur_us=1.0,
         tid=threading.get_ident(), trace_id=ctx.trace_id,
         span_id=ctx.span_id, parent_id=ctx.parent_id, args={})
 
 
-def test_ring_bounds_and_drop_accounting():
-    rec = trace.Recorder(capacity=4)
-    for i in range(10):
-        rec.record(_mk_event(name=f"e{i}"))
-    assert len(rec) == 4
-    assert rec.total_recorded == 10
-    assert rec.dropped == 6
-    assert [e.name for e in rec.events()] == ["e6", "e7", "e8", "e9"]
-
-
-def test_ring_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        trace.Recorder(capacity=0)
-
-
-def test_events_last_s_window():
-    rec = trace.Recorder(capacity=16)
-    now = trace.monotonic_us()
-    rec.record(_mk_event(name="old", ts=now - 60e6, dur=1.0))
-    rec.record(_mk_event(name="new", ts=now - 0.01e6, dur=1.0))
-    names = [e.name for e in rec.events(last_s=1.0)]
-    assert names == ["new"]
-    assert len(rec.events()) == 2  # the full ring is untouched
-
-
 def test_concurrent_records_are_not_lost():
-    rec = trace.Recorder(capacity=10_000)
+    rec = trace.Recorder()
 
     def worker():
         for _ in range(500):
@@ -109,37 +84,17 @@ def test_concurrent_records_are_not_lost():
         t.start()
     for t in threads:
         t.join()
-    assert rec.total_recorded == 2000
-    assert len(rec) == 2000
+    assert len(rec) == len(rec.events()) == 2000
 
 
-# ---------------------------------------------------------------------------
-# Enablement and capture
-# ---------------------------------------------------------------------------
-
-
-def test_enabled_by_default_and_suspended_restores():
-    assert trace.ring_enabled() and trace.recording()
-    with trace.suspended():
-        assert not trace.ring_enabled() and not trace.recording()
-        trace.instant("ignored")  # must not raise, must not record
-    assert trace.ring_enabled()
-
-
-def test_capture_clears_ring_and_restores_state():
-    with trace.fresh_ring() as rec:
-        assert rec is trace.ring() and trace.ring_enabled()
-        assert len(rec) == 0
-        trace.instant("inside")
-        assert len(rec) == 1
-    assert trace.ring_enabled()  # default state restored
-
-
-def test_record_span_noop_while_disabled():
-    with trace.fresh_ring() as rec:
-        with trace.suspended():
-            trace.record_span("s", "test", {}, 0.0, 1.0, trace.new_trace())
-        assert len(rec) == 0
+def test_record_span_noop_while_disabled(monkeypatch):
+    """Outside a capture a hand-built span reaches no recorder."""
+    calls = []
+    monkeypatch.setattr(trace.Recorder, "record",
+                        lambda self, event: calls.append(event))
+    assert not trace.active()
+    trace.record_span("s", "test", {}, 0.0, 1.0, trace.new_trace())
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +103,7 @@ def test_record_span_noop_while_disabled():
 
 
 def test_nested_spans_form_a_resolvable_tree():
-    with trace.fresh_ring() as rec:
+    with trace.capture() as rec:
         with trace.span("root", cat="test"):
             with trace.span("child", cat="test"):
                 pass
@@ -170,7 +125,7 @@ def test_nested_spans_form_a_resolvable_tree():
 
 
 def test_instants_attach_to_the_active_span():
-    with trace.fresh_ring() as rec:
+    with trace.capture() as rec:
         with trace.span("op", cat="test"):
             trace.instant("marker", cat="test", k=1)
     events = rec.events()
@@ -185,7 +140,7 @@ def test_instants_attach_to_the_active_span():
 def test_unresolved_parents_flags_evicted_parent():
     ctx = trace.new_trace()
     orphan = ctx.child()
-    rec = trace.Recorder(capacity=4)
+    rec = trace.Recorder()
     rec.record(_mk_event(name="child", ctx=orphan))
     assert [e.name for e in trace.unresolved_parents(rec.events())] == [
         "child"]
@@ -197,10 +152,10 @@ def test_unresolved_parents_flags_evicted_parent():
 
 
 def test_arm_prewarm_telemetry(tmp_path, monkeypatch):
-    """A serial ARM prewarm on an empty schedule cache, under the ring,
-    a capture and the stack sampler: one parent-linked trace, a loadable
-    dump, stack samples, and histograms with exemplars.  The capture is
-    needed: the scheduler records its histograms only under one."""
+    """A serial ARM prewarm on an empty schedule cache, under a capture
+    and the stack sampler: one parent-linked trace, a loadable dump,
+    stack samples, and histograms with exemplars (the scheduler records
+    its histograms only under a capture)."""
     from repro.arm.cost_model import clear_schedule_cache
     from repro.backends import get_backend
     from repro.models import get_model_layers
@@ -213,7 +168,7 @@ def test_arm_prewarm_telemetry(tmp_path, monkeypatch):
             for spec in get_model_layers("resnet50")[:6]
             for bits in (2, 4, 8)]
     try:
-        with trace.fresh_ring() as rec, trace.capture(), \
+        with trace.capture() as rec, \
                 sampler.sampling(interval_s=0.002) as s:
             get_backend("arm").prewarm(work)
         events = rec.events()
@@ -224,7 +179,7 @@ def test_arm_prewarm_telemetry(tmp_path, monkeypatch):
         assert trace.trace_ids(prewarms + schedules) == {prewarms[0].trace_id}
         assert trace.unresolved_parents(events) == []
 
-        doc = json.loads(rec.write(tmp_path / "flight.json").read_text())
+        doc = json.loads(rec.write(tmp_path / "trace.json").read_text())
         assert doc["otherData"]["trace_epoch_wall_us"] > 0
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
         assert s.sample_count > 0
@@ -243,7 +198,7 @@ def test_arm_prewarm_telemetry(tmp_path, monkeypatch):
 
 
 def test_chrome_trace_schema_and_write(tmp_path):
-    with trace.fresh_ring() as rec:
+    with trace.capture() as rec:
         with trace.span("outer", cat="test", bits=4, obj=object()):
             trace.instant("ping", cat="test")
     doc = rec.chrome_trace(process_name="unit-test")
@@ -262,7 +217,7 @@ def test_chrome_trace_schema_and_write(tmp_path):
     assert inst["s"] == "t"
     assert inst["args"]["parent_id"] == span_ev["args"]["span_id"]
 
-    out = rec.write(tmp_path / "deep" / "flight.json")
+    out = rec.write(tmp_path / "deep" / "trace.json")
     assert out.is_file()
     assert json.loads(out.read_text())["traceEvents"]
 
@@ -270,7 +225,7 @@ def test_chrome_trace_schema_and_write(tmp_path):
 def test_fault_injection_emits_instant():
     from repro.resilience import faults
 
-    with trace.fresh_ring() as rec:
+    with trace.capture() as rec:
         with faults.fault_plan("unit.site:raise:1.0:1", seed=7):
             with pytest.raises(faults.InjectedFault):
                 faults.inject("unit.site", key="k0")

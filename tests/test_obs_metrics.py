@@ -103,75 +103,6 @@ def test_histogram_summary_stats():
     assert reg.histogram("gap", bits=8).as_dict()["count"] == 0
 
 
-def test_histogram_percentile_empty_raises():
-    h = MetricsRegistry().histogram("h")
-    with pytest.raises(ValueError):
-        h.percentile(50.0)
-
-
-def test_histogram_percentile_out_of_range_raises():
-    h = MetricsRegistry().histogram("h")
-    h.observe(1.0)
-    for q in (-0.1, 100.1):
-        with pytest.raises(ValueError):
-            h.percentile(q)
-
-
-def test_histogram_percentile_single_sample():
-    h = MetricsRegistry().histogram("h")
-    h.observe(7.5)
-    assert h.percentile(0.0) == h.percentile(50.0) == h.percentile(100.0) == 7.5
-
-
-def test_histogram_percentile_multi_sample():
-    h = MetricsRegistry().histogram("h")
-    for v in (4.0, 1.0, 3.0, 2.0):  # order must not matter
-        h.observe(v)
-    assert h.percentile(0.0) == 1.0
-    assert h.percentile(100.0) == 4.0
-    assert h.percentile(50.0) == pytest.approx(2.5)  # linear interpolation
-    assert h.percentile(25.0) == pytest.approx(1.75)
-
-
-def test_histogram_percentile_under_decimation():
-    """Past SAMPLE_CAP the retained samples are a deterministic stride
-    subsample — quantiles stay close to the true distribution."""
-    from repro.obs.metrics import SAMPLE_CAP
-
-    h = MetricsRegistry().histogram("h")
-    n = SAMPLE_CAP * 4
-    for i in range(n):
-        h.observe(float(i))
-    assert h.count == n
-    assert h.percentile(50.0) == pytest.approx((n - 1) / 2, rel=0.01)
-    assert h.percentile(90.0) == pytest.approx(0.9 * (n - 1), rel=0.01)
-
-
-def test_histogram_merge():
-    from repro.obs.metrics import Histogram
-
-    a, b = Histogram(), Histogram()
-    for v in (1.0, 2.0):
-        a.observe(v)
-    b.observe(10.0)
-    m = Histogram.merge([a, b])
-    assert m.count == 3
-    assert m.as_dict() == {"count": 3, "sum": 13.0, "min": 1.0, "max": 10.0,
-                           "mean": 13.0 / 3}
-    assert m.percentile(100.0) == 10.0
-    # merging is non-destructive
-    assert a.count == 2 and b.count == 1
-
-
-def test_histogram_merge_empty_inputs():
-    from repro.obs.metrics import Histogram
-
-    m = Histogram.merge([])
-    assert m.count == 0
-    m2 = Histogram.merge([Histogram(), Histogram()])
-    assert m2.count == 0
-
-
 def test_snapshot_layout_and_sorting():
     reg = MetricsRegistry()
     reg.counter("b_counter").inc(2)

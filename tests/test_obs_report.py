@@ -68,6 +68,12 @@ def test_profile_fig10_records_acceptance_series(tmp_path, monkeypatch,
     markers = [e for e in events if e["ph"] == "i"]
     assert len(markers) == counters["autotune_sweeps{engine=pruned}"] > 0
     assert {e["name"] for e in markers} == {"autotune.sweep"}
+    # every span carries its trace id, and each sweep marker hangs off a
+    # recorded span
+    spans = [e for e in events if e["ph"] == "X"]
+    assert all(e["args"]["trace_id"] for e in spans)
+    span_ids = {e["args"]["span_id"] for e in spans}
+    assert all(e["args"]["parent_id"] in span_ids for e in markers)
 
 
 def test_profile_tab1_without_outputs(capsys):
@@ -94,7 +100,7 @@ def test_failing_target_leaks_no_obs_state(monkeypatch):
             raise RuntimeError("mid-figure failure")
         return runner
 
-    monkeypatch.setattr(obs_report, "_resolve_target", boom)
+    monkeypatch.setattr(obs_report, "resolve_target", boom)
     with pytest.raises(RuntimeError, match="mid-figure failure"):
         obs_report.run_profile("fig13", echo=lambda s: None)
     assert not trace.active()

@@ -1,54 +1,66 @@
-"""Span recording: off-by-default captures, nesting, threads, Chrome export.
+"""Span recording: capture-only, nesting, threads, Chrome export.
 
-The contract under test: with no recorder on every instrumented path is
-a no-op (and cheap enough to leave compiled in); under ``capture()``
-spans nest, record their thread, and export as a Perfetto-loadable Chrome
-``trace_event`` JSON object; everything the ring receives — markers and
-the serving simulator's spans included — reaches a capture too.
+The contract under test: outside ``capture()`` nothing is recorded and
+every instrumented path is a no-op (cheap enough to leave compiled in);
+under ``capture()`` spans nest, record their thread, and export as a
+Perfetto-loadable Chrome ``trace_event`` JSON object, and the markers
+and the serving simulator's hand-built spans reach it too.
 """
 
 import json
 import threading
 import time
 
+import pytest
+
 from repro.obs import trace
 
 
 def test_disabled_by_default():
     assert trace.active() is False
-    with trace.suspended():
-        # with the ring also off, the null span is shared and
-        # stateless — the true zero-cost path
-        assert not trace.recording()
-        s1 = trace.span("anything", bits=4)
-        s2 = trace.span("else")
-        assert s1 is s2
-        with s1:
-            pass  # records nowhere, raises nothing
-        trace.instant("marker")  # also a no-op
+    # the null span is shared and stateless — the zero-cost path
+    s1 = trace.span("anything", bits=4)
+    s2 = trace.span("else")
+    assert s1 is s2
+    with s1:
+        pass  # records nowhere, raises nothing
+    trace.instant("marker")  # also a no-op
 
 
-def test_spans_land_in_flight_ring_without_a_tracer():
-    """No capture, ring on (the default): spans still land in the ring,
-    carrying trace-context ids."""
-    assert trace.active() is False
-    with trace.fresh_ring() as rec:
-        with trace.span("orphanless", cat="test", k=1):
-            pass
-    spans = rec.spans()
-    assert [s.name for s in spans] == ["orphanless"]
-    assert spans[0].trace_id and spans[0].span_id
-    assert trace.unresolved_parents(rec.events()) == []
-
-
-def test_instrumented_paths_add_no_spans_when_disabled():
-    from repro.runtime.executor import estimate_graph_cycles
+def _small_graph():
     from repro.runtime.graph import conv_pipeline
     from repro.types import ConvSpec
 
     spec = ConvSpec("t", in_channels=8, out_channels=8, height=8, width=8,
                     kernel=(3, 3), padding=(1, 1))
-    graph = conv_pipeline(spec, 4)
+    return conv_pipeline(spec, 4)
+
+
+def test_default_process_records_nothing(monkeypatch):
+    """With no capture open, a chaos serve replay, a graph estimate and
+    an injected fault reach no recorder at all."""
+    from repro.resilience import faults
+    from repro.runtime.executor import estimate_graph_cycles
+    from repro.serve import ServeConfig, run_harness
+
+    calls = []
+    monkeypatch.setattr(trace.Recorder, "record",
+                        lambda self, event: calls.append(event.name))
+    assert not trace.active()
+    run_harness(ServeConfig(qps=2000, requests=1000, seed=7), chaos=True)
+    assert calls == [], f"serve replay recorded {len(calls)} events"
+    estimate_graph_cycles(_small_graph(), "ref")
+    assert calls == [], f"graph estimate recorded {calls}"
+    with faults.fault_plan("unit.site:raise:1.0:1", seed=7):
+        with pytest.raises(faults.InjectedFault):
+            faults.inject("unit.site", key="k0")
+    assert calls == [], f"fault injection recorded {calls}"
+
+
+def test_instrumented_paths_add_no_spans_when_disabled():
+    from repro.runtime.executor import estimate_graph_cycles
+
+    graph = _small_graph()
     assert not trace.active()
     report = estimate_graph_cycles(graph, "ref")
     assert report.total_cycles > 0
@@ -217,38 +229,26 @@ def _best_per_call_s(batches: int = 10, calls: int = 2_000) -> float:
 
 
 def test_disabled_span_overhead_is_negligible():
-    """Instrumentation compiled into hot paths must be near-free without
-    a capture — and the default is the ring ON, so this measures the
-    always-on ring-append path, not a pure no-op.  Bound the per-call
-    cost very loosely (CI machines vary wildly) — the point is catching
-    an accidental heavyweight allocation or lock convoy, which costs
-    100x this bound."""
+    """Instrumentation compiled into hot paths must be near-free outside
+    a capture, where every span is the shared null span.  Bound the
+    per-call cost very loosely (CI machines vary wildly) — the point is
+    catching an accidental heavyweight allocation or lock convoy, which
+    costs 100x this bound."""
     assert not trace.active()
-    assert trace.ring_enabled()  # measuring the realistic default path
     per_call = _best_per_call_s()
-    assert per_call < 20e-6, f"ring-only span costs {per_call * 1e6:.2f} us"
-
-
-def test_fully_disabled_span_overhead_is_negligible():
-    """With the ring suspended too, the shared null span is returned and
-    the per-call cost is one global read."""
-    assert not trace.active()
-    with trace.suspended():
-        per_call = _best_per_call_s()
     assert per_call < 20e-6, f"disabled span costs {per_call * 1e6:.2f} us"
 
 
 def test_markers_and_serve_spans_reach_a_capture():
-    """With the ring off, a capture still receives serve's hand-built
-    virtual-time spans and the fault and breaker markers, as one
-    resolvable tree; recording does not change the served result."""
+    """A capture receives serve's hand-built virtual-time spans and the
+    fault and breaker markers, as one resolvable tree; recording does
+    not change the served result."""
     from repro.serve import ServeConfig, run_harness, summary_digest
 
     cfg = ServeConfig(qps=2000, requests=1000, seed=7)
-    with trace.suspended():
-        quiet = run_harness(cfg, chaos=True)
-        with trace.capture() as rec:
-            recorded = run_harness(cfg, chaos=True)
+    quiet = run_harness(cfg, chaos=True)
+    with trace.capture() as rec:
+        recorded = run_harness(cfg, chaos=True)
     assert summary_digest(recorded) == summary_digest(quiet)
 
     events = rec.events()

@@ -215,6 +215,25 @@ def test_quarantined_candidate_is_skipped_not_priced(monkeypatch):
     assert res.best_cycles == reference.best_cycles
 
 
+def test_degraded_sweep_is_not_persisted(monkeypatch):
+    """A sweep that permanent profile faults degraded stays memoized in
+    this process, like the quarantine, but never reaches the store: with
+    the memo, the quarantine and the store index dropped, a fault-free
+    rerun on the same cache directory searches again."""
+    gemm = GemmShape(3136, 576, 64)
+    monkeypatch.setenv("REPRO_RETRY", "0")
+    with fault_plan("autotune.profile:raise:0.25:0", seed=11):
+        degraded = autotune(gemm, 8)
+    assert degraded.skipped > 0
+    assert autotune(gemm, 8) is degraded
+    clear_cache()
+    clean = autotune(gemm, 8)
+    reference = autotune_reference(gemm, 8)
+    assert clean.skipped == reference.skipped == 0
+    assert clean.best == reference.best
+    assert clean.best_perf == reference.best_perf
+
+
 def _space_for(bits):
     from repro.gpu.tiling import search_space
 
