@@ -19,7 +19,8 @@ Commands
 ``profile <target> [--trace out.json] [--metrics out.json]``
     Run one figure (or a whole model) under a :mod:`repro.obs.trace`
     capture and the metrics registry; print a text summary and
-    optionally write a Chrome/Perfetto trace and a metrics snapshot.
+    optionally write a Chrome/Perfetto trace and the metrics snapshot
+    (the registry's one view, which ``diff`` reads).
 ``report [--html out.html] [--backend arm,gpu]``
     Roofline analytics over a model: per-layer arithmetic intensity and
     %-of-roof per backend, the Fig. 1 CAL/LD ratio and the Sec. 3.3
@@ -49,10 +50,6 @@ Commands
     virtual clock, and print (or ``--out``) the byte-stable summary.
     ``--chaos`` adds the canned transient-fault plan and a scripted
     primary-kill window (the CI gate scenario).
-``metrics-export [--run TARGET] [--out FILE]``
-    Render the metrics registry in OpenMetrics text exposition,
-    self-validated by the strict in-repo parser.  It opens no trace
-    capture, so a workload it runs leaves no span-id exemplars.
 """
 
 from __future__ import annotations
@@ -187,34 +184,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         flamegraph_path=args.flamegraph,
         stacks_path=args.stacks,
     )
-
-
-def cmd_metrics_export(args: argparse.Namespace) -> int:
-    from .obs import export as obs_export
-    from .obs.report import MODELS, resolve_target
-
-    if args.run:
-        try:
-            runner = resolve_target(args.run, args.model, args.batch)
-        except KeyError:
-            print(f"unknown target {args.run!r}; use fig7..fig17, tab1, or "
-                  f"one of {', '.join(MODELS)}", file=sys.stderr)
-            return 2
-        runner()
-    text = obs_export.render()
-    # self-check: the renderer's output must round-trip the strict parser
-    families = obs_export.validate(text)
-    if args.out:
-        import pathlib
-
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}: {len(families)} metric families, "
-              f"{obs_export.exemplar_count(families)} exemplars")
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -561,21 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--json", action="store_true",
                     help="print the summary as canonical JSON on stdout")
     sv.set_defaults(fn=cmd_serve)
-
-    me = sub.add_parser(
-        "metrics-export",
-        help="render the metrics registry as OpenMetrics text (no trace "
-             "capture, so no exemplars)")
-    me.add_argument("--run", default=None, metavar="TARGET",
-                    help="run a workload first: fig7..fig17, tab1, or a "
-                         "model name")
-    me.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"],
-                    help="model for figure targets that take one")
-    me.add_argument("--batch", type=int, default=1)
-    me.add_argument("--out", default=None, metavar="FILE",
-                    help="write the exposition here instead of stdout")
-    me.set_defaults(fn=cmd_metrics_export)
     return p
 
 

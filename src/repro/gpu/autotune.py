@@ -436,7 +436,9 @@ def _search(
                     guarded(rounds[owner[j]][0], int(idx[j]))
                 ok = ok[~routed]
             totals = batch.total_cycles
-            if observe_gaps:
+            # no series for a round whose every lane went to the guard:
+            # an empty histogram snapshots with min and max None
+            if observe_gaps and ok.size:
                 lower = np.concatenate([lane.bounds[live] for lane, live in rounds])
                 hist = obs_metrics.histogram("autotune_bound_gap_cycles", bits=bits)
                 for gap in (totals - lower)[ok]:

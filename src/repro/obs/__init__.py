@@ -15,14 +15,13 @@ the reproduction carries its own instrumentation:
 * :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
   sampler (``profile --profile-sample``) producing collapsed stacks and
   flamegraph SVGs for the time spans don't cover;
-* :mod:`repro.obs.export` — OpenMetrics/Prometheus text exposition of
-  the metrics registry with span-id exemplars (``python -m repro
-  metrics-export``), validated by a strict in-repo parser;
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled counters,
-  gauges and histograms.  Coarse, always-on events (cache hits/misses,
-  autotune candidates evaluated/pruned, per-layer cycle gauges) cost one
-  dict update each; per-candidate detail (bound gaps, schedule stalls) is
-  gated on :func:`trace.active` so the disabled path stays free;
+  gauges and histograms, read through one view: the JSON snapshot
+  ``profile --metrics`` writes.  Coarse, always-on events (cache
+  hits/misses, autotune candidates evaluated/pruned, per-layer cycle
+  gauges) cost one dict update each; per-candidate detail (bound gaps,
+  schedule stalls) is gated on :func:`trace.active` so the disabled path
+  stays free;
 * :mod:`repro.obs.log` — an env-gated structured logger
   (``REPRO_LOG=debug|info|warning``) that turns the library's silent
   degradation paths (corrupt cache entries, stale persisted results,
@@ -55,7 +54,7 @@ JSON files.
 
 from __future__ import annotations
 
-from . import export, log, metrics, sampler, trace
+from . import log, metrics, sampler, trace
 from .trace import Recorder, active, capture, span
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "metrics",
     "log",
     "sampler",
-    "export",
     "Recorder",
     "active",
     "capture",

@@ -12,9 +12,8 @@ snapshots — and produces a ranked attribution report:
   processes in an e2e trace), so ``autotune.search`` under one figure's
   span never aliases the same span under another; each aligned node
   reports count and self/total time on both sides;
-* **counter / gauge / histogram deltas** — histogram deltas include
-  per-bucket shifts when both sides expose
-  :meth:`~repro.obs.metrics.Histogram.bucket_counts`;
+* **counter / gauge / histogram deltas** — histograms compare by
+  count, sum and mean, the aggregates a snapshot carries;
 * **a red/blue differential flamegraph** — two collapsed-stack sets
   merged into one icicle layout, sample counts normalized to the second
   run's total, each frame colored by its share shift (red grew, blue
@@ -33,7 +32,6 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from . import metrics as obs_metrics
 from . import sampler as obs_sampler
 
 #: bump when the diff-report JSON layout changes
@@ -204,8 +202,7 @@ class MetricDelta:
 
 @dataclass(frozen=True)
 class HistogramDelta:
-    """Count/sum/mean shift of one histogram series, plus per-bucket
-    deltas when both sides expose bucket counts."""
+    """Count/sum/mean shift of one histogram series."""
 
     key: str
     count_a: int
@@ -214,52 +211,24 @@ class HistogramDelta:
     sum_b: float
     mean_a: float
     mean_b: float
-    #: ``(bucket_index, count_b - count_a)`` for buckets that moved;
-    #: indices follow :data:`repro.obs.metrics.BUCKET_BOUNDS` (+Inf last)
-    bucket_deltas: tuple[tuple[int, int], ...] | None = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "key": self.key,
             "count_a": self.count_a, "count_b": self.count_b,
             "sum_a": _round6(self.sum_a), "sum_b": _round6(self.sum_b),
             "mean_a": _round6(self.mean_a), "mean_b": _round6(self.mean_b),
             "d_mean": _round6(self.mean_b - self.mean_a),
         }
-        if self.bucket_deltas is not None:
-            out["bucket_deltas"] = [list(bd) for bd in self.bucket_deltas]
-        return out
 
 
-def histogram_delta(
-    key: str,
-    a: "obs_metrics.Histogram | dict",
-    b: "obs_metrics.Histogram | dict",
-) -> HistogramDelta:
-    """Delta of two histograms — live :class:`~repro.obs.metrics.Histogram`
-    objects (bucket deltas via :meth:`~repro.obs.metrics.Histogram.bucket_counts`)
-    or snapshot dicts (aggregates only)."""
-
-    def stats(h):
-        if isinstance(h, obs_metrics.Histogram):
-            return h.count, h.sum, h.mean, h.bucket_counts()
-        return (int(h.get("count", 0)), float(h.get("sum", 0.0)),
-                float(h.get("mean", 0.0)), h.get("buckets"))
-
-    count_a, sum_a, mean_a, buckets_a = stats(a)
-    count_b, sum_b, mean_b, buckets_b = stats(b)
-    bucket_deltas = None
-    if buckets_a is not None and buckets_b is not None:
-        n = max(len(buckets_a), len(buckets_b))
-        pad_a = list(buckets_a) + [0] * (n - len(buckets_a))
-        pad_b = list(buckets_b) + [0] * (n - len(buckets_b))
-        bucket_deltas = tuple(
-            (i, pad_b[i] - pad_a[i]) for i in range(n)
-            if pad_b[i] != pad_a[i])
+def histogram_delta(key: str, a: dict, b: dict) -> HistogramDelta:
+    """Delta of two snapshot histograms (``Histogram.as_dict`` form)."""
     return HistogramDelta(
-        key=key, count_a=count_a, count_b=count_b,
-        sum_a=sum_a, sum_b=sum_b, mean_a=mean_a, mean_b=mean_b,
-        bucket_deltas=bucket_deltas,
+        key=key,
+        count_a=int(a.get("count", 0)), count_b=int(b.get("count", 0)),
+        sum_a=float(a.get("sum", 0.0)), sum_b=float(b.get("sum", 0.0)),
+        mean_a=float(a.get("mean", 0.0)), mean_b=float(b.get("mean", 0.0)),
     )
 
 
@@ -523,12 +492,6 @@ class DiffReport:
     stacks_a: dict[str, int] | None = None
     stacks_b: dict[str, int] | None = None
 
-    @property
-    def empty(self) -> bool:
-        """True when no section found anything to attribute."""
-        return not (self.spans or self.counters or self.gauges
-                    or self.histograms or self.frames)
-
     def as_dict(self, *, top: int | None = None) -> dict:
         """Plain-JSON view; ``top`` caps every ranked section (the cap is
         recorded so a truncated report never masquerades as complete)."""
@@ -603,6 +566,4 @@ def diff_sides(a: Side, b: Side) -> DiffReport:
     if a.stacks is not None and b.stacks is not None:
         report.frames = diff_frames(a.stacks, b.stacks)
         report.stacks_a, report.stacks_b = a.stacks, b.stacks
-    obs_metrics.counter("diff_reports",
-                        outcome="empty" if report.empty else "ranked").inc()
     return report

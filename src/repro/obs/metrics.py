@@ -1,8 +1,9 @@
 """Process-wide metrics registry: labeled counters, gauges, histograms.
 
-The registry is deliberately tiny — no exposition server, no time series,
-just monotonically updated values snapshotted into plain JSON by the
-``profile`` and ``metrics-export`` surfaces::
+The registry is deliberately tiny — no exposition format, no time
+series, just monotonically updated values snapshotted into plain JSON by
+``profile --metrics``, the one view of it (``repro diff`` reads that
+file)::
 
     from repro.obs import metrics
 
@@ -21,12 +22,9 @@ Per-item detail in genuinely hot loops is gated on
 
 from __future__ import annotations
 
-import bisect
 import re
 import threading
 from typing import Any
-
-from .trace import current_context
 
 #: bump when the snapshot layout changes
 SCHEMA_VERSION = 1
@@ -54,18 +52,6 @@ def escape_label_value(value: Any) -> str:
     return text
 
 
-def unescape_label_value(value: str) -> str:
-    """Exact inverse of :func:`escape_label_value`."""
-    out: list[str] = []
-    it = iter(value)
-    for ch in it:
-        if ch == "\\":
-            out.append(next(it, "\\"))
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def metric_key(name: str, labels: dict[str, Any]) -> str:
     """Canonical ``name{k=v,...}`` series key (labels sorted by name).
 
@@ -83,48 +69,6 @@ def metric_key(name: str, labels: dict[str, Any]) -> str:
     inner = ",".join(
         f"{k}={escape_label_value(labels[k])}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-def _split_unescaped(text: str, sep: str) -> list[str]:
-    """Split on ``sep`` occurrences not preceded by a backslash escape."""
-    parts: list[str] = []
-    buf: list[str] = []
-    escaped = False
-    for ch in text:
-        if escaped:
-            buf.append(ch)
-            escaped = False
-        elif ch == "\\":
-            buf.append(ch)
-            escaped = True
-        elif ch == sep:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return parts
-
-
-def parse_metric_key(key: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`metric_key`: ``"n{a=1,b=2}"`` → ``("n", {...})``.
-
-    The exposition and display layers use this instead of naive string
-    splitting, so escaped label values survive the round trip.
-    """
-    if not key.endswith("}"):
-        if "{" in key:
-            raise ValueError(f"malformed series key: {key!r}")
-        return key, {}
-    brace = key.index("{")
-    name, body = key[:brace], key[brace + 1:-1]
-    labels: dict[str, str] = {}
-    for pair in _split_unescaped(body, ","):
-        k, eq, v = pair.partition("=")
-        if not eq or not _LABEL_NAME_RE.match(k):
-            raise ValueError(f"malformed label pair {pair!r} in {key!r}")
-        labels[k] = unescape_label_value(v)
-    return name, labels
 
 
 class Counter:
@@ -165,25 +109,10 @@ class Gauge:
         return self._value
 
 
-#: fixed log-decade bucket upper bounds for the exposition format — wide
-#: enough for microseconds-to-hours latencies *and* cycle counts in the
-#: trillions; the implicit final bucket is +Inf
-BUCKET_BOUNDS: tuple[float, ...] = tuple(10.0 ** e for e in range(-9, 13))
-
-
 class Histogram:
-    """Streaming summary (count/sum/min/max) of observed values.
+    """Streaming summary (count/sum/min/max/mean) of observed values."""
 
-    For the OpenMetrics exposition (:mod:`repro.obs.export`) every
-    observation is also counted into fixed log-decade buckets
-    (:data:`BUCKET_BOUNDS` plus +Inf), and — while a span context is
-    active — the latest observation per bucket is kept as an *exemplar*
-    ``(value, trace_id, span_id)``, so a slow bucket links straight to
-    the span that produced it.
-    """
-
-    __slots__ = ("_lock", "count", "sum", "min", "max",
-                 "_bucket_counts", "_exemplars")
+    __slots__ = ("_lock", "count", "sum", "min", "max")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -191,14 +120,9 @@ class Histogram:
         self.sum = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._bucket_counts = [0] * (len(BUCKET_BOUNDS) + 1)
-        self._exemplars: dict[int, tuple[float, str, str]] = {}
 
     def observe(self, value: float) -> None:
         value = float(value)
-        bucket = bisect.bisect_left(BUCKET_BOUNDS, value)
-        ctx = current_context()
-        exemplar = None if ctx is None else (value, ctx.trace_id, ctx.span_id)
         with self._lock:
             self.count += 1
             self.sum += value
@@ -206,21 +130,6 @@ class Histogram:
                 self.min = value
             if self.max is None or value > self.max:
                 self.max = value
-            self._bucket_counts[bucket] += 1
-            if exemplar is not None:
-                self._exemplars[bucket] = exemplar
-
-    def bucket_counts(self) -> list[int]:
-        """Per-bucket (non-cumulative) counts; bucket ``i`` holds
-        observations in ``(BUCKET_BOUNDS[i-1], BUCKET_BOUNDS[i]]``, the
-        last entry everything above the top bound (+Inf)."""
-        with self._lock:
-            return list(self._bucket_counts)
-
-    def exemplars(self) -> dict[int, tuple[float, str, str]]:
-        """Latest ``(value, trace_id, span_id)`` per bucket index."""
-        with self._lock:
-            return dict(self._exemplars)
 
     @property
     def mean(self) -> float:
@@ -261,17 +170,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get(self._histograms, Histogram, name, labels)
-
-    def series(self) -> tuple[dict[str, Counter], dict[str, Gauge], dict[str, Histogram]]:
-        """Point-in-time shallow copies of the live series tables.
-
-        The exposition layer (:mod:`repro.obs.export`) needs the metric
-        *objects* — bucket counts and exemplars are not part of the JSON
-        snapshot — so this hands out the tables without exposing the
-        registry's internals for mutation.
-        """
-        with self._lock:
-            return dict(self._counters), dict(self._gauges), dict(self._histograms)
 
     def snapshot(self) -> dict:
         """Point-in-time plain-JSON view of every series."""

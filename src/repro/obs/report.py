@@ -9,7 +9,8 @@ capture + metrics window, then reports:
   autotune evaluated/pruned tallies, the hottest per-layer cycle entries;
 * ``--trace out.json`` — the Chrome ``trace_event`` file (open in
   ``chrome://tracing`` or https://ui.perfetto.dev);
-* ``--metrics out.json`` — the full metrics snapshot.
+* ``--metrics out.json`` — the full metrics snapshot, the registry's one
+  view (``repro diff`` reads it).
 
 The metrics window is process-global, so the command resets the registry
 up front: the emitted numbers describe this run only.
@@ -33,11 +34,9 @@ MODELS = ("resnet50", "scr-resnet50", "densenet121")
 def resolve_target(
     target: str, model: str, batch: int, backend: str | None = None
 ) -> Callable[[], object]:
-    """A zero-argument callable reproducing ``target`` (or raise KeyError).
-
-    Shared by ``profile`` and ``metrics-export``, which runs a workload
-    before exporting.
-    """
+    """A zero-argument callable reproducing ``target`` (or raise KeyError),
+    which :func:`run_profile` runs under a capture and a fresh metrics
+    window."""
     if target in MODELS:
         def run_model():
             from ..backends import available_backends

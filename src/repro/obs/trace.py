@@ -26,7 +26,7 @@ One event type, one record path, one exporter:
   span_id, parent_id)`` triple carried in a thread-local.  Every span
   derives a child context on entry and restores its parent on exit; a
   marker (:func:`instant`) gets its own span id under the active span, so
-  a histogram exemplar can point at one fault injection.
+  each fault injection is its own node of the trace tree.
 * **One clock.**  Timestamps come from :func:`monotonic_us`, a single
   per-process ``perf_counter`` base, so events from different threads
   merge in order.  Wall clock enters only as the exported epoch
@@ -217,32 +217,8 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-# ---------------------------------------------------------------------------
-# Trace-tree validation
-# ---------------------------------------------------------------------------
-
-
 def span_events(events: Iterable[Event]) -> list[Event]:
     return [e for e in events if e.kind == "span"]
-
-
-def unresolved_parents(events: Iterable[Event]) -> list[Event]:
-    """Events whose ``parent_id`` does not resolve to a recorded span.
-
-    Spans are recorded at *exit*, so children precede their parents in
-    buffer order — resolution is order-insensitive.  On a capture
-    covering a whole operation this returns ``[]``.
-    """
-    events = list(events)
-    known = {(e.trace_id, e.span_id) for e in span_events(events)}
-    return [
-        e for e in events
-        if e.parent_id is not None and (e.trace_id, e.parent_id) not in known
-    ]
-
-
-def trace_ids(events: Iterable[Event]) -> set[str]:
-    return {e.trace_id for e in events}
 
 
 # ---------------------------------------------------------------------------

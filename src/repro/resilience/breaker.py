@@ -21,9 +21,8 @@ circuit breaker:
 
 All timing runs on the injected ``now`` callable, so the serving
 simulator drives breakers on its virtual clock and chaos replays are
-deterministic.  Transitions are counted in metrics
-(``breaker_transitions{breaker=,to=}``), recorded as trace markers, and
-kept on :attr:`transitions` for the serve summary.
+deterministic.  Transitions are kept on :attr:`transitions` for the
+serve summary and recorded as ``breaker_transition`` trace markers.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Tuple
 
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .policy import Quarantine
 
@@ -90,8 +88,6 @@ class CircuitBreaker:
 
     def _transition(self, to: str, at: float) -> None:
         self.transitions.append((at, to))
-        obs_metrics.counter(
-            "breaker_transitions", breaker=self.name, to=to).inc()
         obs_trace.instant(
             "breaker_transition", cat="serve", breaker=self.name, to=to)
 

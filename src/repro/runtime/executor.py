@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +46,9 @@ def execute_graph(
     cur_scale: float = 1.0
     cur_bits: int = 8
 
-    # root span for the whole run: per-op spans below become its
-    # children, so one executor invocation is one subtree in the trace
-    # ring (the serving layer's future per-request unit)
+    # root span for the whole run: the per-op spans below (which also
+    # time each op) become its children, so one executor invocation is
+    # one subtree in a captured trace
     with obs_trace.span("executor.graph", cat="executor", ops=len(graph)):
         cur, cur_q, cur_scale, cur_bits = _run_ops(
             graph, cur, cur_q, cur_scale, cur_bits,
@@ -68,7 +67,6 @@ def _run_ops(
     biases: dict[str, np.ndarray],
 ) -> "tuple[np.ndarray, np.ndarray | None, float, int]":
     for op in graph:
-        t_op = time.perf_counter()
         with obs_trace.span(f"op.{op.kind}", cat="executor"):
             if op.kind == "quantize":
                 bits = op.attrs["bits"]
@@ -119,12 +117,6 @@ def _run_ops(
                     cur = np.maximum(cur, 0.0)
             else:  # pragma: no cover - Op validates kinds
                 raise ReproError(f"unknown op {op.kind!r}")
-        # per-op wall time: ops here run real integer conv cores, so the
-        # accounting cost is noise relative to the work measured
-        obs_metrics.counter("executor_ops", kind=op.kind).inc()
-        obs_metrics.histogram(
-            "executor_op_seconds", kind=op.kind
-        ).observe(time.perf_counter() - t_op)
     return cur, cur_q, cur_scale, cur_bits
 
 

@@ -51,10 +51,9 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience import faults
 from ..resilience.breaker import CLOSED, CircuitBreaker
@@ -196,7 +195,6 @@ class ServeSim:
             timeout_s=None,
             backoff_s=max(0.0, config.backoff_ms) / 1e3)
         self._root_ctx = obs_trace.new_trace()
-        self._handles: Dict[tuple, Any] = {}
 
     # -- event plumbing ------------------------------------------------------
 
@@ -205,21 +203,6 @@ class ServeSim:
     def _push(self, t_us: float, kind: int, payload: object) -> None:
         self._seq += 1
         heapq.heappush(self._events, (t_us, self._seq, kind, payload))
-
-    def _metric(self, make: Callable[..., Any], name: str,
-                **labels: str) -> Any:
-        """This run's handle on one registry series, bound on first use.
-
-        Bound per run, not at import, because ``obs_metrics.reset()``
-        drops series; bound on first use, so the registry holds only the
-        series the run touched.  A name is split by at most one label,
-        always the same one, so the name and label values key the handle.
-        """
-        key = (name, *labels.values())
-        handle = self._handles.get(key)
-        if handle is None:
-            handle = self._handles[key] = make(name, **labels)
-        return handle
 
     # -- pricing views -------------------------------------------------------
 
@@ -267,7 +250,6 @@ class ServeSim:
             self.stats.shed_deadline += 1
         else:
             self.stats.shed_queue_full += 1
-        self._metric(obs_metrics.counter, "serve_shed", reason=reason).inc()
 
     # -- batching ------------------------------------------------------------
 
@@ -299,9 +281,8 @@ class ServeSim:
             # requests whose deadline passed while queued are hopeless;
             # complete them as 'expired' rather than wasting a dispatch
             while self.queue and self.queue[0].deadline_us <= now:
-                req = self.queue.popleft()
+                self.queue.popleft()
                 self.stats.expired += 1
-                self._metric(obs_metrics.counter, "serve_expired").inc()
             if not self.queue:
                 return
             table = self._active_table()
@@ -363,15 +344,12 @@ class ServeSim:
         batch_key = f"b{self._batch_seq}"
         self.stats.batches += 1
         self.stats.batch_hist[b] = self.stats.batch_hist.get(b, 0) + 1
-        self._metric(obs_metrics.histogram, "serve_batch_size").observe(b)
 
         if state == "open":
             # brownout: the breaker says the primary is down, serve on
             # the fallback at its (honest, slower) price
             lane_clock.sleep_s(self.fallback.service(b) / 1e6)
             self.stats.brownout_batches += 1
-            self._metric(
-                obs_metrics.counter, "serve_batches", path="brownout").inc()
             return lane_clock.now_us, self.fallback.backend, "brownout"
 
         if state == "probe":
@@ -406,13 +384,9 @@ class ServeSim:
             # the failed batch reruns on the fallback, late but served
             lane_clock.sleep_s(self.fallback.service(b) / 1e6)
             self.stats.brownout_batches += 1
-            self._metric(
-                obs_metrics.counter, "serve_batches", path="failed_over").inc()
             kind = "probe_failed" if state == "probe" else "brownout"
             return lane_clock.now_us, self.fallback.backend, kind
         self.breaker.record_success(lane_clock.now_s())
-        self._metric(
-            obs_metrics.counter, "serve_batches", path="primary").inc()
         return (lane_clock.now_us, cfg.backend,
                 "probe" if state == "probe" else "normal")
 
@@ -420,8 +394,6 @@ class ServeSim:
         lane_id, batch, start_us, served_on, kind = payload  # type: ignore
         lane = self.lanes[lane_id]
         lane.busy = False
-        latency_hist = self._metric(
-            obs_metrics.histogram, "serve_latency_us", backend=served_on)
         recording = obs_trace.active()
         if recording:
             ctx = self._root_ctx.child()
@@ -438,9 +410,6 @@ class ServeSim:
                 self.stats.slo_met += 1
             else:
                 self.stats.slo_missed += 1
-            latency_hist.observe(latency)
-            self._metric(obs_metrics.counter, "serve_completed",
-                         slo="met" if met else "missed").inc()
             if recording:
                 obs_trace.record_span(
                     "serve.request", "serve",

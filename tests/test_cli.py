@@ -1,9 +1,13 @@
 """Command-line interface."""
 
+import pathlib
+import re
+import shlex
+
 import pytest
 
 from repro.backends import available_backends
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_list(capsys):
@@ -264,31 +268,37 @@ def test_bad_command():
         main(["not-a-command"])
 
 
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``python -m repro ...`` command in README.md's
+    fenced blocks, each cut at a comment, a ``&&`` or a closing backtick."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), flags=re.S | re.M)
+    return [shlex.split(re.split(r" #|&&|`|\n", tail, maxsplit=1)[0])
+            for block in blocks
+            for tail in block.split("python -m repro")[1:]]
+
+
+def test_readme_commands_parse(capsys):
+    """Every README example parses against the current CLI.  Parsing
+    only: nothing runs, so a stale command or flag is all this finds."""
+    commands = _readme_commands()
+    assert len(commands) >= 20  # the extraction still finds the examples
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: python -m repro "
+                        f"{shlex.join(argv)}\n{capsys.readouterr().err}")
+
+
 def test_flight_is_an_unknown_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["flight"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'flight'" in capsys.readouterr().err
-
-
-def test_metrics_export_unknown_target(capsys):
-    assert main(["metrics-export", "--run", "fig99"]) == 2
-    assert "fig99" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("target", ["fig7", "fig10"])
-def test_metrics_export_stdout_and_file(target, tmp_path, capsys):
-    from repro.obs import export
-
-    assert main(["metrics-export", "--run", target]) == 0
-    text = capsys.readouterr().out
-    assert text.endswith("# EOF\n")
-    export.validate(text)  # printed exposition is parseable as-is
-
-    out = tmp_path / "metrics.txt"
-    assert main(["metrics-export", "--run", target, "--out", str(out)]) == 0
-    export.validate(out.read_text())
-    assert "metric families" in capsys.readouterr().out
+    for command in ("flight", "metrics-export"):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_profile_sample_flag_and_flamegraph(tmp_path, capsys):

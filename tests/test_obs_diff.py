@@ -97,20 +97,16 @@ def test_diff_metrics_drops_unchanged_and_ranks_by_delta():
     assert gauges[0].delta == 2.0 and not hists
 
 
-def test_histogram_delta_buckets_from_live_histograms():
+def test_histogram_delta_from_snapshot_dicts():
     ha, hb = obs_metrics.Histogram(), obs_metrics.Histogram()
     for v in (0.5, 0.5, 200.0):
         ha.observe(v)
     for v in (0.5, 200.0, 200.0, 200.0):
         hb.observe(v)
-    d = diff.histogram_delta("h", ha, hb)
-    assert d.count_a == 3 and d.count_b == 4
-    assert d.bucket_deltas is not None
-    moved = dict(d.bucket_deltas)
-    assert -1 in set(moved.values()) and 2 in set(moved.values())
-    # snapshot dicts (no buckets) degrade to aggregates only
-    d2 = diff.histogram_delta("h", ha.as_dict(), hb.as_dict())
-    assert d2.bucket_deltas is None and d2.count_b == 4
+    d = diff.histogram_delta("h", ha.as_dict(), hb.as_dict())
+    assert (d.count_a, d.count_b) == (3, 4)
+    assert (d.sum_a, d.sum_b) == (201.0, 600.5)
+    assert d.as_dict()["d_mean"] == round(600.5 / 4 - 201.0 / 3, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,8 @@ def test_diff_sides_only_compares_shared_sections():
     a = diff.Side(label="a", kind="trace", spans=[_span("x", 5)])
     b = diff.Side(label="b", kind="metrics", metrics={"counters": {"c": 1}})
     report = diff.diff_sides(a, b)
-    assert report.empty
+    assert not (report.spans or report.counters or report.gauges
+                or report.histograms or report.frames)
     assert "identical" in "\n".join(report.table())
 
 

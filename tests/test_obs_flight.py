@@ -3,8 +3,8 @@
 The contract under test: contexts derive parent-linked children; a
 capture's recorder is thread-safe and exports a Perfetto-loadable
 Chrome trace; every recorded span tree resolves — no orphan parents —
-and a real instrumented run (the ARM prewarm) exports OpenMetrics
-histograms with span-id exemplars.
+and a real instrumented run (the ARM prewarm) records the scheduler's
+capture-gated histograms.
 """
 
 import json
@@ -13,6 +13,8 @@ import threading
 import pytest
 
 from repro.obs import trace
+
+from .trace_tree import trace_ids, unresolved_parents
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +122,8 @@ def test_nested_spans_form_a_resolvable_tree():
     # children land before their parent (spans record at exit) and the
     # validator still resolves every link
     assert spans.index(by_name["child"]) < spans.index(root)
-    assert trace.unresolved_parents(rec.events()) == []
-    assert trace.trace_ids(rec.events()) == {root.trace_id}
+    assert unresolved_parents(rec.events()) == []
+    assert trace_ids(rec.events()) == {root.trace_id}
 
 
 def test_instants_attach_to_the_active_span():
@@ -134,7 +136,7 @@ def test_instants_attach_to_the_active_span():
     assert instant.trace_id == op.trace_id
     assert instant.parent_id == op.span_id
     assert instant.args == {"k": 1}
-    assert trace.unresolved_parents(events) == []
+    assert unresolved_parents(events) == []
 
 
 def test_unresolved_parents_flags_evicted_parent():
@@ -142,7 +144,7 @@ def test_unresolved_parents_flags_evicted_parent():
     orphan = ctx.child()
     rec = trace.Recorder()
     rec.record(_mk_event(name="child", ctx=orphan))
-    assert [e.name for e in trace.unresolved_parents(rec.events())] == [
+    assert [e.name for e in unresolved_parents(rec.events())] == [
         "child"]
 
 
@@ -154,12 +156,12 @@ def test_unresolved_parents_flags_evicted_parent():
 def test_arm_prewarm_telemetry(tmp_path, monkeypatch):
     """A serial ARM prewarm on an empty schedule cache, under a capture
     and the stack sampler: one parent-linked trace, a loadable dump,
-    stack samples, and histograms with exemplars (the scheduler records
-    its histograms only under a capture)."""
+    stack samples, and the scheduler's histograms, which it records only
+    under a capture."""
     from repro.arm.cost_model import clear_schedule_cache
     from repro.backends import get_backend
     from repro.models import get_model_layers
-    from repro.obs import export, metrics, sampler
+    from repro.obs import metrics, sampler
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     clear_schedule_cache()
@@ -176,17 +178,18 @@ def test_arm_prewarm_telemetry(tmp_path, monkeypatch):
         prewarms = [e for e in spans if e.name == "backend.prewarm"]
         schedules = [e for e in spans if e.name == "arm.schedule"]
         assert prewarms and schedules
-        assert trace.trace_ids(prewarms + schedules) == {prewarms[0].trace_id}
-        assert trace.unresolved_parents(events) == []
+        assert trace_ids(prewarms + schedules) == {prewarms[0].trace_id}
+        assert unresolved_parents(events) == []
 
         doc = json.loads(rec.write(tmp_path / "trace.json").read_text())
         assert doc["otherData"]["trace_epoch_wall_us"] > 0
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
         assert s.sample_count > 0
 
-        families = export.validate(export.render())
-        assert any(f.type == "histogram" for f in families.values())
-        assert export.exemplar_count(families) >= 1
+        histograms = metrics.snapshot()["histograms"]
+        assert set(histograms) == {"arm_pipeline_cycles",
+                                   "arm_pipeline_stalls"}
+        assert all(h["count"] >= 1 for h in histograms.values())
     finally:
         clear_schedule_cache()
         metrics.reset()

@@ -10,7 +10,62 @@ import threading
 import pytest
 
 from repro.obs import metrics
-from repro.obs.metrics import MetricsRegistry, metric_key
+from repro.obs.metrics import _LABEL_NAME_RE, MetricsRegistry, metric_key
+
+# ---------------------------------------------------------------------------
+# The inverse of metric_key: a round trip through it proves the key
+# injective (no two label sets share a key)
+# ---------------------------------------------------------------------------
+
+
+def unescape_label_value(value: str) -> str:
+    """Exact inverse of :func:`repro.obs.metrics.escape_label_value`."""
+    out: list[str] = []
+    it = iter(value)
+    for ch in it:
+        if ch == "\\":
+            out.append(next(it, "\\"))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _split_unescaped(text: str, sep: str) -> list[str]:
+    """Split on ``sep`` occurrences not preceded by a backslash escape."""
+    parts: list[str] = []
+    buf: list[str] = []
+    escaped = False
+    for ch in text:
+        if escaped:
+            buf.append(ch)
+            escaped = False
+        elif ch == "\\":
+            buf.append(ch)
+            escaped = True
+        elif ch == sep:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    parts.append("".join(buf))
+    return parts
+
+
+def parse_metric_key(key: str) -> tuple[str, dict[str, str]]:
+    """Invert :func:`metric_key`: ``"n{a=1,b=2}"`` → ``("n", {...})``."""
+    if not key.endswith("}"):
+        if "{" in key:
+            raise ValueError(f"malformed series key: {key!r}")
+        return key, {}
+    brace = key.index("{")
+    name, body = key[:brace], key[brace + 1:-1]
+    labels: dict[str, str] = {}
+    for pair in _split_unescaped(body, ","):
+        k, eq, v = pair.partition("=")
+        if not eq or not _LABEL_NAME_RE.match(k):
+            raise ValueError(f"malformed label pair {pair!r} in {key!r}")
+        labels[k] = unescape_label_value(v)
+    return name, labels
 
 
 def test_metric_key_canonicalization():
@@ -41,7 +96,7 @@ def test_metric_key_round_trips_through_parse():
         ("m", {"path": "a\\b{c}=d,e"}),
     ]
     for name, labels in cases:
-        parsed = metrics.parse_metric_key(metric_key(name, labels))
+        parsed = parse_metric_key(metric_key(name, labels))
         assert parsed == (name, labels), f"round-trip failed for {labels}"
 
 
@@ -65,7 +120,7 @@ def test_metric_key_rejects_malformed_names():
 
 def test_escape_label_value_inverse():
     for raw in ("", "plain", "a,b", "{x}", "k=v", "\\", "a\\,b", "\\\\"):
-        assert metrics.unescape_label_value(
+        assert unescape_label_value(
             metrics.escape_label_value(raw)) == raw
 
 

@@ -106,3 +106,32 @@ def test_failing_target_leaks_no_obs_state(monkeypatch):
     assert not trace.active()
     snap = metrics.snapshot()
     assert "partial_work" not in snap["counters"]
+
+
+def test_fully_routed_pricing_round_leaves_no_empty_histogram(monkeypatch):
+    """When a fault plan routes every lane of a pricing round to the
+    guarded profile, the sweep records no bound-gap histogram for it:
+    every histogram the snapshot holds has an observation, so the
+    profile summary can print its min and max."""
+    from repro.gpu.autotune import autotune, clear_cache
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.report import _histogram_summary
+    from repro.resilience.faults import fault_plan
+    from repro.types import GemmShape
+
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.setenv("REPRO_RETRY", "2")
+    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+    clear_cache()
+    obs_metrics.reset()
+    try:
+        with trace.capture(), \
+                fault_plan("autotune.profile:raise:1.0:1", seed=3):
+            result = autotune(GemmShape(3136, 576, 64), 8)
+        histograms = obs_metrics.snapshot()["histograms"]
+    finally:
+        clear_cache()
+        obs_metrics.reset()
+    assert result.evaluated > 0 and result.skipped == 0  # retries absorb it
+    assert all(h["count"] >= 1 for h in histograms.values()), histograms
+    assert len(_histogram_summary(histograms)) == max(1, len(histograms))

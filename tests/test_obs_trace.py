@@ -15,6 +15,8 @@ import pytest
 
 from repro.obs import trace
 
+from .trace_tree import unresolved_parents
+
 
 def test_disabled_by_default():
     assert trace.active() is False
@@ -262,4 +264,4 @@ def test_markers_and_serve_spans_reach_a_capture():
     assert all(e.parent_id in batch_ids for e in requests)
     markers = {e.name for e in events if e.kind == "instant"}
     assert {"fault_injected", "breaker_transition"} <= markers
-    assert trace.unresolved_parents(events) == []
+    assert unresolved_parents(events) == []

@@ -364,53 +364,52 @@ def test_chaos_replay_is_deterministic_with_faults():
                for site in injected)
 
 
-def test_registry_agrees_with_the_summary():
+def test_summary_counts_agree_under_chaos():
     """A chaos replay on one lane that sheds on deadline (the queue never
     fills), expires queued requests, browns out and fails batches over:
-    its ``serve_*`` series hold the summary's counts, and no series exists
-    for a label value that never occurred."""
+    the summary's batch histogram, SLO split and conservation invariant
+    agree with its counts."""
     from repro.serve.harness import chaos_spec
 
     cfg = make_config(
         lanes=1, fault_detect_us=2000.0, queue_cap=128,
         kill_start_us=0.4 * 2000 / 5000 * 1e6,
         kill_end_us=0.6 * 2000 / 5000 * 1e6)
-    obs_metrics.reset()
-    try:
-        with fault_plan(chaos_spec(cfg.backend), seed=cfg.seed):
-            s = run(cfg)
-        snap = obs_metrics.snapshot()
-    finally:
-        obs_metrics.reset()
+    with fault_plan(chaos_spec(cfg.backend), seed=cfg.seed):
+        s = run(cfg)
     c = s["counts"]
     assert c["shed"]["deadline"] and not c["shed"]["queue_full"]
     assert c["expired"] and c["brownout_batches"] and c["slo_missed"]
-    counters = {k: v for k, v in snap["counters"].items()
-                if k.startswith("serve_")}
-    # the summary counts brownout and failed-over batches together
-    batches = {k: counters.pop(k) for k in list(counters)
-               if k.startswith("serve_batches")}
-    assert set(batches) == {f"serve_batches{{path={p}}}" for p in
-                            ("primary", "brownout", "failed_over")}
-    assert (batches["serve_batches{path=primary}"]
-            == c["batches"] - c["brownout_batches"])
-    assert sum(batches.values()) == c["batches"]
-    expected = {
-        "serve_completed{slo=met}": c["slo_met"],
-        "serve_completed{slo=missed}": c["slo_missed"],
-        "serve_shed{reason=deadline}": c["shed"]["deadline"],
-        "serve_shed{reason=queue_full}": c["shed"]["queue_full"],
-        "serve_expired": c["expired"],
-    }
-    assert counters == {k: v for k, v in expected.items() if v}
-    histograms = {k: h for k, h in snap["histograms"].items()
-                  if k.startswith("serve_")}
-    assert set(histograms) == {"serve_batch_size",
-                               "serve_latency_us{backend=prim}",
-                               "serve_latency_us{backend=fb}"}
-    sizes = histograms.pop("serve_batch_size")
-    assert (sizes["count"], sizes["sum"]) == (c["batches"], c["completed"])
-    assert sum(h["count"] for h in histograms.values()) == c["completed"]
+    hist = {int(b): n for b, n in s["batch_hist"].items()}
+    assert sum(hist.values()) == c["batches"]
+    assert sum(b * n for b, n in hist.items()) == c["completed"]
+    assert c["slo_met"] + c["slo_missed"] == c["completed"]
+    assert c["offered"] == c["admitted"] + c["shed"]["total"]
+    assert c["admitted"] == c["completed"] + c["expired"]
+    assert s["invariants"]["conservation"] is True
+
+
+def test_replay_and_graph_execution_write_no_registry_series():
+    """The summary is the one count of a replay, and a capture's op spans
+    the one timing of an executed graph: neither writes the registry."""
+    import numpy as np
+
+    from repro.runtime import conv_pipeline, execute_graph
+    from repro.types import ConvSpec
+
+    spec = ConvSpec("t", in_channels=4, out_channels=6, height=8, width=8,
+                    kernel=(3, 3), padding=(1, 1))
+    rng = np.random.default_rng(0)
+    obs_metrics.reset()
+    try:
+        s = run(make_config(requests=500))
+        execute_graph(conv_pipeline(spec, 4), rng.normal(size=spec.input_shape()),
+                      {spec.name: rng.normal(size=spec.weight_shape())})
+        snap = obs_metrics.snapshot()
+    finally:
+        obs_metrics.reset()
+    assert s["counts"]["completed"] > 0
+    assert (snap["counters"], snap["gauges"], snap["histograms"]) == ({}, {}, {})
 
 
 def test_request_dataclass_deadline():

@@ -122,20 +122,3 @@ def test_explicit_now_beats_the_constructor_clock(clock):
 def test_failure_threshold_validation(clock):
     with pytest.raises(ValueError):
         CircuitBreaker("x", failure_threshold=0, now=clock)
-
-
-def test_transition_metrics_counted(clock):
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.reset()
-    br = make(clock)
-    for _ in range(3):
-        br.record_failure()
-    clock.t = 2.0
-    assert br.acquire() == "probe"
-    br.record_success()
-    snap = obs_metrics.snapshot()["counters"]
-    assert snap["breaker_transitions{breaker=gpu,to=open}"] == 1
-    assert snap["breaker_transitions{breaker=gpu,to=half_open}"] == 1
-    assert snap["breaker_transitions{breaker=gpu,to=closed}"] == 1
-    obs_metrics.reset()
