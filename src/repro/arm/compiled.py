@@ -8,21 +8,24 @@ turns a program into a :class:`Program` once:
   loops around it, so a body compiles once however often it repeats.  A
   value is a 16-byte row of a value table; a vector register is a pair of
   references to 64-bit *halves* of values, an x register one reference;
-* loads gather their affine addresses along the step axis, and a register
-  a body reads before writing it is the previous step's value (the value
-  before the loop at step 0): a shift along the axis;
+* while a body compiles, the references of one register at every step are
+  plain Python, affine in the loop indices (:class:`_Compiler`), and each
+  batch's operand and address arrays are built in one broadcast per block
+  of batches at the end; loads gather affine addresses, and a register a
+  body reads before writing it is the previous step's value (the value
+  before the loop at step 0), found by one gather per nesting level;
 * a register accumulated across iterations (``SMLAL``, ``MLA``,
   ``SADDW``, ``UADALP``, ``SDOT``, ``SUBS``/``ADD_X``) is a *chain*: one
-  addend array and an exact cumulative sum.  Partial sums are exact, so a
-  lane leaves its range exactly where the interpreter raises, and a
-  wrapped result is the wrapped sum;
+  addend array and an exact cumulative sum, found by comparing each
+  accumulator's references with the batch that writes it.  Partial sums
+  are exact, so a lane leaves its range exactly where the interpreter
+  raises, and a wrapped result is the wrapped sum;
 * ``MOVI_ZERO``/``MOV_X_IMM`` bind constants, the ``MOV_V_TO_X``/
   ``MOV_X_TO_V`` spill copies re-point half references (so Alg. 1's
-  accumulators spilled to x registers chain too), and ``B_NE`` is
-  cost-only;
-* each batch gets level 1 + the highest level of its inputs (a chain is
-  one node), loads and stores ordered per buffer, and the batches of one
-  opcode and level form a *group* of index arrays.
+  accumulators spilled to x registers chain too), ``B_NE`` is cost-only,
+  and each batch gets level 1 + the highest level of its inputs (a chain
+  is one node, loads and stores keep their order per buffer); the batches
+  of one opcode and level form a *group*.
 
 A body that stores, or whose iterations depend on each other other than by
 chains, compiles unrolled; no generated kernel has one.  :meth:`Program.run`
@@ -33,18 +36,18 @@ and :class:`~repro.errors.OverflowDetected` match the interpreter on the
 flattened stream: a run raises exactly when some instruction wraps a lane
 the interpreter checks, and the interpreter stops at the first one.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from ..errors import OverflowDetected, SimulationError
-from .isa import STORE_OPS, Instr
+from .isa import Instr
 from .loops import Node, Repeat
 
 #: tiles run in chunks whose value table and buffer copies stay under this
@@ -71,7 +74,6 @@ _LANES = {"SMLAL_4S_LANE": 8, "SMLAL2_4S_LANE": 8, "SDOT_4S_LANE": 4}
 #: register indices: v0..v31 as 0..31, x0..x30 as 32..62
 _VIDX = {f"v{i}": i for i in range(32)}
 _XIDX = {f"x{i}": 32 + i for i in range(31)}
-_REG = {**_VIDX, **_XIDX}
 #: decoded kinds past the compute ones (1, 2, 3: registers read)
 _LOAD, _STORE, _ZERO, _V_TO_X, _X_TO_V, _IMM, _XADD, _NOP = range(4, 12)
 #: compile-time value references: batch << _REF_SHIFT | index << 1 | half;
@@ -80,7 +82,7 @@ _LOAD, _STORE, _ZERO, _V_TO_X, _X_TO_V, _IMM, _XADD, _NOP = range(4, 12)
 _REF_SHIFT = 32
 _REF_MASK = (1 << _REF_SHIFT) - 1
 #: placeholders per loop: one per register
-_SLOTS = len(_REG)
+_SLOTS = len(_VIDX) + len(_XIDX)
 
 
 def _signed64(value: int) -> int:
@@ -194,7 +196,7 @@ def _decode(ins: Instr, codes: dict, buffers: dict, templates: dict) -> tuple:
                 if lane is None or not 0 <= lane < _LANES[op]:
                     raise SimulationError(f"{op} requires a lane in [0, {_LANES[op]})")
             return (reads, _code(codes, op, None), _VIDX[ins.dst[0]],
-                    *(_VIDX[r] for r in regs[:reads]), lane)
+                    tuple(_VIDX[r] for r in regs[:reads]), lane)
         if op in _WIDTH:
             mem = ins.mem
             if mem is None:
@@ -244,69 +246,67 @@ def _code(codes: dict, op: str, buffer: str | None) -> int:
     return codes.setdefault((op, buffer), len(codes))
 
 
-def _registers(rep: Repeat, scans: dict) -> tuple[list[int], set[int], bool]:
-    """The registers ``rep``'s body uses and those it writes (v0..v31 as
-    0..31, x0..x30 as 32..62), and whether it stores; kept in ``scans``."""
-    if id(rep) not in scans:
-        used, written, stores = set(), set(), False
-        for n in rep.body:
-            u, w, st = (_registers(n, scans) if isinstance(n, Repeat) else (
-                [_REG[r] for r in n.src + n.dst], {_REG[r] for r in n.dst}, n.op in STORE_OPS))
-            used.update(u)
-            written |= w
-            stores |= st
-        scans[id(rep)] = (sorted(used), written, stores)
-    return scans[id(rep)]
+def _evaluate(specs: list, dims: tuple[int, ...]) -> np.ndarray:
+    """The ``(len(specs), steps)`` references of half specs (see
+    :class:`_Compiler`) at every step of a loop nest of ``dims``."""
+    d, n = len(dims), math.prod(dims)
+    c0s, cos = zip(*specs) if specs else ((), ())
+    kinds = {co: i for i, co in enumerate(dict.fromkeys(cos))}
+    steps = np.array([co + (0,) * (d - len(co)) for co in kinds], np.int64).reshape(
+        len(kinds), d) @ np.indices(dims).reshape(d, n)
+    return np.array(c0s, np.int64).reshape(-1, 1) + steps[list(map(kinds.__getitem__, cos))]
 
 
-def _freeze(bt: SimpleNamespace) -> None:
-    """Join a batch's per-instruction operand and extra arrays."""
-    if isinstance(bt.ins, list):
-        bt.ins = tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in bt.ins)
-    if isinstance(bt.extra, list):
-        bt.extra = np.concatenate(bt.extra)
+def _table(dims: tuple, count: int, before: list, end: list, held: list) -> np.ndarray:
+    """What a loop's placeholders stand for, ``(_SLOTS, steps, 2)`` raveled: a register's
+    value before the loop at iteration 0, at the end of the one before at the others."""
+    d, first, rest = len(dims), [], []
+    for r, (b, e, p) in enumerate(zip(before, end, held)):
+        for bh, (c0, co), ph in zip(b, e, p) if r < 32 else ((b, e, p),) * 2:
+            first.append(bh)
+            rest.append(bh if (c0, co) == ph else (c0 - co[d], co) if len(co) > d else (c0, co))
+    table = _evaluate(rest, dims + (count,)).reshape(2 * _SLOTS, -1, count)
+    table[:, :, 0] = _evaluate(first, dims)
+    return table.reshape(_SLOTS, 2, -1).transpose(0, 2, 1).ravel()
 
 
 class _Unroll(Exception):
-    """A loop body whose iterations depend on each other other than by
-    chains: compile again with the loop unrolled."""
+    """Loops that store, or that chains do not carry: compile them unrolled."""
+
+
+#: a zeroed v register: both halves are the constant 0
+_ZEROED = ((0, ()), (1, ()))
 
 
 class _Compiler:
-    """Compile state: the batches so far and, per register (v0..v31, then
-    x0..x30), the references of its value at each of the ``n`` steps of
-    the current loop nest, ``(n, 2)`` halves for a v register and ``(n,)``
-    for an x register."""
+    """Compile state: the batches so far and each register's value (v0..v31,
+    then x0..x30) at the ``n`` steps of the loop nest, whose loops run
+    ``dims`` iterations, outermost first.  Values are plain Python: a *half
+    spec* ``(c0, co)`` stands for the references ``c0 + sum(co[k] * i_k)``,
+    ``i_k`` the step's iteration of the k-th loop (missing coefficients are
+    zero); a v register is a pair of them, an x register one.  A batch keeps
+    a row of values per instruction; :meth:`finish` evaluates them in blocks."""
 
     def __init__(self, unroll: set[int]) -> None:
         self.unroll = unroll  # ids of the repeats to compile unrolled
-        self.codes: dict[tuple[str, str | None], int] = {}
-        self.buffers: dict[str, int] = {}
-        self.decoded: dict[int, tuple] = {}
-        self.templates: dict[tuple, tuple] = {}
+        self.codes, self.buffers, self.decoded, self.templates = {}, {}, {}, {}
         self.consts, self.const_ref = [0], {0: 0}  # batch 0, as signed 64-bit low halves
         self.batches: list[SimpleNamespace | None] = [None]
         self.chains: list[tuple[list[int], int, int]] = []  # (members, outer, inner)
-        self.last_store: dict[int, int] = {}
-        self.loads: dict[int, list[int]] = {}  # loads since the last store
+        self.last_store, self.loads = {}, {}  # per buffer: its last store, loads since
         # per load opcode and buffer: its batch in this nest; per compute
         # opcode: the batch taking independent instructions, and what they write
-        self.open: dict[int, int] = {}
-        self.merging: dict[int, int] = {}
-        self.dirty: set[int] = set()
-        self.tables: list[np.ndarray | None] = []  # per loop: what its placeholders stand for
-        self.scans: dict[int, tuple] = {}  # per repeat: the registers it uses and writes
-        self.loop: Repeat | None = None
-        self.off: dict[str, np.ndarray | int] = {}  # per buffer: address offset per step
-        self.nest(1)
-        self.regs = [self.zero] * 32 + [self.zero[:, 0]] * 31
+        self.open, self.merging, self.dirty = {}, {}, set()
+        self.loops: list[tuple | None] = []  # per loop: what its placeholders stand for
+        self.around, self.loop = [], None  # the loops with a step axis around; the innermost
+        self.off: dict[str, tuple] = {}  # per buffer: the half spec of its address offset
+        self.nest(())
+        self.regs: list[tuple] = [_ZEROED] * 32 + [(0, ())] * 31
 
-    def nest(self, n: int) -> None:
-        """Enter a loop nest of ``n`` steps."""
-        self.n = n
-        self.steps = np.arange(n, dtype=np.int64) << 1  # index << 1 of each step
-        self.pairs = self.steps[:, None] | np.array([0, 1])
-        self.zero = np.zeros_like(self.pairs) | np.array([0, 1])
+    def nest(self, dims: tuple[int, ...]) -> None:
+        """Enter a loop nest of ``dims``; ``std`` gives ``2 * step``."""
+        self.dims, self.n = dims, math.prod(dims)
+        self.std = tuple(2 * math.prod(dims[k + 1:]) for k in range(len(dims)))
 
     def const(self, bits: int) -> int:
         bits = _signed64(bits)
@@ -316,22 +316,19 @@ class _Compiler:
             self.consts.append(bits)
         return ref
 
-    def batch(self, code: int, ins: tuple, extra=None, outs: int = 1, after=()) -> int:
-        """A new batch: one instruction at every step of this nest.  Its
-        operands and extras are lists of arrays, one per instruction,
-        until :func:`_freeze` joins them."""
+    def batch(self, code: int, nin: int, row: tuple | None, outs: int = 1, after=()) -> int:
+        """A new batch: one instruction at every step of this nest, ``row``
+        its ``nin`` operands, then any extra (no instruction if None)."""
         self.batches.append(SimpleNamespace(
-            code=code, n=self.n, ins=[[a] for a in ins], extra=None if extra is None else [extra],
-            outs=outs, loop=self.loop, after=after))
+            code=code, nin=nin, rows=[] if row is None else [row], n=0 if row is None else self.n,
+            outs=outs, loop=self.loop, after=after, dims=self.dims, start=None))
         return len(self.batches) - 1
 
-    def out(self, b: int, k: int = 0, outs: int = 1, at: int = 0) -> np.ndarray:
-        """The ``(n, 2)`` half references of output ``k`` of batch ``b``,
-        whose values for this nest start at entry ``at``."""
-        if outs == 1:
-            return (b << _REF_SHIFT) | (self.pairs + 2 * at if at else self.pairs)
-        return (b << _REF_SHIFT) | (self.pairs + self.steps[:, None] * (outs - 1)
-                                    + 2 * (at * outs + k))
+    def out(self, b: int, at: int, outs: int = 1, k: int = 0) -> tuple:
+        """Output ``k`` of batch ``b`` from entry ``at`` on, as a v register."""
+        std = self.std if outs == 1 else tuple(outs * c for c in self.std)
+        c0 = (b << _REF_SHIFT) + ((at * outs + k) << 1)
+        return (c0, std), (c0 + 1, std)
 
     def block(self, nodes: Iterable[Node]) -> None:  # noqa: C901 - one dispatch
         regs = self.regs
@@ -340,39 +337,32 @@ class _Compiler:
                 self.repeat(node)
                 regs = self.regs
                 continue
-            d = self.decoded.get(id(node))
-            if d is None:
-                d = self.decoded[id(node)] = _decode(
-                    node, self.codes, self.buffers, self.templates)
+            d = self.decoded.get(id(node)) or self.decoded.setdefault(
+                id(node), _decode(node, self.codes, self.buffers, self.templates))
             kind = d[0]
             if kind <= 3:  # compute: kind = registers read
-                _, code, dr, *srcs, lane = d
-                if self.dirty.intersection(srcs):  # it reads what an open batch computes
+                _, code, dr, srcs, lane = d
+                if not self.dirty.isdisjoint(srcs):  # it reads what an open batch computes
                     self.merging, self.dirty = {}, set()
-                ins = tuple(regs[r] for r in srcs)
-                extra = None if lane is None else np.full(self.n, lane)
+                row = tuple(map(regs.__getitem__, srcs)) + (() if lane is None else ((lane, ()),))
                 b = self.merging.get(code)
                 if b is None:
-                    b = self.merging[code] = self.batch(code, ins, extra)
+                    b = self.merging[code] = self.batch(code, len(srcs), row)
                     at = 0
                 else:  # independent of the batch's instructions: one more of them
                     bt = self.batches[b]
                     at, bt.n = bt.n, bt.n + self.n
-                    for chunks, a in zip(bt.ins, ins):
-                        chunks.append(a)
-                    if extra is not None:
-                        bt.extra.append(extra)
+                    bt.rows.append(row)
                 self.dirty.add(dr)
-                regs[dr] = self.out(b, 0, 1, at)
+                regs[dr] = self.out(b, at)
             elif kind == _ZERO:
-                regs[d[1]] = self.zero
+                regs[d[1]] = _ZEROED
             elif kind == _V_TO_X:  # a copy: batches stop taking instructions
-                regs[d[1]] = regs[d[2]][:, d[3]]
+                regs[d[1]] = regs[d[2]][d[3]]
                 self.merging, self.dirty = {}, set()
             elif kind == _X_TO_V:
                 _, dr, src, lane = d
-                regs[dr] = regs[dr].copy()
-                regs[dr][:, lane] = regs[src]
+                regs[dr] = (regs[src], regs[dr][1]) if lane == 0 else (regs[dr][0], regs[src])
                 self.merging, self.dirty = {}, set()
             elif kind == _LOAD:  # one batch per opcode and buffer until a store
                 _, code, bid, dsts, offset = d
@@ -380,172 +370,183 @@ class _Compiler:
                 if b is None:
                     store = self.last_store.get(bid)
                     b = self.open[code] = self.batch(
-                        code, (), None, len(dsts), () if store is None else (store,))
-                    self.batches[b].n, self.batches[b].extra = 0, []
+                        code, 0, None, len(dsts), () if store is None else (store,))
                     self.loads.setdefault(bid, []).append(b)
                 bt = self.batches[b]
-                bt.extra.append(self.off.get(node.mem.buffer, 0) + np.full(self.n, offset))
+                c0, co = self.off.get(node.mem.buffer, (0, ()))
+                bt.rows.append(((c0 + offset, co),))
                 for k, r in enumerate(dsts):
-                    ref = self.out(b, k, len(dsts), bt.n)
-                    regs[r] = ref if r < 32 else ref[:, 0]
+                    ref = self.out(b, bt.n, len(dsts), k)
+                    regs[r] = ref if r < 32 else ref[0]
                 bt.n += self.n
             elif kind == _STORE:  # n == 1: bodies with stores unroll
+                if self.around:
+                    raise _Unroll(*self.around)
                 _, code, bid, src, offset = d
-                addr = offset + self.off.get(node.mem.buffer, 0) + np.zeros(1, np.int64)
+                addr = (self.off.get(node.mem.buffer, (0, ()))[0] + offset, ())
                 after = [*self.loads.pop(bid, ()), *filter(None, [self.last_store.get(bid)])]
-                self.last_store[bid] = self.batch(code, (regs[src],), addr, 0, after)
+                self.last_store[bid] = self.batch(code, 1, (regs[src], addr), 0, after)
                 self.open, self.merging, self.dirty = {}, {}, set()
             elif kind == _IMM:
-                regs[d[1]] = np.full(self.n, self.const(d[2]))
+                regs[d[1]] = (self.const(d[2]), ())
             elif kind == _XADD:
                 _, dr, src, delta, code = d
-                h = regs[src] if src is not None else self.zero[:, 0]
-                extra = np.full(self.n, _signed64(delta))
-                regs[dr] = self.out(self.batch(code, (h,), extra))[:, 0]
+                h = regs[src] if src is not None else (0, ())
+                regs[dr] = self.out(self.batch(code, 1, (h, (_signed64(delta), ()))), 0)[0]
             # _NOP: B_NE is cost-only
 
     def repeat(self, rep: Repeat) -> None:
-        outer_n, count, outer_off = self.n, rep.count, self.off
-        strides = dict(rep.strides)
-        names = outer_off.keys() | strides.keys()
-        used, written, stores = _registers(rep, self.scans)
-        if id(rep) in self.unroll or stores:
+        count, strides, outer_off = rep.count, dict(rep.strides), self.off
+        off = {b: outer_off.get(b, (0, ())) for b in outer_off.keys() | strides.keys()}
+        if id(rep) in self.unroll:
             for i in range(count):
-                self.off = {b: outer_off.get(b, 0) + i * strides.get(b, 0) for b in names}
+                self.off = {b: (c0 + i * strides.get(b, 0), co) for b, (c0, co) in off.items()}
                 self.block(rep.body)
             self.off = outer_off
             return
-        n = outer_n * count
-        self.off = {b: np.repeat(outer_off.get(b, 0) + np.zeros(outer_n, np.int64), count)
-                    + np.tile(np.arange(count) * strides.get(b, 0), outer_n) for b in names}
-        # a register the body writes is a placeholder there: its value at
-        # the step before, the value before the loop at step 0
-        base = len(self.tables) * _SLOTS
-        self.tables.append(None)
-        before = list(self.regs)
-        self.nest(n)
-        held = {}
-        for r in used:
-            if r in written:
-                self.regs[r] = held[r] = ((-1 - base - r) << _REF_SHIFT) | (
-                    self.pairs if r < 32 else self.steps)
-            else:  # the same at every step
-                self.regs[r] = np.repeat(before[r], count, axis=0)
-        loop, self.loop, outer_open, self.open = self.loop, rep, self.open, {}
-        self.merging, self.dirty = {}, set()
+        dims, d = self.dims, len(self.dims)
+        self.off = {b: (c0, co + (0,) * (d - len(co)) + (strides.get(b, 0),))
+                    for b, (c0, co) in off.items()}
+        # every register is a placeholder in the body: its value at the
+        # step before, the value before the loop at step 0
+        base, before = len(self.loops) * _SLOTS, self.regs
+        self.loops.append(None)
+        self.nest(dims + (count,))
+        held = [((c, self.std), (c + 1, self.std)) if r < 32 else (c, self.std)
+                for r in range(_SLOTS) for c in [(-1 - base - r) << _REF_SHIFT]]
+        saved, self.regs = (self.loop, self.open), list(held)
+        self.loop, self.open, self.merging, self.dirty = rep, {}, {}, set()
+        self.around.append(rep)
         first = len(self.batches)
         self.block(rep.body)
+        end, _ = self.regs, self.around.pop()
+        self.loops[base // _SLOTS] = (dims, count, before, end, held)
+        if count > 1:
+            self.chains += self.find_chains(rep, first, base, before, end)
 
-        table = np.zeros((_SLOTS, outer_n, count, 2), np.int64)
-        for r, h in held.items():
-            end, h = self.regs[r].reshape(n, -1), h.reshape(n, -1)
-            w = h.shape[1]
-            table[r, :, :, :w] = before[r].reshape(outer_n, 1, w)
-            changed = (end != h).any(axis=0)  # per half
-            table[r, :, 1:, :w][..., changed] = end.reshape(outer_n, count, w)[:, :-1][..., changed]
-        table = table.reshape(_SLOTS, n, 2)
-        limit = -base << _REF_SHIFT  # below it: this loop's placeholders
+        def settle(spec: tuple, c: int) -> tuple:  # at iteration c, in the nest around
+            while True:
+                c0, co = spec
+                r = -1 - base - (c0 >> _REF_SHIFT)
+                if not 0 <= r < _SLOTS:  # not a placeholder of this loop
+                    return (c0 + co[d] * c, co[:d]) if len(co) > d else spec
+                e = end[r][c0 & 1] if r < 32 else end[r]
+                if c == 0 or e == spec:
+                    return before[r][c0 & 1] if r < 32 else before[r]
+                spec, c = e, c - 1
 
-        def resolve(a: np.ndarray) -> np.ndarray:
-            while a.size and a.min() < limit:
-                a = a.copy()
-                mine = a < limit
-                a[mine] = table[-1 - base - (a[mine] >> _REF_SHIFT),
-                                (a[mine] & _REF_MASK) >> 1, a[mine] & 1]
-            return a
-
-        self.tables[base // _SLOTS] = table = resolve(table)
-        self.chains += self.find_chains(rep, first, outer_n, count, resolve)
-        for r in held:
-            before[r] = resolve(self.regs[r]).reshape((outer_n, count) + before[r].shape[1:])[:, -1]
-        self.nest(outer_n)
-        self.regs, self.loop, self.off, self.open = before, loop, outer_off, outer_open
+        last = count - 1
+        self.regs = [b if e is p else (settle(e[0], last), settle(e[1], last)) if r < 32
+                     else settle(e, last) for r, (b, e, p) in enumerate(zip(before, end, held))]
+        self.nest(dims)
+        (self.loop, self.open), self.off = saved, outer_off
         self.merging, self.dirty = {}, set()
 
-    def find_chains(self, rep: Repeat, first: int, outer: int, inner: int, resolve) -> list:
+    def find_chains(self, rep: Repeat, first: int, base: int, before: list, end: list) -> list:
         """The accumulating chains along ``rep``'s step axis: batches of one
         accumulating op, each reading the one before as its accumulator
         at the same step, the first reading the last at the step before
         (and the value before the loop at step 0)."""
-        n, batches = outer * inner, self.batches
+        n, inner, std, batches = self.n, rep.count, self.std, self.batches
         ops = {code: key[0] for key, code in self.codes.items()}
-        for bt in batches[first:]:
-            _freeze(bt)
 
-        def link(b: int, acc: np.ndarray, back: int) -> int | None:
-            """The batch whose values batch ``b``'s accumulator ``acc``
-            holds, ``back`` steps before, each instruction's its own."""
-            t, size = int(acc.flat[-1] >> _REF_SHIFT), batches[b].n
-            if len(acc) != size or t < first or (batches[t].code, batches[t].n,
-                                                  batches[t].loop) != (batches[b].code, size, rep):
+        def accumulators(bt: SimpleNamespace) -> list:
+            return [(row[0],) if ops[bt.code] == "X_ADD" else row[0] for row in bt.rows]
+
+        def held(spec: tuple, regs: list) -> tuple | None:  # a placeholder's register in regs
+            r = -1 - base - (spec[0] >> _REF_SHIFT)
+            return None if not 0 <= r < _SLOTS else regs[r][spec[0] & 1] if r < 32 else regs[r]
+
+        def link(b: int, back: int) -> int | None:
+            """The batch whose values batch ``b``'s accumulators hold,
+            ``back`` steps before, each instruction's its own."""
+            accs = accumulators(batches[b])
+            if back:  # a placeholder is its register at the end of the step before
+                accs = [[held(h, end) for h in halves] for halves in accs]
+                if any(e is None or held(e, end) for halves in accs for e in halves):
+                    return None
+            t, bt = accs[-1][-1][0] >> _REF_SHIFT, batches[b]
+            if (bt.start is not None or t < first
+                    or (batches[t].code, batches[t].n, batches[t].loop) != (bt.code, bt.n, rep)):
                 return None
-            out = (t << _REF_SHIFT) | (np.arange(size)[:, None] << 1) | np.array([0, 1])
-            out = out.reshape(-1, inner, 2)[..., :acc.size // size]
-            got = acc.reshape(-1, inner, out.shape[-1])
-            return t if np.array_equal(got[:, back:], out[:, :inner - back]) else None
+            return t if all(h == ((t << _REF_SHIFT) + (q * n << 1) + i, std)
+                            for q, hs in enumerate(accs) for i, h in enumerate(hs)) else None
 
         chains = []
-        for head in range(first, len(batches) if inner > 1 else first):
+        for head in range(first, len(batches)):
             bt = batches[head]
-            if (bt.loop is rep and bt.n % n == 0 and ops[bt.code] in _ACCUMULATE
-                    and bt.ins[0].flat[-1] < 0):  # a head reads its register before writing it
-                acc = resolve(bt.ins[0])
-                members = [link(head, acc, 1)]
+            if (bt.loop is rep and not bt.n % n and ops[bt.code] in _ACCUMULATE
+                    and bt.start is None and accumulators(bt)[-1][-1][0] < 0):
+                # a head reads its register before writing it
+                members = [link(head, 1)]
                 while members[-1] is not None and head < members[-1]:
-                    members.append(link(members[-1], batches[members[-1]].ins[0], 0))
+                    members.append(link(members[-1], 0))
                 if members[-1] == head:
                     # the links' accumulators are the chain itself: keep
                     # only its value before the loop, at each outer step
-                    start = acc.reshape((-1, inner) + acc.shape[1:])[:, 0]
+                    start = [tuple(held(h, before) for h in halves) for halves in accumulators(bt)]
                     for m in members:
-                        batches[m].ins = (start, *batches[m].ins[1:])
-                    chains.append((members[::-1], outer, inner))
+                        batches[m].start = [s for s, in start] if ops[bt.code] == "X_ADD" else start
+                    chains.append((members[::-1], n // inner, inner))
         return chains
 
     def finish(self) -> Program:  # noqa: C901 - levels, groups, layout
         batches, nb = self.batches, len(self.batches)
-        for bt in batches[1:]:
-            _freeze(bt)
+        ops = {code: key for key, code in self.codes.items()}
         root = np.arange(nb)  # a chain is one node: its first batch
         chains = {members[0]: (members, outer, inner) for members, outer, inner in self.chains}
-        for members, _, _ in chains.values():
+        for members, _, _ in self.chains:
             root[members] = members[0]
 
-        # every operand with its placeholders replaced by what they stand for
-        tables = [t.ravel() for t in self.tables]
+        # every operand (references) and extra (lanes, immediates, offsets),
+        # evaluated a block at a time: the half specs of one kind, nest and
+        # width, laid out instruction by instruction, step by step, half by half
+        blocks: dict[tuple, tuple[list, list]] = {}
+        for b in range(1, nb):
+            bt = batches[b]
+            wide = 1 if ops[bt.code][0] in ("X_ADD", "STR_X") else 2
+            for k in range(len(bt.rows[0])):
+                start = k == 0 < bt.nin and bt.start is not None
+                values = bt.start if start else [row[k] for row in bt.rows]
+                key = (k < bt.nin, bt.dims[:-1] if start else bt.dims, wide if k < bt.nin else 1)
+                specs, fields = blocks.setdefault(key, ([], []))
+                fields.append((b, k, len(specs), len(values)))
+                specs.extend(chain.from_iterable(values) if key[2] == 2 else values)
+        flats, span, size = {True: [], False: []}, {}, {True: 0, False: 0}
+        for (ref, dims, w), (specs, fields) in blocks.items():
+            a = _evaluate(specs, dims)
+            for b, k, row, m in fields:
+                steps = a.shape[1]
+                s0 = size[ref] + row * steps
+                span[b, k] = (ref, s0, s0 + m * w * steps, (m * steps, w)[:w])
+            size[ref] += a.size
+            flats[ref].append(a.reshape(-1, w, a.shape[1]).transpose(0, 2, 1).ravel())
+        flat, extras = (np.concatenate(flats[k] or [np.zeros(0, np.int64)]) for k in (True, False))
+
+        # every reference with its placeholders replaced by what they stand for
+        tables = [_table(*loop) for loop in self.loops]
         table = np.concatenate(tables) if tables else np.zeros(0, np.int64)
         t_start = np.cumsum([0] + [t.size for t in tables])
-        t_width = np.array([t.shape[1] for t in self.tables], np.int64)  # steps
-        operands = [(b, i, a.shape) for b in range(1, nb) for i, a in enumerate(batches[b].ins)]
-        flat = np.concatenate([a.ravel() for b in range(1, nb) for a in batches[b].ins]
-                              or [np.zeros(0, np.int64)])
-        while flat.size and flat.min() < 0:
-            held = flat < 0
+        t_width = np.array([t.size // (2 * _SLOTS) for t in tables], np.int64)  # steps
+        held = np.flatnonzero(flat < 0)
+        while held.size:  # one gather per nesting level
             loop, reg = np.divmod(-1 - (flat[held] >> _REF_SHIFT), _SLOTS)
-            flat[held] = table[t_start[loop] + 2 * reg * t_width[loop]
-                               + (flat[held] & _REF_MASK)]
-        ends = np.cumsum([math.prod(shape) for _, _, shape in operands], dtype=np.int64)
-        starts = ends - [math.prod(shape) for _, _, shape in operands]
+            flat[held] = table[t_start[loop] + 2 * reg * t_width[loop] + (flat[held] & _REF_MASK)]
+            held = held[flat[held] < 0]
         ids = root[flat >> _REF_SHIFT]  # the node each reference reads
-        span = {(b, i): (slice(s0, s1), shape) for (b, i, shape), s0, s1
-                in zip(operands, starts.tolist(), ends.tolist())}
 
         # the nodes each node reads: an operand mostly reads one
         deps: list[set[int]] = [set() for _ in range(nb)]
         nodes = root.tolist()
         for b in range(1, nb):
             deps[nodes[b]].update(nodes[d] for d in batches[b].after)
+        operands = sorted((s0, s1, b) for (b, _), (ref, s0, s1, _) in span.items() if ref)
         if operands:
-            low = np.minimum.reduceat(ids, starts).tolist()
-            high = np.maximum.reduceat(ids, starts).tolist()
-            for (b, i, _), s0, s1, lo, hi in zip(operands, starts.tolist(), ends.tolist(),
-                                                  low, high):
-                node = nodes[b]
-                if lo == hi:
-                    deps[node].add(lo)
-                else:
-                    seg = ids[s0:s1]
-                    deps[node].update((lo, hi) if ((seg == lo) | (seg == hi)).all()
+            cuts = [s0 for s0, _, _ in operands]
+            low, high = (f.reduceat(ids, cuts).tolist() for f in (np.minimum, np.maximum))
+            for (s0, s1, b), lo, hi in zip(operands, low, high):
+                seg = ids[s0:s1]
+                deps[nodes[b]].update((lo, hi) if lo == hi or ((seg == lo) | (seg == hi)).all()
                                       else np.unique(seg).tolist())
         # levels: passes in creation order until none changes (reads of
         # later batches are a loop's shifts); a cycle never settles
@@ -565,7 +566,6 @@ class _Compiler:
 
         # lay the groups out in execution order; a chain group's values
         # step-major, every run's l-th partial sum next to the others' l-th
-        ops = {code: key for key, code in self.codes.items()}
         keyed: dict[tuple, list[list[int]]] = {}
         for b in range(1, nb):
             if nodes[b] == b:
@@ -594,40 +594,43 @@ class _Compiler:
         base, wrap, step = (np.array(a, np.int64) for a in (base, wrap, step))
 
         def halves(refs: np.ndarray) -> np.ndarray:
-            b, i = refs >> _REF_SHIFT, (refs & _REF_MASK) >> 1
-            return 2 * (base[b] + i % wrap[b] * step[b] + i // wrap[b]) + (refs & 1)
+            b = refs >> _REF_SHIFT
+            out = (2 * base)[b] + (refs & _REF_MASK)  # i // wrap is 0 outside chains
+            chained = wrap[b] < 1 << 40
+            b, i = b[chained], (refs[chained] & _REF_MASK) >> 1
+            out[chained] += 2 * (i % wrap[b] * (step[b] - 1) + i // wrap[b] * (1 - wrap[b]))
+            return out
 
         flat = halves(flat)
 
-        def joined(parts: list[list[int]], field, run: int = 0) -> np.ndarray:
-            """``field(b)`` of every batch ``b`` of a group, in its layout."""
-            each = [np.stack([field(m) for m in members], axis=1) for members in parts]
+        def field(b: int, k: int) -> np.ndarray:
+            ref, s0, s1, shape = span[b, k]
+            return (flat if ref else extras)[s0:s1].reshape(shape)
+
+        def joined(parts: list[list[int]], k: int, run: int = 0) -> np.ndarray:
+            """Field ``k`` of every batch of a group, in its layout."""
             if not run:
-                return np.concatenate([a.reshape((-1,) + a.shape[2:]) for a in each])
+                each = [field(members[0], k) for members in parts]
+                return each[0] if len(each) == 1 else np.concatenate(each)
+            each = [np.stack([field(m, k) for m in members], axis=1) for members in parts]
             steps = [np.moveaxis(a.reshape((-1, run // a.shape[1]) + a.shape[1:]), 0, 2)
                      .reshape((run, -1) + a.shape[2:]) for a in each]
             return np.concatenate(steps, axis=1).reshape((-1,) + each[0].shape[2:])
 
-        def operand(i: int):
-            return lambda b: flat[span[(b, i)][0]].reshape(span[(b, i)][1])
-
-        groups = []
-        extent: dict[str, int] = {}
+        groups, extent = [], {}
         for (_, op, buffer, run), parts in sorted(keyed.items()):
             first = batches[parts[0][0]]
-            ins = tuple(joined(parts, operand(i), run) for i in range(bool(run), len(first.ins)))
+            ins = tuple(joined(parts, k, run) for k in range(bool(run), first.nin))
             if run:  # each run starts from its chain's value before the loop
-                ins = (joined([members[:1] for members in parts], operand(0)), *ins)
-            extra = (None if first.extra is None
-                     else joined(parts, lambda b: batches[b].extra, run))
+                ins = (joined([members[:1] for members in parts], 0), *ins)
+            extra = joined(parts, first.nin, run) if len(first.rows[0]) > first.nin else None
             addr = None
             if buffer:
                 addr = extra[:, None] + np.arange(_WIDTH[op])
                 if extra.min() < 0:
                     raise SimulationError(f"negative memory offset {extra.min()} on {buffer!r}")
                 extent[buffer] = max(extent.get(buffer, 0), int(extra.max()) + _WIDTH[op])
-            n = sum(batches[m].n for members in parts for m in members)
-            lo = 2 * int(base[parts[0][0]])
+            n, lo = sum(batches[m].n for ms in parts for m in ms), 2 * int(base[parts[0][0]])
             groups.append(Group(
                 op, n, lo, lo + 2 * n * first.outs, ins,
                 lane=extra if op in _LANES else None, buffer=buffer or None, addr=addr,
@@ -638,8 +641,8 @@ class _Compiler:
             n_values=n_values,
             groups=tuple(groups),
             consts=np.asarray([[c, 0] for c in self.consts], np.int64).reshape(-1),
-            v_final=halves(np.concatenate(self.regs[:32])),
-            x_final=halves(np.concatenate(self.regs[32:])),
+            v_final=halves(np.array([[lo[0], hi[0]] for lo, hi in self.regs[:32]], np.int64)),
+            x_final=halves(np.array([x[0] for x in self.regs[32:]], np.int64)),
             extent=extent,
             stores=frozenset(names[bid] for bid in self.last_store),
         )
@@ -654,11 +657,8 @@ def compile_stream(program: Iterable[Node]) -> Program:
     anything runs.
 
     While compiling, a value is referenced as ``batch << _REF_SHIFT |
-    index << 1 | half``, the index running over the steps of the loops
-    around it; batch 0 holds the constants, its value 0 the zero every
-    register starts as.  Once every batch has its level the references
-    become positions in the value table, which lays each group's outputs
-    out consecutively in execution order.
+    index << 1 | half`` (batch 0 holds the constants); once every batch
+    has its level the references become positions in the value table.
     """
     program = tuple(program)  # keeps every node alive while ids key the decode
     unroll: set[int] = set()
@@ -668,7 +668,7 @@ def compile_stream(program: Iterable[Node]) -> Program:
             compiler.block(program)
             return compiler.finish()
         except _Unroll as exc:
-            unroll.add(id(exc.args[0]))
+            unroll.update(map(id, exc.args))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from ..util import ceil_div, round_up
 from .cost_model import (
     PI3B,
     ArmMachine,
+    _generate,
     is_pointwise_unit_stride,
     kernel_geometry,
     scheme_for_bits,
@@ -342,25 +343,29 @@ def execute_arm_conv(
     """Run the layer through real generated instruction streams.
 
     im2col -> pad/pack (Fig. 2) -> one compiled micro-kernel run over
-    every register tile of every image -> tile assembly.  Returns int64
-    NCHW output.
+    every register tile of every image -> tile assembly.  ``bits`` must
+    be 2~8 whatever the scheme, and both operands integer arrays inside
+    the signed ``bits``-bit range (the kernels read them as int8).
+    Returns int64 NCHW output.
     """
-    from .kernels import generate_mla_kernel, generate_ncnn_kernel, generate_smlal_kernel
-
-    scheme = scheme or scheme_for_bits(bits)
+    default = scheme_for_bits(bits)  # the width first, whatever the scheme
+    scheme = scheme or default
+    if scheme not in ("smlal", "mla", "ncnn"):
+        raise UnsupportedBitsError(bits, f"unsupported scheme {scheme!r}")
+    half = 1 << (bits - 1)
+    x, w = np.asarray(x), np.asarray(w)
+    for name, arr in (("input", x), ("weights", w)):
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ShapeError(f"{spec.name}: {name} must be integer, got {arr.dtype}")
+        if arr.size and (arr.min() < -half or arr.max() >= half):
+            raise ShapeError(
+                f"{spec.name}: {name} outside the {bits}-bit range [{-half}, {half - 1}]")
     m_r, n_r = kernel_geometry(scheme)
     gemm = GemmShape.from_conv(spec)
+    kern = _generate(scheme, bits, gemm.k, interleave, None)
 
-    if scheme == "smlal":
-        kern = generate_smlal_kernel(bits, gemm.k, interleave=interleave)
-    elif scheme == "mla":
-        kern = generate_mla_kernel(bits, gemm.k, interleave=interleave)
-    elif scheme == "ncnn":
-        kern = generate_ncnn_kernel(gemm.k, interleave=interleave)
-    else:
-        raise UnsupportedBitsError(bits, f"unsupported scheme {scheme!r}")
-
-    a = weight_matrix(spec, w)
+    a = weight_matrix(spec, w.astype(np.int8, copy=False))
+    x = x.astype(np.int8, copy=False)
     cols = im2col(spec, x)
     b_panels = []
     for img in range(spec.batch):

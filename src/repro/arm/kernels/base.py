@@ -130,6 +130,8 @@ class KernelTiles(np.ndarray):
 def _panel(kern: MicroKernel, name: str, buf: np.ndarray, need: int) -> np.ndarray:
     """``buf`` as a ``(..., bytes)`` uint8 stack, at least ``need`` bytes long."""
     buf = np.ascontiguousarray(buf)
+    if buf.dtype.itemsize != 1:  # a wider element would be read as its bytes
+        raise ShapeError(f"{kern.name}: {name} panel must hold bytes, got {buf.dtype}")
     buf = buf.reshape(-1) if buf.ndim < 2 else buf
     buf = buf.view(np.uint8)
     if buf.shape[-1] < need:

@@ -11,7 +11,7 @@ from repro.arm.conv_runner import (
 )
 from repro.arm.cost_model import PI3B, is_pointwise_unit_stride, scheme_for_bits
 from repro.conv import conv2d_ref
-from repro.errors import UnsupportedBitsError
+from repro.errors import ShapeError, UnsupportedBitsError
 from repro.types import ConvSpec, Layout
 
 
@@ -40,6 +40,48 @@ def test_execute_ncnn_scheme_matches_ref():
     x, w = _case(rng, spec, 8)
     out = execute_arm_conv(spec, x, w, 8, scheme="ncnn", check_overflow=True)
     assert np.array_equal(out, conv2d_ref(spec, x, w))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint8])
+def test_wider_integer_operands_run_as_their_int8_values(dtype):
+    """The kernels read bytes: an int16 or int64 copy of in-range data must
+    give the int8 result, not its bytes reinterpreted."""
+    rng = np.random.default_rng(5)
+    spec = ConvSpec("t", in_channels=3, out_channels=5, height=5, width=5,
+                    kernel=(3, 3), padding=(1, 1))
+    x, w = _case(rng, spec, 4)
+    if dtype is np.uint8:
+        x, w = x & 7, w & 7
+    want = conv2d_ref(spec, x, w)
+    assert np.array_equal(execute_arm_conv(spec, x.astype(dtype), w.astype(dtype), 4), want)
+
+
+def test_operands_outside_the_width_are_rejected():
+    spec = ConvSpec("t", in_channels=2, out_channels=3, height=4, width=4, kernel=(1, 1))
+    x = np.zeros(spec.input_shape(Layout.NCHW), np.int8)
+    w = np.zeros(spec.weight_shape(Layout.NCHW), np.int8)
+    with pytest.raises(ShapeError, match="input must be integer"):
+        execute_arm_conv(spec, x.astype(np.float32), w, 4)
+    with pytest.raises(ShapeError, match="weights outside the 4-bit range"):
+        execute_arm_conv(spec, x, w + 8, 4)
+    # -128 is inside the full signed 8-bit range the e2e operands use
+    low = np.full_like(x, -128)
+    assert np.array_equal(execute_arm_conv(spec, low, w + 1, 8), conv2d_ref(spec, low, w + 1))
+    # the width is checked first, whatever the scheme
+    with pytest.raises(UnsupportedBitsError):
+        execute_arm_conv(spec, x, w, 16, scheme="ncnn")
+    for scheme in ("sdot", "popcount"):
+        with pytest.raises(UnsupportedBitsError, match="unsupported scheme"):
+            execute_arm_conv(spec, x, w, 8, scheme=scheme)
+
+
+def test_kernel_rejects_panels_wider_than_a_byte():
+    from repro.arm.kernels import generate_smlal_kernel
+
+    kern = generate_smlal_kernel(4, 8)
+    a, b = np.zeros(kern.a_bytes, np.int16), np.zeros(kern.b_bytes, np.int8)
+    with pytest.raises(ShapeError, match="A panel must hold bytes"):
+        kern.execute(a, b)
 
 
 def test_execute_strided_and_batched():

@@ -31,15 +31,47 @@ def test_reference_layer_is_bit_exact():
     assert np.array_equal(out, conv2d_ref(spec, x, w))
 
 
-def conv16_tile(bits: int) -> ConvSpec:
-    """One register tile of conv16 (K = 512 * 3 * 3 = 4608), cropped away
-    from the padding so every product of the reduction is real."""
-    conv16 = next(s for s in get_model_layers("resnet50") if s.name == "conv16")
+def one_tile(layer: ConvSpec, bits: int) -> ConvSpec:
+    """One register tile of ``layer`` (its K, kernel and stride), cropped
+    away from the padding so every product of the reduction is real."""
     m_r, n_r = kernel_geometry(scheme_for_bits(bits))
     out_hw = 2 if n_r == 4 else 1  # 4 or 1 output pixels: the tile's columns
-    return ConvSpec("conv16-tile", in_channels=conv16.in_channels, out_channels=m_r,
-                    height=out_hw + 2, width=out_hw + 2, kernel=conv16.kernel,
-                    stride=conv16.stride, padding=(0, 0))
+    (k, _), (stride, _) = layer.kernel, layer.stride
+    hw = (out_hw - 1) * stride + k
+    return ConvSpec(f"{layer.name}-tile", in_channels=layer.in_channels, out_channels=m_r,
+                    height=hw, width=hw, kernel=layer.kernel, stride=layer.stride,
+                    padding=(0, 0))
+
+
+def conv16_tile(bits: int) -> ConvSpec:
+    """One register tile of conv16 (K = 512 * 3 * 3 = 4608)."""
+    return one_tile(next(s for s in get_model_layers("resnet50") if s.name == "conv16"), bits)
+
+
+def heavy_operands(rng, shape, bits):
+    """Random over the scheme's range, half of them at its most negative
+    value, so the partial sums run close to their worst case."""
+    r = scheme_qrange(bits)
+    values = rng.integers(r.qmin, r.qmax + 1, shape)
+    values[rng.random(shape) < 0.5] = r.qmin
+    return values.astype(np.int8)
+
+
+@pytest.mark.parametrize("bits", range(2, 9))
+def test_every_reduction_length_one_tile(bits):
+    """One tile at each of ResNet-50's ten reduction lengths (K = 64 to
+    4,608) through the generated kernel with the overflow check on, so
+    every K runs at every width, not only at the one the e2e run gives it."""
+    layers = {s.gemm_k: s for s in reversed(get_model_layers("resnet50"))}
+    assert sorted(layers) == [64, 128, 256, 512, 576, 1024, 1152, 2048, 2304, 4608]
+    rng = np.random.default_rng(bits)
+    for k, layer in sorted(layers.items()):
+        spec = one_tile(layer, bits)
+        assert spec.gemm_k == k
+        x = heavy_operands(rng, spec.input_shape(), bits)
+        w = heavy_operands(rng, spec.weight_shape(), bits)
+        out = execute_arm_conv(spec, x, w, bits, check_overflow=True)
+        assert np.array_equal(out, conv2d_ref(spec, x, w)), k
 
 
 @pytest.mark.parametrize("bits", range(2, 9))
