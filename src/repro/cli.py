@@ -16,17 +16,16 @@ Commands
     and (with ``--listing``) the full instruction listing.  A width the
     scheme does not model (``ncnn``/``sdot`` are 8-bit, ``popcount``
     2-bit) or a non-positive ``k`` exits 2 with a one-line message.
-``profile <target> [--trace out.json] [--metrics out.json]``
+``profile <target> [--trace out.json] [--metrics out.json] ...``
     Run one figure (or a whole model) under a :mod:`repro.obs.trace`
     capture and the metrics registry; print a text summary and
     optionally write a Chrome/Perfetto trace and the metrics snapshot
-    (the registry's one view, which ``diff`` reads).
-``report [--html out.html] [--backend arm,gpu]``
-    Roofline analytics over a model: per-layer arithmetic intensity and
-    %-of-roof per backend, the Fig. 1 CAL/LD ratio and the Sec. 3.3
-    chain overhead — as text, or as a self-contained HTML dashboard with
-    ``--html``.  An input file that cannot be read or parsed exits 2
-    with one stderr line naming it.
+    (the registry's one view, which ``diff`` reads).  A model target
+    also prints each backend's roofline, the Fig. 1 CAL/LD ratio of
+    every layer and the Sec. 3.3 chain overhead.  ``--flamegraph`` and
+    ``--stacks`` write what the stack sampler saw (``--profile-sample``
+    sets its interval).  An unknown target or backend, or an interval
+    that is not a finite number above 0, exits 2 with one stderr line.
 ``diff A B [--flamegraph out.svg] [--json] [--top N]``
     Differential profiling between two runs: each side is a Chrome trace
     JSON (``profile --trace`` or the e2e benchmark's ``trace.json``), a
@@ -186,86 +185,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    from .backends import available_backends
-    from .errors import ReproError
-
-    backends = tuple(b for b in args.backend.split(",") if b)
-    known = available_backends()
-    for name in backends:
-        if name not in known:
-            print(f"unknown backend {name!r}; registered: "
-                  f"{', '.join(known)}", file=sys.stderr)
-            return 2
-    if args.html:
-        import json
-        import pathlib
-
-        from .obs import sampler as obs_sampler
-        from .obs.htmlreport import write_report
-
-        def load(what: str, name: str, parse):
-            try:
-                return parse(pathlib.Path(name).read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"cannot read {what} {name!r}: {exc}") from exc
-
-        def summary(text: str) -> dict:
-            doc = json.loads(text)
-            if not isinstance(doc, dict):
-                raise ValueError("not a JSON object")
-            return doc
-
-        stacks = obs_sampler.parse_collapsed
-        try:
-            serve_summary = (load("serve summary", args.serve_summary,
-                                  summary)
-                             if args.serve_summary else None)
-            sample = (load("collapsed stacks", args.sample_collapsed, stacks)
-                      if args.sample_collapsed else None)
-            diff_sample = (tuple(load("collapsed stacks", name, stacks)
-                                 for name in args.diff_collapsed)
-                           if args.diff_collapsed else None)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        try:
-            path = write_report(
-                args.html, model=args.model, backends=backends,
-                batch=args.batch,
-                sample=sample, diff_sample=diff_sample,
-                serve_summary=serve_summary,
-            )
-        except ReproError as exc:
-            print(f"report FAILED: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote report  {path}")
-        return 0
-    from .obs import roofline as obs_roofline
-
-    for name in backends:
-        try:
-            points = obs_roofline.model_roofline(
-                args.model, name, batch=args.batch)
-        except ReproError as exc:
-            print(f"roofline [{name}] unavailable: {exc}", file=sys.stderr)
-            continue
-        print(f"== roofline [{name}] ({args.model}, batch {args.batch}) ==")
-        for line in obs_roofline.roofline_table(points):
-            print(line)
-        for line in obs_roofline.ascii_roofline(points):
-            print(line)
-    print("== CAL/LD ratio (Fig. 1) ==")
-    for line in obs_roofline.cal_ld_lines(
-            obs_roofline.model_cal_ld(args.model, batch=args.batch)):
-        print(line)
-    print("== accumulation-chain overhead (Sec. 3.3) ==")
-    for line in obs_roofline.chain_overhead_lines(
-            obs_roofline.chain_overhead_table()):
-        print(line)
-    return 0
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
     import pathlib
 
@@ -281,8 +200,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.flamegraph:
         if report.stacks_a is None or report.stacks_b is None:
             print("diff: --flamegraph needs collapsed stacks on both sides "
-                  "(export them with `profile` --profile-sample "
-                  "--stacks OUT.txt)", file=sys.stderr)
+                  "(export them with `profile --stacks OUT.txt`)",
+                  file=sys.stderr)
             return 2
         svg = obs_diff.differential_flamegraph_svg(
             report.stacks_a, report.stacks_b,
@@ -425,36 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the wall-clock stack sampler over the run "
                          "(optional tick interval in ms, default 5)")
     pp.add_argument("--flamegraph", default=None, metavar="OUT.svg",
-                    help="write the sampled stacks as a flamegraph SVG "
-                         "(requires --profile-sample)")
+                    help="sample the run and write the stacks as a "
+                         "flamegraph SVG")
     pp.add_argument("--stacks", default=None, metavar="OUT.txt",
-                    help="write the sampled stacks as collapsed-stack text "
-                         "for `repro diff` (requires --profile-sample)")
+                    help="sample the run and write the stacks as "
+                         "collapsed-stack text for `repro diff`")
     pp.set_defaults(fn=cmd_profile)
-
-    rr = sub.add_parser(
-        "report",
-        help="roofline analytics: text tables or an --html dashboard")
-    rr.add_argument("--model", default="resnet50",
-                    choices=["resnet50", "scr-resnet50", "densenet121"])
-    rr.add_argument("--batch", type=int, default=1)
-    rr.add_argument("--backend", default="arm,gpu", metavar="A,B",
-                    help="comma-separated backends to chart (default: arm,gpu)")
-    rr.add_argument("--html", default=None, metavar="OUT.html",
-                    help="write the self-contained HTML dashboard here "
-                         "instead of printing text tables")
-    rr.add_argument("--sample-collapsed", default=None, metavar="FILE",
-                    help="collapsed-stack file (from the sampler) to render "
-                         "as a flamegraph panel in the --html dashboard")
-    rr.add_argument("--diff-collapsed", default=None, nargs=2,
-                    metavar=("A", "B"),
-                    help="two collapsed-stack files to render as a red/blue "
-                         "differential flamegraph in the --html dashboard")
-    rr.add_argument("--serve-summary", default=None, metavar="FILE",
-                    help="serve summary JSON (from `serve --out`) to render "
-                         "as a serving-robustness card in the --html "
-                         "dashboard")
-    rr.set_defaults(fn=cmd_report)
 
     dp = sub.add_parser(
         "diff",

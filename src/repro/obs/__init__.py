@@ -13,8 +13,8 @@ the reproduction carries its own instrumentation:
   capture ``span()`` returns a shared null context manager and hot
   paths pay one global read;
 * :mod:`repro.obs.sampler` — a deterministic-interval wall-clock stack
-  sampler (``profile --profile-sample``) producing collapsed stacks and
-  flamegraph SVGs for the time spans don't cover;
+  sampler (``profile --flamegraph`` / ``--stacks``) producing collapsed
+  stacks for the time spans don't cover;
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled counters,
   gauges and histograms, read through one view: the JSON snapshot
   ``profile --metrics`` writes.  Coarse, always-on events (cache
@@ -37,19 +37,18 @@ Derived analytics build on those primitives:
 * :mod:`repro.obs.diff` — differential profiling (``python -m repro
   diff A B``): ranked attribution between two traces, collapsed-stack
   files or metrics snapshots — tree-aligned span deltas,
-  counter/histogram deltas and the red/blue differential flamegraph;
-* :mod:`repro.obs.htmlreport` — the self-contained ``python -m repro
-  report --html`` dashboard (roofline scatter, chain-overhead bars,
-  optional flamegraph, differential-flamegraph and serving cards; no
-  external assets).
+  counter/histogram deltas — and the standalone SVG flamegraphs, the
+  sampled one (``profile --flamegraph``) and the red/blue differential
+  one (``diff --flamegraph``).
 
 Wall-clock performance is measured by the end-to-end benchmark,
 ``benchmarks/e2e/run.py``, not by anything in this package.
 
-The text reporting surface is ``python -m repro profile <figure|model>``
+The one report of a run is ``python -m repro profile <figure|model>``
 (:mod:`repro.obs.report`), which runs one artifact under a fresh capture +
-metrics window and emits a text summary plus ``--trace``/``--metrics``
-JSON files.
+metrics window and emits a text summary (for a model, also the
+roofline, CAL/LD and chain-overhead tables) plus ``--trace``/``--metrics``
+JSON files and the sampler's ``--flamegraph``/``--stacks``.
 """
 
 from __future__ import annotations

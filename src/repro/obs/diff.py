@@ -27,10 +27,11 @@ sorted keys — the same inputs always produce byte-identical output
 
 from __future__ import annotations
 
+import html
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import sampler as obs_sampler
 
@@ -262,7 +263,7 @@ def diff_metrics(snap_a: dict, snap_b: dict) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Collapsed-stack diff + the red/blue differential flamegraph
+# Collapsed-stack diff
 # ---------------------------------------------------------------------------
 
 
@@ -320,6 +321,114 @@ def diff_frames(
     return sorted(out, key=lambda d: (-abs(d.d_share), d.frame))
 
 
+# ---------------------------------------------------------------------------
+# Flamegraphs: one icicle layout, two colorings
+# ---------------------------------------------------------------------------
+
+#: the root element's namespace, without which a standalone .svg file
+#: parses as plain XML and a browser shows its tree, not the picture
+_SVG_NS = "http://www.w3.org/2000/svg"
+
+#: frame fills by depth (cycling): blue, orange, aqua, each validated
+#: all-pairs in the light and the dark color scheme
+_DEPTH_FILLS = ("light-dark(#2a78d6, #3987e5)", "light-dark(#eb6834, #d95926)",
+                "light-dark(#1baf7a, #199e70)")
+
+
+def _esc(s: object) -> str:
+    return html.escape(str(s))
+
+
+def _icicle(
+    sides: Sequence[tuple[dict[str, int], float]],
+    paint: Callable[[int, str, list, list], tuple[str, str]],
+    *, width: int, row_h: int, max_depth: int,
+) -> tuple[int, list[str]]:
+    """Merge collapsed-stack sets into one trie and draw it as an icicle.
+
+    Each side is ``(counts, scale)``: every frame of a stack gains the
+    stack's samples times ``scale`` on that side.  The root (``all``) is
+    on top, one row per frame depth down to ``max_depth``; children sit
+    in alphabetical order, so the layout is deterministic for a given
+    input; a box's width is its weight summed over the sides.
+    ``paint(depth, name, weights, root_weights)`` gives each box its
+    fill and its ``<title>`` tooltip.  Returns the row count and the
+    SVG elements.
+    """
+    root: dict = {"w": [0] * len(sides), "children": {}}
+    for i, (counts, scale) in enumerate(sides):
+        for stack, n in sorted(counts.items()):
+            node = root
+            node["w"][i] += n * scale
+            for part in stack.split(";"):
+                node = node["children"].setdefault(
+                    part, {"w": [0] * len(sides), "children": {}})
+                node["w"][i] += n * scale
+    pps = width / sum(root["w"])  # pixels per (scaled) sample
+    parts: list[str] = []
+
+    def layout(name: str, node: dict, depth: int, x0: float) -> int:
+        w = sum(node["w"]) * pps
+        if w >= 0.4:  # a narrower box is invisible at any zoom
+            fill, tip = paint(depth, name, node["w"], root["w"])
+            yy = depth * row_h
+            parts.append(
+                f"<rect x='{x0:.1f}' y='{yy}' width='{max(w, 0.6):.1f}' "
+                f"height='{row_h - 2}' rx='2' fill='{fill}' "
+                f"stroke='light-dark(#fcfcfb,#1a1a19)' stroke-width='0.5'>"
+                f"<title>{_esc(tip)}</title></rect>")
+            if w >= 60:
+                label = name if len(name) <= int(w / 7) else (
+                    name[: max(1, int(w / 7) - 1)] + "…")
+                parts.append(
+                    f"<text x='{x0 + 4:.1f}' y='{yy + row_h - 6}' "
+                    f"fill='#ffffff'>{_esc(label)}</text>")
+        deepest = depth
+        if depth < max_depth:
+            x = x0
+            for child_name in sorted(node["children"]):
+                child = node["children"][child_name]
+                deepest = max(deepest, layout(child_name, child, depth + 1, x))
+                x += sum(child["w"]) * pps
+        return deepest
+
+    return layout("all", root, 0, 0.0) + 1, parts
+
+
+def flamegraph_svg(
+    counts: dict[str, int], *, width: int = 860, row_h: int = 18,
+    max_depth: int = 40,
+) -> str:
+    """A flamegraph of collapsed stacks, as a standalone SVG file.
+
+    ``counts`` is :meth:`repro.obs.sampler.StackSampler.collapsed` output
+    (``"outer;...;leaf" -> samples``).  Box width is the frame's share of
+    the samples; every box's tooltip gives the frame, its sample count
+    and its share.
+
+    Read it as a statistical picture, not a trace (DESIGN decision 12).
+    The sampler's tick grid is deterministic: a tick it missed is
+    counted, never dropped, so two runs of one workload differ only in
+    which frames their ticks caught.  Those frames are racy, and a
+    thread blocked in a C extension shows the extension's call site,
+    not its interior.
+    """
+    if sum(counts.values()) <= 0:
+        return "<p class='sub'>(no samples)</p>"
+
+    def paint(depth: int, name: str, w: list, root: list) -> tuple[str, str]:
+        return (_DEPTH_FILLS[depth % len(_DEPTH_FILLS)],
+                f"{name} — {w[0]} samples ({w[0] / root[0]:.1%})")
+
+    # an int scale keeps the weights ints, so tooltips read "6 samples"
+    rows, boxes = _icicle([(counts, 1)], paint, width=width, row_h=row_h,
+                          max_depth=max_depth)
+    return "".join([
+        f"<svg xmlns='{_SVG_NS}' viewBox='0 0 {width} {rows * row_h + 4}' "
+        f"role='img' aria-label='flamegraph of sampled stacks'>",
+        *boxes, "</svg>"])
+
+
 def _heat_color(r: float) -> str:
     """Map a relative shift ``r`` in [-1, 1] to blue (shrank) → neutral
     → red (grew).  Linear RGB interpolation, deterministic."""
@@ -338,14 +447,14 @@ def differential_flamegraph_svg(
     width: int = 860, row_h: int = 18, max_depth: int = 40,
     label_a: str = "A", label_b: str = "B",
 ) -> str:
-    """A red/blue differential flamegraph of two collapsed-stack sets.
+    """A red/blue differential flamegraph of two collapsed-stack sets,
+    as a standalone SVG file.
 
-    Icicle layout (root on top, alphabetical child order — deterministic
-    for a given input).  Run A's counts are normalized to run B's total
-    so the two runs compare by *share*; each frame's width is its
-    combined (normalized A + B) weight, its color the relative shift
-    ``(b - a~) / (a~ + b)`` — red grew in B, blue shrank, gray unchanged.
-    Pure string building, no scripts; tooltips carry both sides' numbers.
+    Run A's counts are normalized to run B's total so the two runs
+    compare by *share*; each frame's width is its combined (normalized
+    A + B) weight, its color the relative shift ``(b - a~) / (a~ + b)``
+    — red grew in B, blue shrank, gray unchanged.  Tooltips carry both
+    sides' numbers.
     """
     total_a = sum(counts_a.values())
     total_b = sum(counts_b.values())
@@ -354,69 +463,25 @@ def differential_flamegraph_svg(
     # normalize A onto B's total so shares, not durations, are compared
     scale_a = (total_b / total_a) if total_a and total_b else 1.0
 
-    root: dict = {"a": 0.0, "b": 0.0, "children": {}}
-    for counts, side, scale in ((counts_a, "a", scale_a), (counts_b, "b", 1.0)):
-        for stack, n in sorted(counts.items()):
-            node = root
-            node[side] += n * scale
-            for part in stack.split(";"):
-                child = node["children"].setdefault(
-                    part, {"a": 0.0, "b": 0.0, "children": {}})
-                child[side] += n * scale
-                node = child
+    def paint(depth: int, name: str, w: list, root: list) -> tuple[str, str]:
+        a, b = w
+        grand = sum(root)
+        rel = (b - a) / (a + b) if (a + b) else 0.0
+        return _heat_color(rel), (
+            f"{name} — {label_a}: {a / max(scale_a, 1e-12):.0f} samples"
+            f" ({a / grand * 2:.1%} norm), {label_b}: {b:.0f} samples"
+            f" ({b / grand * 2:.1%}); shift {rel:+.1%}")
 
-    grand = root["a"] + root["b"]
-    pps = width / grand  # pixels per (normalized) sample
-    boxes: list[tuple[int, float, float, str, float, float]] = []
-
-    def layout(name: str, node: dict, depth: int, x0: float) -> None:
-        boxes.append((depth, x0, (node["a"] + node["b"]) * pps,
-                      name, node["a"], node["b"]))
-        if depth >= max_depth:
-            return
-        x = x0
-        for child_name in sorted(node["children"]):
-            child = node["children"][child_name]
-            layout(child_name, child, depth + 1, x)
-            x += (child["a"] + child["b"]) * pps
-
-    layout("all", root, 0, 0.0)
-    depth_max = max(d for d, *_ in boxes)
-    height = (depth_max + 1) * row_h + 22
-    parts = [
-        f"<svg viewBox='0 0 {width} {height}' role='img' "
-        f"aria-label='differential flamegraph'>",
+    rows, boxes = _icicle([(counts_a, scale_a), (counts_b, 1.0)], paint,
+                          width=width, row_h=row_h, max_depth=max_depth)
+    height = rows * row_h + 22
+    return "".join([
+        f"<svg xmlns='{_SVG_NS}' viewBox='0 0 {width} {height}' "
+        f"role='img' aria-label='differential flamegraph'>",
         f"<text x='4' y='{height - 8}'>blue: shrank vs "
         f"{_esc(label_a)} &#183; red: grew in {_esc(label_b)} "
         f"(A normalized: {total_a} &#8594; {total_b} samples)</text>",
-    ]
-    for depth, x0, w, name, a, b in boxes:
-        if w < 0.4:
-            continue
-        rel = (b - a) / (a + b) if (a + b) else 0.0
-        yy = depth * row_h
-        tip = (f"{name} — {label_a}: {a / max(scale_a, 1e-12):.0f} samples"
-               f" ({a / grand * 2:.1%} norm), {label_b}: {b:.0f} samples"
-               f" ({b / grand * 2:.1%}); shift {rel:+.1%}")
-        parts.append(
-            f"<rect x='{x0:.1f}' y='{yy}' width='{max(w, 0.6):.1f}' "
-            f"height='{row_h - 2}' rx='2' fill='{_heat_color(rel)}' "
-            f"stroke='light-dark(#fcfcfb,#1a1a19)' stroke-width='0.5'>"
-            f"<title>{_esc(tip)}</title></rect>")
-        if w >= 60:
-            label = name if len(name) <= int(w / 7) else (
-                name[: max(1, int(w / 7) - 1)] + "…")
-            parts.append(
-                f"<text x='{x0 + 4:.1f}' y='{yy + row_h - 6}' "
-                f"fill='#ffffff'>{_esc(label)}</text>")
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _esc(s: object) -> str:
-    import html
-
-    return html.escape(str(s))
+        *boxes, "</svg>"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,17 @@ capture + metrics window, then reports:
 
 * a text summary — wall time, span totals by name, cache hit/miss rates,
   autotune evaluated/pruned tallies, the hottest per-layer cycle entries;
+* for a model target, the tables that explain its numbers
+  (:mod:`repro.obs.roofline`): each backend's roofline over every
+  (layer, bits) point with its ASCII plot, the Fig. 1 CAL/LD ratio of
+  every layer ending in its geomean, and the Sec. 3.3 chain overhead;
 * ``--trace out.json`` — the Chrome ``trace_event`` file (open in
   ``chrome://tracing`` or https://ui.perfetto.dev);
 * ``--metrics out.json`` — the full metrics snapshot, the registry's one
-  view (``repro diff`` reads it).
+  view (``repro diff`` reads it);
+* ``--flamegraph out.svg`` / ``--stacks out.txt`` — what the wall-clock
+  stack sampler saw, as an SVG flamegraph or as collapsed stacks (either
+  starts the sampler; ``--profile-sample MS`` sets its interval).
 
 The metrics window is process-global, so the command resets the registry
 up front: the emitted numbers describe this run only.
@@ -21,11 +28,13 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 from collections import defaultdict
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import metrics as obs_metrics
+from . import sampler as obs_sampler
 from . import trace as obs_trace
 
 MODELS = ("resnet50", "scr-resnet50", "densenet121")
@@ -124,6 +133,30 @@ def _gauge_summary(gauges: dict[str, float], limit: int = 10) -> list[str]:
     return lines or ["  (no gauges recorded)"]
 
 
+def _model_tables(model: str, backends: Sequence[str], batch: int) -> list[str]:
+    """Each backend's roofline table and plot, then the CAL/LD and
+    chain-overhead tables; their gauges land in the run's metrics."""
+    from ..errors import ReproError
+    from . import roofline as obs_roofline
+
+    lines: list[str] = []
+    for name in backends:
+        try:
+            points = obs_roofline.model_roofline(model, name, batch=batch)
+        except ReproError:  # a backend without roofline hooks
+            continue
+        lines.append(f"roofline [{name}]:")
+        lines += obs_roofline.roofline_table(points)
+        lines += obs_roofline.ascii_roofline(points)
+    lines.append("CAL/LD ratio (Fig. 1):")
+    lines += obs_roofline.cal_ld_lines(
+        obs_roofline.model_cal_ld(model, batch=batch))
+    lines.append("accumulation-chain overhead (Sec. 3.3):")
+    lines += obs_roofline.chain_overhead_lines(
+        obs_roofline.chain_overhead_table())
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -146,12 +179,16 @@ def run_profile(
 
     ``backend`` restricts model targets to one registered backend
     (default: price on every registered backend); figure targets carry
-    their backend by construction and ignore it.  ``sample_interval_ms``
-    (``--profile-sample``) additionally runs the wall-clock stack
-    sampler over the run and reports the hottest collapsed stacks;
-    ``flamegraph_path`` writes them as a standalone SVG flamegraph and
-    ``stacks_path`` as collapsed-stack text — two ``--stacks`` exports
-    are exactly what ``repro diff A.txt B.txt --flamegraph`` consumes.
+    their backend by construction and ignore it.  The wall-clock stack
+    sampler runs over the run when any of ``sample_interval_ms`` (its
+    tick interval, ``--profile-sample``), ``flamegraph_path`` or
+    ``stacks_path`` is given, and the summary lists the hottest
+    collapsed stacks; ``flamegraph_path`` writes them as an SVG
+    flamegraph and ``stacks_path`` as collapsed-stack text — two
+    ``--stacks`` exports are exactly what ``repro diff A.txt B.txt
+    --flamegraph`` consumes.  An unknown target or backend, or an
+    interval that is not a finite number above 0, prints one stderr
+    line and returns 2 before anything runs.
     """
     if backend is not None:
         from ..backends import get_backend
@@ -160,21 +197,27 @@ def run_profile(
         try:
             get_backend(backend)
         except ReproError as exc:
-            echo(str(exc))
+            print(exc, file=sys.stderr)
             return 2
     try:
         runner = resolve_target(target, model, batch, backend)
     except KeyError:
-        echo(f"unknown profile target {target!r}; use fig7..fig17, tab1, "
-             f"or one of {', '.join(MODELS)}")
+        print(f"unknown profile target {target!r}; use fig7..fig17, tab1, "
+              f"or one of {', '.join(MODELS)}", file=sys.stderr)
         return 2
 
     sampler = None
-    if sample_interval_ms is not None:
-        from . import sampler as obs_sampler
-
-        sampler = obs_sampler.StackSampler(
-            interval_s=sample_interval_ms / 1e3)
+    if (sample_interval_ms is not None or flamegraph_path is not None
+            or stacks_path is not None):
+        if sample_interval_ms is None:
+            sample_interval_ms = obs_sampler.DEFAULT_INTERVAL_S * 1e3
+        try:
+            sampler = obs_sampler.StackSampler(
+                interval_s=sample_interval_ms / 1e3)
+        except ValueError:
+            print(f"--profile-sample must be a finite number of ms above "
+                  f"0, got {sample_interval_ms:g}", file=sys.stderr)
+            return 2
     obs_metrics.reset()
     t0 = time.perf_counter()
     try:
@@ -195,22 +238,10 @@ def run_profile(
             sampler.stop()
     seconds = time.perf_counter() - t0
 
-    roofline_lines: list[str] = []
+    model_lines: list[str] = []
     if target in MODELS:
-        from . import roofline as obs_roofline
-
-        from ..errors import ReproError
-
-        names = (backend,) if backend else tuple(result)
-        for name in names:
-            try:
-                points = obs_roofline.model_roofline(
-                    target, name, batch=batch)
-            except ReproError:  # a backend without roofline hooks
-                continue
-            roofline_lines.append(f"roofline [{name}]:")
-            roofline_lines += obs_roofline.roofline_table(points, limit=8)
-            roofline_lines += obs_roofline.ascii_roofline(points)
+        model_lines = _model_tables(
+            target, (backend,) if backend else tuple(result), batch)
     snap = obs_metrics.snapshot()
 
     echo(f"== profile {target} (model {model}, batch {batch}) ==")
@@ -228,7 +259,7 @@ def run_profile(
     echo("per-layer cycles (gauges):")
     for line in _gauge_summary(snap["gauges"]):
         echo(line)
-    for line in roofline_lines:
+    for line in model_lines:
         echo(line)
     if sampler is not None:
         counts = sampler.collapsed()
@@ -260,18 +291,15 @@ def run_profile(
             encoding="utf-8",
         )
         echo(f"wrote metrics  {path}")
-    if sampler is not None and flamegraph_path is not None:
-        from . import htmlreport as obs_htmlreport
+    if flamegraph_path is not None:
+        from . import diff as obs_diff
 
         fpath = pathlib.Path(flamegraph_path)
         fpath.parent.mkdir(parents=True, exist_ok=True)
-        fpath.write_text(
-            obs_htmlreport.flamegraph_svg(sampler.collapsed()),
-            encoding="utf-8")
+        fpath.write_text(obs_diff.flamegraph_svg(sampler.collapsed()),
+                         encoding="utf-8")
         echo(f"wrote flamegraph {fpath}")
-    if sampler is not None and stacks_path is not None:
-        from . import sampler as obs_sampler
-
+    if stacks_path is not None:
         spath = obs_sampler.write_collapsed(sampler.collapsed(), stacks_path)
         echo(f"wrote collapsed stacks {spath}")
     return 0

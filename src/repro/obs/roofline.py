@@ -20,9 +20,10 @@ can price also gets
   safety: SADDW widening occupancy over total kernel occupancy, per bit
   width, measured on the actually generated instruction streams.
 
-Every quantity is registered as an ``obs.metrics`` gauge so profile runs
-and metrics exports carry it; the text/ASCII rendering lives here too, the
-self-contained HTML dashboard in :mod:`repro.obs.htmlreport`.
+Every quantity is registered as an ``obs.metrics`` gauge, so a
+``profile --metrics`` snapshot carries it.  The text tables and the
+ASCII plot live here too; ``python -m repro profile <model>`` is the one
+command that prints them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..types import ConvSpec, GemmShape
+from ..util import geomean
 from . import metrics as obs_metrics
 from . import trace as obs_trace
 
@@ -82,22 +84,6 @@ class RooflinePoint:
                 if self.peak_bandwidth * self.intensity >= self.peak_compute_ops
                 else "memory")
 
-    def as_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "layer": self.layer,
-            "bits": self.bits,
-            "macs": self.macs,
-            "bytes": round(self.bytes_moved, 1),
-            "intensity": round(self.intensity, 4),
-            "achieved_ops": self.achieved_ops,
-            "peak_compute_ops": self.peak_compute_ops,
-            "peak_bandwidth": self.peak_bandwidth,
-            "roof_ops": self.roof_ops,
-            "pct_of_roof": round(self.pct_of_roof, 4),
-            "bound": self.bound,
-        }
-
 
 def layer_roofline(backend, spec: ConvSpec, bits: int) -> RooflinePoint:
     """Roofline point for one layer on one backend, gauges included."""
@@ -126,15 +112,15 @@ def model_roofline(
     model: str,
     backend_name: str,
     *,
-    bits: Sequence[int] | None = None,
     batch: int = 1,
 ) -> list[RooflinePoint]:
-    """Roofline points for every unique conv layer of ``model``."""
+    """Roofline points for every unique conv layer of ``model`` at each
+    of the backend's :data:`DEFAULT_BITS`."""
     from ..backends import get_backend
     from ..models import get_model_layers
 
     backend = get_backend(backend_name)
-    bit_list = tuple(bits) if bits else DEFAULT_BITS.get(backend.name, (8,))
+    bit_list = DEFAULT_BITS.get(backend.name, (8,))
     layers = get_model_layers(model, batch=batch)
     backend.prewarm([(s, b, None) for b in bit_list for s in layers])
     with obs_trace.span(
@@ -202,7 +188,7 @@ def chain_overhead(bits: int) -> dict:
     """
     from ..arm.cost_model import _generate, scheme_for_bits
     from ..arm.pipeline import A53_COST_TABLE
-    from ..arm.ratios import chain_length, round_interval
+    from ..arm.ratios import chain_length
 
     scheme = scheme_for_bits(bits)
     kern = _generate(scheme, bits, _CHAIN_K, True, None)
@@ -221,20 +207,20 @@ def chain_overhead(bits: int) -> dict:
         "bits": bits,
         "scheme": scheme,
         "chain": chain_length(bits),
-        "round_interval": round_interval(bits),
         "widen_cycles": widen_cycles,
         "busy_cycles": total_cycles,
         "fraction": fraction,
     }
 
 
-def chain_overhead_table(bit_widths: Sequence[int] = (2, 3, 4, 5, 6, 7, 8)) -> list[dict]:
+def chain_overhead_table() -> list[dict]:
+    """:func:`chain_overhead` at every bit width the paper covers, 2-8."""
     with obs_trace.span("roofline.chain_overhead"):
-        return [chain_overhead(b) for b in bit_widths]
+        return [chain_overhead(b) for b in range(2, 9)]
 
 
 # ---------------------------------------------------------------------------
-# Text rendering (the `repro profile` / `repro report` surface)
+# Text rendering (the `repro profile <model>` surface)
 # ---------------------------------------------------------------------------
 
 
@@ -245,25 +231,21 @@ def _fmt_ops(ops: float) -> str:
     return f"{ops:.1f} MAC/s"
 
 
-def roofline_table(points: Sequence[RooflinePoint], limit: int = 0) -> list[str]:
-    """Fixed-width per-layer table, lowest %-of-roof (most headroom) last."""
+def roofline_table(points: Sequence[RooflinePoint]) -> list[str]:
+    """Fixed-width table, one row per point, lowest %-of-roof (most
+    headroom) last."""
     if not points:
         return ["  (no roofline points)"]
-    rows = sorted(points, key=lambda p: -p.pct_of_roof)
-    if limit:
-        rows = rows[:limit]
     lines = [
         f"  {'layer':<22} {'bits':>4} {'ops/byte':>9} {'achieved':>14} "
         f"{'roof':>14} {'%roof':>6}  bound"
     ]
-    for p in rows:
+    for p in sorted(points, key=lambda p: -p.pct_of_roof):
         lines.append(
             f"  {p.layer:<22} {p.bits:>4} {p.intensity:>9.2f} "
             f"{_fmt_ops(p.achieved_ops):>14} {_fmt_ops(p.roof_ops):>14} "
             f"{p.pct_of_roof:>6.1%}  {p.bound}"
         )
-    if limit and len(points) > limit:
-        lines.append(f"  ... {len(points) - limit} more points")
     return lines
 
 
@@ -315,10 +297,11 @@ def ascii_roofline(
     return lines
 
 
-def cal_ld_lines(table: Sequence[dict], limit: int = 6) -> list[str]:
+def cal_ld_lines(table: Sequence[dict]) -> list[str]:
+    """One row per layer, then the geomean improvement (Fig. 1: ~4x)."""
     lines = [f"  {'layer':<22} {'trad CAL/LD':>12} {'redesigned':>12} "
              f"{'improvement':>12}"]
-    for row in table[:limit]:
+    for row in table:
         label = row["layer"] or "x".join(
             str(row.get(d)) for d in ("m", "k", "n"))
         lines.append(
@@ -326,8 +309,8 @@ def cal_ld_lines(table: Sequence[dict], limit: int = 6) -> list[str]:
             f"{row['traditional']:>12.3f} {row['redesigned']:>12.3f} "
             f"{row['improvement']:>11.2f}x"
         )
-    if len(table) > limit:
-        lines.append(f"  ... {len(table) - limit} more layers")
+    lines.append(f"  {'geomean':<48} "
+                 f"{geomean(r['improvement'] for r in table):>11.2f}x")
     return lines
 
 

@@ -3,13 +3,13 @@
 A daemon thread walks ``sys._current_frames()`` on a fixed tick grid and
 folds what it sees into *collapsed stacks* — the ``root;child;leaf N``
 text format flamegraph tooling consumes, rendered natively as an SVG
-panel by :func:`repro.obs.htmlreport.flamegraph_svg`.
+file by :func:`repro.obs.diff.flamegraph_svg` (``profile --flamegraph``).
 
 Why wall-clock sampling, next to the span recorder the repo already has?
 Spans only cover instrumented call sites; the sampler attributes *all*
-time — the numpy inner loops, the pickle stalls in process pools, the
-lock convoy nobody thought to wrap in a span — with zero code changes
-and bounded overhead (one frame walk per tick, no sys.settrace).
+time — the numpy inner loops, the imports, the lock convoy nobody
+thought to wrap in a span — with zero code changes and bounded overhead
+(one frame walk per tick, no sys.settrace).
 
 Determinism caveats (see DESIGN §5.12): the *tick grid* is deterministic
 — tick ``k`` fires at ``t0 + k*interval`` and ticks the thread missed
@@ -33,6 +33,7 @@ Usage::
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import sys
 import threading
@@ -68,11 +69,16 @@ def _collapse(frame) -> str:
 
 
 class StackSampler:
-    """Samples every live thread's stack on a deterministic tick grid."""
+    """Samples every live thread's stack on a deterministic tick grid.
+
+    ``interval_s`` is the tick interval, a finite number of seconds
+    above 0; anything else raises ``ValueError``.
+    """
 
     def __init__(self, *, interval_s: float = DEFAULT_INTERVAL_S) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be > 0, got {interval_s}")
+        if not 0 < interval_s < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"interval must be finite and > 0, got {interval_s}")
         self.interval_s = interval_s
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {}

@@ -67,7 +67,7 @@ class CircuitBreaker:
         self.opens = 0
         self.closes = 0
         self.probe_failures = 0
-        #: (time_s, new_state) transition log, for summaries/dashboards
+        #: (time_s, new_state) transition log, for the serve summary
         self.transitions: List[Tuple[float, str]] = []
 
     # -- state ---------------------------------------------------------------

@@ -3,10 +3,14 @@
 The acceptance contract: profiling an artifact emits a text summary, a
 Perfetto-loadable Chrome trace and a metrics snapshot containing the
 cache, autotune and per-layer cycle series — and leaves no tracer
-installed afterwards.
+installed afterwards.  A model target also prints its roofline, CAL/LD
+and chain-overhead tables; a bad target, backend or sample interval is
+one stderr line and exit 2.
 """
 
 import json
+
+import pytest
 
 from repro.cli import main
 from repro.obs import trace
@@ -83,14 +87,62 @@ def test_profile_tab1_without_outputs(capsys):
 
 def test_profile_unknown_target(capsys):
     assert main(["profile", "fig99"]) == 2
-    assert "unknown profile target" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "unknown profile target 'fig99'" in captured.err
+
+
+def test_profile_model_prints_roofline_cal_ld_and_chain_tables(capsys):
+    """A model target prints, in order, the backend's roofline with one
+    row per point and its plot, the CAL/LD ratio of every layer ending
+    in the geomean, and the chain overhead of every bit width."""
+    from repro.models import get_model_layers
+
+    layers = [spec.name for spec in get_model_layers("resnet50")]
+    assert main(["profile", "resnet50", "--backend", "ref"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    roof = out.index("roofline [ref]:")
+    cal = out.index("CAL/LD ratio (Fig. 1):")
+    chain = out.index("accumulation-chain overhead (Sec. 3.3):")
+    assert roof < cal < chain == len(out) - 9  # header + 2..8 bits
+    # ref prices 8 bits only: one point per layer, then the plot
+    rows = out[roof + 2:roof + 2 + len(layers)]
+    assert sorted(row.split()[0] for row in rows) == sorted(layers)
+    assert out[roof + 2 + len(layers)].startswith("  MACs/s (peak ")
+    assert not any(line.endswith(("more points", "more layers"))
+                   for line in out)
+    cal_rows = out[cal + 2:chain]
+    assert [row.split()[0] for row in cal_rows] == [*layers, "geomean"]
+    assert float(cal_rows[-1].split()[1].rstrip("x")) == pytest.approx(
+        4.0, rel=0.1)
+    assert [int(row.split()[0]) for row in out[chain + 2:]] == [
+        2, 3, 4, 5, 6, 7, 8]
+
+
+def test_flamegraph_and_stacks_start_the_sampler(tmp_path, capsys):
+    """Either output flag samples the run at the default 5 ms interval;
+    ``--profile-sample`` is needed only to change the interval."""
+    fg, st = tmp_path / "fg.svg", tmp_path / "st.txt"
+    assert main(["profile", "tab1", "--flamegraph", str(fg),
+                 "--stacks", str(st)]) == 0
+    assert fg.is_file() and st.is_file()
+    assert " samples @ 5 ms (" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf"])
+def test_bad_sample_interval_is_a_usage_error(interval, tmp_path, capsys):
+    stacks = tmp_path / "st.txt"
+    assert main(["profile", "tab1", "--profile-sample", interval,
+                 "--stacks", str(stacks)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"got {interval}" in captured.err
+    assert not stacks.exists()
 
 
 def test_failing_target_leaks_no_obs_state(monkeypatch):
     """A figure that blows up mid-run must not leave its half-filled
     metrics window (or an installed tracer) behind for later callers."""
-    import pytest
-
     from repro.obs import metrics
     from repro.obs import report as obs_report
 

@@ -14,8 +14,8 @@ from repro.errors import ReproError
 from repro.models import get_model_layers
 from repro.obs import metrics as obs_metrics
 from repro.obs import roofline
-from repro.obs.htmlreport import render_report
 from repro.types import GemmShape
+from repro.util import geomean
 
 
 @pytest.fixture(autouse=True)
@@ -135,13 +135,8 @@ def test_text_renderers_cover_every_point():
     assert any("-" in ln for ln in plot)  # the flat compute roof
     assert any("8" in ln for ln in plot[1:-2])  # the 8-bit points
     assert roofline.roofline_table([]) == ["  (no roofline points)"]
-
-
-def test_html_report_is_self_contained():
-    text = render_report(model="resnet50", backends=("ref",))
-    assert text.startswith("<!doctype html>")
-    for forbidden in ("<script", "http://", "https://", "url("):
-        assert forbidden not in text
-    assert text.count("<svg") >= 2  # roofline scatter + chain bars
-    assert "data table" in text  # the accessibility/table view
-    assert "4" in text and "CAL/LD" in text
+    table = roofline.model_cal_ld("resnet50")
+    lines = roofline.cal_ld_lines(table)
+    assert len(lines) == len(table) + 2  # header, every layer, geomean
+    assert lines[-1].split() == [
+        "geomean", f"{geomean(r['improvement'] for r in table):.2f}x"]

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.obs import htmlreport, sampler
+from repro.obs import diff, sampler
 
 
 def _busy_beacon(done) -> int:
@@ -40,10 +40,9 @@ def test_sampler_catches_a_busy_function():
 
 
 def test_interval_must_be_positive():
-    with pytest.raises(ValueError):
-        sampler.StackSampler(interval_s=0)
-    with pytest.raises(ValueError):
-        sampler.StackSampler(interval_s=-0.001)
+    for interval_s in (0, -0.001, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sampler.StackSampler(interval_s=interval_s)
 
 
 def test_double_start_rejected_and_stop_idempotent():
@@ -91,14 +90,14 @@ def test_parse_collapsed_merges_duplicates_and_rejects_garbage():
 
 def test_flamegraph_svg_structure():
     counts = {"main;work;inner": 6, "main;work;other": 2, "main;idle": 2}
-    svg = htmlreport.flamegraph_svg(counts, width=800)
+    svg = diff.flamegraph_svg(counts, width=800)
     assert svg.startswith("<svg")
     assert svg.count("<rect") >= 5  # main, work, idle, inner, other
     assert "main — 10 samples (100.0%)" in svg
     assert "inner — 6 samples (60.0%)" in svg
     # deterministic: same input, same bytes
-    assert svg == htmlreport.flamegraph_svg(counts, width=800)
+    assert svg == diff.flamegraph_svg(counts, width=800)
 
 
 def test_flamegraph_svg_empty():
-    assert "no samples" in htmlreport.flamegraph_svg({})
+    assert "no samples" in diff.flamegraph_svg({})
