@@ -547,7 +547,7 @@ class _Compiler:
             for (s0, s1, b), lo, hi in zip(operands, low, high):
                 seg = ids[s0:s1]
                 deps[nodes[b]].update((lo, hi) if lo == hi or ((seg == lo) | (seg == hi)).all()
-                                      else np.unique(seg).tolist())
+                                      else seg.tolist())
         # levels: passes in creation order until none changes (reads of
         # later batches are a loop's shifts); a cycle never settles
         level = [0] * nb

@@ -263,7 +263,8 @@ def tile_cycles_batch(
     out = np.empty(ks.shape, dtype=np.float64)
     exact = ks <= _EXACT_K_LIMIT
     if exact.any():
-        distinct = [int(k) for k in np.unique(ks[exact])]
+        # not np.unique: its first call imports numpy.ma
+        distinct = sorted(set(ks[exact].tolist()))
         results = _schedule_many(scheme, bits, distinct, interleave, round_steps)
         cycles = {k: float(r.cycles) for k, r in zip(distinct, results)}
         out[exact] = [cycles[int(k)] for k in ks[exact]]

@@ -26,11 +26,14 @@ Three layers make the search fast without changing its answer:
   backend's prewarm hands it a whole network at once); every sweep keeps
   its own cutoff, tallies and cache entries, so a batched sweep returns
   exactly what the one-shape :func:`autotune` does;
-* **a persistent content-addressed cache** — results are memoized on disk
-  (:class:`repro.perf.PersistentCache`, ``REPRO_CACHE_DIR`` overrides the
-  location) keyed by a :func:`repro.perf.stable_hash` of shape, bits,
-  device, kernel kwargs *and a fingerprint of the cost-model code*, so
-  editing the model invalidates stale entries.
+* **a persistent content-addressed cache** — results are memoized in the
+  process and on disk (:class:`repro.perf.PersistentCache`,
+  ``REPRO_CACHE_DIR`` overrides the location), keyed by one sha256 over
+  shape, bits and the :func:`repro.perf.stable_hash` of the sweep's
+  context: device, kernel kwargs *and a fingerprint of the cost-model
+  code*, so editing the model invalidates stale entries.  The context is
+  canonicalized once per distinct device and kwargs, and a call whose
+  every sweep hits the in-process memo does not touch the store.
 
 A fourth layer keeps long sweeps alive when individual profile runs
 misbehave (TVM-style candidate isolation — Cowan et al. survive thousands
@@ -60,6 +63,7 @@ only by a fault.  The exhaustive serial sweep is the tests' oracle
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,8 +200,9 @@ def _tiling_from_json(v: list) -> TilingParams:
 # ---------------------------------------------------------------------------
 
 _MEM_CACHE: dict[str, AutotuneResult] = {}
-#: sweep key -> :func:`_sweep_digest`, so each distinct sweep is hashed once
-_DIGESTS: dict[tuple, str] = {}
+#: (device, kernel kwargs with their value types) -> the sweep context's
+#: :func:`stable_hash`, so each distinct context is canonicalized once
+_CONTEXTS: dict[tuple, str] = {}
 _SPACE_CACHE: dict[tuple[int, GpuDevice], tuple[list[TilingParams], TilingArrays]] = {}
 _STORE = PersistentCache("gpu-autotune")
 _QUARANTINE = Quarantine("autotune.profile")
@@ -229,7 +234,7 @@ def clear_cache(*, persistent: bool = False) -> None:
     always; the on-disk store too with ``persistent=True``) and release
     quarantined candidates.  Public for tests and the chaos scenarios."""
     _MEM_CACHE.clear()
-    _DIGESTS.clear()
+    _CONTEXTS.clear()
     _QUARANTINE.clear()
     _STORE.drop_index()
     if persistent:
@@ -472,56 +477,55 @@ def _search(
                 pruned=len(space) - lane.evaluated - lane.skipped,
                 skipped=lane.skipped,
             )
-            # inside the span: the sweep marker attaches to the search
-            _count_sweep(result, engine="pruned")
             results.append(result)
+        # inside the span: the sweep markers attach to the search
+        _count_sweeps([r for r in results if isinstance(r, AutotuneResult)],
+                      engine="pruned")
     return results
 
 
-def _count_sweep(result: AutotuneResult, *, engine: str) -> None:
-    """Aggregate sweep tallies (once per profile sweep — never per item)."""
-    obs_metrics.counter("autotune_sweeps", engine=engine).inc()
-    obs_metrics.counter("autotune_candidates", engine=engine).inc(
-        result.candidates)
-    obs_metrics.counter("autotune_evaluated", engine=engine).inc(
-        result.evaluated)
-    obs_metrics.counter("autotune_pruned", engine=engine).inc(result.pruned)
-    # marker: one per sweep, addressable next to its spans
-    obs_trace.instant(
-        "autotune.sweep", cat="autotune", engine=engine,
-        gemm=f"{result.gemm.m}x{result.gemm.k}x{result.gemm.n}",
-        bits=result.bits, candidates=result.candidates,
-        evaluated=result.evaluated, pruned=result.pruned,
-        skipped=result.skipped, best_cycles=result.best_cycles,
-    )
+def _count_sweeps(results: Sequence[AutotuneResult], *, engine: str) -> None:
+    """Aggregate sweep tallies, once per pass (never per sweep or item),
+    and under a trace capture one marker per sweep."""
+    if not results:
+        return
+    for name, value in (
+            ("autotune_sweeps", len(results)),
+            ("autotune_candidates", sum(r.candidates for r in results)),
+            ("autotune_evaluated", sum(r.evaluated for r in results)),
+            ("autotune_pruned", sum(r.pruned for r in results))):
+        obs_metrics.counter(name, engine=engine).inc(value)
+    if not obs_trace.active():
+        return
+    for result in results:  # addressable next to their spans
+        obs_trace.instant(
+            "autotune.sweep", cat="autotune", engine=engine,
+            gemm=f"{result.gemm.m}x{result.gemm.k}x{result.gemm.n}",
+            bits=result.bits, candidates=result.candidates,
+            evaluated=result.evaluated, pruned=result.pruned,
+            skipped=result.skipped, best_cycles=result.best_cycles,
+        )
 
 
 def _sweep_digest(
     gemm: GemmShape, bits: int, device: GpuDevice, kernel_kwargs: dict
 ) -> str:
-    return stable_hash({
-        "gemm": [gemm.m, gemm.k, gemm.n],
-        "bits": bits,
-        "device": device,
-        "kwargs": kernel_kwargs,
-        "code": _code_version(),
-    })
-
-
-def _digest_of(
-    gemm: GemmShape, bits: int, device: GpuDevice, kernel_kwargs: dict
-) -> str:
-    """:func:`_sweep_digest` memoized on the sweep key, value types included
-    (the digest tells 1, 1.0 and True apart); unhashable kwargs hash anew."""
-    key = (gemm, bits, device, tuple(sorted(
+    """A sweep's cache key: one sha256 over its context's digest, the
+    shape and ``repr(bits)``.  The context (device, kernel kwargs and code
+    version) is canonicalized once per distinct device and kwargs, value
+    types included, so ``1``, ``1.0`` and ``True`` hash apart; a context
+    with an unhashable kwarg value is canonicalized anew."""
+    key = (device, tuple(sorted(
         (name, type(value), value) for name, value in kernel_kwargs.items())))
     try:
-        digest = _DIGESTS.get(key)
-    except TypeError:  # an unhashable kwarg value
-        return _sweep_digest(gemm, bits, device, kernel_kwargs)
-    if digest is None:
-        digest = _DIGESTS[key] = _sweep_digest(gemm, bits, device, kernel_kwargs)
-    return digest
+        context = _CONTEXTS[key]
+    except (KeyError, TypeError) as exc:  # a new context, or unhashable
+        context = stable_hash({"device": device, "kwargs": kernel_kwargs,
+                               "code": _code_version()})
+        if isinstance(exc, KeyError):
+            _CONTEXTS[key] = context
+    return hashlib.sha256(
+        f"{context}/{gemm.m}x{gemm.k}x{gemm.n}/{bits!r}".encode()).hexdigest()
 
 
 def _from_store(
@@ -562,11 +566,11 @@ def autotune_many(
     stored, as one batch, first, then the error of the first failing
     sweep in ``sweeps`` is raised.
     """
-    digests = [_digest_of(g, b, device, kw) for g, b, kw in sweeps]
+    digests = [_sweep_digest(g, b, device, kw) for g, b, kw in sweeps]
     outcome: dict[str, AutotuneResult | AutotuneError | None] = {
         digest: _MEM_CACHE.get(digest) for digest in digests}
     todo = {d: sweep for d, sweep in zip(digests, sweeps) if outcome[d] is None}
-    stored = _STORE.get_many(todo)
+    stored = _STORE.get_many(todo) if todo else []
     groups: dict[tuple[int, str], list[tuple[str, GemmShape, dict]]] = {}
     for (digest, (gemm, bits, kwargs)), data in zip(todo.items(), stored):
         outcome[digest] = _from_store(digest, data, gemm, bits)

@@ -339,6 +339,12 @@ def _esc(s: object) -> str:
     return html.escape(str(s))
 
 
+def _no_samples_svg(width: int, note: str) -> str:
+    """An empty flamegraph: a standalone SVG whose one text is ``note``."""
+    return (f"<svg xmlns='{_SVG_NS}' viewBox='0 0 {width} 24' role='img' "
+            f"aria-label='{note}'><text x='4' y='16'>{note}</text></svg>")
+
+
 def _icicle(
     sides: Sequence[tuple[dict[str, int], float]],
     paint: Callable[[int, str, list, list], tuple[str, str]],
@@ -414,7 +420,7 @@ def flamegraph_svg(
     not its interior.
     """
     if sum(counts.values()) <= 0:
-        return "<p class='sub'>(no samples)</p>"
+        return _no_samples_svg(width, "no samples")
 
     def paint(depth: int, name: str, w: list, root: list) -> tuple[str, str]:
         return (_DEPTH_FILLS[depth % len(_DEPTH_FILLS)],
@@ -459,7 +465,7 @@ def differential_flamegraph_svg(
     total_a = sum(counts_a.values())
     total_b = sum(counts_b.values())
     if total_a + total_b <= 0:
-        return "<p class='sub'>(no samples on either side)</p>"
+        return _no_samples_svg(width, "no samples on either side")
     # normalize A onto B's total so shares, not durations, are compared
     scale_a = (total_b / total_a) if total_a and total_b else 1.0
 

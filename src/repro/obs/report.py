@@ -133,6 +133,12 @@ def _gauge_summary(gauges: dict[str, float], limit: int = 10) -> list[str]:
     return lines or ["  (no gauges recorded)"]
 
 
+#: the gauge families :func:`_model_tables` prints in full
+_TABLED_GAUGES = frozenset({
+    "roofline_intensity", "roofline_pct_of_roof", "gemm_cal_ld",
+    "gemm_cal_ld_improvement", "chain_overhead_fraction"})
+
+
 def _model_tables(model: str, backends: Sequence[str], batch: int) -> list[str]:
     """Each backend's roofline table and plot, then the CAL/LD and
     chain-overhead tables; their gauges land in the run's metrics."""
@@ -257,7 +263,11 @@ def run_profile(
     for line in _histogram_summary(snap["histograms"]):
         echo(line)
     echo("per-layer cycles (gauges):")
-    for line in _gauge_summary(snap["gauges"]):
+    gauges = snap["gauges"]
+    if model_lines:  # the tables below print these families in full
+        gauges = {key: value for key, value in gauges.items()
+                  if key.split("{", 1)[0] not in _TABLED_GAUGES}
+    for line in _gauge_summary(gauges):
         echo(line)
     for line in model_lines:
         echo(line)

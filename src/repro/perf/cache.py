@@ -253,16 +253,6 @@ class PersistentCache:
 
     # -- operations ---------------------------------------------------------
 
-    def _count_lookup(self, outcome: str) -> None:
-        obs_metrics.counter(
-            "cache_lookups", namespace=self.namespace, outcome=outcome
-        ).inc()
-
-    def _miss(self, *, error: bool = False) -> None:
-        self.stats.misses += 1
-        self.stats.errors += int(error)
-        self._count_lookup("miss")
-
     def _degrade(self, counter: str, event: str, **fields: Any) -> None:
         """Count and log a tolerated failure: degradation is never silent."""
         self.stats.errors += 1
@@ -272,30 +262,39 @@ class PersistentCache:
 
     def get_many(self, digests: Iterable[str]) -> list[dict | None]:
         """The stored entry of each digest, ``None`` on miss/corruption/
-        disablement.  The call's first miss lists the directory, once."""
+        disablement.  The call's first miss lists the directory, once;
+        its lookups are counted once, when it returns."""
         if not self.enabled:
             return [None for _ in digests]
         entries, listed, values = self._index(self.directory()), False, []
+        hits = errors = 0
         for digest in digests:
             try:
                 res_faults.inject("cache.get", key=digest)
             except InjectedFault:
-                values.append(self._miss(error=True))
+                values.append(None)
+                errors += 1
                 continue
             value = entries.get(digest)
             if value is None and not listed:
                 self._refresh()
                 listed, value = True, entries.get(digest)
-            if value is None:
-                values.append(self._miss())
             # injected garbage is a failed read of a good entry: it stays put
-            elif not isinstance(res_faults.maybe_garbage(
+            if value is not None and not isinstance(res_faults.maybe_garbage(
                     "cache.get", value, key=digest), dict):
-                values.append(self._miss(error=True))
-            else:
-                self.stats.hits += 1
-                self._count_lookup("hit")
-                values.append(value)
+                value = None
+                errors += 1
+            hits += value is not None
+            values.append(value)
+        misses = len(values) - hits
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.errors += errors
+        for outcome, n in (("hit", hits), ("miss", misses)):
+            if n:
+                obs_metrics.counter(
+                    "cache_lookups", namespace=self.namespace, outcome=outcome
+                ).inc(n)
         return values
 
     def get(self, digest: str) -> dict | None:

@@ -69,7 +69,7 @@ def autotune_reference(
         candidates=count, evaluated=evaluated, pruned=0, skipped=skipped,
     )
     # reference span already closed
-    autotune_mod._count_sweep(result, engine="reference")
+    autotune_mod._count_sweeps([result], engine="reference")
     return result
 
 

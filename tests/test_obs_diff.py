@@ -143,7 +143,15 @@ def test_differential_flamegraph_svg_well_formed_and_signed():
 
 
 def test_differential_flamegraph_empty_sides():
-    assert "<svg" not in diff.differential_flamegraph_svg({}, {})
+    """No samples is still an SVG file: the namespaced root holds one
+    text saying so."""
+    for svg, note in ((diff.differential_flamegraph_svg({}, {}),
+                       "no samples on either side"),
+                      (diff.flamegraph_svg({}), "no samples")):
+        root = ET.fromstring(svg)
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert [t.text for t in root.iter(
+            "{http://www.w3.org/2000/svg}text")] == [note]
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,8 @@ def test_profile_unknown_target(capsys):
 def test_profile_model_prints_roofline_cal_ld_and_chain_tables(capsys):
     """A model target prints, in order, the backend's roofline with one
     row per point and its plot, the CAL/LD ratio of every layer ending
-    in the geomean, and the chain overhead of every bit width."""
+    in the geomean, and the chain overhead of every bit width; the gauge
+    section above them does not list what they print."""
     from repro.models import get_model_layers
 
     layers = [spec.name for spec in get_model_layers("resnet50")]
@@ -117,6 +118,10 @@ def test_profile_model_prints_roofline_cal_ld_and_chain_tables(capsys):
         4.0, rel=0.1)
     assert [int(row.split()[0]) for row in out[chain + 2:]] == [
         2, 3, 4, 5, 6, 7, 8]
+    # the summary's gauge section leaves the tables' families to them
+    tabled = ("roofline_intensity", "roofline_pct_of_roof", "gemm_cal_ld",
+              "gemm_cal_ld_improvement", "chain_overhead_fraction")
+    assert not any(name in line for line in out[:roof] for name in tabled)
 
 
 def test_flamegraph_and_stacks_start_the_sampler(tmp_path, capsys):

@@ -323,6 +323,37 @@ def test_injected_read_fault_is_a_miss_that_moves_nothing(store, kind):
     assert PersistentCache("test-ns").get(digest) == {"v": 1}
 
 
+@pytest.mark.parametrize("kind", ["raise", "garbage"])
+def test_get_many_counts_what_it_returns_under_faults(store, kind):
+    """One call's ``stats`` and ``cache_lookups`` deltas are the hits,
+    misses and errors of what it returned, whichever lookups fault."""
+    from repro.obs import metrics as obs_metrics
+    from repro.resilience.faults import FaultPlan
+
+    stored = [(stable_hash(i), {"v": i}) for i in range(12)]
+    store.put_many(stored)
+    digests = [d for d, _ in stored] + [stable_hash(f"absent{i}") for i in range(6)]
+    lookups = {outcome: obs_metrics.counter(
+        "cache_lookups", namespace="test-ns", outcome=outcome)
+        for outcome in ("hit", "miss")}
+    before = {outcome: c.value for outcome, c in lookups.items()}
+    plan = FaultPlan.from_spec(f"cache.get:{kind}:0.5:1", seed=7)
+    store.reset_stats()
+    with fault_plan(plan):
+        values = store.get_many(digests)
+    hits = sum(v is not None for v in values)
+    lost = len(stored) - sum(v is not None for v in values[:len(stored)])
+    # a raised lookup of an absent digest is an error too
+    errors = (sum(plan.selects("cache.get", d) for d in digests)
+              if kind == "raise" else lost)
+    assert 0 < hits < len(stored) and errors >= lost > 0
+    assert (store.stats.hits, store.stats.misses, store.stats.errors) == (
+        hits, len(digests) - hits, errors)
+    assert {outcome: c.value - before[outcome]
+            for outcome, c in lookups.items()} == {
+        "hit": hits, "miss": len(digests) - hits}
+
+
 def test_get_many_lists_the_directory_once(store, monkeypatch):
     items = [(stable_hash(i), {"v": i}) for i in range(3)]
     store.put_many(items)

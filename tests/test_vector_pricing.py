@@ -8,10 +8,15 @@ call, the batched prewarm and the reference sweep (fault-free and under
 the canned chaos plan), the Fig. 11 series against the reference, the
 ``evaluated + pruned + skipped == candidates`` invariant, quarantine
 fallback, the batched profile-run counter, each distinct sweep computed
-once, and the ARM batch pricers and prewarm.
+once, the sweep digest and its once-per-context canonicalization, the
+per-pass tallies, and the ARM batch pricers and prewarm.
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -358,25 +363,126 @@ def test_gpu_prewarm_computes_each_distinct_sweep_once():
     assert store.stats.puts == len(digests)
 
 
-def test_each_distinct_sweep_is_hashed_once(monkeypatch):
-    """The prewarm hashes each distinct sweep key once, and pricing the
-    prewarmed items, repeats included, hashes none."""
-    from repro.backends.gpu import GpuBackend
-    from repro.gpu.pipelinemodel import conv_gemm_shape
+def test_sweep_digest_keys_every_part_of_a_sweep(monkeypatch):
+    """A sweep's digest changes with m, k, n, the bits, any device field,
+    any kwarg and the code version; it tells kwargs 1, 1.0 and True and
+    bits 4 and 4.0 apart, and ignores the kwargs' insertion order."""
+    import dataclasses
+
+    digest, device = autotune_mod._sweep_digest, autotune_mod.TU102
+    gemm, kwargs = GemmShape(3136, 576, 64), {"out_elem_bytes": 0.5, "split_k": 1}
+    bumped = [dataclasses.replace(device, **{f.name: (
+        value + "'" if isinstance(value, str) else value * 2 + 1)})
+        for f in dataclasses.fields(device)
+        for value in [getattr(device, f.name)]]
+    variants = [
+        digest(gemm, 4, device, kwargs),
+        digest(GemmShape(3137, 576, 64), 4, device, kwargs),
+        digest(GemmShape(3136, 577, 64), 4, device, kwargs),
+        digest(GemmShape(3136, 576, 65), 4, device, kwargs),
+        digest(gemm, 8, device, kwargs),
+        digest(gemm, 4.0, device, kwargs),
+        digest(gemm, 4, device, {**kwargs, "out_elem_bytes": 1.0}),
+        digest(gemm, 4, device, {"out_elem_bytes": 0.5}),
+        *(digest(gemm, 4, d, kwargs) for d in bumped),
+        *(digest(gemm, 4, device, {"flag": v}) for v in (1, 1.0, True)),
+    ]
+    assert len(set(variants)) == len(variants) == 11 + len(bumped)
+    reordered = {"split_k": 1, "out_elem_bytes": 0.5}
+    assert digest(gemm, 4, device, reordered) == variants[0]
+    clear_cache()  # canonicalized anew, in the other order
+    assert digest(gemm, 4, device, reordered) == variants[0]
+    monkeypatch.setattr(autotune_mod, "_FINGERPRINT", "0" * 16)
+    clear_cache()  # the memo holds one code version: the process's
+    assert digest(gemm, 4, device, kwargs) not in variants
+
+
+def test_each_sweep_context_is_canonicalized_once(monkeypatch):
+    """The prewarm canonicalizes the sweep context (device, kwargs, code
+    version) once per distinct device and kwargs, however many sweeps
+    share it; pricing the prewarmed items, repeats included,
+    canonicalizes none, and another device is another context."""
+    import dataclasses
+
+    from repro.backends.gpu import GpuBackend, _epilogue_kwargs
     from repro.models import get_model_layers
 
     calls = []
-    sweep_digest = autotune_mod._sweep_digest
-    monkeypatch.setattr(autotune_mod, "_sweep_digest",
-                        lambda *args: calls.append(args) or sweep_digest(*args))
-    work = [(spec, bits, None)
-            for spec in get_model_layers("resnet50")[:3] for bits in (4, 8)]
+    stable_hash = autotune_mod.stable_hash
+    monkeypatch.setattr(autotune_mod, "stable_hash",
+                        lambda obj: calls.append(obj) or stable_hash(obj))
+    work = [(spec, bits, epilogue)
+            for spec in get_model_layers("resnet50")[:3]
+            for bits in (4, 8)
+            for epilogue in (None, "requant", "dequant")]
+    work += work[::2]
+    # {}, and out_elem_bytes 0.5 (4-bit requant), 1.0 (8-bit) and 4.0
+    contexts = {tuple(_epilogue_kwargs(b, e, {}).items()) for _, b, e in work}
+    assert len(contexts) == 4
+    gpu = GpuBackend()
+    gpu.prewarm(work)
+    assert len(calls) == len(contexts)
+    for spec, bits, epilogue in work:
+        gpu.price_conv(spec, bits, epilogue)
+    assert len(calls) == len(contexts)
+    other = dataclasses.replace(autotune_mod.TU102, name="tu102-copy")
+    for bits in (4, 8):
+        autotune_mod._sweep_digest(_GEMMS[0], bits, other, {})
+    assert len(calls) == len(contexts) + 1
+
+
+def test_pass_tallies_are_the_sums_of_their_sweeps(monkeypatch):
+    """One batched call over ResNet-50 at 4 and 8 bits adds to each
+    ``autotune_*{engine=pruned}`` counter the sum over its results, and
+    exactly what the same sweeps add one ``autotune`` call at a time."""
+    from repro.gpu.pipelinemodel import conv_gemm_shape
+    from repro.models import get_model_layers
+
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    counters = [obs_metrics.counter(name, engine="pruned") for name in (
+        "autotune_sweeps", "autotune_candidates", "autotune_evaluated",
+        "autotune_pruned")]
+
+    def deltas(run):
+        before = [c.value for c in counters]
+        results = run()
+        return [c.value - b for c, b in zip(counters, before)], results
+
+    sweeps = list(dict.fromkeys((conv_gemm_shape(spec), bits)
+                                for bits in (4, 8)
+                                for spec in get_model_layers("resnet50")))
+    batched, results = deltas(
+        lambda: autotune_many([(g, b, {}) for g, b in sweeps]))
+    assert batched == [len(sweeps), sum(r.candidates for r in results),
+                       sum(r.evaluated for r in results),
+                       sum(r.pruned for r in results)]
+    clear_cache()
+    one_at_a_time, singles = deltas(lambda: [autotune(g, b) for g, b in sweeps])
+    assert one_at_a_time == batched
+    assert singles == results
+
+
+def test_memo_hits_do_not_touch_the_store(monkeypatch):
+    """Pricing prewarmed items calls the store's ``get_many`` zero
+    times; a cold miss calls it once per ``autotune_many`` call."""
+    from repro.backends.gpu import GpuBackend
+    from repro.models import get_model_layers
+
+    store, calls = autotune_mod.cache_store(), []
+    get_many = store.get_many
+    monkeypatch.setattr(store, "get_many",
+                        lambda digests: calls.append(1) or get_many(digests))
+    layers = get_model_layers("resnet50")
+    work = [(spec, bits, None) for spec in layers[:3] for bits in (4, 8)]
     work += work[::2]
     gpu = GpuBackend()
     gpu.prewarm(work)
+    assert len(calls) == 1
     for spec, bits, epilogue in work:
         gpu.price_conv(spec, bits, epilogue)
-    assert len(calls) == len({(conv_gemm_shape(s), b) for s, b, _ in work})
+    assert len(calls) == 1
+    gpu.price_conv(layers[3], 4)
+    assert len(calls) == 2
 
 
 def test_results_found_before_an_escaping_error_are_stored(monkeypatch):
@@ -398,7 +504,7 @@ def test_results_found_before_an_escaping_error_are_stored(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         autotune_many(sweeps)
     assert len(passes) == 2
-    digest = autotune_mod._digest_of(_GEMMS[0], 4, autotune_mod.TU102, {})
+    digest = autotune_mod._sweep_digest(_GEMMS[0], 4, autotune_mod.TU102, {})
     assert PersistentCache("gpu-autotune").get(digest) is not None
 
 
@@ -499,6 +605,25 @@ def test_arm_prewarm_batching_changes_no_prices():
     clear_schedule_cache()
     cold = [backend.price_conv(s, b, e).total_cycles for s, b, e in work]
     assert warmed == cold
+
+
+def test_arm_prewarm_does_not_import_numpy_ma(tmp_path):
+    """An ARM prewarm, which every ``reproduce`` process runs, leaves
+    ``numpy.ma`` unimported: the first ``np.unique`` call of a process
+    imports it, at about 13 ms."""
+    code = ("import sys\n"
+            "from repro.backends.arm import ArmBackend\n"
+            "from repro.models import get_model_layers\n"
+            "spec = get_model_layers('resnet50')[0]\n"
+            "ArmBackend().prewarm([(spec, 2, None), (spec, 8, None)])\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list((tmp_path / "cache" / "arm-schedule").iterdir())
 
 
 def test_arm_prewarm_schedules_streams_and_prices_nothing(monkeypatch):
