@@ -152,17 +152,18 @@ def _schedule_many(
     round_steps: int | None,
 ) -> list[PipelineResult]:
     """The static schedules at the reduction lengths ``ks``: memo, else
-    store, else scheduled now.  The streams one call schedules are stored
+    store, else scheduled now.  A call whose every length hits the memo
+    does not touch the store.  The streams one call schedules are stored
     as one batch, even when a later one fails to generate."""
     todo = {k: stable_hash({
         "scheme": scheme, "bits": bits, "k": k, "interleave": interleave,
         "round_steps": round_steps, "code": _code_version(),
     }) for k in dict.fromkeys(ks)
         if (scheme, bits, k, interleave, round_steps) not in _SCHEDULES}
+    stored = _SCHEDULE_STORE.get_many(todo.values()) if todo else []
     new: list[tuple[str, dict]] = []
     try:
-        for (k, digest), data in zip(
-                todo.items(), _SCHEDULE_STORE.get_many(todo.values())):
+        for (k, digest), data in zip(todo.items(), stored):
             result = None
             if data is not None:
                 try:
@@ -181,7 +182,8 @@ def _schedule_many(
                 new.append((digest, result.to_json()))
             _SCHEDULES[(scheme, bits, k, interleave, round_steps)] = result
     finally:
-        _SCHEDULE_STORE.put_many(new)
+        if new:
+            _SCHEDULE_STORE.put_many(new)
     return [_SCHEDULES[(scheme, bits, k, interleave, round_steps)] for k in ks]
 
 

@@ -20,12 +20,14 @@ Three layers make the search fast without changing its answer:
   priced as a :class:`~repro.gpu.tiling.TilingArrays` through the same
   cost-model terms that price one tiling
   (:mod:`repro.gpu.pipelinemodel`, bit-identical per lane): one batched
-  call for every lower bound, then numpy-sized pricing rounds with the
-  pruning cutoff applied as an array mask.  :func:`autotune_many` runs up to
-  ``_PASS_SWEEPS`` sweeps through each of those numpy passes (the GPU
-  backend's prewarm hands it a whole network at once); every sweep keeps
-  its own cutoff, tallies and cache entries, so a batched sweep returns
-  exactly what the one-shape :func:`autotune` does;
+  call bounds the space's distinct ``(m_tile, n_tile, k_tile)`` blocks
+  (72 of TU102's 632 candidates; the bound reads no other field) and a
+  gather hands each candidate its block's bound, then numpy-sized pricing
+  rounds apply the pruning cutoff as an array mask.  :func:`autotune_many`
+  runs up to ``_PASS_SWEEPS`` sweeps through each of those numpy passes
+  (the GPU backend's prewarm hands it a whole network at once); every
+  sweep keeps its own cutoff, tallies and cache entries, so a batched
+  sweep returns exactly what the one-shape :func:`autotune` does;
 * **a persistent content-addressed cache** — results are memoized in the
   process and on disk (:class:`repro.perf.PersistentCache`,
   ``REPRO_CACHE_DIR`` overrides the location), keyed by one sha256 over
@@ -203,7 +205,7 @@ _MEM_CACHE: dict[str, AutotuneResult] = {}
 #: (device, kernel kwargs with their value types) -> the sweep context's
 #: :func:`stable_hash`, so each distinct context is canonicalized once
 _CONTEXTS: dict[tuple, str] = {}
-_SPACE_CACHE: dict[tuple[int, GpuDevice], tuple[list[TilingParams], TilingArrays]] = {}
+_SPACE_CACHE: dict[tuple[int, GpuDevice], tuple] = {}
 _STORE = PersistentCache("gpu-autotune")
 _QUARANTINE = Quarantine("autotune.profile")
 
@@ -254,16 +256,26 @@ def profile_quarantine() -> Quarantine:
 
 def _legal_candidates(
     bits: int, device: GpuDevice
-) -> tuple[list[TilingParams], TilingArrays]:
-    """The legal search space plus its SoA decomposition, memoized per
+) -> tuple[list[TilingParams], TilingArrays, TilingArrays, np.ndarray]:
+    """The legal search space, its SoA decomposition, its distinct
+    ``(m_tile, n_tile, k_tile)`` blocks (one representative each, the
+    first in search order) and each candidate's block index, memoized per
     (bits, device) — legality does not depend on the GEMM shape, so
     validating (and columnizing) it once per process is free speedup for
-    every per-layer sweep."""
+    every per-layer sweep.  :func:`kernel_lower_bound` reads no other
+    field, so a block's bound is each of its candidates' own."""
     entry = _SPACE_CACHE.get((bits, device))
     if entry is None:
         space = list(search_space(bits, device=device))
-        entry = _SPACE_CACHE.setdefault(
-            (bits, device), (space, TilingArrays.from_params(space)))
+        first: dict[tuple[int, int, int], int] = {}  # block -> first candidate
+        for i, t in enumerate(space):
+            first.setdefault((t.m_tile, t.n_tile, t.k_tile), i)
+        number = {block: b for b, block in enumerate(first)}
+        block_of = np.array(
+            [number[t.m_tile, t.n_tile, t.k_tile] for t in space], dtype=np.intp)
+        arrays = TilingArrays.from_params(space)
+        entry = _SPACE_CACHE.setdefault((bits, device), (
+            space, arrays, arrays.take(list(first.values())), block_of))
     return entry
 
 
@@ -349,6 +361,8 @@ def _search(
     bits: int,
     space: list[TilingParams],
     arrays: TilingArrays,
+    blocks: TilingArrays,
+    block_of: np.ndarray,
     device: GpuDevice,
     kernel_kwargs: dict,
 ) -> list[AutotuneResult | AutotuneError]:
@@ -356,9 +370,10 @@ def _search(
     kwargs) sharing every numpy pass.
 
     One :func:`~repro.gpu.pipelinemodel.kernel_lower_bound` call bounds
-    every (shape, candidate) pair and a stable row-wise argsort orders
-    each shape's candidates by ``(bound, index)``.  Each round prices
-    every unfinished shape's next slice of that order in one
+    every (shape, block) pair, a gather through ``block_of`` gives each
+    candidate its block's bound, and a stable row-wise argsort orders each
+    shape's candidates by ``(bound, index)``.  Each round prices every
+    unfinished shape's next slice of that order in one
     :func:`~repro.gpu.pipelinemodel.kernel_time_batch` call over per-lane
     GEMM dimensions, after masking out lanes whose bound exceeds the
     shape's own incumbent; a shape stops once its next-smallest bound
@@ -377,8 +392,8 @@ def _search(
         "autotune.search", bits=bits, sweeps=len(gemms), candidates=len(space),
     ):
         bounds = kernel_lower_bound(
-            GemmArrays.from_shapes(gemms, np.s_[:, None]), bits, arrays,
-            device=device, **kernel_kwargs)
+            GemmArrays.from_shapes(gemms, np.s_[:, None]), bits, blocks,
+            device=device, **kernel_kwargs)[:, block_of]
         lanes = [_Lane(g, b, o) for g, b, o in
                  zip(gemms, bounds, np.argsort(bounds, axis=1, kind="stable"))]
         policy = ExecPolicy.resolve()
@@ -580,12 +595,13 @@ def autotune_many(
     new: list[tuple[str, AutotuneResult]] = []
     try:
         for (bits, _), members in groups.items():
-            space, arrays = _legal_candidates(bits, device)
+            space, arrays, blocks, block_of = _legal_candidates(bits, device)
             kwargs = members[0][2]
             for start in range(0, len(members), _PASS_SWEEPS):
                 part = members[start:start + _PASS_SWEEPS]
                 gemms = [gemm for _, gemm, _ in part]
-                found = (_search(gemms, bits, space, arrays, device, kwargs)
+                found = (_search(gemms, bits, space, arrays, blocks, block_of,
+                                 device, kwargs)
                          if space else
                          [_no_legal_tiling_error(g, bits, device) for g in gemms])
                 for (digest, _, _), result in zip(part, found):
@@ -595,7 +611,8 @@ def autotune_many(
                             new.append((digest, result))
                     outcome[digest] = result
     finally:
-        _STORE.put_many((d, result.to_json()) for d, result in new)
+        if new:
+            _STORE.put_many((d, result.to_json()) for d, result in new)
     for digest in digests:
         if isinstance(outcome[digest], AutotuneError):
             raise outcome[digest]

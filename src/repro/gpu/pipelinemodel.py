@@ -225,6 +225,11 @@ def kernel_lower_bound(
     :mod:`repro.gpu.autotune` exact: a candidate is discarded only when
     its bound already exceeds the incumbent's *achieved* time.
 
+    It reads only the tiling's MTile, NTile and KTile: the warp counts
+    and ``k_step`` enter the model through occupancy, which the compute
+    floor fixes at 1 and the DRAM term lacks, and the dropped smem term.
+    So the autotuner bounds each distinct block once.
+
     ``reorder_smem`` is accepted (and ignored) so the autotuner can pass
     its kernel kwargs through unfiltered.
     """

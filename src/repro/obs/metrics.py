@@ -33,6 +33,10 @@ SCHEMA_VERSION = 1
 #: keywords, so anything else indicates a programming error, not data
 _LABEL_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+#: label value types whose equal values print alike, so a memoized key is
+#: the one :func:`metric_key` builds (not float: ``-0.0 == 0.0``)
+_MEMO_TYPES = (str, int, bool)
+
 #: characters with structural meaning inside a series key; each is
 #: backslash-escaped in label values so two distinct label sets can
 #: never collide into one key (e.g. ``a="x,b=y"`` vs ``a="x", b="y"``)
@@ -153,9 +157,18 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: (name, (label, type, value)...) -> series key; the type keeps
+        #: ``1``, ``1.0`` and ``True`` apart, as their keys are
+        self._keys: dict[tuple, str] = {}
 
     def _get(self, table: dict, cls: type, name: str, labels: dict):
-        key = metric_key(name, labels)
+        memo = (name, *((k, type(v), v) for k, v in labels.items()))
+        try:
+            key = self._keys[memo]
+        except (KeyError, TypeError):  # new, or an unhashable label value
+            key = metric_key(name, labels)
+            if all(type(v) in _MEMO_TYPES for v in labels.values()):
+                self._keys[memo] = key
         metric = table.get(key)
         if metric is None:
             with self._lock:

@@ -1,13 +1,16 @@
 """Tiling independence: any legal tiling computes the same convolution —
 and the cost model prices a tiling population bit-identically to the
-one-tiling call."""
+one-tiling call, with a lower bound that reads only the block tile."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.conv import conv2d_ref
-from repro.gpu.autotune import autotune
+from repro.gpu.autotune import _legal_candidates, autotune
+from repro.gpu.device import TU102
 from repro.gpu.implicit_gemm import conv2d_implicit_gemm
 from repro.gpu.pipelinemodel import (
     GemmArrays,
@@ -114,6 +117,42 @@ def test_vector_pricing_is_bit_identical(bits, kwargs):
             assert batch.occupancy[i] == scalar.occupancy
             assert int(batch.blocks_per_sm[i]) == scalar.blocks_per_sm
             assert bounds[i] == kernel_lower_bound(gemm, bits, tiling, **kwargs)
+
+
+def _other_legal_values(column: np.ndarray) -> np.ndarray:
+    """Each entry replaced by the next of the column's distinct values,
+    cyclically, so every lane changes and stays a value the space uses."""
+    values = np.array(sorted(set(column.tolist())))
+    return values[(np.searchsorted(values, column) + 1) % values.size]
+
+
+@pytest.mark.parametrize("bits", [8, 4])
+@pytest.mark.parametrize("kwargs", _EQ_KWARGS,
+                         ids=lambda kw: "-".join(kw) or "defaults")
+def test_lower_bound_reads_only_the_block_tile(bits, kwargs):
+    """The premise of bounding each (MTile, NTile, KTile) block once: on
+    the legal population and random GEMMs with m, k and n from 1 to 2^21,
+    every candidate's bound equals its block representative's, gathered
+    through the autotuner's block index, bit for bit, and stays the same
+    when ``k_step`` and both warp counts take other legal values."""
+    space, arrays, blocks, block_of = _legal_candidates(bits, TU102)
+    tiles = [(t.m_tile, t.n_tile, t.k_tile) for t in space]
+    firsts = [tiles.index(tile) for tile in dict.fromkeys(tiles)]
+    assert [blocks.param_at(b) for b in range(len(blocks))] == [space[i] for i in firsts]
+    assert [tiles[firsts[b]] for b in block_of] == tiles
+    rng = np.random.default_rng(bits)
+    dims = np.floor(2.0 ** rng.uniform(0, 21, (64, 3))).astype(np.int64)
+    dims = np.vstack([dims, [[1, 1, 1], [2**21, 2**21, 2**21]]])
+    gemms = GemmArrays(*dims.T[:, :, None])
+    full = kernel_lower_bound(gemms, bits, arrays, **kwargs)
+    gathered = kernel_lower_bound(gemms, bits, blocks, **kwargs)[:, block_of]
+    assert full.shape == (66, len(space))
+    assert gathered.tobytes() == full.tobytes()
+    moved = dataclasses.replace(arrays, **{
+        name: _other_legal_values(getattr(arrays, name))
+        for name in ("k_step", "block_row_warps", "block_col_warps")})
+    assert not np.any(moved.k_step == arrays.k_step)
+    assert kernel_lower_bound(gemms, bits, moved, **kwargs).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("bits", [8, 4])

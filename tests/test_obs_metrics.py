@@ -5,6 +5,7 @@ with the process default that library instrumentation writes into; the
 default-registry convenience API gets its own reset-bracketed test.
 """
 
+import itertools
 import threading
 
 import pytest
@@ -133,6 +134,45 @@ def test_counter_inc_and_identity():
     assert reg.counter("lookups", outcome="hit", ns="a") is c
     assert c.value == 4
     assert reg.counter("lookups", ns="a", outcome="miss").value == 0
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations([1, 1.0, True])),
+                         ids=lambda order: "-".join(map(repr, order)))
+def test_equal_label_values_of_other_types_stay_apart(order):
+    """``bits=1``, ``bits=1.0`` and ``bits=True`` compare equal but key
+    three series, whichever is looked up first, on every later lookup."""
+    reg = MetricsRegistry()
+    series = [reg.counter("runs", bits=value) for value in order]
+    for value, counter in zip(order, series):
+        assert reg.counter("runs", bits=value) is counter
+    assert set(reg.snapshot()["counters"]) == {
+        "runs{bits=1}", "runs{bits=1.0}", "runs{bits=True}"}
+
+
+def test_repeated_lookups_keep_metric_keys():
+    """A repeated label set gets the key :func:`metric_key` builds:
+    keyword order maps to one series, an escaped value keeps its key, and
+    floats that compare equal but print apart (``0.0``, ``-0.0``) and
+    unhashable values get their own key on every lookup."""
+    reg = MetricsRegistry()
+    plain = reg.gauge("cycles", layer="conv1", bits=4)
+    assert reg.gauge("cycles", bits=4, layer="conv1") is plain
+    nasty = {"layer": "a,b=c{d}\\"}
+    escaped = reg.gauge("cycles", **nasty)
+    assert reg.gauge("cycles", **nasty) is escaped
+    for value in (0.0, -0.0, 0.0, -0.0, [1, 2], [1, 2]):
+        reg.gauge("cycles", v=value)
+    assert set(reg.snapshot()["gauges"]) == {
+        "cycles{bits=4,layer=conv1}", "cycles{layer=a\\,b\\=c\\{d\\}\\\\}",
+        "cycles{v=0.0}", "cycles{v=-0.0}", "cycles{v=[1\\, 2]}"}
+
+
+def test_bad_label_name_raises_on_every_lookup():
+    reg = MetricsRegistry()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="identifier"):
+            reg.counter("c", **{"not a name": 1})
+    assert reg.snapshot()["counters"] == {}
 
 
 def test_counter_rejects_negative():

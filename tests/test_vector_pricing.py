@@ -9,7 +9,8 @@ the canned chaos plan), the Fig. 11 series against the reference, the
 ``evaluated + pruned + skipped == candidates`` invariant, quarantine
 fallback, the batched profile-run counter, each distinct sweep computed
 once, the sweep digest and its once-per-context canonicalization, the
-per-pass tallies, and the ARM batch pricers and prewarm.
+per-pass tallies, the lower bound taken once per block tile, memo hits
+that skip the GPU and ARM stores, and the ARM batch pricers and prewarm.
 """
 
 import importlib
@@ -462,27 +463,110 @@ def test_pass_tallies_are_the_sums_of_their_sweeps(monkeypatch):
     assert singles == results
 
 
+def test_a_pass_bounds_each_block_tile_once(monkeypatch):
+    """One search pass calls the lower bound once, on the space's 72
+    distinct (MTile, NTile, KTile) blocks per shape, not on its 632
+    candidates."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    bound, calls = autotune_mod.kernel_lower_bound, []
+
+    def spy(gemm, bits, tilings, **kwargs):
+        calls.append((bits, gemm.m.shape, len(tilings)))
+        return bound(gemm, bits, tilings, **kwargs)
+
+    monkeypatch.setattr(autotune_mod, "kernel_lower_bound", spy)
+    autotune_many([(gemm, bits, {}) for bits in (4, 8) for gemm in _GEMMS])
+    assert calls == [(4, (3, 1), 72), (8, (3, 1), 72)]
+    for bits in (4, 8):
+        assert len(autotune_mod._legal_candidates(bits, autotune_mod.TU102)[0]) == 632
+
+
+def test_block_bounds_change_no_sweep_of_the_price_sweep(monkeypatch):
+    """The e2e price sweep's 1,696 distinct sweeps (three models, batches
+    1-16, 4 and 8 bits) give equal results, tallies included, searched
+    with the block map and with an identity one, which makes every
+    candidate its own block and so bounds each of them."""
+    from repro.gpu.pipelinemodel import conv_gemm_shape
+    from repro.models import get_model_layers
+
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    sweeps = [(gemm, bits, {}) for gemm, bits in dict.fromkeys(
+        (conv_gemm_shape(spec.with_batch(batch)), bits)
+        for model in ("resnet50", "scr-resnet50", "densenet121")
+        for bits in (4, 8) for batch in range(1, 17)
+        for spec in get_model_layers(model))]
+    assert len(sweeps) == 1696
+    blocked = autotune_many(sweeps)
+    legal = autotune_mod._legal_candidates
+
+    def identity(bits, device):
+        space, arrays, _, _ = legal(bits, device)
+        return space, arrays, arrays, np.arange(len(space))
+
+    monkeypatch.setattr(autotune_mod, "_legal_candidates", identity)
+    clear_cache()
+    assert autotune_many(sweeps) == blocked
+
+
+def _count_store_calls(monkeypatch, store) -> dict[str, int]:
+    """Count ``store``'s ``get_many`` and ``put_many`` calls, live."""
+    calls = dict.fromkeys(("get_many", "put_many"), 0)
+    for name in calls:
+        def spy(items, name=name, method=getattr(store, name)):
+            calls[name] += 1
+            return method(items)
+
+        monkeypatch.setattr(store, name, spy)
+    return calls
+
+
 def test_memo_hits_do_not_touch_the_store(monkeypatch):
-    """Pricing prewarmed items calls the store's ``get_many`` zero
-    times; a cold miss calls it once per ``autotune_many`` call."""
+    """Pricing prewarmed items calls the store's ``get_many`` and
+    ``put_many`` zero times; a cold miss calls each once per
+    ``autotune_many`` call."""
     from repro.backends.gpu import GpuBackend
     from repro.models import get_model_layers
 
-    store, calls = autotune_mod.cache_store(), []
-    get_many = store.get_many
-    monkeypatch.setattr(store, "get_many",
-                        lambda digests: calls.append(1) or get_many(digests))
+    calls = _count_store_calls(monkeypatch, autotune_mod.cache_store())
     layers = get_model_layers("resnet50")
     work = [(spec, bits, None) for spec in layers[:3] for bits in (4, 8)]
     work += work[::2]
     gpu = GpuBackend()
     gpu.prewarm(work)
-    assert len(calls) == 1
+    assert calls == {"get_many": 1, "put_many": 1}
     for spec, bits, epilogue in work:
         gpu.price_conv(spec, bits, epilogue)
-    assert len(calls) == 1
+    assert calls == {"get_many": 1, "put_many": 1}
     gpu.price_conv(layers[3], 4)
-    assert len(calls) == 2
+    assert calls == {"get_many": 2, "put_many": 2}
+
+
+def test_arm_memo_hits_do_not_touch_the_store(monkeypatch):
+    """Pricing an ARM-prewarmed network calls the schedule store's
+    ``get_many`` and ``put_many`` zero times, the first time and again;
+    the cold prewarm still writes one segment per width, holding every
+    stream it scheduled."""
+    from repro.arm.cost_model import clear_schedule_cache, schedule_store
+    from repro.backends.arm import ArmBackend
+    from repro.models import get_model_layers
+
+    clear_schedule_cache()
+    calls = _count_store_calls(monkeypatch, schedule_store())
+    computed = obs_metrics.counter("arm_schedules", outcome="computed")
+    before = computed.value
+    work = [(spec, bits, None) for bits in (2, 4, 8)
+            for spec in get_model_layers("resnet50")]
+    backend = ArmBackend()
+    backend.prewarm(work)
+    segments = list((pathlib.Path(os.environ[CACHE_DIR_ENV]) / "arm-schedule").iterdir())
+    assert calls["put_many"] == len(segments) == 3
+    assert sum(len(p.read_text().splitlines()) for p in segments) == computed.value - before
+    warm = dict(calls)
+    for _ in range(2):
+        for spec, bits, epilogue in work:
+            backend.price_conv(spec, bits, epilogue)
+        assert calls == warm
+    clear_schedule_cache()
 
 
 def test_results_found_before_an_escaping_error_are_stored(monkeypatch):
