@@ -116,19 +116,16 @@ _SCHEDULE_STORE = PersistentCache("arm-schedule")
 _FINGERPRINT: str | None = None
 
 
-def _fingerprinted() -> list:
+def _fingerprinted() -> list[str]:
     """Every module a stored schedule depends on: the generators and what
     they import (drain ratios and operand ranges included), the loop
     programs, the scheduler, and this module's ``_generate``."""
-    from .. import util
-    from ..quant import ranges
-    from . import assembler, compiled, cost_model, isa, loops, pipeline, ratios, registers
-    from . import kernels as _kernels
-    from .kernels import base, mla_scheme, ncnn_like, popcount_scheme, sdot_scheme, smlal_scheme
-
-    return [pipeline, isa, registers, assembler, loops, compiled, ratios, ranges, util,
-            cost_model, _kernels, base, mla_scheme, ncnn_like, popcount_scheme, smlal_scheme,
-            sdot_scheme]
+    arm = [f"repro.arm.{name}" for name in (
+        "pipeline", "isa", "registers", "assembler", "loops", "compiled", "ratios")]
+    kernels = [f"repro.arm.kernels.{name}" for name in (
+        "base", "mla_scheme", "ncnn_like", "popcount_scheme", "smlal_scheme", "sdot_scheme")]
+    return [*arm, "repro.quant.ranges", "repro.util", __name__, "repro.arm.kernels",
+            *kernels]
 
 
 def _code_version() -> str:

@@ -12,6 +12,9 @@ straight-line code, whose flattened stream is the kernel's listing:
   ``SMLAL`` straight into int32 accumulators (no drains).
 * :mod:`popcount_scheme` — the TVM-style 2-bit bit-serial baseline:
   ``AND`` + ``CNT`` + ``UADALP`` over bit-packed planes.
+* :mod:`sdot_scheme` — the ARMv8.2 ``SDOT`` extension, loaded on first
+  use of ``generate_sdot_kernel``, so pricing the paper's schemes never
+  imports it.
 
 All programs run functionally through :meth:`MicroKernel.execute`, which
 compiles them once, each body a single time (:mod:`repro.arm.compiled`),
@@ -25,7 +28,6 @@ from .smlal_scheme import generate_smlal_kernel
 from .mla_scheme import generate_mla_kernel
 from .ncnn_like import generate_ncnn_kernel
 from .popcount_scheme import generate_popcount_kernel, popcount_pair_weights
-from .sdot_scheme import generate_sdot_kernel
 
 __all__ = [
     "MicroKernel",
@@ -36,3 +38,11 @@ __all__ = [
     "generate_sdot_kernel",
     "popcount_pair_weights",
 ]
+
+
+def __getattr__(name: str):
+    if name == "generate_sdot_kernel":
+        from .sdot_scheme import generate_sdot_kernel
+
+        return generate_sdot_kernel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

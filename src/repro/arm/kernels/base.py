@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from ...errors import ShapeError
-from ..compiled import Program, compile_stream
 from ..isa import Instr, macs_in_stream, stream_summary
 from ..loops import Node, flatten
 from ..pipeline import A53_COST_TABLE, CostTable, PipelineModel, PipelineResult
+
+if TYPE_CHECKING:
+    from ..compiled import Program
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,10 @@ class MicroKernel:
 
     @functools.cached_property
     def program(self) -> Program:
-        """The program compiled for tile-batched execution, built on first use."""
+        """The program compiled for tile-batched execution, built (and the
+        compiler loaded) on first use."""
+        from ..compiled import compile_stream
+
         return compile_stream(self.code)
 
     def execute(

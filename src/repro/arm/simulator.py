@@ -237,10 +237,3 @@ class ArmSimulator:
             pass  # streams are fully unrolled; branches are cost-only
         else:  # pragma: no cover - ALL_OPS is the gate
             raise SimulationError(f"unimplemented opcode {op}")
-
-    # ---- convenience ---------------------------------------------------------
-
-    def read_i32(self, buffer: str, count: int, offset: int = 0) -> np.ndarray:
-        """Read ``count`` little-endian int32 values out of a buffer."""
-        raw = self._mem_slice(MemRef(buffer, offset), count * 4)
-        return raw.view(np.int32).copy()

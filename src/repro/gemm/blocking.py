@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import ShapeError
 from ..types import GemmShape
-from ..util import ceil_div, round_up
+from ..util import round_up
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,6 @@ class BlockingPlan:
     @property
     def n_tiles(self) -> int:
         return self.n_padded // self.n_b
-
-    @property
-    def k_blocks(self) -> int:
-        return ceil_div(self.shape.k, self.kc)
-
-    @property
-    def micro_tiles(self) -> int:
-        return self.m_tiles * self.n_tiles
 
     @property
     def padded_macs(self) -> int:

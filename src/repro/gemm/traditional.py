@@ -42,10 +42,6 @@ class AccessCounter:
     def mac(self, n_elems: int) -> None:
         self.macs_instr += -(-n_elems // self.simd_width)
 
-    @property
-    def total_instr(self) -> int:
-        return self.loads + self.macs_instr
-
     def publish(self, kind: str) -> None:
         """Add this walk's totals to the process metrics registry under
         ``gemm_loads{kind=...}`` / ``gemm_macs{kind=...}``."""

@@ -16,51 +16,50 @@ Three layers make the search fast without changing its answer:
   the sweep stops.  The bound never exceeds the achieved time, so the
   winner — including the tie-break on search-space order — is identical
   to the exhaustive sweep's;
-* **vectorized, batched candidate pricing** — the legal population is
-  priced as a :class:`~repro.gpu.tiling.TilingArrays` through the same
-  cost-model terms that price one tiling
-  (:mod:`repro.gpu.pipelinemodel`, bit-identical per lane): one batched
-  call bounds the space's distinct ``(m_tile, n_tile, k_tile)`` blocks
-  (72 of TU102's 632 candidates; the bound reads no other field) and a
-  gather hands each candidate its block's bound, then numpy-sized pricing
-  rounds apply the pruning cutoff as an array mask.  :func:`autotune_many`
-  runs up to ``_PASS_SWEEPS`` sweeps through each of those numpy passes
-  (the GPU backend's prewarm hands it a whole network at once); every
-  sweep keeps its own cutoff, tallies and cache entries, so a batched
-  sweep returns exactly what the one-shape :func:`autotune` does;
+* **one array program per search pass** — :func:`autotune_many` runs up
+  to ``_PASS_SWEEPS`` sweeps of one bit width and kernel kwargs as one
+  pass (the GPU backend's prewarm hands it a whole network at once),
+  pricing :class:`~repro.gpu.tiling.TilingArrays` populations through the
+  cost-model terms that price one tiling (:mod:`repro.gpu.pipelinemodel`,
+  bit-identical per lane): one call bounds the space's distinct
+  ``(m_tile, n_tile, k_tile)`` blocks (72 of TU102's 632 candidates; the
+  bound reads no other field), each sweep orders its candidates by the
+  rank of their block's bound, and lockstep rounds apply every sweep's
+  own cutoff as one array mask.  Each sweep keeps its own incumbent,
+  tallies and cache entries, so it returns exactly what the one-shape
+  :func:`autotune` does;
 * **a persistent content-addressed cache** — results are memoized in the
   process and on disk (:class:`repro.perf.PersistentCache`,
-  ``REPRO_CACHE_DIR`` overrides the location), keyed by one sha256 over
-  shape, bits and the :func:`repro.perf.stable_hash` of the sweep's
+  ``REPRO_CACHE_DIR`` overrides the location), stored under one sha256
+  over shape, bits and the :func:`repro.perf.stable_hash` of the sweep's
   context: device, kernel kwargs *and a fingerprint of the cost-model
   code*, so editing the model invalidates stale entries.  The context is
   canonicalized once per distinct device and kwargs, and a call whose
-  every sweep hits the in-process memo does not touch the store.
+  every sweep hits the memo hashes nothing and does not touch the store.
 
 A fourth layer keeps long sweeps alive when individual profile runs
 misbehave (TVM-style candidate isolation — Cowan et al. survive thousands
 of failing template instantiations by skipping them):
 
-* **hardened profile runs** — quarantined candidates and lanes the active
-  fault plan selects at ``autotune.profile`` (a per-lane mask: selection
-  hashes seed, site and key) go through
-  :func:`repro.resilience.policy.call_with_policy`
-  instead of the numpy pass: per-attempt timeout
-  (``REPRO_TIMEOUT_S``), bounded retry with exponential backoff
-  (``REPRO_RETRY`` / ``REPRO_BACKOFF_S``), and the deterministic
-  ``autotune.profile`` fault-injection site.  A candidate that fails
-  permanently lands in a :class:`~repro.resilience.policy.Quarantine`
-  (skipped by this and every later sweep in the process), the search
-  continues over the survivors, and the result carries a ``skipped``
-  tally — the sweep is *never* silently empty: if every candidate dies
-  the sweep raises :class:`~repro.errors.AutotuneError`.  When retries
-  absorb every (transient) fault, the result — winner, cycle breakdown
-  and tallies — equals the fault-free sweep's; the chaos suite asserts it.
+* **hardened profile runs** — candidates the active fault plan selects at
+  ``autotune.profile`` (a per-candidate mask: selection hashes seed, site
+  and key) go through :func:`repro.resilience.policy.call_with_policy`
+  instead of the numpy pass: per-attempt timeout (``REPRO_TIMEOUT_S``),
+  bounded retry with exponential backoff (``REPRO_RETRY`` /
+  ``REPRO_BACKOFF_S``), and the deterministic ``autotune.profile``
+  fault-injection site.  A candidate that fails permanently lands in a
+  :class:`~repro.resilience.policy.Quarantine` (every later pass in the
+  process skips it unpriced), the search continues over the survivors,
+  and the result carries a ``skipped`` tally — the sweep is *never*
+  silently empty: if every candidate dies the sweep raises
+  :class:`~repro.errors.AutotuneError`.  When retries absorb every
+  (transient) fault, the result — winner, cycle breakdown and tallies —
+  equals the fault-free sweep's; the chaos suite asserts it.
 
 The search space holds only tilings :func:`~repro.gpu.tiling.validate_tiling`
 accepts on the device, resident blocks included, so a profile run fails
-only by a fault.  The exhaustive serial sweep is the tests' oracle
-(``tests/autotune_oracle.py``); nothing in production calls it.
+only by a fault.  The tests' oracles, the exhaustive serial sweep and a
+pass run lane by lane, live in ``tests/autotune_oracle.py``.
 """
 
 from __future__ import annotations
@@ -86,8 +85,10 @@ from ..resilience.policy import (
 from ..types import ConvSpec, GemmShape
 from .device import GpuDevice, TU102
 from .pipelinemodel import (
+    BatchKernelPerf,
     GemmArrays,
     GpuKernelPerf,
+    _perf,
     conv_gemm_shape,
     kernel_lower_bound,
     kernel_time,
@@ -103,10 +104,16 @@ _VEC_CHUNK_INIT = 64
 #: candidates priced per sweep and round after the incumbent exists
 _VEC_CHUNK = 2048
 
-#: sweeps sharing one numpy pass: enough to amortize the per-call numpy
-#: overhead, few enough that a pass's (sweeps x candidates) arrays stay
-#: small
-_PASS_SWEEPS = 16
+#: sweeps run as one pass: 16 measured slowest, 64 and 128 alike, and
+#: 128 added 1.5 MB of peak RSS to 64's
+_PASS_SWEEPS = 64
+
+
+#: :class:`GpuKernelPerf`'s fields after its shape and tiling, in order,
+#: and the casts that read them back from JSON
+_PERF_FIELDS = {"bits": int, "compute_cycles": float, "dram_cycles": float,
+                "smem_cycles": float, "launch_cycles": float, "blocks": int,
+                "blocks_per_sm": int, "occupancy": float, "overlapped": bool}
 
 
 @dataclass(frozen=True)
@@ -141,18 +148,8 @@ class AutotuneResult:
             "gemm": [self.gemm.m, self.gemm.k, self.gemm.n],
             "bits": self.bits,
             "best": _tiling_to_json(self.best),
-            "best_perf": {
-                "tiling": _tiling_to_json(p.tiling),
-                "bits": p.bits,
-                "compute_cycles": p.compute_cycles,
-                "dram_cycles": p.dram_cycles,
-                "smem_cycles": p.smem_cycles,
-                "launch_cycles": p.launch_cycles,
-                "blocks": p.blocks,
-                "blocks_per_sm": p.blocks_per_sm,
-                "occupancy": p.occupancy,
-                "overlapped": p.overlapped,
-            },
+            "best_perf": {"tiling": _tiling_to_json(p.tiling),
+                          **{name: getattr(p, name) for name in _PERF_FIELDS}},
             "candidates": self.candidates,
             "evaluated": self.evaluated,
             "pruned": self.pruned,
@@ -164,18 +161,8 @@ class AutotuneResult:
         gemm = GemmShape(*(int(v) for v in data["gemm"]))
         perf = data["best_perf"]
         best_perf = GpuKernelPerf(
-            gemm=gemm,
-            tiling=_tiling_from_json(perf["tiling"]),
-            bits=int(perf["bits"]),
-            compute_cycles=float(perf["compute_cycles"]),
-            dram_cycles=float(perf["dram_cycles"]),
-            smem_cycles=float(perf["smem_cycles"]),
-            launch_cycles=float(perf["launch_cycles"]),
-            blocks=int(perf["blocks"]),
-            blocks_per_sm=int(perf["blocks_per_sm"]),
-            occupancy=float(perf["occupancy"]),
-            overlapped=bool(perf["overlapped"]),
-        )
+            gemm=gemm, tiling=_tiling_from_json(perf["tiling"]),
+            **{name: cast(perf[name]) for name, cast in _PERF_FIELDS.items()})
         return cls(
             gemm=gemm,
             bits=int(data["bits"]),
@@ -201,7 +188,8 @@ def _tiling_from_json(v: list) -> TilingParams:
 # Caches
 # ---------------------------------------------------------------------------
 
-_MEM_CACHE: dict[str, AutotuneResult] = {}
+#: :func:`_memo_key` -> result: a memo hit hashes nothing
+_MEM_CACHE: dict[tuple, AutotuneResult] = {}
 #: (device, kernel kwargs with their value types) -> the sweep context's
 #: :func:`stable_hash`, so each distinct context is canonicalized once
 _CONTEXTS: dict[tuple, str] = {}
@@ -212,16 +200,12 @@ _QUARANTINE = Quarantine("autotune.profile")
 _FINGERPRINT: str | None = None
 
 
-def _fingerprinted() -> list:
+def _fingerprinted() -> list[str]:
     """Every module a stored result depends on: the cost model and the
     search space, what they import (the device, the mma shapes and the
     GEMM shape), and this module's search."""
-    import sys
-
-    from .. import types
-    from . import device, mma, pipelinemodel, tiling
-
-    return [tiling, pipelinemodel, device, mma, types, sys.modules[__name__]]
+    return ["repro.gpu.tiling", "repro.gpu.pipelinemodel", "repro.gpu.device",
+            "repro.gpu.mma", "repro.types", __name__]
 
 
 def _code_version() -> str:
@@ -336,26 +320,6 @@ def _guarded_profile(
         return None
 
 
-@dataclass
-class _Lane:
-    """One sweep's search state inside a batched pass: its row of lower
-    bounds, its candidates in ascending (bound, index) order, and its
-    incumbent ``(total_cycles, index)``."""
-
-    gemm: GemmShape
-    bounds: np.ndarray
-    order: np.ndarray
-    pos: int = 0
-    best_key: tuple[float, int] | None = None
-    best_perf: GpuKernelPerf | None = None
-    evaluated: int = 0
-    skipped: int = 0
-
-    def offer(self, cycles: float, i: int, perf: GpuKernelPerf) -> None:
-        if self.best_key is None or (cycles, i) < self.best_key:
-            self.best_key, self.best_perf = (cycles, i), perf
-
-
 def _search(
     gemms: Sequence[GemmShape],
     bits: int,
@@ -367,132 +331,134 @@ def _search(
     kernel_kwargs: dict,
 ) -> list[AutotuneResult | AutotuneError]:
     """Best-bound-first sweeps of ``gemms`` (one bit width and kernel
-    kwargs) sharing every numpy pass.
+    kwargs), run in lockstep as one array program.
 
     One :func:`~repro.gpu.pipelinemodel.kernel_lower_bound` call bounds
-    every (shape, block) pair, a gather through ``block_of`` gives each
-    candidate its block's bound, and a stable row-wise argsort orders each
-    shape's candidates by ``(bound, index)``.  Each round prices every
-    unfinished shape's next slice of that order in one
-    :func:`~repro.gpu.pipelinemodel.kernel_time_batch` call over per-lane
-    GEMM dimensions, after masking out lanes whose bound exceeds the
-    shape's own incumbent; a shape stops once its next-smallest bound
-    does.  A pruned candidate is then *strictly* slower than the
-    incumbent, so pruning changes neither the winner nor the
-    first-in-search-order tie-break, and with each lane priced as the
-    one-tiling call prices it, each shape's result, tallies included,
-    equals a sweep of it alone.
-
-    Quarantined candidates and lanes the active fault plan selects at
-    ``autotune.profile`` go through :func:`_guarded_profile`.  A shape
-    with no survivor gets an :class:`AutotuneError` in its slot of the
-    returned list.
+    every (shape, block) pair.  Each shape keys its candidates by the
+    dense rank of their block's bound, a small unsigned integer that
+    numpy's stable sort orders by radix, in exactly the ``(bound, index)``
+    order of a stable sort of the candidates' own bounds (quarantined
+    candidates last).  Each round masks the same window of every
+    unfinished shape's order by the shape's incumbent and prices what is
+    left in one :func:`~repro.gpu.pipelinemodel.kernel_time_batch` call.
+    A pruned candidate is *strictly* slower than the incumbent, so each
+    shape's result, tallies and tie-break on search order included,
+    equals a sweep of it alone.  Fault-selected candidates go through
+    :func:`_guarded_profile`; a shape with no survivor gets an
+    :class:`AutotuneError` in its slot of the returned list.
     """
+    count, size = len(gemms), len(space)
     with obs_trace.span(
-        "autotune.search", bits=bits, sweeps=len(gemms), candidates=len(space),
+        "autotune.search", bits=bits, sweeps=count, candidates=size,
     ):
-        bounds = kernel_lower_bound(
-            GemmArrays.from_shapes(gemms, np.s_[:, None]), bits, blocks,
-            device=device, **kernel_kwargs)[:, block_of]
-        lanes = [_Lane(g, b, o) for g, b, o in
-                 zip(gemms, bounds, np.argsort(bounds, axis=1, kind="stable"))]
-        policy = ExecPolicy.resolve()
+        dims = GemmArrays.from_shapes(gemms, np.s_[:, None])
+        block_bound = kernel_lower_bound(
+            dims, bits, blocks, device=device, **kernel_kwargs)
+        # each candidate's key: the dense rank of its block's bound
+        by_bound = np.argsort(block_bound, axis=1)
+        ranked = np.take_along_axis(block_bound, by_bound, axis=1)
+        dtype = np.uint8 if len(blocks) < 256 else np.uint16
+        rank = np.zeros(block_bound.shape, dtype)
+        np.put_along_axis(rank, by_bound[:, 1:], np.cumsum(
+            ranked[:, 1:] != ranked[:, :-1], axis=1, dtype=dtype), axis=1)
+        key = rank[:, block_of]
+        skipped = np.zeros(count, dtype=np.intp)
+        if len(_QUARANTINE):
+            quarantined = np.array(
+                [[_QUARANTINE.contains(_candidate_key(gemm, bits, t))
+                  for t in space] for gemm in gemms], dtype=bool)
+            key[quarantined] = np.iinfo(dtype).max
+            skipped += quarantined.sum(axis=1)
+            if skipped.any():
+                obs_metrics.counter(
+                    "autotune_skipped", reason="quarantined").inc(int(skipped.sum()))
+        order = np.argsort(key, axis=1, kind="stable")
+        survivors = size - skipped
+
         plan = res_faults.active_plan()
         chaos = any(r.matches("autotune.profile") for r in plan.rules)
+        policy = ExecPolicy.resolve()
         # per-candidate bound-gap detail only under a trace capture:
         # observing one histogram per profile run is wasted work otherwise
         observe_gaps = obs_trace.active()
-
-        def guarded(lane: _Lane, i: int) -> None:
-            perf = _guarded_profile(
-                lane.gemm, bits, space[i], device, policy, kernel_kwargs)
-            if perf is None:  # quarantined: search the survivors
-                lane.skipped += 1
-            else:
-                lane.evaluated += 1
-                lane.offer(perf.total_cycles, i, perf)
-
-        if len(_QUARANTINE):
-            for lane in lanes:
-                quarantined = np.fromiter(
-                    (_QUARANTINE.contains(_candidate_key(lane.gemm, bits, t))
-                     for t in space),
-                    dtype=bool, count=len(space),
-                )
-                for i in np.flatnonzero(quarantined):
-                    guarded(lane, int(i))
-                lane.order = lane.order[~quarantined[lane.order]]
-
-        active, width = lanes, _VEC_CHUNK_INIT
-        while active:
-            rounds: list[tuple[_Lane, np.ndarray]] = []
-            for lane in active:
-                cut = lane.best_key[0] if lane.best_key else None
-                if lane.pos >= lane.order.size or (
-                        cut is not None and lane.bounds[lane.order[lane.pos]] > cut):
-                    continue  # sorted bounds: every remaining candidate is slower
-                live = lane.order[lane.pos:lane.pos + width]
-                lane.pos += live.size
-                rounds.append((lane, live if cut is None
-                               else live[lane.bounds[live] <= cut]))
-            active, width = [lane for lane, _ in rounds], _VEC_CHUNK
-            rounds = [(lane, live) for lane, live in rounds if live.size]
-            if not rounds:
-                continue
-            idx = np.concatenate([live for _, live in rounds])
-            owner = np.repeat(np.arange(len(rounds)), [live.size for _, live in rounds])
+        cut, best = np.full(count, np.inf), np.full(count, size)  # incumbents
+        evaluated = np.zeros(count, dtype=np.intp)
+        # each incumbent's perf, or its round's batch and lane in it
+        won: list[GpuKernelPerf | tuple[BatchKernelPerf, int] | None] = [None] * count
+        live, start, width = np.flatnonzero(survivors), 0, _VEC_CHUNK_INIT
+        while start < size:
+            # sorted bounds: a shape whose next candidate is past its
+            # survivors or bounded above its incumbent is done
+            next_bound = block_bound[live, block_of[order[live, start]]]
+            live = live[(start < survivors[live]) & (next_bound <= cut[live])]
+            if not live.size:
+                break
+            window = order[live, start:start + width]
+            bound = block_bound[live[:, None], block_of[window]]
+            rows, cols = np.nonzero(  # by shape, then by window position
+                (np.arange(start, start + window.shape[1]) < survivors[live, None])
+                & (bound <= cut[live, None]))
+            start, width = start + width, _VEC_CHUNK
+            owner, idx = live[rows], window[rows, cols]
             batch = kernel_time_batch(
-                GemmArrays.from_shapes([lane.gemm for lane, _ in rounds], owner),
+                GemmArrays(dims.m[owner, 0], dims.k[owner, 0], dims.n[owner, 0]),
                 bits, arrays.take(idx), device=device, **kernel_kwargs)
             ok = np.arange(idx.size)
             if chaos:
-                routed = np.fromiter(
-                    (plan.selects("autotune.profile", _candidate_key(
-                        rounds[o][0].gemm, bits, space[i]))
-                     for o, i in zip(owner, idx)),
-                    dtype=bool, count=idx.size,
-                )
-                for j in np.flatnonzero(routed):
-                    guarded(rounds[owner[j]][0], int(idx[j]))
+                routed = np.array([
+                    plan.selects("autotune.profile", _candidate_key(gemms[s], bits, space[i]))
+                    for s, i in zip(owner.tolist(), idx.tolist())], dtype=bool)
+                for s, i in zip(owner[routed].tolist(), idx[routed].tolist()):
+                    perf = _guarded_profile(
+                        gemms[s], bits, space[i], device, policy, kernel_kwargs)
+                    if perf is None:  # quarantined: search the survivors
+                        skipped[s] += 1
+                        continue
+                    evaluated[s] += 1
+                    if (perf.total_cycles, i) < (cut[s], best[s]):
+                        cut[s], best[s], won[s] = perf.total_cycles, i, perf
                 ok = ok[~routed]
             totals = batch.total_cycles
             # no series for a round whose every lane went to the guard:
             # an empty histogram snapshots with min and max None
             if observe_gaps and ok.size:
-                lower = np.concatenate([lane.bounds[live] for lane, live in rounds])
                 hist = obs_metrics.histogram("autotune_bound_gap_cycles", bits=bits)
-                for gap in (totals - lower)[ok]:
+                for gap in (totals - bound[rows, cols])[ok]:
                     hist.observe(float(gap))
-            # each shape's priced lanes, fastest first (ties: lowest index)
-            ok = ok[np.lexsort((idx[ok], totals[ok], owner[ok]))]
-            heads = np.flatnonzero(np.diff(owner[ok], prepend=-1))
-            for head, n in zip(heads, np.diff(heads, append=ok.size)):
-                j = int(ok[head])
-                lane = rounds[owner[j]][0]
-                lane.evaluated += int(n)
-                lane.offer(float(totals[j]), int(idx[j]), batch.perf_at(j))
+            # each shape's fastest priced lanes (its run of ``ok``), then
+            # the lowest index among them
+            evaluated += np.bincount(owner[ok], minlength=count)
+            starts = np.flatnonzero(np.diff(owner[ok], prepend=-1))
+            fastest = np.minimum.reduceat(totals[ok], starts)
+            tied = ok[totals[ok] == np.repeat(fastest, np.diff(starts, append=ok.size))]
+            tied = tied[np.lexsort((idx[tied], owner[tied]))]
+            head = tied[np.flatnonzero(np.diff(owner[tied], prepend=-1))]
+            shape = owner[head]
+            better = (totals[head] < cut[shape]) | (
+                (totals[head] == cut[shape]) & (idx[head] < best[shape]))
+            head, shape = head[better], shape[better]
+            cut[shape], best[shape] = totals[head], idx[head]
+            for s, j in zip(shape.tolist(), head.tolist()):
+                won[s] = (batch, j)
 
         results: list[AutotuneResult | AutotuneError] = []
-        for lane in lanes:
-            if lane.best_perf is None:
-                # never silently empty: every candidate failed or was skipped
+        for gemm, perf, i, tally, lost in zip(
+                gemms, won, best.tolist(), evaluated.tolist(), skipped.tolist()):
+            if perf is None:  # never silently empty: every candidate failed
                 results.append(AutotuneError(
-                    f"autotune sweep for {lane.gemm} at {bits}-bit on "
-                    f"{device.name} produced no survivor: {lane.skipped} of "
-                    f"{len(space)} candidates failed permanently (quarantined)"
-                ))
+                    f"autotune sweep for {gemm} at {bits}-bit on "
+                    f"{device.name} produced no survivor: {lost} of "
+                    f"{size} candidates failed permanently (quarantined)"))
                 continue
-            result = AutotuneResult(
-                gemm=lane.gemm,
-                bits=bits,
-                best=lane.best_perf.tiling,
-                best_perf=lane.best_perf,
-                candidates=len(space),
-                evaluated=lane.evaluated,
-                pruned=len(space) - lane.evaluated - lane.skipped,
-                skipped=lane.skipped,
-            )
-            results.append(result)
+            if not isinstance(perf, GpuKernelPerf):
+                batch, j = perf
+                perf = _perf(gemm, space[i], bits, batch.compute_cycles[j],
+                             batch.dram_cycles[j], batch.smem_cycles[j],
+                             batch.launch_cycles, batch.blocks[j], batch.blocks_per_sm[j],
+                             batch.occupancy[j], batch.overlapped)
+            results.append(AutotuneResult(
+                gemm, bits, space[i], perf, candidates=size, evaluated=tally,
+                pruned=size - tally - lost, skipped=lost))
         # inside the span: the sweep markers attach to the search
         _count_sweeps([r for r in results if isinstance(r, AutotuneResult)],
                       engine="pruned")
@@ -522,14 +488,15 @@ def _count_sweeps(results: Sequence[AutotuneResult], *, engine: str) -> None:
         )
 
 
-def _sweep_digest(
+def _memo_key(
     gemm: GemmShape, bits: int, device: GpuDevice, kernel_kwargs: dict
-) -> str:
-    """A sweep's cache key: one sha256 over its context's digest, the
-    shape and ``repr(bits)``.  The context (device, kernel kwargs and code
-    version) is canonicalized once per distinct device and kwargs, value
-    types included, so ``1``, ``1.0`` and ``True`` hash apart; a context
-    with an unhashable kwarg value is canonicalized anew."""
+) -> tuple:
+    """A sweep's in-process memo key: the digest of its context (device,
+    kernel kwargs and code version), the shape, and the bits with their
+    type (``4`` and ``4.0`` print apart).  The context is canonicalized
+    once per distinct device and kwargs, value types included, so ``1``,
+    ``1.0`` and ``True`` hash apart; one with an unhashable kwarg value is
+    canonicalized anew."""
     key = (device, tuple(sorted(
         (name, type(value), value) for name, value in kernel_kwargs.items())))
     try:
@@ -539,12 +506,22 @@ def _sweep_digest(
                                "code": _code_version()})
         if isinstance(exc, KeyError):
             _CONTEXTS[key] = context
-    return hashlib.sha256(
-        f"{context}/{gemm.m}x{gemm.k}x{gemm.n}/{bits!r}".encode()).hexdigest()
+    return (context, gemm.m, gemm.k, gemm.n, type(bits), bits)
+
+
+def _digest(key: tuple) -> str:
+    """The cache key of the sweep with memo key ``key``: one sha256 over
+    its context's digest, the shape and ``repr(bits)``."""
+    context, m, k, n, _, bits = key
+    return hashlib.sha256(f"{context}/{m}x{k}x{n}/{bits!r}".encode()).hexdigest()
+
+
+def _sweep_digest(gemm: GemmShape, bits: int, device: GpuDevice, kwargs: dict) -> str:
+    return _digest(_memo_key(gemm, bits, device, kwargs))
 
 
 def _from_store(
-    digest: str, data: dict | None, gemm: GemmShape, bits: int
+    key: tuple, digest: str, data: dict | None, gemm: GemmShape, bits: int
 ) -> AutotuneResult | None:
     """The store's entry ``data`` for the sweep, memoized; None if stale."""
     if data is None:
@@ -560,7 +537,7 @@ def _from_store(
         return None
     if result.gemm != gemm or result.bits != bits:
         return None
-    return _MEM_CACHE.setdefault(digest, result)
+    return _MEM_CACHE.setdefault(key, result)
 
 
 def autotune_many(
@@ -570,8 +547,8 @@ def autotune_many(
 ) -> list[AutotuneResult]:
     """The results of many ``(gemm, bits, kernel_kwargs)`` sweeps, in order.
 
-    Each distinct sweep (by cache key) is answered once: from the
-    in-process memo, from the disk store, or — for the misses — by
+    Each distinct sweep is answered once: from the in-process memo (no
+    hashing), from the disk store (by cache key), or — for the misses — by
     :func:`_search` passes of up to ``_PASS_SWEEPS`` sweeps that share bit
     width and kernel kwargs.  Every result, tallies included, equals what
     the one-shape :func:`autotune` returns.  A sweep that lost candidates
@@ -581,17 +558,18 @@ def autotune_many(
     stored, as one batch, first, then the error of the first failing
     sweep in ``sweeps`` is raised.
     """
-    digests = [_sweep_digest(g, b, device, kw) for g, b, kw in sweeps]
-    outcome: dict[str, AutotuneResult | AutotuneError | None] = {
-        digest: _MEM_CACHE.get(digest) for digest in digests}
-    todo = {d: sweep for d, sweep in zip(digests, sweeps) if outcome[d] is None}
-    stored = _STORE.get_many(todo) if todo else []
-    groups: dict[tuple[int, str], list[tuple[str, GemmShape, dict]]] = {}
-    for (digest, (gemm, bits, kwargs)), data in zip(todo.items(), stored):
-        outcome[digest] = _from_store(digest, data, gemm, bits)
-        if outcome[digest] is None:  # computed below
+    keys = [_memo_key(g, b, device, kw) for g, b, kw in sweeps]
+    outcome: dict[tuple, AutotuneResult | AutotuneError | None] = {
+        key: _MEM_CACHE.get(key) for key in keys}
+    todo = {key: sweep for key, sweep in zip(keys, sweeps) if outcome[key] is None}
+    digests = {key: _digest(key) for key in todo}
+    stored = _STORE.get_many(digests.values()) if todo else []
+    groups: dict[tuple[int, str], list[tuple[tuple, GemmShape, dict]]] = {}
+    for (key, (gemm, bits, kwargs)), data in zip(todo.items(), stored):
+        outcome[key] = _from_store(key, digests[key], data, gemm, bits)
+        if outcome[key] is None:  # computed below
             groups.setdefault((bits, repr(sorted(kwargs.items()))), []).append(
-                (digest, gemm, kwargs))
+                (key, gemm, kwargs))
     new: list[tuple[str, AutotuneResult]] = []
     try:
         for (bits, _), members in groups.items():
@@ -604,19 +582,19 @@ def autotune_many(
                                  device, kwargs)
                          if space else
                          [_no_legal_tiling_error(g, bits, device) for g in gemms])
-                for (digest, _, _), result in zip(part, found):
+                for (key, _, _), result in zip(part, found):
                     if isinstance(result, AutotuneResult):
-                        result = _MEM_CACHE.setdefault(digest, result)
+                        result = _MEM_CACHE.setdefault(key, result)
                         if not result.skipped:
-                            new.append((digest, result))
-                    outcome[digest] = result
+                            new.append((digests[key], result))
+                    outcome[key] = result
     finally:
         if new:
             _STORE.put_many((d, result.to_json()) for d, result in new)
-    for digest in digests:
-        if isinstance(outcome[digest], AutotuneError):
-            raise outcome[digest]
-    return [outcome[d] for d in digests]
+    for key in keys:
+        if isinstance(outcome[key], AutotuneError):
+            raise outcome[key]
+    return [outcome[key] for key in keys]
 
 
 def autotune(

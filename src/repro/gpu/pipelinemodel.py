@@ -34,6 +34,7 @@ All times are device cycles; ``GpuKernelPerf.microseconds`` converts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -297,7 +298,7 @@ class GpuKernelPerf:
     occupancy: float
     overlapped: bool
 
-    @property
+    @functools.cached_property
     def total_cycles(self) -> float:
         return float(_total_cycles(self))
 

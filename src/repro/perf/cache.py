@@ -52,10 +52,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import inspect
 import json
 import os
 import pathlib
+import tokenize
 from typing import Any, Iterable
 
 from ..obs import log as obs_log
@@ -68,6 +68,12 @@ from ..resilience.faults import InjectedFault
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: set to a non-empty value to disable all persistent caching
 NO_CACHE_ENV = "REPRO_NO_CACHE"
+
+#: the ``repro`` package's directory, where :func:`code_fingerprint` reads
+_PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1]
+
+#: ``json.dumps(entry, separators=(",", ":"))`` without an encoder per entry
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +124,38 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def code_fingerprint(modules: Iterable[Any]) -> str:
-    """A short digest of the source text of ``modules``.
+def _source(name: str) -> str:
+    """What :func:`inspect.getsource` gives for the ``repro`` module ``name``,
+    read without importing it; ``name`` when there is no source."""
+    package, _, rest = name.partition(".")
+    if package != "repro":
+        return name
+    path = _PACKAGE_DIR.joinpath(*rest.split("."))
+    for file in (path / "__init__.py", path.with_suffix(".py")):
+        try:
+            with tokenize.open(file) as fh:
+                text = fh.read()
+        except (OSError, SyntaxError, ValueError):
+            continue
+        if not text:  # getsource finds no source in an empty file
+            return name
+        return text if text.endswith("\n") else text + "\n"
+    return name
+
+
+def code_fingerprint(modules: Iterable[str]) -> str:
+    """A short digest of the source text of the ``repro`` modules named
+    ``modules`` (dotted names), read from their files: nothing is
+    imported.
 
     Mixed into cache keys so results are re-derived after any edit to the
-    code that produced them.  Modules whose source is unavailable (frozen,
-    REPL) contribute their name only — weaker, but still usable.
+    code that produced them.  A module whose source is unavailable
+    (outside the package, missing or empty) contributes its name only —
+    weaker, but still usable.
     """
     h = hashlib.sha256()
-    for mod in modules:
-        try:
-            src = inspect.getsource(mod)
-        except (OSError, TypeError):
-            src = getattr(mod, "__name__", repr(mod))
-        h.update(src.encode("utf-8", "replace"))
+    for name in modules:
+        h.update(_source(name).encode("utf-8", "replace"))
         h.update(b"\0")
     return h.hexdigest()[:16]
 
@@ -263,14 +287,16 @@ class PersistentCache:
     def get_many(self, digests: Iterable[str]) -> list[dict | None]:
         """The stored entry of each digest, ``None`` on miss/corruption/
         disablement.  The call's first miss lists the directory, once;
-        its lookups are counted once, when it returns."""
+        its lookups are counted once, when it returns.  The fault plan is
+        resolved once per call: nothing in a call can change it."""
         if not self.enabled:
             return [None for _ in digests]
         entries, listed, values = self._index(self.directory()), False, []
         hits = errors = 0
+        plan = res_faults.active_plan()
         for digest in digests:
             try:
-                res_faults.inject("cache.get", key=digest)
+                plan.inject("cache.get", digest)
             except InjectedFault:
                 values.append(None)
                 errors += 1
@@ -280,8 +306,8 @@ class PersistentCache:
                 self._refresh()
                 listed, value = True, entries.get(digest)
             # injected garbage is a failed read of a good entry: it stays put
-            if value is not None and not isinstance(res_faults.maybe_garbage(
-                    "cache.get", value, key=digest), dict):
+            if value is not None and not isinstance(
+                    plan.garbage("cache.get", value, digest), dict):
                 value = None
                 errors += 1
             hits += value is not None
@@ -311,8 +337,8 @@ class PersistentCache:
             return True
         directory = self.directory()
         try:
-            text = "".join(json.dumps([digest, value], separators=(",", ":"))
-                           + "\n" for digest, value in items)
+            text = "".join(_ENCODER.encode([digest, value]) + "\n"
+                           for digest, value in items)
             name = f"seg-{hashlib.sha256(text.encode()).hexdigest()}.jsonl"
             # fsync=False: the rename alone makes segments kill-safe, and
             # one lost to power loss is a recomputable miss

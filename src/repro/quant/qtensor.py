@@ -91,9 +91,6 @@ class QTensor:
         """Recover the float values this tensor represents."""
         return dequantize_linear(self.data, self.scale, axis=self.channel_axis)
 
-    def astype_int32(self) -> np.ndarray:
-        return self.data.astype(np.int32)
-
     def with_data(self, data: np.ndarray) -> "QTensor":
         """Same metadata, different payload (must still be in range)."""
         return QTensor(

@@ -81,14 +81,33 @@ def test_nested_structures_round_trip():
 
 
 def test_code_fingerprint_distinguishes_modules():
-    from repro.perf import cache as cache_mod
-    from repro.resilience import atomic as atomic_mod
+    cache_mod, atomic_mod = "repro.perf.cache", "repro.resilience.atomic"
 
     fp = code_fingerprint([cache_mod])
     assert len(fp) == 16 and int(fp, 16) >= 0
     assert fp == code_fingerprint([cache_mod])
     assert fp != code_fingerprint([atomic_mod])
     assert fp != code_fingerprint([cache_mod, atomic_mod])
+
+
+def test_code_fingerprint_hashes_what_getsource_returns():
+    """Read from the files, without importing, the hashed text is what
+    ``inspect.getsource`` returns for each module, packages included, so
+    the fingerprints and the cache keys built on them stay put; a name
+    outside the package contributes the name."""
+    import hashlib
+    import importlib
+    import inspect
+
+    names = ["repro.arm.kernels", "repro.gpu.tiling", "repro", "repro.util"]
+    h = hashlib.sha256()
+    for name in names:
+        h.update(inspect.getsource(importlib.import_module(name)).encode())
+        h.update(b"\0")
+    assert code_fingerprint(names) == h.hexdigest()[:16]
+    for name in ("json", "repro.no_such_module"):
+        expected = hashlib.sha256(name.encode() + b"\0").hexdigest()[:16]
+        assert code_fingerprint([name]) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +373,43 @@ def test_get_many_counts_what_it_returns_under_faults(store, kind):
         "hit": hits, "miss": len(digests) - hits}
 
 
+def test_get_many_resolves_the_fault_plan_once(store, monkeypatch):
+    """A lookup batch asks for the active plan once, whatever its size,
+    and the plan's faults still fire per digest."""
+    from repro.resilience import faults as res_faults
+
+    stored = [(stable_hash(i), {"v": i}) for i in range(12)]
+    store.put_many(stored)
+    calls = []
+    active_plan = res_faults.active_plan
+    monkeypatch.setattr(res_faults, "active_plan",
+                        lambda: calls.append(1) or active_plan())
+    digests = [d for d, _ in stored] + [stable_hash(f"absent{i}") for i in range(6)]
+    reader = PersistentCache("test-ns")  # misses the index: lists once
+    with fault_plan("cache.get:garbage:0.5:1", seed=7) as plan:
+        values = reader.get_many(digests)
+        assert len(calls) == 1
+        store.get_many(digests[:3])  # answered from the index
+        assert len(calls) == 2
+    assert plan.total_injected() == sum(v is None for v in values[:len(stored)]) > 0
+
+
+def test_put_many_writes_what_json_dumps_wrote(store):
+    """A segment's bytes, and so its name, are the per-entry
+    ``json.dumps(..., separators=(",", ":"))`` lines they always were."""
+    import hashlib
+
+    items = [(stable_hash(i), {"cycles": i / 7, "tiling": [16, 32, i],
+                               "name": "caf\u00e9", "nested": {"ok": True, "none": None},
+                               "big": 2.0**60 + i, "tiny": 1e-300 * i})
+             for i in range(5)]
+    assert store.put_many(items)
+    [segment] = _segments(store)
+    text = "".join(json.dumps([d, v], separators=(",", ":")) + "\n" for d, v in items)
+    assert segment.read_bytes() == text.encode()
+    assert segment.name == f"seg-{hashlib.sha256(text.encode()).hexdigest()}.jsonl"
+
+
 def test_get_many_lists_the_directory_once(store, monkeypatch):
     items = [(stable_hash(i), {"v": i}) for i in range(3)]
     store.put_many(items)
@@ -495,7 +551,7 @@ def test_schedule_fingerprint_covers_what_a_schedule_depends_on():
         needed.add(name)
         todo.extend(_imported_modules(importlib.import_module(name)))
     assert {"repro.arm.ratios", "repro.quant.ranges", "repro.arm.loops"} <= needed
-    assert needed <= {m.__name__ for m in cost_model._fingerprinted()}
+    assert needed <= set(cost_model._fingerprinted())
 
 
 def test_autotune_fingerprint_covers_what_a_result_depends_on():
@@ -515,4 +571,4 @@ def test_autotune_fingerprint_covers_what_a_result_depends_on():
         needed.add(name)
         todo.extend(_imported_modules(importlib.import_module(name)))
     assert {"repro.types", "repro.gpu.device", "repro.gpu.mma"} <= needed
-    assert needed <= {m.__name__ for m in autotune._fingerprinted()}
+    assert needed <= set(autotune._fingerprinted())
