@@ -41,20 +41,20 @@ A fourth layer keeps long sweeps alive when individual profile runs
 misbehave (TVM-style candidate isolation — Cowan et al. survive thousands
 of failing template instantiations by skipping them):
 
-* **hardened profile runs** — candidates the active fault plan selects at
-  ``autotune.profile`` (a per-candidate mask: selection hashes seed, site
-  and key) go through :func:`repro.resilience.policy.call_with_policy`
-  instead of the numpy pass: per-attempt timeout (``REPRO_TIMEOUT_S``),
-  bounded retry with exponential backoff (``REPRO_RETRY`` /
-  ``REPRO_BACKOFF_S``), and the deterministic ``autotune.profile``
-  fault-injection site.  A candidate that fails permanently lands in a
-  :class:`~repro.resilience.policy.Quarantine` (every later pass in the
-  process skips it unpriced), the search continues over the survivors,
-  and the result carries a ``skipped`` tally — the sweep is *never*
-  silently empty: if every candidate dies the sweep raises
-  :class:`~repro.errors.AutotuneError`.  When retries absorb every
-  (transient) fault, the result — winner, cycle breakdown and tallies —
-  equals the fault-free sweep's; the chaos suite asserts it.
+* **faults on the production path** — a candidate the active fault plan
+  selects at ``autotune.profile`` (a per-candidate mask: selection hashes
+  seed, site and key) runs its faults through :func:`_survives`, bounded
+  retry under :func:`repro.resilience.policy.call_with_policy`
+  (``REPRO_RETRY``, no backoff).  A survivor keeps its lane of the
+  round's batch like any other candidate.  A candidate whose every
+  attempt fails lands in a :class:`~repro.resilience.policy.Quarantine`
+  (every later pass in the process skips it unpriced), the search
+  continues over the survivors, and the result carries a ``skipped``
+  tally — the sweep is *never* silently empty: if every candidate dies
+  the sweep raises :class:`~repro.errors.AutotuneError`.  When retries
+  absorb every (transient) fault, the result — winner, cycle breakdown
+  and tallies — equals the fault-free sweep's; the chaos suite asserts
+  it.
 
 The search space holds only tilings :func:`~repro.gpu.tiling.validate_tiling`
 accepts on the device, resident blocks included, so a profile run fails
@@ -91,7 +91,6 @@ from .pipelinemodel import (
     _perf,
     conv_gemm_shape,
     kernel_lower_bound,
-    kernel_time,
     kernel_time_batch,
 )
 from .tiling import TilingArrays, TilingParams, search_space, search_space_size
@@ -284,40 +283,32 @@ def _candidate_key(gemm: GemmShape, bits: int, tiling: TilingParams) -> str:
             f"{'-'.join(str(v) for v in _tiling_to_json(tiling))}")
 
 
-def _guarded_profile(
-    gemm: GemmShape,
-    bits: int,
-    tiling: TilingParams,
-    device: GpuDevice,
-    policy: ExecPolicy,
-    kernel_kwargs: dict,
-) -> GpuKernelPerf | None:
-    """One profile run under the hardened policy.
+def _survives(
+    gemm: GemmShape, bits: int, tiling: TilingParams, policy: ExecPolicy
+) -> bool:
+    """Whether a candidate's profile run survives its ``autotune.profile``
+    faults under ``policy``'s retries.
 
-    Returns ``None`` when the candidate is (or becomes) quarantined:
-    already-quarantined candidates are skipped for free, and a run that
-    exhausts its retries quarantines the candidate so later sweeps never
-    pay for it again.  Transient failures absorbed by a retry leave no
-    trace in the result — the winner is identical to a fault-free sweep.
+    An already-quarantined candidate is skipped for free, and one whose
+    every attempt fails is quarantined, so later sweeps never pay for it
+    again.  Transient failures absorbed by a retry leave no trace: the
+    survivor is priced like any other candidate.
     """
     key = _candidate_key(gemm, bits, tiling)
     if _QUARANTINE.contains(key):
         obs_metrics.counter("autotune_skipped", reason="quarantined").inc()
-        return None
-
-    def attempt() -> GpuKernelPerf:
-        # inside the retry boundary so a transient injected fault is
-        # re-rolled (its `times` budget drains) on the next attempt
-        res_faults.inject("autotune.profile", key=key)
-        return kernel_time(gemm, bits, tiling, device=device, **kernel_kwargs)
-
+        return False
     try:
-        return call_with_policy(
-            attempt, site="autotune.profile", key=key, policy=policy)
+        # a transient fault is re-rolled (its `times` budget drains) on
+        # each attempt
+        call_with_policy(
+            lambda: res_faults.inject("autotune.profile", key=key),
+            site="autotune.profile", key=key, policy=policy)
     except PermanentFailure as exc:
         _QUARANTINE.add(key, reason=f"{type(exc.last).__name__}: {exc.last}")
         obs_metrics.counter("autotune_skipped", reason="failed").inc()
-        return None
+        return False
+    return True
 
 
 def _search(
@@ -343,8 +334,8 @@ def _search(
     left in one :func:`~repro.gpu.pipelinemodel.kernel_time_batch` call.
     A pruned candidate is *strictly* slower than the incumbent, so each
     shape's result, tallies and tie-break on search order included,
-    equals a sweep of it alone.  Fault-selected candidates go through
-    :func:`_guarded_profile`; a shape with no survivor gets an
+    equals a sweep of it alone.  A fault-selected candidate keeps its lane
+    if :func:`_survives` says so; a shape with no survivor gets an
     :class:`AutotuneError` in its slot of the returned list.
     """
     count, size = len(gemms), len(space)
@@ -383,8 +374,8 @@ def _search(
         observe_gaps = obs_trace.active()
         cut, best = np.full(count, np.inf), np.full(count, size)  # incumbents
         evaluated = np.zeros(count, dtype=np.intp)
-        # each incumbent's perf, or its round's batch and lane in it
-        won: list[GpuKernelPerf | tuple[BatchKernelPerf, int] | None] = [None] * count
+        # each incumbent's round's batch and its lane in it
+        won: list[tuple[BatchKernelPerf, int] | None] = [None] * count
         live, start, width = np.flatnonzero(survivors), 0, _VEC_CHUNK_INIT
         while start < size:
             # sorted bounds: a shape whose next candidate is past its
@@ -405,21 +396,14 @@ def _search(
                 bits, arrays.take(idx), device=device, **kernel_kwargs)
             ok = np.arange(idx.size)
             if chaos:
-                routed = np.array([
+                lost = np.array([
                     plan.selects("autotune.profile", _candidate_key(gemms[s], bits, space[i]))
+                    and not _survives(gemms[s], bits, space[i], policy)
                     for s, i in zip(owner.tolist(), idx.tolist())], dtype=bool)
-                for s, i in zip(owner[routed].tolist(), idx[routed].tolist()):
-                    perf = _guarded_profile(
-                        gemms[s], bits, space[i], device, policy, kernel_kwargs)
-                    if perf is None:  # quarantined: search the survivors
-                        skipped[s] += 1
-                        continue
-                    evaluated[s] += 1
-                    if (perf.total_cycles, i) < (cut[s], best[s]):
-                        cut[s], best[s], won[s] = perf.total_cycles, i, perf
-                ok = ok[~routed]
+                skipped += np.bincount(owner[lost], minlength=count)
+                ok = ok[~lost]
             totals = batch.total_cycles
-            # no series for a round whose every lane went to the guard:
+            # no series for a round whose every lane was lost to quarantine:
             # an empty histogram snapshots with min and max None
             if observe_gaps and ok.size:
                 hist = obs_metrics.histogram("autotune_bound_gap_cycles", bits=bits)
@@ -442,20 +426,19 @@ def _search(
                 won[s] = (batch, j)
 
         results: list[AutotuneResult | AutotuneError] = []
-        for gemm, perf, i, tally, lost in zip(
+        for gemm, lane, i, tally, lost in zip(
                 gemms, won, best.tolist(), evaluated.tolist(), skipped.tolist()):
-            if perf is None:  # never silently empty: every candidate failed
+            if lane is None:  # never silently empty: every candidate failed
                 results.append(AutotuneError(
                     f"autotune sweep for {gemm} at {bits}-bit on "
                     f"{device.name} produced no survivor: {lost} of "
                     f"{size} candidates failed permanently (quarantined)"))
                 continue
-            if not isinstance(perf, GpuKernelPerf):
-                batch, j = perf
-                perf = _perf(gemm, space[i], bits, batch.compute_cycles[j],
-                             batch.dram_cycles[j], batch.smem_cycles[j],
-                             batch.launch_cycles, batch.blocks[j], batch.blocks_per_sm[j],
-                             batch.occupancy[j], batch.overlapped)
+            batch, j = lane
+            perf = _perf(gemm, space[i], bits, batch.compute_cycles[j],
+                         batch.dram_cycles[j], batch.smem_cycles[j],
+                         batch.launch_cycles, batch.blocks[j], batch.blocks_per_sm[j],
+                         batch.occupancy[j], batch.overlapped)
             results.append(AutotuneResult(
                 gemm, bits, space[i], perf, candidates=size, evaluated=tally,
                 pruned=size - tally - lost, skipped=lost))
@@ -550,8 +533,9 @@ def autotune_many(
     Each distinct sweep is answered once: from the in-process memo (no
     hashing), from the disk store (by cache key), or — for the misses — by
     :func:`_search` passes of up to ``_PASS_SWEEPS`` sweeps that share bit
-    width and kernel kwargs.  Every result, tallies included, equals what
-    the one-shape :func:`autotune` returns.  A sweep that lost candidates
+    width, its type included, and context (device and kernel kwargs).
+    Every result, tallies included, equals what the one-shape
+    :func:`autotune` returns.  A sweep that lost candidates
     to quarantine (``skipped > 0``) is memoized, like the quarantine,
     but not stored: a later process without the faults searches again.
     A failing sweep does not stop the others: they are all memoized and
@@ -564,15 +548,16 @@ def autotune_many(
     todo = {key: sweep for key, sweep in zip(keys, sweeps) if outcome[key] is None}
     digests = {key: _digest(key) for key in todo}
     stored = _STORE.get_many(digests.values()) if todo else []
-    groups: dict[tuple[int, str], list[tuple[tuple, GemmShape, dict]]] = {}
+    # a pass per context and bits, with their type: ``4 == 4.0``
+    groups: dict[tuple, list[tuple[tuple, GemmShape, dict]]] = {}
     for (key, (gemm, bits, kwargs)), data in zip(todo.items(), stored):
         outcome[key] = _from_store(key, digests[key], data, gemm, bits)
         if outcome[key] is None:  # computed below
-            groups.setdefault((bits, repr(sorted(kwargs.items()))), []).append(
+            groups.setdefault((key[0], type(bits), bits), []).append(
                 (key, gemm, kwargs))
     new: list[tuple[str, AutotuneResult]] = []
     try:
-        for (bits, _), members in groups.items():
+        for (_, _, bits), members in groups.items():
             space, arrays, blocks, block_of = _legal_candidates(bits, device)
             kwargs = members[0][2]
             for start in range(0, len(members), _PASS_SWEEPS):

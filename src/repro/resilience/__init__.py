@@ -1,4 +1,4 @@
-"""Resilience layer: deterministic fault injection, hardened execution,
+"""Resilience layer: deterministic fault injection, bounded retry,
 crash-safe persistence.
 
 The paper's results come from long auto-search sweeps (Sec. 4 / Alg. 2)
@@ -19,11 +19,15 @@ the failures themselves *reproducible*:
     bit-identically regardless of thread scheduling.
 
 :mod:`repro.resilience.policy`
-    A hardened execution policy: bounded retry with exponential backoff
-    (``REPRO_RETRY`` / ``REPRO_BACKOFF_S``), per-call wall-clock timeout
-    (``REPRO_TIMEOUT_S``), and a :class:`Quarantine` for inputs that keep
-    failing — search sweeps skip quarantined candidates and continue over
-    the survivors instead of dying.
+    One bounded retry loop with no timers (``REPRO_RETRY``; profile runs
+    retry at once, the serving simulator backs off on its virtual clock),
+    and a :class:`Quarantine` for inputs that keep failing — search
+    sweeps skip quarantined candidates and continue over the survivors
+    instead of dying.
+
+:mod:`repro.resilience.breaker`
+    The serving simulator's per-backend circuit breaker: closed, open,
+    and one half-open probe once its open interval has passed.
 
 :mod:`repro.resilience.atomic`
     Crash-safe persistence: write-temp/fsync/rename for whole files, one
@@ -54,7 +58,6 @@ from .faults import (
 )
 from .breaker import CircuitBreaker
 from .policy import (
-    CallTimeout,
     DeadlineExceeded,
     ExecPolicy,
     PermanentFailure,
@@ -72,7 +75,6 @@ __all__ = [
     "install_plan",
     "maybe_corrupt",
     "maybe_garbage",
-    "CallTimeout",
     "CircuitBreaker",
     "DeadlineExceeded",
     "ExecPolicy",

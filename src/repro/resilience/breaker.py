@@ -1,4 +1,4 @@
-"""Per-backend circuit breakers over the recoverable :class:`Quarantine`.
+"""Per-backend circuit breakers.
 
 The serving layer (:mod:`repro.serve`) dispatches batches to a priced
 backend.  A backend that starts failing every batch must be cut off
@@ -12,8 +12,8 @@ circuit breaker:
     reset the count).
 ``open``
     All traffic is diverted (the caller browns out to its fallback).
-    After ``open_s`` on the breaker's clock, the underlying
-    :meth:`Quarantine.allow_probe` grants exactly one probe ticket.
+    Once ``open_s`` has passed on the breaker's clock since it opened,
+    :meth:`CircuitBreaker.acquire` grants exactly one probe ticket.
 ``half_open``
     One probe is in flight on the real backend.  Success closes the
     breaker (full re-admission); failure re-arms ``open_s`` and returns
@@ -31,7 +31,6 @@ import time
 from typing import Callable, List, Tuple
 
 from ..obs import trace as obs_trace
-from .policy import Quarantine
 
 CLOSED = "closed"
 OPEN = "open"
@@ -57,12 +56,14 @@ class CircuitBreaker:
         if failure_threshold < 1:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {failure_threshold}")
+        if not open_s > 0:  # NaN too
+            raise ValueError(f"open_s must be > 0, got {open_s}")
         self.name = name
         self.failure_threshold = failure_threshold
         self.open_s = open_s
         self._now = now
-        self._quarantine = Quarantine(
-            f"breaker.{name}", ttl_s=open_s, now=now)
+        self._state = CLOSED
+        self._since = 0.0  # the instant of the last transition
         self._consecutive_failures = 0
         self.opens = 0
         self.closes = 0
@@ -74,9 +75,7 @@ class CircuitBreaker:
 
     def state(self) -> str:
         """Current state without consuming a probe ticket."""
-        if not self._quarantine.contains(self.name):
-            return CLOSED
-        return HALF_OPEN if self._quarantine.probing(self.name) else OPEN
+        return self._state
 
     def suspect(self) -> bool:
         """Closed but with recent (un-reset) failures: the window between
@@ -87,6 +86,7 @@ class CircuitBreaker:
         return self._consecutive_failures > 0
 
     def _transition(self, to: str, at: float) -> None:
+        self._state, self._since = to, at
         self.transitions.append((at, to))
         obs_trace.instant(
             "breaker_transition", cat="serve", breaker=self.name, to=to)
@@ -102,39 +102,33 @@ class CircuitBreaker:
         :meth:`record_failure`.  ``open`` callers go to their fallback
         and report nothing.
         """
-        at = self._now() if now is None else now
-        if not self._quarantine.contains(self.name):
+        if self._state == CLOSED:
             return CLOSED
-        if self._quarantine.allow_probe(self.name, now=at):
+        at = self._now() if now is None else now
+        if self._state == OPEN and not at - self._since < self.open_s:
             self._transition(HALF_OPEN, at)
             return "probe"
         return OPEN
 
     def record_success(self, now: float | None = None) -> None:
         """A dispatch on the real backend succeeded (probe or closed)."""
-        at = self._now() if now is None else now
         self._consecutive_failures = 0
-        if self._quarantine.release(self.name):
+        if self._state != CLOSED:
             self.closes += 1
-            self._transition(CLOSED, at)
+            self._transition(CLOSED, self._now() if now is None else now)
 
-    def record_failure(self, now: float | None = None, reason: str = "") -> None:
+    def record_failure(self, now: float | None = None) -> None:
         """A dispatch on the real backend failed permanently."""
+        if self._state == OPEN:
+            return  # not probing: a straggler report, ignore
         at = self._now() if now is None else now
-        if self._quarantine.probing(self.name):
+        if self._state == HALF_OPEN:
+            # re-arm: back to open, the interval restarts from the failure
             self.probe_failures += 1
-            # re-arm: probing flag clears, TTL restarts from the failure
-            self._quarantine.add(self.name, reason or "probe failed", now=at)
             self._transition(OPEN, at)
-            return
-        if self._quarantine.contains(self.name):
-            # already open and not probing: a straggler report, ignore
             return
         self._consecutive_failures += 1
         if self._consecutive_failures >= self.failure_threshold:
-            self._quarantine.add(
-                self.name, reason or
-                f"{self._consecutive_failures} consecutive failures", now=at)
             self.opens += 1
             self._consecutive_failures = 0
             self._transition(OPEN, at)

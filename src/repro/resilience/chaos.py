@@ -112,8 +112,7 @@ def scenario_autotune_invariance() -> ScenarioResult:
     plan = FaultPlan.from_spec(
         "autotune.profile:raise:0.3:2", seed=CANNED_SEED)
     # retries (3) > times (2): every transient fault is absorbed
-    with _env(REPRO_NO_CACHE="1", REPRO_RETRY="3", REPRO_BACKOFF_S="0"), \
-            fault_plan(plan):
+    with _env(REPRO_NO_CACHE="1", REPRO_RETRY="3"), fault_plan(plan):
         chaotic = autotune(_GEMM, _BITS)
     clear_cache()
 

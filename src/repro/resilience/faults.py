@@ -33,7 +33,7 @@ Spec grammar (rules separated by ``;``)::
   (``0`` = unlimited), default 1: the transient-fault model, absorbed by
   one retry
 * ``param`` — seconds for ``delay`` (default 0.05), flipped bytes for
-  ``corrupt`` (default 8)
+  ``corrupt`` (default 8); finite and >= 0
 
 Every firing increments ``faults_injected{site=,kind=}`` in
 :mod:`repro.obs.metrics`, logs a ``fault_injected`` event, and drops a
@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import fnmatch
 import hashlib
+import math
 import os
 import threading
 import time
@@ -98,6 +99,9 @@ class FaultRule:
             raise ReproError(f"fault rate must be in [0, 1], got {self.rate}")
         if self.times < 0:
             raise ReproError(f"fault times must be >= 0, got {self.times}")
+        if not (math.isfinite(self.param) and self.param >= 0):
+            raise ReproError(
+                f"fault param must be finite and >= 0, got {self.param}")
 
     def matches(self, site: str) -> bool:
         return fnmatch.fnmatchcase(site, self.site)

@@ -18,7 +18,7 @@ Two views exist on purpose:
 
 The seconds-facing pair (:meth:`now_s` / :meth:`sleep_s`) plugs straight
 into :func:`repro.resilience.policy.call_with_policy` as its ``now`` and
-``sleep`` hooks — deadline propagation and backoff capping run unchanged
+``sleep`` hooks — the deadline check and the ``backoff_ms`` backoff run
 on virtual time.
 """
 

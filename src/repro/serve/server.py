@@ -28,14 +28,14 @@ holds for ``hold_us`` after the head arrived hoping to fill the batch,
 but never past the point where waiting would cost the head its SLO.
 
 **Circuit breaking and brownout.**  Primary dispatch runs under
-:func:`call_with_policy` — retries, backoff and deadline propagation all
-on the *lane's* forked clock, so a retried batch pays its detection and
-backoff time in virtual microseconds.  A permanently-failed batch trips
-the per-backend :class:`CircuitBreaker` and is served late on the
-fallback (brownout: admitted requests are never dropped).  While open,
-all traffic browns out to the fallback table; after ``breaker_open_ms``
-one probe batch re-tries the primary and either closes the breaker or
-re-arms it.
+:func:`call_with_policy` — retries, ``backoff_ms`` backoff and the batch
+deadline all on the *lane's* forked clock, so a retried batch pays its
+detection and backoff time in virtual microseconds.  A permanently-failed
+batch counts toward the per-backend :class:`CircuitBreaker`'s trip and is
+served late on the fallback (brownout: admitted requests are never
+dropped).  While open, all traffic browns out to the fallback table;
+``breaker_open_ms`` after the trip one probe batch re-tries the primary
+and either closes the breaker or re-opens it.
 
 **Chaos.**  Fault injection fires at site ``serve.backend.<primary>``
 keyed by batch sequence number, so a fault plan targets primary
@@ -192,7 +192,6 @@ class ServeSim:
         self._hold_pending = False
         self._policy = ExecPolicy(
             retries=max(0, config.retries),
-            timeout_s=None,
             backoff_s=max(0.0, config.backoff_ms) / 1e3)
         self._root_ctx = obs_trace.new_trace()
 
@@ -377,9 +376,8 @@ class ServeSim:
                 attempt, site=site, key=batch_key, policy=self._policy,
                 deadline=deadline_s,
                 now=lane_clock.now_s, sleep=lane_clock.sleep_s)
-        except PermanentFailure as exc:
-            self.breaker.record_failure(
-                lane_clock.now_s(), reason=type(exc.last).__name__)
+        except PermanentFailure:
+            self.breaker.record_failure(lane_clock.now_s())
             # graceful degradation: an admitted request is never dropped —
             # the failed batch reruns on the fallback, late but served
             lane_clock.sleep_s(self.fallback.service(b) / 1e6)

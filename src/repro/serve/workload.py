@@ -26,6 +26,7 @@ later comparison.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import random
 from dataclasses import dataclass
@@ -82,8 +83,10 @@ def generate_trace(
     density directly and the draw sequence — hence the whole trace — is a
     pure function of ``(qps, requests, seed, slo_us, shape)``.
     """
-    if qps <= 0:
-        raise ReproError(f"qps must be > 0, got {qps}")
+    if not (math.isfinite(qps) and qps > 0):
+        raise ReproError(f"qps must be finite and > 0, got {qps}")
+    if not math.isfinite(slo_us):
+        raise ReproError(f"slo_us must be finite, got {slo_us}")
     if requests < 0:
         raise ReproError(f"requests must be >= 0, got {requests}")
     _rate_factor(shape, 0.0)  # validate the shape name up front
@@ -113,7 +116,8 @@ def save_trace(path: "str | pathlib.Path", trace: Iterable[Request]) -> pathlib.
 
 
 def load_trace(path: "str | pathlib.Path") -> List[Request]:
-    """Read a JSONL trace back; validates ordering and field presence."""
+    """Read a JSONL trace back; validates field presence, finite times
+    and ordering."""
     path = pathlib.Path(path)
     out: List[Request] = []
     last_arrival = float("-inf")
@@ -133,6 +137,11 @@ def load_trace(path: "str | pathlib.Path") -> List[Request]:
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ReproError(
                         f"{path}:{lineno}: bad trace record: {exc}") from exc
+                if not (math.isfinite(req.arrival_us)
+                        and math.isfinite(req.slo_us)):
+                    raise ReproError(
+                        f"{path}:{lineno}: arrival_us and slo_us must be "
+                        f"finite, got {req.arrival_us} and {req.slo_us}")
                 if req.arrival_us < last_arrival:
                     raise ReproError(
                         f"{path}:{lineno}: arrivals not sorted "

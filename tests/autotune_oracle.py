@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import AutotuneError
 from repro.gpu.device import TU102, GpuDevice
-from repro.gpu.pipelinemodel import GemmArrays, GpuKernelPerf
+from repro.gpu.pipelinemodel import GemmArrays, GpuKernelPerf, kernel_time
 from repro.gpu.tiling import search_space
 from repro.obs import trace as obs_trace
 from repro.resilience import faults as res_faults
@@ -49,9 +49,10 @@ def autotune_reference(
     device: GpuDevice = TU102,
     **kernel_kwargs,
 ):
-    """The serial exhaustive sweep.  Profile runs wear the engine's
-    retry/quarantine armor, so a chaos plan degrades the oracle the way
-    it degrades the engine instead of killing it."""
+    """The serial exhaustive sweep.  Each profile run first passes the
+    engine's ``_survives`` (its faults under retry, and the quarantine),
+    so a chaos plan degrades the oracle the way it degrades the engine
+    instead of killing it."""
     best = best_perf = None
     policy = ExecPolicy.resolve()
     count = 0
@@ -62,11 +63,10 @@ def autotune_reference(
     ):
         for tiling in search_space(bits, device=device):
             count += 1
-            perf = autotune_mod._guarded_profile(
-                gemm, bits, tiling, device, policy, kernel_kwargs)
-            if perf is None:
+            if not autotune_mod._survives(gemm, bits, tiling, policy):
                 skipped += 1
                 continue
+            perf = kernel_time(gemm, bits, tiling, device=device, **kernel_kwargs)
             evaluated += 1
             if best_perf is None or perf.total_cycles < best_perf.total_cycles:
                 best, best_perf = tiling, perf
@@ -132,7 +132,8 @@ def search_by_lanes(gemms, bits, space, arrays, blocks, block_of, device,
     gathered bounds with a stable float argsort, walks its own windows,
     prunes with its own incumbent and offers its candidates one by one;
     quarantined candidates and fault-selected ones go through
-    ``_guarded_profile``.  Records no counters or spans of its own."""
+    ``_survives`` and, if they survive, the scalar ``kernel_time``.
+    Records no counters or spans of its own."""
     bounds = autotune_mod.kernel_lower_bound(
         GemmArrays.from_shapes(gemms, np.s_[:, None]), bits, blocks,
         device=device, **kernel_kwargs)[:, block_of]
@@ -144,13 +145,12 @@ def search_by_lanes(gemms, bits, space, arrays, blocks, block_of, device,
     quarantine = autotune_mod.profile_quarantine()
 
     def guarded(lane, i):
-        perf = autotune_mod._guarded_profile(
-            lane.gemm, bits, space[i], device, policy, kernel_kwargs)
-        if perf is None:  # quarantined: search the survivors
-            lane.skipped += 1
-        else:
-            lane.evaluated += 1
-            lane.offer(perf.total_cycles, i, perf)
+        if not autotune_mod._survives(lane.gemm, bits, space[i], policy):
+            lane.skipped += 1  # quarantined: search the survivors
+            return
+        perf = kernel_time(lane.gemm, bits, space[i], device=device, **kernel_kwargs)
+        lane.evaluated += 1
+        lane.offer(perf.total_cycles, i, perf)
 
     if len(quarantine):
         for lane in lanes:

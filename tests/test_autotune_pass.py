@@ -43,7 +43,6 @@ _WIDTHS = [(64, 2048), (5, 37)]
 def _clean(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_RETRY", "3")
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     autotune_mod.clear_cache()
     with fault_plan(None):
         yield

@@ -227,7 +227,6 @@ def test_non_resident_tilings_are_illegal_not_faults(monkeypatch):
     leaves it out and the sweep never profiles it, instead of retrying it
     like a fault, quarantining it and counting it as skipped."""
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     dev = dataclasses.replace(TU102, name="half-smem", smem_per_sm=16 * 1024)
     full = list(search_space(8))
     space = list(search_space(8, device=dev))

@@ -36,7 +36,6 @@ BITS = 4
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     install_plan(None)
     clear_cache()
     yield

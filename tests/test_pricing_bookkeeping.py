@@ -67,7 +67,9 @@ def test_memo_hits_hash_nothing(monkeypatch):
 def test_memo_keeps_value_types_apart(monkeypatch):
     """Bits ``4`` and ``4.0``, and kwarg values ``1``, ``1.0`` and
     ``True``, are separate memo entries, as they are separate store keys:
-    each is searched once, then answered from its own entry."""
+    each is searched once, in its own pass (the ``4.0`` sweep keeps its
+    float bits, as it does searched alone), then answered from its own
+    entry."""
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     gemm = GemmShape(3136, 576, 64)
     sweeps = [(gemm, 4, {}), (gemm, 4.0, {})] + [
@@ -76,6 +78,7 @@ def test_memo_keeps_value_types_apart(monkeypatch):
     before = counted.value
     results = autotune_many(sweeps)
     assert counted.value - before == len(autotune_mod._MEM_CACHE) == 5
+    assert [type(r.bits) for r in results[:2]] == [int, float]
     for sweep, result in zip(sweeps, results):
         assert autotune_many([sweep])[0] is result
     assert counted.value - before == 5

@@ -49,6 +49,10 @@ def test_spec_grammar_full_and_defaults():
     "site:raise:2.0",      # rate out of range
     "site:raise:0.5:-1",   # negative times
     "site:raise:abc",      # unparseable rate
+    "autotune.profile:delay:0.01:1:inf",  # an endless delay
+    "cache.put:corrupt:1:1:inf",          # infinitely many flipped bytes
+    "cache.put:corrupt:1:1:nan",          # not a byte count
+    "site:delay:1:1:-0.5",                # negative param
 ])
 def test_bad_specs_raise_typed_errors(spec):
     with pytest.raises(ReproError):

@@ -102,6 +102,12 @@ def test_bad_workload_arguments():
         generate_trace(100, -1)
     with pytest.raises(ReproError):
         generate_trace(100, 10, shape="sawtooth")
+    # a NaN or infinite rate or SLO never reaches the event loop
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ReproError, match="qps"):
+            generate_trace(bad, 10)
+        with pytest.raises(ReproError, match="slo_us"):
+            generate_trace(100, 10, slo_us=bad)
 
 
 def test_trace_roundtrip_and_validation(tmp_path):
@@ -119,6 +125,14 @@ def test_trace_roundtrip_and_validation(tmp_path):
     bad.write_text('{"rid": 0}\n')
     with pytest.raises(ReproError, match="bad.jsonl:1"):
         load_trace(bad)
+    # so are NaN and infinite times (JSON readers accept both)
+    for line in ('{"rid": 0, "arrival_us": NaN, "slo_us": 1.0}',
+                 '{"rid": 0, "arrival_us": Infinity, "slo_us": 1.0}',
+                 '{"rid": 0, "arrival_us": 1.0, "slo_us": NaN}',
+                 '{"rid": 0, "arrival_us": 1.0, "slo_us": -Infinity}'):
+        bad.write_text(line + "\n")
+        with pytest.raises(ReproError, match="bad.jsonl:1.*finite"):
+            load_trace(bad)
     with pytest.raises(ReproError):
         load_trace(tmp_path / "absent.jsonl")
 

@@ -1,9 +1,10 @@
-"""Circuit breaker state machine over the recoverable quarantine.
+"""Circuit breaker state machine.
 
 The serving simulator's correctness under chaos reduces to this state
 machine behaving exactly: closed -> (threshold failures) -> open ->
-(TTL) -> half_open probe -> closed on success / back to open on failure.
-Everything runs on a hand-cranked clock — no wall time, no sleeps.
+(``open_s``) -> half_open probe -> closed on success / back to open on
+failure.  Everything runs on a hand-cranked clock — no wall time, no
+sleeps.
 """
 
 import pytest
@@ -95,7 +96,7 @@ def test_probe_failure_re_arms_the_open_interval(clock):
     assert br.state() == OPEN
     assert br.probe_failures == 1
     clock.t = 1.5
-    assert br.acquire() == OPEN  # TTL restarted at the probe failure
+    assert br.acquire() == OPEN  # open interval restarted at the probe failure
     clock.t = 2.0
     assert br.acquire() == "probe"
 
@@ -122,3 +123,9 @@ def test_explicit_now_beats_the_constructor_clock(clock):
 def test_failure_threshold_validation(clock):
     with pytest.raises(ValueError):
         CircuitBreaker("x", failure_threshold=0, now=clock)
+
+
+@pytest.mark.parametrize("open_s", [0, -1.0, float("nan")])
+def test_open_interval_validation(clock, open_s):
+    with pytest.raises(ValueError):
+        CircuitBreaker("x", open_s=open_s, now=clock)

@@ -2,8 +2,8 @@
 
 The bit-level vector/scalar model equivalence lives in
 ``test_gpu_random_tilings.py``; this suite pins the *engine* behavior on
-top of it: fault-free sweeps price in numpy while fault-selected lanes
-take the guarded scalar path, identical results across the one-shape
+top of it: every sweep prices in numpy, fault-selected lanes too once
+their faults retry at once, identical results across the one-shape
 call, the batched prewarm and the reference sweep (fault-free and under
 the canned chaos plan), the Fig. 11 series against the reference, the
 ``evaluated + pruned + skipped == candidates`` invariant, quarantine
@@ -18,6 +18,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from repro.gpu.autotune import (
     profile_quarantine,
     _candidate_key,
 )
+from repro.gpu import pipelinemodel
 from repro.obs import metrics as obs_metrics
 from repro.perf.cache import CACHE_DIR_ENV
 from repro.resilience.chaos import CANNED_SEED, CANNED_SPEC
 from repro.resilience.faults import FaultPlan, fault_plan
+from repro.resilience.policy import call_with_policy
 from repro.types import GemmShape
 
 from .autotune_oracle import autotune_reference, route_to_reference
@@ -58,15 +61,26 @@ _GEMMS = [
 
 
 # ---------------------------------------------------------------------------
-# Pricing path: numpy for every lane, the guarded scalar path on demand
+# Pricing path: numpy for every lane, fault-selected lanes included
 # ---------------------------------------------------------------------------
 
 
 def _forbid_scalar_pricing(monkeypatch):
     def scalar(*args, **kwargs):
-        raise AssertionError("fault-free sweep priced a candidate scalar")
+        raise AssertionError("a sweep priced a candidate scalar")
 
-    monkeypatch.setattr(autotune_mod, "kernel_time", scalar)
+    monkeypatch.setattr(pipelinemodel, "kernel_time", scalar)
+    # and the engine's own name for it, should it import one
+    monkeypatch.setattr(autotune_mod, "kernel_time", scalar, raising=False)
+
+
+def _forbid_sleep(monkeypatch):
+    def sleep(seconds):
+        raise AssertionError(f"a sweep slept {seconds} s")
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    # the policy's default hook, bound when it was defined
+    monkeypatch.setitem(call_with_policy.__kwdefaults__, "sleep", sleep)
 
 
 def _vector_runs(bits):
@@ -76,7 +90,7 @@ def _vector_runs(bits):
 
 def test_vector_mode_is_the_default(monkeypatch):
     """A fault-free sweep prices every candidate through the batched
-    model; the scalar model (the guarded path's) is never called."""
+    model; the scalar model is never called."""
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     _forbid_scalar_pricing(monkeypatch)
     before = _vector_runs(8)
@@ -99,22 +113,21 @@ def test_no_vector_env_forces_scalar(monkeypatch):
 
 def test_fault_plan_on_profile_site_forces_scalar(monkeypatch):
     """Lanes a fault plan selects at ``autotune.profile`` (exact or glob
-    rule) reach ``_guarded_profile``; retries absorb the faults, so the
-    winner, cycles and tallies equal the fault-free run.  A rule on an
-    unrelated site routes nothing there."""
+    rule) reach ``_survives``; retries absorb the faults, so the winner,
+    cycles and tallies equal the fault-free run.  A rule on an unrelated
+    site routes nothing there."""
     gemm = GemmShape(3136, 576, 64)
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RETRY", "2")
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     base = autotune(gemm, 4)
     routed = []
-    guarded = autotune_mod._guarded_profile
+    survives = autotune_mod._survives
 
-    def spy(gemm_, bits, tiling, *args):
+    def spy(gemm_, bits, tiling, policy):
         routed.append(_candidate_key(gemm_, bits, tiling))
-        return guarded(gemm_, bits, tiling, *args)
+        return survives(gemm_, bits, tiling, policy)
 
-    monkeypatch.setattr(autotune_mod, "_guarded_profile", spy)
+    monkeypatch.setattr(autotune_mod, "_survives", spy)
     for spec in ("autotune.profile:raise:0.3:1", "autotune.*:raise:0.3:1"):
         clear_cache()
         routed.clear()
@@ -132,30 +145,51 @@ def test_fault_plan_on_profile_site_forces_scalar(monkeypatch):
     assert not routed
 
 
+def test_profile_faults_take_the_production_path(monkeypatch):
+    """A fault-selected candidate retries its faults at once and keeps its
+    lane of the round's batch: the sweep neither sleeps nor prices a
+    candidate scalar, and equals the fault-free one, tallies included.
+    The retired backoff and timeout variables are set to show that
+    nothing reads them."""
+    gemm = GemmShape(3136, 576, 64)
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    base = autotune(gemm, 4)
+    clear_cache()
+    monkeypatch.setenv("REPRO_RETRY", "3")
+    monkeypatch.setenv("REPRO_BACKOFF_S", "1")
+    monkeypatch.setenv("REPRO_TIMEOUT_S", "0.000001")
+    _forbid_scalar_pricing(monkeypatch)
+    _forbid_sleep(monkeypatch)
+    with fault_plan("autotune.profile:raise:0.3:2") as plan:
+        res = autotune(gemm, 4)
+    assert plan.total_injected() > 0
+    assert res == base
+
+
 # ---------------------------------------------------------------------------
-# Engine equivalence: numpy pricing vs the guarded scalar path vs reference
+# Engine equivalence: fault-free vs every lane fault-selected vs reference
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("bits", [8, 4])
 def test_vector_engine_matches_scalar_engine(bits, monkeypatch):
-    """A rate-1 transient plan routes every priced lane through the
-    guarded scalar model; the result, tallies included, must equal the
-    numpy-priced sweep, and the winner the reference sweep's."""
+    """A rate-1 transient plan routes every priced lane through
+    ``_survives``; the result, tallies included, must equal the
+    fault-free sweep, and the winner the reference sweep's (priced
+    scalar)."""
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RETRY", "1")
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     for gemm in _GEMMS:
         reference = autotune_reference(gemm, bits)
         vector = autotune(gemm, bits)
         clear_cache()
         with fault_plan("autotune.profile:raise:1.0:1") as plan:
-            scalar = autotune(gemm, bits)
+            faulted = autotune(gemm, bits)
         clear_cache()
-        assert plan.total_injected() == scalar.evaluated
+        assert plan.total_injected() == faulted.evaluated
 
         # the winner and its full cycle breakdown are engine-independent
-        assert scalar == vector
+        assert faulted == vector
         assert vector.best == reference.best
         assert vector.best_cycles == reference.best_cycles
         assert vector.candidates == reference.candidates
@@ -210,7 +244,7 @@ def test_quarantined_candidate_is_skipped_not_priced(monkeypatch):
     gemm = GemmShape(3136, 576, 64)
     reference = autotune_reference(gemm, 8)
     # quarantine a non-winning candidate; the vector sweep must skip it
-    # through the scalar guarded path and still find the same winner
+    # unpriced and still find the same winner
     loser = next(t for t in _space_for(8) if t != reference.best)
     profile_quarantine().add(
         _candidate_key(gemm, 8, loser), reason="test")
@@ -277,7 +311,6 @@ def test_batched_equals_one_shape_equals_reference(plan, bits, monkeypatch):
     plan, whose transient profile faults the retries absorb."""
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RETRY", "3")
-    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
     with fault_plan(plan, seed=CANNED_SEED) as active:
         single = []
         for gemm in _GEMMS:
